@@ -2,7 +2,7 @@
 
 Library layout:
   graphs    immutable graphs, family constructors, graph6 I/O
-  spectral  Q(G), distance matrix, Perron roots, Wiener index
+  spectral  Q(G), distance matrix, Perron roots (batched by order), Wiener index
   quotient  partitions, quotient matrices, family cubics, root bracketing
   oracle    exact even-factor search and the odd-component condition
   theorems  thresholds, verdicts, extremal recognition, property suite
@@ -50,12 +50,14 @@ from .quotient import (
 )
 from .spectral import (
     DisconnectedGraphError,
-    NonConvergenceError,
     PerronResult,
     distance_matrix,
     largest_eigenvalue,
+    perron,
     rho_d,
+    rho_d_many,
     rho_q,
+    rho_q_many,
     signless_laplacian,
     wiener_index,
 )
@@ -69,6 +71,7 @@ from .theorems import (
     TheoremVerdict,
     check_even_factor,
     check_even_factor_d,
+    check_even_factor_many,
     check_even_factor_q,
     extremal_even_factor,
     extremal_graph,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -20,12 +21,11 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .corpus import BUNDLED_COUNTS, load_bundled_corpus
-from .graphs import Graph, Graph6Error, from_graph6, to_graph6, GRAPH6_HEADER
+from .graphs import Graph, Graph6Error, from_graph6, to_graph6
 from .oracle import CertificateStatus, find_even_factor
 from .sampling import DEFAULT_P_RANGE, sample_connected_graph
 from .spectral import (
     RESIDUAL_TOL,
-    VALUE_TOL,
     DisconnectedGraphError,
     rho_d,
     rho_q,
@@ -40,14 +40,16 @@ from .theorems import (
     Conclusion,
     ExtremalParams,
     TheoremKind,
-    check_even_factor,
+    TheoremVerdict,
+    _spectral_condition_met,
+    check_even_factor_many,
     extremal_table,
     run_property_suite,
     threshold_rho_d,
     threshold_rho_q,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
@@ -56,28 +58,34 @@ def _tolerances(args) -> dict:
     return {
         "comparison_epsilon": args.tolerance,
         "borderline_margin": BORDERLINE_MARGIN,
-        "eigen_value_tol": VALUE_TOL,
         "eigen_residual_tol": RESIDUAL_TOL,
         "root_tol": 1e-10,
         "threshold_agreement": THRESHOLD_AGREEMENT,
     }
 
 
-def _read_lines(source: Optional[str]) -> list[str]:
+def _read_lines(source: Optional[str]) -> list[bytes]:
+    """Raw input lines; each is decoded on its own by _parse_graphs."""
     if source is None or source == "-":
-        return sys.stdin.read().splitlines()
-    with open(source, "r", encoding="ascii") as fh:
+        return sys.stdin.buffer.read().splitlines()
+    with open(source, "rb") as fh:
         return fh.read().splitlines()
 
 
-def _parse_graphs(lines: Iterable[str]) -> tuple[list[tuple[int, str, Graph]], list[dict]]:
+def _parse_graphs(lines: Iterable[bytes]) -> tuple[list[tuple[int, str, Graph]], list[dict]]:
     """(line_no, graph6, graph) triples plus parse violations."""
     good = []
     bad = []
     for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if text.startswith(GRAPH6_HEADER):
-            text = text[len(GRAPH6_HEADER):]
+        try:
+            text = raw.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            bad.append({
+                "line": line_no,
+                "graph6": raw.decode("ascii", "backslashreplace").strip(),
+                "error": f"non-ASCII byte 0x{raw[exc.start]:02x} at column {exc.start + 1}",
+            })
+            continue
         if not text:
             continue
         try:
@@ -173,12 +181,19 @@ def cmd_spectra(args) -> int:
 # -- certify ------------------------------------------------------------------
 
 
-def _verdict_row(line_no: int, text: str, g: Graph, kind: TheoremKind,
-                 oracle: bool, args) -> dict:
-    v = check_even_factor(
-        g, kind, run_oracle=oracle, node_cap=args.oracle_cap,
-        epsilon=args.tolerance,
+def _judge(items: Iterable[tuple[int, str, Graph]], kind: TheoremKind,
+           args) -> Iterable[tuple[int, str, TheoremVerdict]]:
+    """(line_no, graph6, verdict) per parsed input, in input order."""
+    items, graphs = itertools.tee(items)
+    verdicts = check_even_factor_many(
+        (g for _, _, g in graphs), kind, run_oracle=args.oracle == "on",
+        node_cap=args.oracle_cap, epsilon=args.tolerance,
     )
+    for (line_no, text, _), v in zip(items, verdicts):
+        yield line_no, text, v
+
+
+def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
     return {
         "line": line_no,
         "graph6": text,
@@ -205,11 +220,10 @@ def _diagnostic_row(line_no: int, text: str, g: Graph, kind: TheoremKind,
         if kind is TheoremKind.SIGNLESS_LAPLACIAN:
             value = rho_q(g)
             threshold = threshold_rho_q(params)
-            met = value >= threshold - args.tolerance
         else:
             value = rho_d(g)
             threshold = threshold_rho_d(params)
-            met = value <= threshold + args.tolerance
+        met = _spectral_condition_met(kind, value, threshold, args.tolerance)
     except (ValueError, DisconnectedGraphError) as exc:
         error = str(exc)
     return {
@@ -228,7 +242,6 @@ def cmd_certify(args) -> int:
     started = time.perf_counter()
     kind = _THEOREM_KINDS[args.theorem]
     graphs, bad = _parse_graphs(_read_lines(args.input))
-    oracle = args.oracle == "on"
     rows = []
     violations = list(bad)
     if args.delta_override is not None:
@@ -238,8 +251,8 @@ def cmd_certify(args) -> int:
             rows.append(_diagnostic_row(line_no, text, g, kind,
                                         args.delta_override, args))
     else:
-        for line_no, text, g in graphs:
-            row = _verdict_row(line_no, text, g, kind, oracle, args)
+        for line_no, text, v in _judge(graphs, kind, args):
+            row = _verdict_row(line_no, text, v)
             rows.append(row)
             if row["oracle_agrees"] is False:
                 violations.append({
@@ -296,18 +309,13 @@ def cmd_scan(args) -> int:
     started = time.perf_counter()
     kind = _THEOREM_KINDS[args.theorem]
     source, graphs, bad = _scan_source(args)
-    oracle = args.oracle == "on"
     counts = {c.value: 0 for c in Conclusion}
     total = 0
     borderline = 0
     oracle_runs = 0
     cap_exceeded = 0
     violations = list(bad)
-    for line_no, text, g in graphs:
-        v = check_even_factor(
-            g, kind, run_oracle=oracle, node_cap=args.oracle_cap,
-            epsilon=args.tolerance,
-        )
+    for line_no, text, v in _judge(graphs, kind, args):
         total += 1
         counts[v.conclusion.value] += 1
         borderline += v.borderline

@@ -27,7 +27,7 @@ def test_spectra_via_subprocess(tmp_path):
     proc = run_cli(["spectra", "--json", str(report_path)], stdin="C~\nCh\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     rows = report["rows"]
     assert rows[0]["n"] == 4 and rows[0]["rho_q"] == pytest.approx(6, abs=1e-9)
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)
@@ -54,6 +54,26 @@ def test_malformed_line_reported_with_line_number(tmp_path):
     report = json.loads(report_path.read_text())
     assert len(report["rows"]) == 1
     assert report["violations"][0]["line"] == 2
+
+
+def test_non_ascii_line_is_a_per_line_violation(tmp_path):
+    data = b"C~\nD\xc3\xa9\n"
+    graph_file = tmp_path / "bad.g6"
+    graph_file.write_bytes(data)
+    for source, stdin in ((str(graph_file), b""), ("-", data)):
+        report_path = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "evenfactor.cli", "certify", source,
+             "--json", str(report_path)],
+            input=stdin, capture_output=True,
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        report = json.loads(report_path.read_text())
+        assert [r["line"] for r in report["rows"]] == [1]
+        [violation] = report["violations"]
+        assert violation["line"] == 2
+        assert "non-ASCII" in violation["error"]
 
 
 def test_certify_extremal_row(tmp_path):

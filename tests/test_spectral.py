@@ -15,14 +15,17 @@ from evenfactor.graphs import (
 )
 from evenfactor.spectral import (
     DisconnectedGraphError,
-    NonConvergenceError,
     distance_matrix,
     largest_eigenvalue,
+    perron,
     rho_d,
+    rho_d_many,
     rho_q,
+    rho_q_many,
     signless_laplacian,
     wiener_index,
 )
+from evenfactor.spectral import _distance_stack, _signless_laplacian_stack
 
 
 def test_signless_laplacian_entries():
@@ -44,6 +47,27 @@ def test_distance_matrix_entries():
         distance_matrix(disjoint_union(complete(2), complete(2)))
 
 
+def _floyd_warshall(g):
+    n = g.n
+    ref = np.full((n, n), float(n + 1))
+    np.fill_diagonal(ref, 0.0)
+    for u, v in g.edges():
+        ref[u, v] = ref[v, u] = 1.0
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                ref[i, j] = min(ref[i, j], ref[i, k] + ref[k, j])
+    return ref
+
+
+def _random_connected(rng, n, p):
+    while True:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        if g.is_connected():
+            return g
+
+
 def test_distance_matrix_vs_floyd_warshall():
     rng = random.Random(5)
     for _ in range(20):
@@ -52,16 +76,46 @@ def test_distance_matrix_vs_floyd_warshall():
         g = Graph(n, edges)
         if not g.is_connected():
             continue
-        d = distance_matrix(g)
-        ref = np.full((n, n), float(n + 1))
-        np.fill_diagonal(ref, 0.0)
-        for u, v in g.edges():
-            ref[u, v] = ref[v, u] = 1.0
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    ref[i, j] = min(ref[i, j], ref[i, k] + ref[k, j])
-        assert (d == ref).all()
+        assert (distance_matrix(g) == _floyd_warshall(g)).all()
+
+
+def test_distance_stack_vs_floyd_warshall():
+    rng = random.Random(11)
+    for n in (1, 2, 5, 9, 14):
+        # sparse draws give long distances, dense ones short
+        graphs = [_random_connected(rng, n, rng.choice((0.15, 0.4, 0.8)))
+                  for _ in range(12)] + [path(n)]
+        stack = _distance_stack(graphs)
+        assert stack.shape == (len(graphs), n, n)
+        for g, d in zip(graphs, stack):
+            assert (d == _floyd_warshall(g)).all()
+    with pytest.raises(DisconnectedGraphError):
+        _distance_stack([path(4), disjoint_union(complete(2), complete(2))])
+    with pytest.raises(ValueError):
+        _distance_stack([path(4), path(5)])
+
+
+def test_stacked_radii_equal_one_graph_radii():
+    rng = random.Random(13)
+    for n in (3, 8, 14):
+        graphs = [_random_connected(rng, n, 0.5) for _ in range(20)]
+        assert rho_q_many(graphs).tolist() == [rho_q(g) for g in graphs]
+        assert rho_d_many(graphs).tolist() == [rho_d(g) for g in graphs]
+
+
+def test_perron_vector_positive_for_connected_graphs():
+    rng = random.Random(19)
+    for n in (2, 4, 7, 10):
+        graphs = [_random_connected(rng, n, p) for p in (0.2, 0.5, 0.9)] + [path(n)]
+        for g in graphs:
+            for m in (signless_laplacian(g), distance_matrix(g)):
+                res = largest_eigenvalue(m)
+                assert (res.vector > 0).all()
+                assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
+        for stack in (_signless_laplacian_stack(graphs), _distance_stack(graphs)):
+            values, vectors, residuals = perron(stack)
+            assert values.shape == residuals.shape == (len(graphs),)
+            assert (vectors > 0).all()
 
 
 def test_perron_known_values():
@@ -100,15 +154,21 @@ def test_largest_eigenvalue_input_validation():
         largest_eigenvalue(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         largest_eigenvalue(np.zeros((0, 0)))
-    with pytest.raises(NonConvergenceError):
-        largest_eigenvalue(signless_laplacian(cycle(5)), max_iterations=1)
+    with pytest.raises(ValueError):
+        largest_eigenvalue(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    with pytest.raises(ValueError):
+        largest_eigenvalue(np.zeros((2, 2, 2)))  # stacks go through perron
+    with pytest.raises(ValueError):
+        perron(np.zeros((3, 0, 0)))
+    with pytest.raises(ValueError):
+        perron(np.array([[[0.0, 1.0], [0.5, 0.0]]]))
 
 
 def test_largest_eigenvalue_deterministic():
     q = signless_laplacian(join(complete(2), disjoint_union(complete(5), complete(1))))
     a = largest_eigenvalue(q)
     b = largest_eigenvalue(q)
-    assert a.value == b.value and a.iterations == b.iterations
+    assert a.value == b.value and a.residual == b.residual
     assert (a.vector == b.vector).all()
 
 

@@ -6,7 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evenfactor.graphs import Graph, clique_join, complete, cycle, from_graph6, to_graph6
+from evenfactor.corpus import load_bundled_corpus
+from evenfactor.graphs import (
+    Graph,
+    clique_join,
+    complete,
+    cycle,
+    disjoint_union,
+    from_graph6,
+    to_graph6,
+)
 from evenfactor.oracle import CertificateStatus, find_even_factor, is_even_factor
 from evenfactor.spectral import rho_d, rho_q
 from evenfactor.theorems import (
@@ -14,9 +23,12 @@ from evenfactor.theorems import (
     ExtremalParams,
     FamilyParams,
     JoinFamily,
+    VERDICT_CHUNK,
     TheoremKind,
     blocks_graph_aligned,
+    check_even_factor,
     check_even_factor_d,
+    check_even_factor_many,
     check_even_factor_q,
     extremal_even_factor,
     extremal_graph,
@@ -300,6 +312,25 @@ def test_property_suite_check_filter_and_determinism():
     r2 = run_property_suite(seed=5, trials=10, checks={"q-monotone-edge-add"})
     assert [o.__dict__ for o in r1.outcomes] == [o.__dict__ for o in r2.outcomes]
     assert {o.check for o in r1.outcomes} == {"q-monotone-edge-add"}
+
+
+def test_check_even_factor_many_matches_per_graph_verdicts():
+    # orders 6, 7 and 8 interleaved, so every chunk stacks several orders
+    corpora = [load_bundled_corpus(n)[:120] for n in (6, 7, 8)]
+    graphs = [g for triple in zip(*corpora) for g in triple]
+    graphs += [extremal_graph(ExtremalParams(8, 2)), Graph(0),
+               disjoint_union(complete(3), complete(3))]
+    assert len(graphs) > 3 * VERDICT_CHUNK
+    for kind, rho in ((TheoremKind.SIGNLESS_LAPLACIAN, rho_q),
+                      (TheoremKind.DISTANCE, rho_d)):
+        batched = list(check_even_factor_many(graphs, kind, run_oracle=True))
+        single = [check_even_factor(g, kind, run_oracle=True) for g in graphs]
+        assert batched == single
+        for g, v in zip(graphs, batched):
+            if v.spectral_value is not None:
+                assert v.spectral_value == rho(g)
+    assert batched[-1].spectral_value is None  # rho_D of a disconnected graph
+    assert batched[-2].spectral_value is None  # the 0-vertex graph
 
 
 def test_extremal_table():
