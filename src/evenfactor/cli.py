@@ -20,7 +20,7 @@ from random import Random
 from typing import Iterable, Optional
 
 from . import __version__
-from .corpus import BUNDLED_COUNTS, load_bundled_corpus
+from .corpus import BUNDLED_COUNTS, bundled_corpus_lines, load_bundled_corpus
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
 from .oracle import CertificateStatus, find_even_factor
 from .sampling import DEFAULT_P_RANGE, sample_connected_graph
@@ -295,10 +295,10 @@ def _scan_source(args) -> tuple[str, Iterable[tuple[int, str, Graph]], list[dict
 
         return f"sampler:n={args.n},size={args.sample_size},seed={args.seed}", gen(), []
     if args.n is not None and args.n in BUNDLED_COUNTS:
-        graphs = load_bundled_corpus(args.n)
+        lines = bundled_corpus_lines(args.n)
         return (
             f"bundled:n={args.n}",
-            [(i + 1, to_graph6(g), g) for i, g in enumerate(graphs)],
+            ((i, line, from_graph6(line)) for i, line in enumerate(lines, 1)),
             [],
         )
     raise SystemExit("scan: need --corpus, or --sample-size, or -n in 1..8 "
@@ -358,16 +358,23 @@ def cmd_scan(args) -> int:
 
 def cmd_lemmas(args) -> int:
     started = time.perf_counter()
+    checks = set(args.check) if args.check else None
+
+    def want(name: str) -> bool:
+        return checks is None or name in checks
+
+    # only the corpora some selected check reads are decoded
     corpus_graphs = []
-    for n in range(1, args.corpus_max_n + 1):
-        if n in BUNDLED_COUNTS:
-            corpus_graphs.extend(load_bundled_corpus(n))
+    if want("wiener-lower-bound"):
+        for n in range(1, args.corpus_max_n + 1):
+            if n in BUNDLED_COUNTS:
+                corpus_graphs.extend(load_bundled_corpus(n))
     # even orders feed the implication check, odd ones the observation
+    parity_check = ("odd-component-implication", "odd-order-observation")
     oracle_graphs = []
     for n in range(3, args.oracle_max_n + 1):
-        if n in BUNDLED_COUNTS:
+        if n in BUNDLED_COUNTS and want(parity_check[n % 2]):
             oracle_graphs.extend(load_bundled_corpus(n))
-    checks = set(args.check) if args.check else None
     report = run_property_suite(
         seed=args.seed,
         trials=args.trials,

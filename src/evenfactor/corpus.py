@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .graphs import Graph, iter_graph6
+from .graphs import Graph, from_graph6
 
 BUNDLED_ORDERS = range(1, 9)
 
@@ -22,12 +22,17 @@ def bundled_corpus_text(n: int) -> str:
     )
 
 
-def load_bundled_corpus(n: int) -> list[Graph]:
-    """All connected graphs on n vertices, one representative per class."""
-    graphs = list(iter_graph6(bundled_corpus_text(n).splitlines()))
-    if len(graphs) != BUNDLED_COUNTS[n]:
+def bundled_corpus_lines(n: int) -> list[str]:
+    """The corpus's graph6 lines, each the canonical encoding of its graph."""
+    lines = bundled_corpus_text(n).split()
+    if len(lines) != BUNDLED_COUNTS[n]:
         raise RuntimeError(
-            f"bundled corpus for n={n} has {len(graphs)} graphs, "
+            f"bundled corpus for n={n} has {len(lines)} graphs, "
             f"expected {BUNDLED_COUNTS[n]}"
         )
-    return graphs
+    return lines
+
+
+def load_bundled_corpus(n: int) -> list[Graph]:
+    """All connected graphs on n vertices, one representative per class."""
+    return [from_graph6(line) for line in bundled_corpus_lines(n)]

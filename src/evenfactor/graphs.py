@@ -1,10 +1,11 @@
 """Immutable simple undirected graphs on vertex set {0..n-1}.
 
-Vertices are dense integer labels. Adjacency is kept both as sorted
-neighbor tuples and as per-vertex bitmasks, so membership tests and the
-flood fills used by the search oracle are O(1)/O(n) on desk-scale graphs.
-All constructors document their labeling; ``join`` places its first
-argument's vertices first.
+Vertices are dense integer labels. Adjacency is one bitmask per vertex
+(bit w of ``_bits[v]`` is set iff vw is an edge), and every query reads
+it: degrees are popcounts, membership is one shift, and the component
+flood fill behind connectivity and the odd-component condition ORs whole
+neighbourhoods at a time. All constructors document their labeling;
+``join`` places its first argument's vertices first.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ class Graph6Error(ValueError):
 
 GRAPH6_HEADER = ">>graph6<<"
 
-_MAX_GRAPH6_N = 62  # single size byte only; larger inputs are rejected
-
 
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "edge_count", "_neighbors", "_bits")
+    __slots__ = ("n", "edge_count", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -44,54 +43,47 @@ class Graph:
             bits[v] |= 1 << u
             count += 1
         self._bits = tuple(bits)
-        self._neighbors = tuple(
-            tuple(v for v in range(n) if bits[u] >> v & 1) for u in range(n)
-        )
         self.edge_count = count
+
+    @classmethod
+    def _from_bits(cls, bits: tuple[int, ...]) -> Graph:
+        """Graph on len(bits) vertices from symmetric, loop-free bitmasks,
+        taken on trust: callers build them that way."""
+        g = object.__new__(cls)
+        g.n = len(bits)
+        g._bits = bits
+        g.edge_count = sum(b.bit_count() for b in bits) // 2
+        return g
 
     # -- basic queries ----------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._neighbors[v]
+        """Neighbours of v, ascending."""
+        return _vertices(self._bits[v])
 
     def neighbor_bits(self, v: int) -> int:
         """Neighborhood of v as a bitmask."""
         return self._bits[v]
 
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return self._bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._bits[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in self._neighbors[u] if u < v]
+        return [(u, v) for u, b in enumerate(self._bits)
+                for v in _vertices(b >> (u + 1) << (u + 1))]
 
     def min_degree(self) -> int:
         """delta(G); 0 for the empty graph."""
-        if self.n == 0:
-            return 0
-        return min(len(nb) for nb in self._neighbors)
+        return min((b.bit_count() for b in self._bits), default=0)
 
     def is_connected(self) -> bool:
         """BFS connectivity; the 0-vertex graph counts as connected."""
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            v = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                nxt |= self._bits[v]
-                rest ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return self.n <= 1 or _component(self._bits, 1, full) == full
 
     # -- equality is labeled equality, not isomorphism --------------------
 
@@ -177,6 +169,35 @@ def clique_join(s: int, parts: Sequence[int]) -> Graph:
 # -- vertex deletion and components ---------------------------------------
 
 
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _component(bits: Sequence[int], start: int, alive: int) -> int:
+    """Bitmask of the component of G[alive] holding the vertices of start.
+
+    ``bits`` are the neighbour bitmasks of G and ``start`` a nonempty
+    bitmask inside ``alive``; each BFS round ORs the neighbourhoods of the
+    whole frontier.
+    """
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & alive & ~seen
+        seen |= frontier
+    return seen
+
+
 def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on V - remove, relabeled consecutively.
 
@@ -205,91 +226,105 @@ def components(g: Graph, removed: Iterable[int] = ()) -> ComponentReport:
     comps = []
     odd = 0
     while alive:
-        start = alive & -alive
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= g._bits[low.bit_length() - 1]
-                rest ^= low
-            frontier = nxt & alive & ~seen
-            seen |= frontier
-        members = tuple(v for v in range(g.n) if seen >> v & 1)
-        comps.append(members)
-        if len(members) % 2 == 1:
-            odd += 1
-        alive &= ~seen
+        comp = _component(g._bits, alive & -alive, alive)
+        comps.append(_vertices(comp))
+        odd += comp.bit_count() & 1
+        alive ^= comp
     return ComponentReport(tuple(comps), odd)
 
 
 # -- graph6 codec ----------------------------------------------------------
 #
-# Upper-triangle bits are read column-major: x(0,1), x(0,2), x(1,2),
-# x(0,3), x(1,3), x(2,3), ... packed 6 bits per character MSB first,
-# each character value = bits + 63, zero-padded to a 6-bit boundary.
+# A line is the size n, then the upper triangle. The size is one character
+# 63 + n for n <= 62, else "~" and n as three 6-bit characters. Upper-
+# triangle bits are read column-major: x(0,1), x(0,2), x(1,2), x(0,3),
+# x(1,3), x(2,3), ... packed 6 bits per character MSB first, each
+# character value = bits + 63, zero-padded to a 6-bit boundary.
+
+# largest n with a four-character size; the eight-character form is not read
+_MAX_GRAPH6_ORDER = 258047
+
+_SEXTET = {chr(63 + v): format(v, "06b") for v in range(64)}
+_SEXTET_CHAR = {bits: ch for ch, bits in _SEXTET.items()}
+
+
+def _sextets(chars: str, what: str) -> str:
+    """graph6 characters as their 6-bit groups, one '0'/'1' string."""
+    try:
+        return "".join(map(_SEXTET.__getitem__, chars))
+    except KeyError as exc:
+        raise Graph6Error(
+            f"{what} character {exc.args[0]!r} out of range 63..126"
+        ) from None
+
+
+def _sextet_chars(bits: str) -> str:
+    """A '0'/'1' string, zero-padded to a 6-bit boundary, as graph6 characters."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join(_SEXTET_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6))
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode one graph6 line (single size byte, n <= 62)."""
+    """Decode one graph6 line (n <= 258047); a leading header is skipped."""
     line = text.strip()
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]
     if not line:
         raise Graph6Error("empty graph6 line")
-    first = ord(line[0])
-    if first == 126:
-        raise Graph6Error("multi-byte graph6 sizes (n > 62) are not supported")
-    if not (63 <= first <= 126):
-        raise Graph6Error(f"size byte {line[0]!r} out of range 63..126")
-    n = first - 63
+    if line[0] != "~":
+        n = int(_sextets(line[0], "size"), 2)
+        body = line[1:]
+    elif line[1:2] == "~":
+        raise Graph6Error(
+            f"graph6 sizes above {_MAX_GRAPH6_ORDER} are not supported"
+        )
+    elif len(line) < 4:
+        raise Graph6Error("truncated four-character graph6 size")
+    else:
+        n = int(_sextets(line[1:4], "size"), 2)
+        if n < 63:
+            raise Graph6Error(f"size {n} written in four characters, not one")
+        body = line[4:]
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
-    body = line[1:]
     if len(body) != nchars:
         raise Graph6Error(
             f"expected {nchars} data characters for n={n}, got {len(body)}"
         )
-    bits = 0
-    for ch in body:
-        val = ord(ch) - 63
-        if not (0 <= val < 64):
-            raise Graph6Error(f"data character {ch!r} out of range 63..126")
-        bits = bits << 6 | val
-    pad = 6 * nchars - nbits
-    if pad and bits & ((1 << pad) - 1):
+    bits = _sextets(body, "data")
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
-    edges = []
-    pos = nbits - 1
+    # reversed, bit col*(col-1)/2 + row of upper is x(row, col)
+    upper = int(bits[nbits - 1::-1], 2) if nbits else 0
+    adj = [0] * n
     for col in range(1, n):
-        for row in range(col):
-            if bits >> pos & 1:
-                edges.append((row, col))
-            pos -= 1
-    return Graph(n, edges)
+        low = upper & ((1 << col) - 1)
+        upper >>= col
+        adj[col] |= low
+        high = 1 << col
+        while low:
+            b = low & -low
+            adj[b.bit_length() - 1] |= high
+            low ^= b
+    return Graph._from_bits(tuple(adj))
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as a canonical graph6 line (n <= 62 only)."""
+    """Encode as a canonical graph6 line (n <= 258047)."""
     n = g.n
-    if n > _MAX_GRAPH6_N:
-        raise Graph6Error(f"graph6 encoding limited to n <= {_MAX_GRAPH6_N}, got {n}")
-    bits = 0
-    nbits = 0
-    for col in range(1, n):
-        for row in range(col):
-            bits = bits << 1 | (1 if g.has_edge(row, col) else 0)
-            nbits += 1
-    pad = (-nbits) % 6
-    bits <<= pad
-    nbits += pad
-    chars = [chr(63 + n)]
-    for shift in range(nbits - 6, -1, -6):
-        chars.append(chr(63 + (bits >> shift & 63)))
-    return "".join(chars)
+    if n > _MAX_GRAPH6_ORDER:
+        raise Graph6Error(
+            f"graph6 encoding limited to n <= {_MAX_GRAPH6_ORDER}, got {n}"
+        )
+    size = (_sextet_chars(format(n, "06b")) if n < 63
+            else "~" + _sextet_chars(format(n, "018b")))
+    # column col lists x(0,col) .. x(col-1,col): the low col bits of
+    # _bits[col], reversed; bit col is set so that bin() prints all of them
+    bits = g._bits
+    upper = "".join([
+        bin(bits[col] & ((1 << col) - 1) | 1 << col)[:2:-1] for col in range(1, n)
+    ])
+    return size + _sextet_chars(upper)
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterable[Graph]:

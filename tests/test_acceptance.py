@@ -5,6 +5,7 @@ tests/test_acceptance.py` to see the lines as the criteria complete.
 """
 
 import math
+from itertools import tee
 from random import Random
 
 from evenfactor.corpus import load_bundled_corpus
@@ -27,7 +28,7 @@ from evenfactor.theorems import (
     Conclusion,
     ExtremalParams,
     TheoremKind,
-    check_even_factor_d,
+    check_even_factor_many,
     extremal_graph,
     extremal_table,
     order_bound,
@@ -166,9 +167,9 @@ def test_criterion_5_d_condition_sampled_n10():
     violations = []
     guaranteed = 0
     applicable = 0
-    for _ in range(samples):
-        g = sample_connected_graph(rng, 10)
-        verdict = check_even_factor_d(g, run_oracle=True)
+    graphs, judged = tee(sample_connected_graph(rng, 10) for _ in range(samples))
+    verdicts = check_even_factor_many(judged, TheoremKind.DISTANCE, run_oracle=True)
+    for g, verdict in zip(graphs, verdicts):
         if verdict.hypotheses.met:
             applicable += 1
         if verdict.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED:

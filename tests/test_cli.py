@@ -144,6 +144,14 @@ def test_scan_sampler_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_scan_sampler_beyond_one_character_graph6_size(tmp_path):
+    report_path = tmp_path / "n64.json"
+    proc = run_cli(["scan", "-n", "64", "--sample-size", "1", "--json", str(report_path)])
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(report_path.read_text())["rows"][0]["inputs"] == 1
+
+
 def test_scan_requires_source():
     proc = run_cli(["scan", "--theorem", "1"])
     assert proc.returncode != 0

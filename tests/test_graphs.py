@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
 from evenfactor.graphs import (
     ComponentReport,
     Graph,
@@ -164,7 +165,11 @@ def test_graph6_errors():
     with pytest.raises(Graph6Error):
         from_graph6("")
     with pytest.raises(Graph6Error):
-        from_graph6("~????")  # multi-byte size
+        from_graph6("~??")  # truncated four-character size
+    with pytest.raises(Graph6Error):
+        from_graph6("~???")  # n = 0 takes the one-character size
+    with pytest.raises(Graph6Error):
+        from_graph6("~~??????")  # eight-character size, n > 258047
     with pytest.raises(Graph6Error):
         from_graph6("C")  # missing data characters
     with pytest.raises(Graph6Error):
@@ -174,7 +179,7 @@ def test_graph6_errors():
     with pytest.raises(Graph6Error):
         from_graph6("A~")  # nonzero padding bits for n=2
     with pytest.raises(Graph6Error):
-        to_graph6(empty(63))
+        to_graph6(empty(258048))
 
 
 def test_graph6_roundtrip_randomized():
@@ -191,3 +196,64 @@ def test_graph6_roundtrip_randomized():
 def test_iter_graph6_skips_blanks():
     got = list(iter_graph6(["", "C~", "   ", "?"]))
     assert got == [complete(4), empty(0)]
+
+
+@pytest.mark.parametrize("n, size", [(62, "}"), (63, "~??~"), (100, "~?@c")])
+def test_graph6_roundtrip_four_character_sizes(n, size):
+    rng = random.Random(n)
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3])
+    line = to_graph6(g)
+    assert line.startswith(size)
+    assert len(line) == len(size) + (n * (n - 1) // 2 + 5) // 6
+    assert from_graph6(line) == g
+    assert to_graph6(from_graph6(line)) == line
+
+
+def test_bundled_corpus_lines_are_canonical():
+    for n in BUNDLED_ORDERS:
+        for line in bundled_corpus_lines(n):
+            assert to_graph6(from_graph6(line)) == line
+
+
+def _reference_components(n, adj, removed):
+    """Components of G - removed by DFS over adjacency sets, each sorted,
+    in order of their smallest vertex."""
+    seen = set(removed)
+    comps = []
+    for v in range(n):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, comp = [v], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def test_bitmask_queries_match_edge_list_reference():
+    rng = random.Random(2020)
+    for _ in range(300):
+        n = rng.randrange(0, 21)
+        p = rng.random()
+        edges = sorted((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert g.edges() == edges and g.edge_count == len(edges)
+        for v in range(n):
+            assert g.neighbors(v) == tuple(sorted(adj[v]))
+            assert g.degree(v) == len(adj[v])
+        assert g.min_degree() == min((len(a) for a in adj), default=0)
+        assert g.is_connected() == (len(_reference_components(n, adj, ())) <= 1)
+        removed = [v for v in range(n) if rng.random() < 0.25]
+        ref = _reference_components(n, adj, removed)
+        assert components(g, removed) == ComponentReport(ref, sum(len(c) % 2 for c in ref))
+        h = from_graph6(to_graph6(g))
+        assert h == g and hash(h) == hash(g)
