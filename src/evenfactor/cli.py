@@ -181,16 +181,16 @@ def cmd_spectra(args) -> int:
 # -- certify ------------------------------------------------------------------
 
 
-def _judge(items: Iterable[tuple[int, str, Graph]], kind: TheoremKind,
-           args) -> Iterable[tuple[int, str, TheoremVerdict]]:
-    """(line_no, graph6, verdict) per parsed input, in input order."""
+def _judge(items: Iterable[tuple[int, Optional[str], Graph]], kind: TheoremKind,
+           args) -> Iterable[tuple[int, Optional[str], Graph, TheoremVerdict]]:
+    """(line_no, graph6, graph, verdict) per input, in input order."""
     items, graphs = itertools.tee(items)
     verdicts = check_even_factor_many(
         (g for _, _, g in graphs), kind, run_oracle=args.oracle == "on",
         node_cap=args.oracle_cap, epsilon=args.tolerance,
     )
-    for (line_no, text, _), v in zip(items, verdicts):
-        yield line_no, text, v
+    for (line_no, text, g), v in zip(items, verdicts):
+        yield line_no, text, g, v
 
 
 def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
@@ -251,7 +251,7 @@ def cmd_certify(args) -> int:
             rows.append(_diagnostic_row(line_no, text, g, kind,
                                         args.delta_override, args))
     else:
-        for line_no, text, v in _judge(graphs, kind, args):
+        for line_no, text, _, v in _judge(graphs, kind, args):
             row = _verdict_row(line_no, text, v)
             rows.append(row)
             if row["oracle_agrees"] is False:
@@ -277,7 +277,11 @@ def cmd_certify(args) -> int:
 # -- scan ---------------------------------------------------------------------
 
 
-def _scan_source(args) -> tuple[str, Iterable[tuple[int, str, Graph]], list[dict]]:
+def _scan_source(args) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]], list[dict]]:
+    """The scan's label, (line_no, graph6, graph) items and parse violations.
+
+    Sampled graphs carry no graph6 text; a row that needs one encodes it.
+    """
     if args.corpus:
         graphs, bad = _parse_graphs(_read_lines(args.corpus))
         return f"corpus:{args.corpus}", graphs, bad
@@ -291,7 +295,7 @@ def _scan_source(args) -> tuple[str, Iterable[tuple[int, str, Graph]], list[dict
             for i in range(args.sample_size):
                 g = sample_connected_graph(rng, args.n, p_range=p_range,
                                            min_degree=2)
-                yield i + 1, to_graph6(g), g
+                yield i + 1, None, g
 
         return f"sampler:n={args.n},size={args.sample_size},seed={args.seed}", gen(), []
     if args.n is not None and args.n in BUNDLED_COUNTS:
@@ -315,7 +319,7 @@ def cmd_scan(args) -> int:
     oracle_runs = 0
     cap_exceeded = 0
     violations = list(bad)
-    for line_no, text, v in _judge(graphs, kind, args):
+    for line_no, text, g, v in _judge(graphs, kind, args):
         total += 1
         counts[v.conclusion.value] += 1
         borderline += v.borderline
@@ -326,7 +330,7 @@ def cmd_scan(args) -> int:
         if v.oracle_agrees is False:
             violations.append({
                 "line": line_no,
-                "graph6": text,
+                "graph6": text if text is not None else to_graph6(g),
                 "spectral_value": v.spectral_value,
                 "threshold": v.threshold,
                 "oracle_status": v.oracle_status.value,

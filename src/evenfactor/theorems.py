@@ -324,9 +324,9 @@ def _spectral_condition_met(kind: TheoremKind, value: float, threshold: float,
     return value <= threshold + epsilon
 
 
-def _spectral_value_defined(g: Graph, kind: TheoremKind) -> bool:
+def _spectral_value_defined(n: int, connected: bool, kind: TheoremKind) -> bool:
     """rho_Q needs a vertex; rho_D needs a connected graph with a vertex."""
-    return g.n >= 1 and (kind is TheoremKind.SIGNLESS_LAPLACIAN or g.is_connected())
+    return n >= 1 and (kind is TheoremKind.SIGNLESS_LAPLACIAN or connected)
 
 
 def check_even_factor(
@@ -338,6 +338,7 @@ def check_even_factor(
     epsilon: float = COMPARISON_EPSILON,
     borderline_margin: float = BORDERLINE_MARGIN,
     spectral_value: Optional[float] = None,
+    connected: Optional[bool] = None,
 ) -> TheoremVerdict:
     """Evaluate one spectral sufficient condition on a graph.
 
@@ -345,20 +346,22 @@ def check_even_factor(
     spectral comparison lands within ``borderline_margin`` of the threshold
     the verdict is flagged borderline; with ``run_oracle`` the exact search
     cross-checks every conclusion that claims an even factor.
-    ``spectral_value`` is g's rho_Q or rho_D when the caller already has
-    it; it is computed here when None.
+    ``spectral_value`` is g's rho_Q or rho_D and ``connected`` is
+    ``g.is_connected()`` when the caller already has them; each is computed
+    here when None.
     """
     n = g.n
     delta = g.min_degree()
-    connected = g.is_connected() and n >= 1
+    if connected is None:
+        connected = g.is_connected()
     hyp = HypothesisReport(
-        connected=connected,
+        connected=connected and n >= 1,
         even_order=n % 2 == 0 and n > 0,
         min_degree_ok=delta >= 2,
         order_bound_ok=delta >= 2 and Fraction(n) >= order_bound(kind, delta),
     )
     spectral = spectral_value
-    if spectral is None and _spectral_value_defined(g, kind):
+    if spectral is None and _spectral_value_defined(n, connected, kind):
         spectral = rho_q(g) if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d(g)
 
     if not hyp.met:
@@ -405,22 +408,25 @@ def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind,
 
     Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
     values of same-order graphs come from one stacked eigen-solve and are
-    passed on as ``spectral_value``; other keywords go to
-    ``check_even_factor`` unchanged.
+    passed on as ``spectral_value``, and each graph's connectivity, found
+    once, as ``connected``; other keywords go to ``check_even_factor``
+    unchanged.
     """
     radii = rho_q_many if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d_many
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
+        connected = [g.is_connected() for g in chunk]
         by_order: dict[int, list[int]] = {}
         for i, g in enumerate(chunk):
-            if _spectral_value_defined(g, kind):
+            if _spectral_value_defined(g.n, connected[i], kind):
                 by_order.setdefault(g.n, []).append(i)
         values: list[Optional[float]] = [None] * len(chunk)
         for members in by_order.values():
             for i, value in zip(members, radii([chunk[i] for i in members])):
                 values[i] = float(value)
-        for g, value in zip(chunk, values):
-            yield check_even_factor(g, kind, spectral_value=value, **kwargs)
+        for g, value, conn in zip(chunk, values, connected):
+            yield check_even_factor(g, kind, spectral_value=value, connected=conn,
+                                    **kwargs)
 
 
 def check_even_factor_q(g: Graph, **kwargs) -> TheoremVerdict:
@@ -478,6 +484,11 @@ def perron_abc(p: ExtremalParams) -> PerronABC:
 # -- explicit even factor of the extremal graph --------------------------------
 
 
+def _extremal_constructible(p: ExtremalParams) -> bool:
+    """True for the generic shapes whose even factor is built, not searched."""
+    return p.big_clique >= (3 if p.delta == 2 else 2)
+
+
 def extremal_even_factor(p: ExtremalParams, *, node_cap: int = 100_000_000) -> EvenFactorCertificate:
     """Settle the extremal graph's even-factor status.
 
@@ -487,24 +498,24 @@ def extremal_even_factor(p: ExtremalParams, *, node_cap: int = 100_000_000) -> E
     the construction applies.
     """
     g = extremal_graph(p)
+    if not _extremal_constructible(p):
+        return find_even_factor(g, node_cap=node_cap)
     d, q, n = p.delta, p.big_clique, p.n
     joins = list(range(d))
     bigs = list(range(d, d + q))
     singles = list(range(d + q, n))
     edges: list[tuple[int, int]] = []
-    if d == 2 and q >= 3:
+    if d == 2:
         u = singles[0]
         edges += [(joins[0], joins[1]), (joins[1], u), (u, joins[0])]
         edges += [(bigs[i], bigs[(i + 1) % q]) for i in range(q)]
-    elif d >= 3 and q >= 2:
+    else:
         ring: list[int] = []
         for i, u in enumerate(singles):
             ring += [u, joins[i + 1]]
         edges += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
         loop = [joins[0]] + bigs
         edges += [(loop[i], loop[(i + 1) % len(loop)]) for i in range(len(loop))]
-    else:
-        return find_even_factor(g, node_cap=node_cap)
     if not is_even_factor(g, edges):
         raise RuntimeError(f"internal error: invalid constructed certificate at {p}")
     return EvenFactorCertificate(CertificateStatus.FOUND, tuple(sorted(edges)), 0)
@@ -998,7 +1009,7 @@ def extremal_table(
             lo_m = thr_q - (2 * n - 2 * delta)
             hi_m = (2 * n - delta) - thr_q
             cert = extremal_even_factor(p, node_cap=node_cap)
-            settled = "construction" if cert.nodes_explored == 0 else "search"
+            settled = "construction" if _extremal_constructible(p) else "search"
             rows.append(ExtremalRow(
                 n, delta, thr_q, thr_d,
                 lo_m > 0 and hi_m > 0, min(lo_m, hi_m),

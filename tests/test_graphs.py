@@ -7,6 +7,7 @@ import pytest
 from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
 from evenfactor.graphs import (
     ComponentReport,
+    _bridges,
     Graph,
     Graph6Error,
     clique_join,
@@ -257,3 +258,34 @@ def test_bitmask_queries_match_edge_list_reference():
         assert components(g, removed) == ComponentReport(ref, sum(len(c) % 2 for c in ref))
         h = from_graph6(to_graph6(g))
         assert h == g and hash(h) == hash(g)
+
+
+def _reference_bridges(g):
+    """Edges whose removal disconnects their two ends, by a plain DFS."""
+    out = []
+    for u, v in g.edges():
+        seen, stack = {u}, [u]
+        while stack:
+            w = stack.pop()
+            for x in g.neighbors(w):
+                if {w, x} != {u, v} and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        if v not in seen:
+            out.append((u, v))
+    return out
+
+
+def test_bridges_match_reference():
+    def bridges(g):
+        return _bridges([g.neighbor_bits(v) for v in range(g.n)])
+
+    assert bridges(empty(0)) == [] and bridges(empty(1)) == []
+    assert bridges(path(5)) == path(5).edges()
+    assert bridges(cycle(6)) == []
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randrange(0, 15)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        assert bridges(g) == _reference_bridges(g), g.edges()

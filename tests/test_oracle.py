@@ -8,6 +8,7 @@ import pytest
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import (
     Graph,
+    _bridges,
     clique_join,
     complete,
     complete_bipartite,
@@ -116,6 +117,15 @@ def test_matches_brute_force_on_sparse_six_vertex_graphs():
         checked += 1
 
 
+def test_certificates_valid_on_bundled_corpora():
+    # the early accept must report only decided edges, after backtracking too
+    for n in (6, 7, 8):
+        for g in load_bundled_corpus(n):
+            cert = find_even_factor(g)
+            if cert.status is CertificateStatus.FOUND:
+                assert is_even_factor(g, cert.edges), g.edges()
+
+
 def test_factor_survives_adding_edges():
     rng = random.Random(13)
     for _ in range(30):
@@ -137,10 +147,86 @@ def test_determinism():
     assert a == b
 
 
+def test_early_accept_stops_once_every_vertex_is_settled():
+    # K_9: the first 15 edges taken give degrees 8, 8 and 2 elsewhere; the
+    # remaining 21 edges would only be excluded, so none is decided
+    cert = find_even_factor(complete(9))
+    assert cert.status is CertificateStatus.FOUND
+    assert cert.nodes_explored == len(cert.edges) == 15
+    assert is_even_factor(complete(9), cert.edges)
+
+
 def test_search_cap():
     cert = find_even_factor(complete(8), node_cap=3)
     assert cert.status is CertificateStatus.SEARCH_CAP_EXCEEDED
     assert cert.nodes_explored == 3
+
+
+# -- cut parity: no even factor uses a bridge ---------------------------------
+
+
+def _blocks(rng, sizes, p):
+    """Random graphs on consecutive vertex ranges of the given sizes, each
+    joined to the next by one edge; returns (n, edges)."""
+    edges, start, prev = [], 0, 0
+    for k in sizes:
+        edges += [(start + i, start + j) for i in range(k) for j in range(i + 1, k)
+                  if rng.random() < p]
+        if start:
+            edges.append((rng.randrange(prev, start), start + rng.randrange(k)))
+        prev, start = start, start + k
+    return start, edges
+
+
+def test_bridges_through_a_degree_two_vertex_need_no_search():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 30:
+        a, b = rng.randrange(5, 9), rng.randrange(5, 9)
+        g = Graph(*_blocks(rng, (a, 1, b), 0.8))
+        if g.min_degree() < 2:
+            continue
+        assert g.degree(a) == 2
+        checked += 1
+        cert = find_even_factor(g)
+        assert cert.status is CertificateStatus.NONE_EXISTS
+        assert cert.nodes_explored == 0
+
+
+def test_factor_found_around_a_bridge():
+    triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    cert = find_even_factor(triangles)
+    assert cert.status is CertificateStatus.FOUND
+    assert sorted(cert.edges) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    # a bowtie and a K_4 joined by the bridge (1, 5)
+    g = Graph(9, bowtie().edges() + [(5 + i, 5 + j) for i in range(4) for j in range(i + 1, 4)]
+              + [(1, 5)])
+    cert = find_even_factor(g)
+    assert cert.status is CertificateStatus.FOUND
+    assert is_even_factor(g, cert.edges) and (1, 5) not in cert.edges
+
+
+def test_matches_brute_force_with_planted_bridges():
+    rng = random.Random(57)
+    statuses = set()
+    checked = 0
+    while checked < 200:
+        sizes = [rng.randrange(3, 6) for _ in range(rng.randrange(2, 4))]
+        n, edges = _blocks(rng, sizes, rng.uniform(0.5, 1.0))
+        g = Graph(n, edges)
+        if n > 9 or g.edge_count > 14 or g.min_degree() < 2:
+            continue
+        assert _bridges([g.neighbor_bits(v) for v in range(n)])
+        expected = brute_force_even_factor(g)
+        cert = find_even_factor(g)
+        assert cert.status is (
+            CertificateStatus.FOUND if expected else CertificateStatus.NONE_EXISTS
+        ), edges
+        if expected:
+            assert is_even_factor(g, cert.edges)
+        statuses.add(cert.status)
+        checked += 1
+    assert statuses == {CertificateStatus.FOUND, CertificateStatus.NONE_EXISTS}
 
 
 # -- odd-component condition ---------------------------------------------------

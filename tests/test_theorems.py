@@ -345,6 +345,10 @@ def test_extremal_table():
     # default lower bound is the theorem order bound
     assert min(r.n for r in rows if r.delta == 2) == 8
     assert min(r.n for r in rows if r.delta == 3) == 14
+    assert {r.settled_by for r in rows} == {"construction"}
+    # n = 2*delta has no cycle construction: the oracle settles it
+    (row,) = extremal_table((3, 3), n_min=6, n_max=6)
+    assert row.settled_by == "search" and row.even_factor is CertificateStatus.FOUND
 
 
 def test_verdict_graph6_round_trip_stability():
