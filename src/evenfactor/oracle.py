@@ -82,16 +82,22 @@ def find_even_factor(g: Graph, *, node_cap: int = DEFAULT_NODE_CAP) -> EvenFacto
     after ``node_cap`` of them the search gives up with
     SEARCH_CAP_EXCEEDED.
 
-    Deterministic: edges are decided in a fixed order (edges touching
-    low-degree vertices first), and the branch taken first at each edge
-    depends only on the current parity state. Measured on one core of a
-    2-vCPU Xeon (Python 3.11): 15-vertex graphs with about 63 edges and a
-    factor take 0.2 ms (median 54 nodes); two dense blocks joined through
-    a degree-2 vertex take 0.03 ms and no nodes; K_30 takes 1.3 ms. Search
-    stays exponential where parity is forced across a cut of three or more
-    edges: two 7-vertex blocks joined through three degree-2 vertices (17
-    vertices, 37 edges, no bridge) take 832k nodes and 1.3 s. Beyond that
-    rely on ``node_cap``.
+    Deterministic: edges are decided in the order of (smaller endpoint
+    degree, larger endpoint degree, u, v), degrees taken after the bridges
+    are gone, and the branch taken first at each edge (include while an
+    endpoint has fewer than 2 included edges) depends only on the current
+    parity state. The search runs on flat lists: the sorted edge
+    endpoints, and per vertex its included and undecided edge counts.
+    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 7):
+    15-vertex graphs with about 63 edges and a factor take 0.09 ms (median
+    54 nodes); near-extremal graphs on 14 to 26 vertices with about 160
+    edges take 0.11 ms (median 90 nodes), of which ordering the edges is
+    about half; two dense blocks joined through a degree-2 vertex take
+    0.02 ms and no nodes; K_30 takes 0.25 ms. Search stays exponential
+    where parity is forced across a cut of three or more edges: two
+    7-vertex blocks joined through three degree-2 vertices (17 vertices,
+    36 edges, no bridge) take 1.2M nodes and 0.6 s, about 0.5 us a node.
+    Beyond that rely on ``node_cap``.
     """
     n = g.n
     if n == 0:
@@ -100,98 +106,89 @@ def find_even_factor(g: Graph, *, node_cap: int = DEFAULT_NODE_CAP) -> EvenFacto
     for u, v in _bridges(bits):
         bits[u] ^= 1 << v
         bits[v] ^= 1 << u
-    g = Graph._from_bits(tuple(bits))
-    if g.min_degree() < 2:
+    und = [b.bit_count() for b in bits]   # degrees, then undecided incident edges
+    if min(und) < 2:
         return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
 
-    edges = sorted(
-        g.edges(),
-        key=lambda e: (min(g.degree(e[0]), g.degree(e[1])),
-                       max(g.degree(e[0]), g.degree(e[1])), e),
-    )
-    m = len(edges)
+    # edge order (min degree, max degree, u, v): one int per edge packing
+    # the four as w-bit fields, most significant first; lo[x] and hi[x]
+    # hold x's degree in the first and second field
+    w = n.bit_length()
+    mask = (1 << w) - 1
+    lo = [d << 3 * w for d in und]
+    hi = [d << 2 * w for d in und]
+    keys = []
+    for u in range(n):
+        du = und[u]
+        lu = lo[u] | u << w
+        hu = hi[u] | u << w
+        rest = bits[u] >> (u + 1)     # neighbours above u
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = u + low.bit_length()
+            keys.append((lu | hi[v] if du <= und[v] else lo[v] | hu) | v)
+    keys.sort()
+    eu = [k >> w & mask for k in keys]
+    ev = [k & mask for k in keys]
+    m = len(keys)
+
     inc = [0] * n          # decided-included degree
-    und = [0] * n          # undecided incident edges
-    for u, v in edges:
-        und[u] += 1
-        und[v] += 1
-    chosen = [False] * m
-    unsettled = n          # vertices whose inc is not yet even and >= 2
-
-    def dead(w: int) -> bool:
-        k, u = inc[w], und[w]
-        if k + u < 2:
-            return True
-        return u == 0 and (k < 2 or k % 2 == 1)
-
-    def apply(idx: int, take: bool) -> bool:
-        nonlocal unsettled
-        u, v = edges[idx]
+    # step[k]: change in the count of unsettled vertices (inc not yet even
+    # and >= 2) when a vertex's inc goes from k to k + 1
+    step = [0] + [-1, 1] * (n // 2)
+    unsettled = n
+    chosen = [False] * m   # branch taken at each decided position
+    flipped = [False] * m  # whether that branch is the second one tried
+    nodes = 0
+    pos = 0                # edges 0..pos-1 are decided
+    ok = True
+    while True:
+        if ok:
+            if unsettled == 0:
+                found = tuple((eu[i], ev[i]) for i in range(pos) if chosen[i])
+                return EvenFactorCertificate(CertificateStatus.FOUND, found, nodes)
+            # a live state with every edge decided is settled, so pos < m
+            u, v = eu[pos], ev[pos]
+            take = inc[u] < 2 or inc[v] < 2
+            flipped[pos] = False
+        else:
+            while True:
+                if pos == 0:
+                    return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, nodes)
+                pos -= 1
+                u, v = eu[pos], ev[pos]
+                und[u] += 1
+                und[v] += 1
+                if chosen[pos]:
+                    inc[u] -= 1
+                    inc[v] -= 1
+                    unsettled -= step[inc[u]] + step[inc[v]]
+                if not flipped[pos]:
+                    break
+            take = not chosen[pos]
+            flipped[pos] = True
+        if nodes >= node_cap:
+            return EvenFactorCertificate(CertificateStatus.SEARCH_CAP_EXCEEDED, None, nodes)
+        nodes += 1
         und[u] -= 1
         und[v] -= 1
         if take:
-            for w in (u, v):
-                k = inc[w]
-                # odd -> even settles w; even >= 2 -> odd unsettles it
-                if k & 1:
-                    unsettled -= 1
-                elif k:
-                    unsettled += 1
-                inc[w] = k + 1
-        chosen[idx] = take
-        return not (dead(u) or dead(v))
-
-    def undo(idx: int) -> None:
-        nonlocal unsettled
-        u, v = edges[idx]
-        und[u] += 1
-        und[v] += 1
-        if chosen[idx]:
-            for w in (u, v):
-                k = inc[w] - 1
-                if k & 1:
-                    unsettled += 1
-                elif k:
-                    unsettled -= 1
-                inc[w] = k
-
-    nodes = 0
-    # stack holds (edge index, branch order, next branch position)
-    stack: list[tuple[int, tuple[bool, bool], int]] = []
-    pos = 0
-    while True:
-        if unsettled == 0:
-            found = tuple(e for i, e in enumerate(edges[:pos]) if chosen[i])
-            return EvenFactorCertificate(CertificateStatus.FOUND, found, nodes)
-        if pos == m:
-            ok = False
-        else:
-            u, v = edges[pos]
-            prefer_take = inc[u] < 2 or inc[v] < 2
-            order = (True, False) if prefer_take else (False, True)
-            if nodes >= node_cap:
-                return EvenFactorCertificate(
-                    CertificateStatus.SEARCH_CAP_EXCEEDED, None, nodes
-                )
-            nodes += 1
-            ok = apply(pos, order[0])
-            stack.append((pos, order, 1))
-            pos += 1
-        while not ok:
-            if not stack:
-                return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, nodes)
-            idx, order, nxt = stack.pop()
-            undo(idx)
-            pos = idx
-            if nxt < 2:
-                if nodes >= node_cap:
-                    return EvenFactorCertificate(
-                        CertificateStatus.SEARCH_CAP_EXCEEDED, None, nodes
-                    )
-                nodes += 1
-                ok = apply(idx, order[nxt])
-                stack.append((idx, order, nxt + 1))
-                pos = idx + 1
+            unsettled += step[inc[u]] + step[inc[v]]
+            inc[u] += 1
+            inc[v] += 1
+        chosen[pos] = take
+        pos += 1
+        # u and v stay alive while inc can still end even and >= 2: with two
+        # undecided edges left, with one and inc >= 1, or with none and inc
+        # even and >= 2
+        k = inc[u]
+        r = und[u]
+        ok = r > 1 or k and (r or not k & 1)
+        if ok:
+            k = inc[v]
+            r = und[v]
+            ok = r > 1 or k and (r or not k & 1)
 
 
 def odd_component_condition(g: Graph) -> OddComponentReport:

@@ -187,7 +187,12 @@ def _thresholds(n: int, delta: int) -> tuple[float, float]:
             f"cubic {root_q!r} vs matrix {direct_q!r}"
         )
     cubic_d = family_cubic(CubicFamily.D_EXTREMAL, n, delta=delta)
-    root_d = largest_root(cubic_d, n + delta - 3, 3 * n, widen=True, hi_cap=4 * n)
+    # 2W/n, the all-ones Rayleigh quotient, never exceeds rho_D, and lies
+    # above the cubic's other two roots (checked for delta <= 29, n up to
+    # 10*delta + 8; the matrix cross-check below guards the rest). The
+    # bound n + delta - 3 exceeds rho_D at some cells near n = 2*delta.
+    wiener_floor = Fraction(2 * extremal_wiener(p), n)
+    root_d = largest_root(cubic_d, wiener_floor, 3 * n, widen=True, hi_cap=4 * n)
     direct_d = rho_d(g)
     if abs(root_d - direct_d) > THRESHOLD_AGREEMENT:
         raise ThresholdConsistencyError(
@@ -274,6 +279,23 @@ def order_bound(kind: TheoremKind, delta: int) -> Fraction:
     if kind is TheoremKind.SIGNLESS_LAPLACIAN:
         return max(Fraction(7 * delta - 7), d * d / 4 + d / 2 + 6)
     return max(Fraction(8 * delta - 7), d * d / 3 + 3)
+
+
+def order_bound_grid(kind: TheoremKind, delta_range: tuple[int, int],
+                     n_max: Optional[int] = None,
+                     n_min: Optional[int] = None) -> Iterator[ExtremalParams]:
+    """Extremal-family cells (n, delta): delta over delta_range, n even.
+
+    Each delta's orders start at its order bound under ``kind``, or at
+    ``n_min`` when given, and never below 2*delta. They end at ``n_max``;
+    without it at 40, or at the first order when that lies above 40.
+    """
+    for delta in range(delta_range[0], delta_range[1] + 1):
+        lo = math.ceil(order_bound(kind, delta)) if n_min is None else n_min
+        lo = max(lo + lo % 2, 2 * delta)
+        hi = max(lo, 40) if n_max is None else n_max
+        for n in range(lo, hi + 1, 2):
+            yield ExtremalParams(n, delta)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -635,17 +657,6 @@ def check_family_dominance(rng: Random, trials: int, tolerance: float) -> list[C
     return out
 
 
-def _extremal_grid(delta_range: tuple[int, int], n_max: int,
-                   kind: TheoremKind) -> Iterable[ExtremalParams]:
-    for delta in range(delta_range[0], delta_range[1] + 1):
-        start = order_bound(kind, delta)
-        n0 = int(math.ceil(start))
-        if n0 % 2:
-            n0 += 1
-        for n in range(n0, n_max + 1, 2):
-            yield ExtremalParams(n, delta)
-
-
 def check_quotient_matches_matrix(grid: Iterable[ExtremalParams],
                                   tolerance: float = 1e-8) -> list[CheckOutcome]:
     """Equitable-quotient cubic roots equal full-matrix Perron values."""
@@ -658,7 +669,8 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams],
         root = largest_root(charpoly3(qm), 2 * n - 2 * d, 4 * n, widen=True)
         err_q = abs(root - rho_q(g))
         dm = quotient_matrix(distance_matrix(g), (bigs, joins, singles))
-        root_d = largest_root(charpoly3(dm), n + d - 3, 4 * n, widen=True)
+        root_d = largest_root(charpoly3(dm), Fraction(2 * extremal_wiener(p), n), 4 * n,
+                              widen=True)
         err_d = abs(root_d - rho_d(g))
         note = "" if qm.equitable and dm.equitable else "partition not equitable"
         err = max(err_q, err_d)
@@ -906,8 +918,8 @@ def run_property_suite(
     the run to a subset of check names.
     """
     rng = Random(seed)
-    q_grid = list(_extremal_grid(delta_range, n_max, TheoremKind.SIGNLESS_LAPLACIAN))
-    d_grid = list(_extremal_grid(delta_range, n_max, TheoremKind.DISTANCE))
+    q_grid = list(order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max))
+    d_grid = list(order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max))
     report = SuiteReport()
 
     def want(name: str) -> bool:
@@ -991,28 +1003,20 @@ def extremal_table(
 ) -> list[ExtremalRow]:
     """Per-(n, delta) thresholds, bracket check, and even-factor status.
 
-    Without ``n_min`` each delta starts at its theorem order bound.
+    The cells are ``order_bound_grid`` under the signless-Laplacian bound.
     """
     rows = []
-    for delta in range(delta_range[0], delta_range[1] + 1):
-        if n_min is None:
-            lo = int(math.ceil(order_bound(TheoremKind.SIGNLESS_LAPLACIAN, delta)))
-        else:
-            lo = n_min
-        hi = n_max if n_max is not None else max(lo, 40)
-        if lo % 2:
-            lo += 1
-        for n in range(max(lo, 2 * delta), hi + 1, 2):
-            p = ExtremalParams(n, delta)
-            thr_q = threshold_rho_q(p)
-            thr_d = threshold_rho_d(p)
-            lo_m = thr_q - (2 * n - 2 * delta)
-            hi_m = (2 * n - delta) - thr_q
-            cert = extremal_even_factor(p, node_cap=node_cap)
-            settled = "construction" if _extremal_constructible(p) else "search"
-            rows.append(ExtremalRow(
-                n, delta, thr_q, thr_d,
-                lo_m > 0 and hi_m > 0, min(lo_m, hi_m),
-                cert.status, settled,
-            ))
+    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max, n_min):
+        n, delta = p.n, p.delta
+        thr_q = threshold_rho_q(p)
+        thr_d = threshold_rho_d(p)
+        lo_m = thr_q - (2 * n - 2 * delta)
+        hi_m = (2 * n - delta) - thr_q
+        cert = extremal_even_factor(p, node_cap=node_cap)
+        settled = "construction" if _extremal_constructible(p) else "search"
+        rows.append(ExtremalRow(
+            n, delta, thr_q, thr_d,
+            lo_m > 0 and hi_m > 0, min(lo_m, hi_m),
+            cert.status, settled,
+        ))
     return rows

@@ -32,6 +32,7 @@ from evenfactor.theorems import (
     extremal_graph,
     extremal_table,
     order_bound,
+    order_bound_grid,
     perron_abc,
     recognize_extremal,
     run_property_suite,
@@ -54,21 +55,13 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _even_grid(kind: TheoremKind, delta_lo: int, delta_hi: int, n_max: int):
-    for delta in range(delta_lo, delta_hi + 1):
-        n0 = int(math.ceil(order_bound(kind, delta)))
-        n0 += n0 % 2
-        for n in range(n0, n_max + 1, 2):
-            yield ExtremalParams(n, delta)
-
-
 def test_criterion_1_q_threshold_consistency_and_bracket():
     """Cubic threshold equals extremal rho_Q within 1e-8; strict bracket."""
     worst_gap = 0.0
     worst_margin = float("inf")
     points = 0
     ok = True
-    for p in _even_grid(TheoremKind.SIGNLESS_LAPLACIAN, 2, 6, 60):
+    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 6), 60):
         n, d = p.n, p.delta
         cubic = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=d)
         root = largest_root(cubic, 2 * n - 2 * d, 2 * n - d)
@@ -93,7 +86,7 @@ def test_criterion_2_d_threshold_consistency_and_floor():
     worst_floor = float("inf")
     points = 0
     ok = True
-    for p in _even_grid(TheoremKind.DISTANCE, 2, 6, 60):
+    for p in order_bound_grid(TheoremKind.DISTANCE, (2, 6), 60):
         n, d = p.n, p.delta
         cubic = family_cubic(CubicFamily.D_EXTREMAL, n, delta=d)
         root = largest_root(cubic, n + d - 3, 3 * n, widen=True, hi_cap=4 * n)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from evenfactor.cli import main
 from evenfactor.graphs import to_graph6
 from evenfactor.theorems import ExtremalParams, extremal_graph
 
@@ -183,6 +184,28 @@ def test_extremal_command(tmp_path):
     assert all(r["bracket_ok"] for r in report["rows"])
     assert all(r["even_factor"] == "found" for r in report["rows"])
     assert "extremal graph itself" in report["config"]["note"]
+
+
+# every valid cell with delta <= 11 at which n + delta - 3 lies above rho_D
+# of the extremal graph, so a bracket starting there finds no root
+LOW_ORDER_CELLS = [(8, 4), (10, 5), (12, 6), (14, 7), (16, 7), (16, 8), (18, 8),
+                   (18, 9), (20, 9), (20, 10), (22, 10), (22, 11), (24, 11), (26, 11)]
+
+
+def test_extremal_command_below_the_order_bound(tmp_path):
+    for n, delta in LOW_ORDER_CELLS:
+        report_path = tmp_path / f"ext_{n}_{delta}.json"
+        code = main(["extremal", "--delta-min", str(delta), "--delta-max", str(delta),
+                     "--n-min", str(n), "--n-max", str(n),
+                     "--json", str(report_path), "--no-timing"])
+        (row,) = json.loads(report_path.read_text())["rows"]
+        assert (row["n"], row["delta"]) == (n, delta)
+        assert row["threshold_d"] < n + delta - 3
+        assert row["even_factor"] == "found"
+        # so far below the order bound rho_Q of the extremal graph reaches
+        # 2n - delta except at (16, 7): a reported bracket violation, exit 1
+        assert row["bracket_ok"] == ((n, delta) == (16, 7))
+        assert code == (0 if row["bracket_ok"] else 1)
 
 
 def test_oracle_command(tmp_path):

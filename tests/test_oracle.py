@@ -1,5 +1,6 @@
 """Exact even-factor search against brute force; odd-component condition."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -227,6 +228,41 @@ def test_matches_brute_force_with_planted_bridges():
         statuses.add(cert.status)
         checked += 1
     assert statuses == {CertificateStatus.FOUND, CertificateStatus.NONE_EXISTS}
+
+
+# -- the search trace is pinned -------------------------------------------------
+
+# SHA-256 of (status, edges, nodes_explored) over _trace_graphs(), recorded
+# from the search before it moved onto flat edge lists; a change to the edge
+# order, the branch order or the accept/backtrack rules changes it
+SEARCH_TRACE_DIGEST = "7d8bf503553c94c365dded7c929675ea69da068d6f9750e658d2884aed453565"
+
+
+def _trace_graphs():
+    """The bundled corpora n = 3..8, then 500 seeded graphs up to n = 14,
+    every fourth one a chain of blocks joined by bridges."""
+    for n in range(3, 9):
+        yield from load_bundled_corpus(n)
+    rng = random.Random(5)
+    for i in range(500):
+        if i % 4 == 3:
+            sizes = [rng.randrange(3, 8) for _ in range(rng.randrange(2, 4))]
+            while sum(sizes) > 14:
+                sizes.pop()
+            yield Graph(*_blocks(rng, sizes, rng.uniform(0.5, 1.0)))
+        else:
+            n = rng.randrange(2, 15)
+            p = rng.uniform(0.2, 0.9)
+            yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+
+
+def test_search_trace_matches_golden_digest():
+    digest = hashlib.sha256()
+    for g in _trace_graphs():
+        cert = find_even_factor(g)
+        digest.update(f"{cert.status.value} {cert.edges} {cert.nodes_explored}\n".encode())
+    assert digest.hexdigest() == SEARCH_TRACE_DIGEST
 
 
 # -- odd-component condition ---------------------------------------------------

@@ -30,12 +30,14 @@ from evenfactor.theorems import (
     check_even_factor_d,
     check_even_factor_many,
     check_even_factor_q,
+    check_quotient_matches_matrix,
     extremal_even_factor,
     extremal_graph,
     extremal_table,
     extremal_wiener,
     family_graph,
     order_bound,
+    order_bound_grid,
     perron_abc,
     recognize_extremal,
     run_property_suite,
@@ -349,6 +351,29 @@ def test_extremal_table():
     # n = 2*delta has no cycle construction: the oracle settles it
     (row,) = extremal_table((3, 3), n_min=6, n_max=6)
     assert row.settled_by == "search" and row.even_factor is CertificateStatus.FOUND
+
+
+def test_order_bound_grid():
+    def cells(*args, **kw):
+        return [(p.n, p.delta) for p in order_bound_grid(*args, **kw)]
+
+    q, d = TheoremKind.SIGNLESS_LAPLACIAN, TheoremKind.DISTANCE
+    # bounds 8, 14 (Q) and 9, 17 (D), rounded up to even
+    assert cells(q, (2, 3), 16) == [(8, 2), (10, 2), (12, 2), (14, 2), (16, 2), (14, 3), (16, 3)]
+    assert cells(d, (2, 3), 18) == [(10, 2), (12, 2), (14, 2), (16, 2), (18, 2), (18, 3)]
+    # n_min replaces the bound but never goes below 2*delta
+    assert cells(q, (3, 4), 9, n_min=3) == [(6, 3), (8, 3), (8, 4)]
+    # without n_max: up to 40, or the first order where the bound lies above
+    # 40 (49 at delta = 8)
+    assert cells(q, (7, 8)) == [(42, 7), (50, 8)]
+    assert cells(q, (2, 2))[-1] == (40, 2)
+
+
+def test_quotient_check_below_the_order_bound():
+    # n + delta - 3 lies above rho_D of the extremal graph at these cells, so
+    # a distance bracket starting there widens forever without a sign change
+    cells = [ExtremalParams(n, d) for n, d in ((8, 4), (16, 7), (26, 11))]
+    assert all(o.passed for o in check_quotient_matches_matrix(cells))
 
 
 def test_verdict_graph6_round_trip_stability():
