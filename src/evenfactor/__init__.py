@@ -23,7 +23,6 @@ from .graphs import (
     empty,
     from_graph6,
     join,
-    load_graph6_file,
     path,
     to_graph6,
 )

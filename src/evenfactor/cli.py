@@ -14,6 +14,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 from random import Random
@@ -22,15 +23,10 @@ from typing import Iterable, Optional
 from . import __version__
 from .corpus import BUNDLED_COUNTS, bundled_corpus_lines, load_bundled_corpus
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
-from .oracle import CertificateStatus, find_even_factor
-from .sampling import DEFAULT_P_RANGE, sample_connected_graph
-from .spectral import (
-    RESIDUAL_TOL,
-    DisconnectedGraphError,
-    rho_d,
-    rho_q,
-    wiener_index,
-)
+from .oracle import DEFAULT_NODE_CAP, CertificateStatus, find_even_factor
+from .quotient import ROOT_TOL
+from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graph
+from .spectral import RESIDUAL_TOL, rho_d, rho_q, wiener_index
 from .theorems import (
     BORDERLINE_MARGIN,
     COMPARISON_EPSILON,
@@ -38,30 +34,25 @@ from .theorems import (
     SUITE_CHECK_NAMES,
     THRESHOLD_AGREEMENT,
     Conclusion,
-    ExtremalParams,
     TheoremKind,
     TheoremVerdict,
-    _spectral_condition_met,
     check_even_factor_many,
     extremal_table,
+    order_bound,
     run_property_suite,
-    threshold_rho_d,
-    threshold_rho_q,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
-
-def _tolerances(args) -> dict:
-    return {
-        "comparison_epsilon": args.tolerance,
-        "borderline_margin": BORDERLINE_MARGIN,
-        "eigen_residual_tol": RESIDUAL_TOL,
-        "root_tol": 1e-10,
-        "threshold_agreement": THRESHOLD_AGREEMENT,
-    }
+TOLERANCES = {
+    "comparison_epsilon": COMPARISON_EPSILON,
+    "borderline_margin": BORDERLINE_MARGIN,
+    "eigen_residual_tol": RESIDUAL_TOL,
+    "root_tol": ROOT_TOL,
+    "threshold_agreement": THRESHOLD_AGREEMENT,
+}
 
 
 def _read_lines(source: Optional[str]) -> list[bytes]:
@@ -174,7 +165,7 @@ def cmd_spectra(args) -> int:
             "wiener": wiener_index(g) if connected and g.n >= 1 else None,
             "rho_d": rho_d(g) if connected and g.n >= 1 else None,
         })
-    config = {"input": args.input or "-", "tolerances": _tolerances(args)}
+    config = {"input": args.input or "-", "tolerances": TOLERANCES}
     return _emit_report(args, "spectra", config, rows, bad, started)
 
 
@@ -186,8 +177,7 @@ def _judge(items: Iterable[tuple[int, Optional[str], Graph]], kind: TheoremKind,
     """(line_no, graph6, graph, verdict) per input, in input order."""
     items, graphs = itertools.tee(items)
     verdicts = check_even_factor_many(
-        (g for _, _, g in graphs), kind, run_oracle=args.oracle == "on",
-        node_cap=args.oracle_cap, epsilon=args.tolerance,
+        (g for _, _, g in graphs), kind, run_oracle=args.oracle == "on"
     )
     for (line_no, text, g), v in zip(items, verdicts):
         yield line_no, text, g, v
@@ -208,68 +198,30 @@ def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
     }
 
 
-def _diagnostic_row(line_no: int, text: str, g: Graph, kind: TheoremKind,
-                    delta: int, args) -> dict:
-    """Non-theorem mode: threshold evaluated at a caller-chosen delta."""
-    value = None
-    threshold = None
-    met = None
-    error = None
-    try:
-        params = ExtremalParams(g.n, delta)
-        if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-            value = rho_q(g)
-            threshold = threshold_rho_q(params)
-        else:
-            value = rho_d(g)
-            threshold = threshold_rho_d(params)
-        met = _spectral_condition_met(kind, value, threshold, args.tolerance)
-    except (ValueError, DisconnectedGraphError) as exc:
-        error = str(exc)
-    return {
-        "line": line_no,
-        "graph6": text,
-        "mode": "diagnostic-delta-override",
-        "delta_override": delta,
-        "spectral_value": value,
-        "threshold": threshold,
-        "condition_met": met,
-        "error": error,
-    }
-
-
 def cmd_certify(args) -> int:
     started = time.perf_counter()
     kind = _THEOREM_KINDS[args.theorem]
     graphs, bad = _parse_graphs(_read_lines(args.input))
     rows = []
     violations = list(bad)
-    if args.delta_override is not None:
-        print(f"diagnostic mode: thresholds at delta={args.delta_override}, "
-              "not the graphs' minimum degree; no even-factor conclusions")
-        for line_no, text, g in graphs:
-            rows.append(_diagnostic_row(line_no, text, g, kind,
-                                        args.delta_override, args))
-    else:
-        for line_no, text, _, v in _judge(graphs, kind, args):
-            row = _verdict_row(line_no, text, v)
-            rows.append(row)
-            if row["oracle_agrees"] is False:
-                violations.append({
-                    "line": line_no,
-                    "graph6": text,
-                    "spectral_value": row["spectral_value"],
-                    "threshold": row["threshold"],
-                    "oracle_status": row["oracle_status"],
-                    "reason": "guaranteed conclusion contradicted by the oracle",
-                })
+    for line_no, text, _, v in _judge(graphs, kind, args):
+        row = _verdict_row(line_no, text, v)
+        rows.append(row)
+        if row["oracle_agrees"] is False:
+            violations.append({
+                "line": line_no,
+                "graph6": text,
+                "spectral_value": row["spectral_value"],
+                "threshold": row["threshold"],
+                "oracle_status": row["oracle_status"],
+                "reason": "guaranteed conclusion contradicted by the oracle",
+            })
     config = {
         "input": args.input or "-",
         "theorem": args.theorem,
         "oracle": args.oracle,
-        "oracle_cap": args.oracle_cap,
-        "delta_override": args.delta_override,
-        "tolerances": _tolerances(args),
+        "oracle_cap": DEFAULT_NODE_CAP,
+        "tolerances": TOLERANCES,
     }
     return _emit_report(args, "certify", config, rows, violations, started)
 
@@ -289,13 +241,10 @@ def _scan_source(args) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]],
         if args.n is None:
             raise SystemExit("scan: --sample-size needs -n")
         rng = Random(args.seed)
-        p_range = (args.p_lo, args.p_hi)
 
         def gen():
             for i in range(args.sample_size):
-                g = sample_connected_graph(rng, args.n, p_range=p_range,
-                                           min_degree=2)
-                yield i + 1, None, g
+                yield i + 1, None, sample_connected_graph(rng, args.n)
 
         return f"sampler:n={args.n},size={args.sample_size},seed={args.seed}", gen(), []
     if args.n is not None and args.n in BUNDLED_COUNTS:
@@ -349,10 +298,10 @@ def cmd_scan(args) -> int:
         "source": source,
         "theorem": args.theorem,
         "oracle": args.oracle,
-        "oracle_cap": args.oracle_cap,
+        "oracle_cap": DEFAULT_NODE_CAP,
         "seed": args.seed,
-        "p_range": [args.p_lo, args.p_hi],
-        "tolerances": _tolerances(args),
+        "p_range": list(P_RANGE),
+        "tolerances": TOLERANCES,
     }
     return _emit_report(args, "scan", config, rows, violations, started)
 
@@ -386,8 +335,6 @@ def cmd_lemmas(args) -> int:
         n_max=args.n_max,
         corpus_graphs=corpus_graphs,
         oracle_graphs=oracle_graphs,
-        node_cap=args.oracle_cap,
-        tolerance=args.tolerance,
         checks=checks,
     )
     per_check: dict[str, dict] = {}
@@ -412,7 +359,7 @@ def cmd_lemmas(args) -> int:
         "corpus_max_n": args.corpus_max_n,
         "oracle_max_n": args.oracle_max_n,
         "checks": sorted(checks) if checks else "all",
-        "tolerances": _tolerances(args),
+        "tolerances": TOLERANCES,
     }
     return _emit_report(args, "lemmas", config, rows, violations, started)
 
@@ -422,10 +369,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_extremal(args) -> int:
     started = time.perf_counter()
-    table = extremal_table(
-        (args.delta_min, args.delta_max), args.n_min, args.n_max,
-        node_cap=args.oracle_cap,
-    )
+    table = extremal_table((args.delta_min, args.delta_max), args.n_min, args.n_max)
     rows = [{
         "n": r.n,
         "delta": r.delta,
@@ -434,20 +378,23 @@ def cmd_extremal(args) -> int:
         "bracket_ok": r.bracket_ok,
         "bracket_margin": r.bracket_margin,
         "even_factor": r.even_factor.value,
-        "settled_by": r.settled_by,
     } for r in table]
+    # the paper claims the bracket only from the order bound on; below it
+    # bracket_ok is data
     violations = [
-        {"n": r["n"], "delta": r["delta"], "reason": "bracket violated"}
-        for r in rows if not r["bracket_ok"]
+        {"n": r.n, "delta": r.delta, "reason": "bracket violated"}
+        for r in table
+        if not r.bracket_ok
+        and r.n >= math.ceil(order_bound(TheoremKind.SIGNLESS_LAPLACIAN, r.delta))
     ]
     print(EXTREMAL_TABLE_NOTE)
     config = {
         "delta_range": [args.delta_min, args.delta_max],
         "n_min": args.n_min if args.n_min is not None else "per-delta bound",
         "n_max": args.n_max if args.n_max is not None else 40,
-        "oracle_cap": args.oracle_cap,
+        "oracle_cap": DEFAULT_NODE_CAP,
         "note": EXTREMAL_TABLE_NOTE,
-        "tolerances": _tolerances(args),
+        "tolerances": TOLERANCES,
     }
     return _emit_report(args, "extremal", config, rows, violations, started)
 
@@ -460,7 +407,7 @@ def cmd_oracle(args) -> int:
     graphs, bad = _parse_graphs(_read_lines(args.input))
     rows = []
     for line_no, text, g in graphs:
-        cert = find_even_factor(g, node_cap=args.oracle_cap)
+        cert = find_even_factor(g)
         rows.append({
             "line": line_no,
             "graph6": text,
@@ -472,8 +419,8 @@ def cmd_oracle(args) -> int:
         })
     config = {
         "input": args.input or "-",
-        "oracle_cap": args.oracle_cap,
-        "tolerances": _tolerances(args),
+        "oracle_cap": DEFAULT_NODE_CAP,
+        "tolerances": TOLERANCES,
     }
     columns = ["line", "graph6", "n", "m", "status", "nodes_explored"]
     return _emit_report(args, "oracle", config, rows, bad, started, columns)
@@ -494,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", metavar="PATH", help="write rows as CSV")
     common.add_argument("--no-timing", action="store_true",
                         help="zero the timing field for byte-identical reports")
-    common.add_argument("--tolerance", type=float, default=COMPARISON_EPSILON,
-                        help="epsilon for spectral comparisons (default 1e-8)")
-    common.add_argument("--oracle-cap", type=int, default=100_000_000,
-                        help="search node budget before cap-exceeded")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -513,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1: signless-Laplacian lower bound; 2: distance upper bound")
     p.add_argument("--oracle", choices=["on", "off"], default="off",
                    help="cross-check claims with the exact search")
-    p.add_argument("--delta-override", type=int, default=None,
-                   help="diagnostic only: evaluate thresholds at this delta "
-                        "(non-theorem mode, no conclusions)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("scan", parents=[common],
@@ -525,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=None,
                    help="number of seeded random samples")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--p-lo", type=float, default=DEFAULT_P_RANGE[0],
-                   help="sampler edge-probability range, low end")
-    p.add_argument("--p-hi", type=float, default=DEFAULT_P_RANGE[1],
-                   help="sampler edge-probability range, high end")
     p.add_argument("--theorem", choices=["1", "2"], default="1")
     p.add_argument("--oracle", choices=["on", "off"], default="on")
     p.set_defaults(func=cmd_scan)
@@ -567,7 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "scan" and not args.corpus and args.sample_size is not None
+            and args.n is not None and args.n <= MIN_DEGREE):
+        parser.error(f"scan: the sampler needs -n >= {MIN_DEGREE + 1}: no connected "
+                     f"graph on {args.n} vertices has minimum degree {MIN_DEGREE}")
+    if args.command == "extremal" and args.delta_min < 2:
+        parser.error(f"extremal: --delta-min must be >= 2, got {args.delta_min}")
     return args.func(args)
 
 

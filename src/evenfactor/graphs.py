@@ -372,17 +372,3 @@ def to_graph6(g: Graph) -> str:
     ])
     return size + _sextet_chars(upper)
 
-
-def iter_graph6(lines: Iterable[str]) -> Iterable[Graph]:
-    """Decode an iterable of graph6 lines, skipping blanks."""
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        yield from_graph6(line)
-
-
-def load_graph6_file(path) -> list[Graph]:
-    """Read a newline-separated graph6 corpus file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return list(iter_graph6(fh))

@@ -18,6 +18,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+# absolute accuracy of every root largest_root returns
+ROOT_TOL = 1e-10
+
+
 class InvalidPartitionError(ValueError):
     """Blocks must be disjoint, nonempty, and cover the index set."""
 
@@ -371,14 +375,13 @@ def largest_root(
     lo,
     hi,
     *,
-    tol: float = 1e-10,
     widen: bool = False,
     hi_cap=None,
 ) -> float:
-    """Root of a cubic inside a sign-change bracket, to absolute tol.
+    """Root of a cubic inside a sign-change bracket, to absolute ROOT_TOL.
 
     Bisection in exact rational arithmetic: sign decisions never suffer
-    float cancellation, so multiple roots converge to tol as well. The
+    float cancellation, so multiple roots converge to ROOT_TOL as well. The
     result is the largest real root whenever the caller brackets above all
     other roots. With ``widen`` the upper end doubles its distance from
     ``lo`` until a sign change appears, never past ``hi_cap``.
@@ -406,7 +409,7 @@ def largest_root(
         if fb == 0:
             return float(b)
     negative_left = fa < 0
-    while b - a > Fraction(tol) / 4:
+    while b - a > Fraction(ROOT_TOL) / 4:
         mid = (a + b) / 2
         fm = cubic(mid)
         if fm == 0:

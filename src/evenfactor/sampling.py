@@ -1,9 +1,9 @@
 """Seeded random graph sampling for verification sweeps.
 
-Edge-probability model: each sample draws p uniformly from a configured
-range, then includes each vertex pair independently with probability p.
-Samples failing the connectivity or minimum-degree requirement are
-rejected and redrawn, so runs are deterministic for a fixed seed.
+Edge-probability model: each sample draws p uniformly from P_RANGE, then
+includes each vertex pair independently with probability p. Samples that
+are disconnected or have a vertex of degree below MIN_DEGREE are rejected
+and redrawn, so runs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from random import Random
 
 from .graphs import Graph
 
-DEFAULT_P_RANGE = (0.25, 0.75)
+P_RANGE = (0.25, 0.75)
+# the theorems need minimum degree >= 2
+MIN_DEGREE = 2
 
 
 def sample_graph(rng: Random, n: int, p: float) -> Graph:
@@ -22,20 +24,17 @@ def sample_graph(rng: Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
-def sample_connected_graph(
-    rng: Random,
-    n: int,
-    *,
-    p_range: tuple[float, float] = DEFAULT_P_RANGE,
-    min_degree: int = 2,
-    max_tries: int = 100_000,
-) -> Graph:
-    """Rejection-sample a connected graph with the required minimum degree."""
-    for _ in range(max_tries):
-        p = rng.uniform(*p_range)
+def sample_connected_graph(rng: Random, n: int) -> Graph:
+    """Rejection-sample a connected graph of minimum degree >= MIN_DEGREE.
+
+    Raises ValueError when n <= MIN_DEGREE, where no such graph exists.
+    """
+    if n <= MIN_DEGREE:
+        raise ValueError(
+            f"no connected graph on {n} vertices has minimum degree {MIN_DEGREE}"
+        )
+    while True:
+        p = rng.uniform(*P_RANGE)
         g = sample_graph(rng, n, p)
-        if g.is_connected() and g.min_degree() >= min_degree:
+        if g.is_connected() and g.min_degree() >= MIN_DEGREE:
             return g
-    raise RuntimeError(
-        f"no admissible sample in {max_tries} tries (n={n}, p_range={p_range})"
-    )

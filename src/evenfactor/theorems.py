@@ -33,7 +33,6 @@ from .oracle import (
     CertificateStatus,
     EvenFactorCertificate,
     find_even_factor,
-    is_even_factor,
     odd_component_condition,
 )
 from .quotient import (
@@ -339,13 +338,6 @@ class TheoremVerdict:
     oracle_agrees: Optional[bool] = None
 
 
-def _spectral_condition_met(kind: TheoremKind, value: float, threshold: float,
-                            epsilon: float) -> bool:
-    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-        return value >= threshold - epsilon
-    return value <= threshold + epsilon
-
-
 def _spectral_value_defined(n: int, connected: bool, kind: TheoremKind) -> bool:
     """rho_Q needs a vertex; rho_D needs a connected graph with a vertex."""
     return n >= 1 and (kind is TheoremKind.SIGNLESS_LAPLACIAN or connected)
@@ -356,16 +348,14 @@ def check_even_factor(
     kind: TheoremKind,
     *,
     run_oracle: bool = False,
-    node_cap: int = 100_000_000,
-    epsilon: float = COMPARISON_EPSILON,
-    borderline_margin: float = BORDERLINE_MARGIN,
     spectral_value: Optional[float] = None,
     connected: Optional[bool] = None,
 ) -> TheoremVerdict:
     """Evaluate one spectral sufficient condition on a graph.
 
-    The minimum degree used in thresholds is always min_degree(g). When the
-    spectral comparison lands within ``borderline_margin`` of the threshold
+    The minimum degree used in thresholds is always min_degree(g). The
+    condition counts as met within COMPARISON_EPSILON of the threshold.
+    When the spectral value lands within BORDERLINE_MARGIN of the threshold
     the verdict is flagged borderline; with ``run_oracle`` the exact search
     cross-checks every conclusion that claims an even factor.
     ``spectral_value`` is g's rho_Q or rho_D and ``connected`` is
@@ -398,8 +388,12 @@ def check_even_factor(
         else threshold_rho_d(params)
     )
     assert spectral is not None
-    borderline = abs(spectral - threshold) <= borderline_margin
-    if not _spectral_condition_met(kind, spectral, threshold, epsilon):
+    borderline = abs(spectral - threshold) <= BORDERLINE_MARGIN
+    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
+        met = spectral >= threshold - COMPARISON_EPSILON
+    else:
+        met = spectral <= threshold + COMPARISON_EPSILON
+    if not met:
         conclusion = Conclusion.INCONCLUSIVE
     elif recognize_extremal(g, delta):
         conclusion = Conclusion.EXTREMAL_EXCEPTION
@@ -411,7 +405,7 @@ def check_even_factor(
     claims_factor = conclusion is Conclusion.EVEN_FACTOR_GUARANTEED
     if run_oracle and (claims_factor or conclusion is Conclusion.EXTREMAL_EXCEPTION
                        or borderline):
-        cert = find_even_factor(g, node_cap=node_cap)
+        cert = find_even_factor(g)
         oracle_status = cert.status
         if claims_factor:
             if cert.status is CertificateStatus.FOUND:
@@ -424,15 +418,14 @@ def check_even_factor(
     )
 
 
-def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind,
-                           **kwargs) -> Iterator[TheoremVerdict]:
+def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
+                           run_oracle: bool = False) -> Iterator[TheoremVerdict]:
     """``check_even_factor`` on each graph, yielding verdicts in input order.
 
     Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
     values of same-order graphs come from one stacked eigen-solve and are
     passed on as ``spectral_value``, and each graph's connectivity, found
-    once, as ``connected``; other keywords go to ``check_even_factor``
-    unchanged.
+    once, as ``connected``.
     """
     radii = rho_q_many if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d_many
     source = iter(graphs)
@@ -447,8 +440,8 @@ def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind,
             for i, value in zip(members, radii([chunk[i] for i in members])):
                 values[i] = float(value)
         for g, value, conn in zip(chunk, values, connected):
-            yield check_even_factor(g, kind, spectral_value=value, connected=conn,
-                                    **kwargs)
+            yield check_even_factor(g, kind, run_oracle=run_oracle,
+                                    spectral_value=value, connected=conn)
 
 
 def check_even_factor_q(g: Graph, **kwargs) -> TheoremVerdict:
@@ -503,44 +496,16 @@ def perron_abc(p: ExtremalParams) -> PerronABC:
     return result
 
 
-# -- explicit even factor of the extremal graph --------------------------------
+# -- even factor of the extremal graph ------------------------------------------
 
 
-def _extremal_constructible(p: ExtremalParams) -> bool:
-    """True for the generic shapes whose even factor is built, not searched."""
-    return p.big_clique >= (3 if p.delta == 2 else 2)
+def extremal_even_factor(p: ExtremalParams) -> EvenFactorCertificate:
+    """Settle the extremal graph's even-factor status by the exact search.
 
-
-def extremal_even_factor(p: ExtremalParams, *, node_cap: int = 100_000_000) -> EvenFactorCertificate:
-    """Settle the extremal graph's even-factor status.
-
-    For the generic shapes a disjoint cycle certificate is constructed
-    directly and validated; degenerate small shapes fall back to the exact
-    search. The status is therefore settled (never cap-exceeded) whenever
-    the construction applies.
+    FOUND at every cell with delta = 2..20 and even n = 2*delta..160, in at
+    most 12,569 search nodes.
     """
-    g = extremal_graph(p)
-    if not _extremal_constructible(p):
-        return find_even_factor(g, node_cap=node_cap)
-    d, q, n = p.delta, p.big_clique, p.n
-    joins = list(range(d))
-    bigs = list(range(d, d + q))
-    singles = list(range(d + q, n))
-    edges: list[tuple[int, int]] = []
-    if d == 2:
-        u = singles[0]
-        edges += [(joins[0], joins[1]), (joins[1], u), (u, joins[0])]
-        edges += [(bigs[i], bigs[(i + 1) % q]) for i in range(q)]
-    else:
-        ring: list[int] = []
-        for i, u in enumerate(singles):
-            ring += [u, joins[i + 1]]
-        edges += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-        loop = [joins[0]] + bigs
-        edges += [(loop[i], loop[(i + 1) % len(loop)]) for i in range(len(loop))]
-    if not is_even_factor(g, edges):
-        raise RuntimeError(f"internal error: invalid constructed certificate at {p}")
-    return EvenFactorCertificate(CertificateStatus.FOUND, tuple(sorted(edges)), 0)
+    return find_even_factor(extremal_graph(p))
 
 
 # -- property-check suite -------------------------------------------------------
@@ -574,7 +539,7 @@ def _random_connected_graph(rng: Random, n: int, p: float) -> Graph:
             return g
 
 
-def check_q_edge_addition(rng: Random, trials: int, tolerance: float) -> list[CheckOutcome]:
+def check_q_edge_addition(rng: Random, trials: int) -> list[CheckOutcome]:
     """Adding any missing edge to a connected graph strictly raises rho_Q."""
     out = []
     done = 0
@@ -591,13 +556,13 @@ def check_q_edge_addition(rng: Random, trials: int, tolerance: float) -> list[Ch
         margin = rho_q(bigger) - rho_q(g)
         out.append(CheckOutcome(
             "q-monotone-edge-add", f"n={n},m={g.edge_count},edge=({u},{v})",
-            margin > tolerance, margin,
+            margin > COMPARISON_EPSILON, margin,
         ))
         done += 1
     return out
 
 
-def check_d_edge_deletion(rng: Random, trials: int, tolerance: float) -> list[CheckOutcome]:
+def check_d_edge_deletion(rng: Random, trials: int) -> list[CheckOutcome]:
     """Deleting a non-bridge edge strictly raises rho_D."""
     out = []
     done = 0
@@ -618,7 +583,7 @@ def check_d_edge_deletion(rng: Random, trials: int, tolerance: float) -> list[Ch
         margin = rho_d(smaller) - rho_d(g)
         out.append(CheckOutcome(
             "d-monotone-edge-delete", f"n={n},m={g.edge_count},edge={removed}",
-            margin > tolerance, margin,
+            margin > COMPARISON_EPSILON, margin,
         ))
         done += 1
     return out
@@ -635,7 +600,7 @@ def _dominance_point(rng: Random) -> tuple[int, int, int, tuple[int, ...]]:
             return n, s, p, tuple(parts)
 
 
-def check_family_dominance(rng: Random, trials: int, tolerance: float) -> list[CheckOutcome]:
+def check_family_dominance(rng: Random, trials: int) -> list[CheckOutcome]:
     """Concentrating clique mass raises rho_Q and lowers rho_D.
 
     Compares K_s v (K_{n_1} u ... u K_{n_t}) against
@@ -651,14 +616,13 @@ def check_family_dominance(rng: Random, trials: int, tolerance: float) -> list[C
         d_margin = rho_d(spread) - rho_d(packed)
         point = f"n={n},s={s},p={p},parts={parts}"
         out.append(CheckOutcome("q-family-dominance", point,
-                                q_margin > tolerance, q_margin))
+                                q_margin > COMPARISON_EPSILON, q_margin))
         out.append(CheckOutcome("d-family-dominance", point,
-                                d_margin > tolerance, d_margin))
+                                d_margin > COMPARISON_EPSILON, d_margin))
     return out
 
 
-def check_quotient_matches_matrix(grid: Iterable[ExtremalParams],
-                                  tolerance: float = 1e-8) -> list[CheckOutcome]:
+def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
     """Equitable-quotient cubic roots equal full-matrix Perron values."""
     out = []
     for p in grid:
@@ -676,19 +640,19 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams],
         err = max(err_q, err_d)
         out.append(CheckOutcome(
             "quotient-root-matches-matrix", f"n={n},delta={d}",
-            err <= tolerance and qm.equitable and dm.equitable, err, note,
+            err <= THRESHOLD_AGREEMENT and qm.equitable and dm.equitable, err, note,
         ))
     return out
 
 
-def check_wiener_bound(graphs: Iterable[Graph], tolerance: float) -> list[CheckOutcome]:
+def check_wiener_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     """rho_D >= 2 W / n for connected graphs (all-ones Rayleigh quotient)."""
     out = []
     for i, g in enumerate(graphs):
         margin = rho_d(g) - 2 * wiener_index(g) / g.n
         out.append(CheckOutcome(
             "wiener-lower-bound", f"graph#{i},n={g.n},m={g.edge_count}",
-            margin >= -tolerance, margin,
+            margin >= -COMPARISON_EPSILON, margin,
         ))
     return out
 
@@ -707,8 +671,7 @@ def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutco
     return out
 
 
-def check_odd_component_implication(graphs: Iterable[Graph],
-                                    node_cap: int) -> list[CheckOutcome]:
+def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
 
     n = 2 is a genuine degenerate boundary: K_2 satisfies the condition
@@ -722,7 +685,7 @@ def check_odd_component_implication(graphs: Iterable[Graph],
         report = odd_component_condition(g)
         if not report.holds:
             continue
-        cert = find_even_factor(g, node_cap=node_cap)
+        cert = find_even_factor(g)
         out.append(CheckOutcome(
             "odd-component-implication", f"graph#{i},n={g.n},m={g.edge_count}",
             cert.status is CertificateStatus.FOUND,
@@ -732,8 +695,7 @@ def check_odd_component_implication(graphs: Iterable[Graph],
     return out
 
 
-def observe_odd_order_condition(graphs: Iterable[Graph],
-                                node_cap: int) -> list[CheckOutcome]:
+def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     """Record (never assert) the condition-vs-factor relation on odd orders.
 
     The sufficient condition is only stated for even orders; this summarizes
@@ -746,7 +708,7 @@ def observe_odd_order_condition(graphs: Iterable[Graph],
         if not odd_component_condition(g).holds:
             continue
         satisfied += 1
-        status = find_even_factor(g, node_cap=node_cap).status
+        status = find_even_factor(g).status
         if status is CertificateStatus.FOUND:
             with_factor += 1
         elif status is CertificateStatus.NONE_EXISTS:
@@ -791,8 +753,7 @@ def blocks_graph_aligned(p: ExtremalParams) -> Graph:
     return Graph(p.n, sorted(edges))
 
 
-def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams],
-                              tolerance: float) -> list[CheckOutcome]:
+def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
     """rho_D(blocks s=2) - rho_D(extremal) >= (d-1)(d-2) x_iso (2 x_join - x_iso).
 
     The right side is the Rayleigh quadratic form of the distance-matrix
@@ -814,7 +775,7 @@ def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams],
         margin = gap - bound
         out.append(CheckOutcome(
             "d-blocks-rayleigh-gap", f"n={p.n},delta={p.delta}",
-            margin >= -tolerance and bound > 0, margin,
+            margin >= -COMPARISON_EPSILON and bound > 0, margin,
             f"gap={gap:.6g},bound={bound:.6g}",
         ))
     return out
@@ -907,8 +868,6 @@ def run_property_suite(
     n_max: int = 40,
     corpus_graphs: Sequence[Graph] = (),
     oracle_graphs: Sequence[Graph] = (),
-    node_cap: int = 100_000_000,
-    tolerance: float = COMPARISON_EPSILON,
     checks: Optional[set[str]] = None,
 ) -> SuiteReport:
     """Run the supporting-fact checks on seeded samples and finite grids.
@@ -926,25 +885,25 @@ def run_property_suite(
         return checks is None or name in checks
 
     if want("q-monotone-edge-add"):
-        report.extend(check_q_edge_addition(rng, trials, tolerance))
+        report.extend(check_q_edge_addition(rng, trials))
     if want("d-monotone-edge-delete"):
-        report.extend(check_d_edge_deletion(rng, trials, tolerance))
+        report.extend(check_d_edge_deletion(rng, trials))
     if want("q-family-dominance") or want("d-family-dominance"):
-        report.extend(check_family_dominance(rng, max(1, trials // 4), tolerance))
+        report.extend(check_family_dominance(rng, max(1, trials // 4)))
     if want("quotient-root-matches-matrix"):
         report.extend(check_quotient_matches_matrix(q_grid))
     if want("wiener-lower-bound"):
-        report.extend(check_wiener_bound(corpus_graphs, tolerance))
+        report.extend(check_wiener_bound(corpus_graphs))
     if want("q-threshold-bracket"):
         report.extend(check_q_threshold_bracket(q_grid))
     if want("odd-component-implication"):
-        report.extend(check_odd_component_implication(oracle_graphs, node_cap))
+        report.extend(check_odd_component_implication(oracle_graphs))
     if want("odd-order-observation"):
-        report.extend(observe_odd_order_condition(oracle_graphs, node_cap))
+        report.extend(observe_odd_order_condition(oracle_graphs))
     if want("extremal-wiener-closed-form"):
         report.extend(check_extremal_wiener_closed_form(d_grid))
     if want("d-blocks-rayleigh-gap"):
-        report.extend(check_blocks_rayleigh_gap(d_grid, tolerance))
+        report.extend(check_blocks_rayleigh_gap(d_grid))
     if want("perron-ratio-positivity"):
         report.extend(check_perron_ratio(
             [p for p in d_grid if p.delta >= 3 and p.n >= 8 * p.delta - 7]))
@@ -991,19 +950,18 @@ class ExtremalRow:
     bracket_ok: bool
     bracket_margin: float
     even_factor: CertificateStatus
-    settled_by: str
 
 
 def extremal_table(
     delta_range: tuple[int, int],
     n_min: Optional[int] = None,
     n_max: Optional[int] = None,
-    *,
-    node_cap: int = 100_000_000,
 ) -> list[ExtremalRow]:
-    """Per-(n, delta) thresholds, bracket check, and even-factor status.
+    """Per-(n, delta) thresholds, the Q bracket, and even-factor status.
 
     The cells are ``order_bound_grid`` under the signless-Laplacian bound.
+    ``bracket_ok`` records whether 2n - 2delta < rho_Q(extremal) < 2n - delta,
+    which the paper claims only from that order bound on.
     """
     rows = []
     for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max, n_min):
@@ -1012,11 +970,9 @@ def extremal_table(
         thr_d = threshold_rho_d(p)
         lo_m = thr_q - (2 * n - 2 * delta)
         hi_m = (2 * n - delta) - thr_q
-        cert = extremal_even_factor(p, node_cap=node_cap)
-        settled = "construction" if _extremal_constructible(p) else "search"
         rows.append(ExtremalRow(
             n, delta, thr_q, thr_d,
             lo_m > 0 and hi_m > 0, min(lo_m, hi_m),
-            cert.status, settled,
+            extremal_even_factor(p).status,
         ))
     return rows

@@ -19,7 +19,6 @@ from evenfactor.graphs import (
     disjoint_union,
     empty,
     from_graph6,
-    iter_graph6,
     join,
     path,
     to_graph6,
@@ -192,11 +191,6 @@ def test_graph6_roundtrip_randomized():
         line = to_graph6(g)
         assert from_graph6(line) == g
         assert to_graph6(from_graph6(line)) == line
-
-
-def test_iter_graph6_skips_blanks():
-    got = list(iter_graph6(["", "C~", "   ", "?"]))
-    assert got == [complete(4), empty(0)]
 
 
 @pytest.mark.parametrize("n, size", [(62, "}"), (63, "~??~"), (100, "~?@c")])

@@ -16,7 +16,7 @@ from evenfactor.graphs import (
     from_graph6,
     to_graph6,
 )
-from evenfactor.oracle import CertificateStatus, find_even_factor, is_even_factor
+from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor.spectral import rho_d, rho_q
 from evenfactor.theorems import (
     Conclusion,
@@ -207,9 +207,7 @@ def test_guaranteed_conclusion_exists_and_oracle_agrees():
     v = check_even_factor_q(g2, run_oracle=True)
     if v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED:
         assert v.oracle_status is CertificateStatus.FOUND
-    # deterministic strong positive: K_8 with delta-override via direct
-    # threshold comparison is covered in the CLI tests; here assert the
-    # verdict machinery never claims a factor while the oracle denies it
+    # the verdict machinery never claims a factor while the oracle denies it
     assert v.oracle_agrees in (True, None)
 
 
@@ -254,15 +252,14 @@ def test_extremal_wiener_closed_form():
 
 
 def test_extremal_even_factor_certificates():
-    for n, d in [(4, 2), (6, 2), (8, 2), (6, 3), (12, 3), (20, 4), (40, 6), (60, 5)]:
-        p = ExtremalParams(n, d)
-        cert = extremal_even_factor(p)
-        assert cert.status is CertificateStatus.FOUND
-        assert is_even_factor(extremal_graph(p), cert.edges)
-    # the constructed certificate agrees with the exhaustive search
-    for n, d in [(8, 2), (10, 2), (12, 3)]:
-        direct = find_even_factor(extremal_graph(ExtremalParams(n, d)))
-        assert direct.status is CertificateStatus.FOUND
+    # every cell with delta = 2..11 and even n = 2*delta..60, n = 2*delta
+    # included, where the big clique is K_1
+    for d in range(2, 12):
+        for n in range(2 * d, 61, 2):
+            p = ExtremalParams(n, d)
+            cert = extremal_even_factor(p)
+            assert cert.status is CertificateStatus.FOUND, (n, d)
+            assert is_even_factor(extremal_graph(p), cert.edges), (n, d)
 
 
 def test_blocks_graph_aligned_is_isomorphic_to_family():
@@ -347,10 +344,8 @@ def test_extremal_table():
     # default lower bound is the theorem order bound
     assert min(r.n for r in rows if r.delta == 2) == 8
     assert min(r.n for r in rows if r.delta == 3) == 14
-    assert {r.settled_by for r in rows} == {"construction"}
-    # n = 2*delta has no cycle construction: the oracle settles it
     (row,) = extremal_table((3, 3), n_min=6, n_max=6)
-    assert row.settled_by == "search" and row.even_factor is CertificateStatus.FOUND
+    assert row.even_factor is CertificateStatus.FOUND
 
 
 def test_order_bound_grid():
