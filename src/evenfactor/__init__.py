@@ -5,7 +5,8 @@ Library layout:
   spectral  Q(G), distance matrix, Perron roots (batched by order), Wiener index
   quotient  partitions, quotient matrices, family cubics, root bracketing
   oracle    exact even-factor search and the odd-component condition
-  theorems  thresholds, verdicts, extremal recognition, property suite
+  theorems  thresholds, verdicts, extremal recognition, the extremal table
+  lemmas    the property checks behind the theorems, in one registry
   cli       command-line front end (spectra/certify/scan/lemmas/extremal/oracle)
 """
 
@@ -47,6 +48,7 @@ from .quotient import (
     largest_root,
     quotient_matrix,
 )
+from .lemmas import PerronABC, perron_abc, run_property_suite
 from .spectral import (
     DisconnectedGraphError,
     PerronResult,
@@ -63,23 +65,15 @@ from .spectral import (
 from .theorems import (
     Conclusion,
     ExtremalParams,
-    FamilyParams,
-    JoinFamily,
-    PerronABC,
     TheoremKind,
     TheoremVerdict,
     check_even_factor,
-    check_even_factor_d,
     check_even_factor_many,
-    check_even_factor_q,
     extremal_even_factor,
     extremal_graph,
     extremal_table,
-    family_graph,
     order_bound,
-    perron_abc,
     recognize_extremal,
-    run_property_suite,
     threshold_rho_d,
     threshold_rho_q,
 )

@@ -4,8 +4,8 @@ Input is newline-separated graph6 (file argument or stdin); a leading
 ">>graph6<<" header is stripped. Reports go to stdout as a table, and with
 --json/--csv also to machine-readable files. Reports are deterministic for
 fixed inputs, seed, and config; pass --no-timing to zero the timing field
-when byte-identical output is needed. Exit status is nonzero iff any
-violation was found or any input line was malformed.
+when byte-identical output is needed. Exit status is 1 iff any violation
+was found or any input line was malformed, and 2 for an argument error.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from random import Random
 from typing import Iterable, Optional
 
 from . import __version__
-from .corpus import BUNDLED_COUNTS, bundled_corpus_lines, load_bundled_corpus
+from .corpus import BUNDLED_COUNTS, bundled_corpus_lines
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
+from .lemmas import SUITE_CHECK_NAMES, run_property_suite
 from .oracle import DEFAULT_NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
 from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graph
@@ -31,7 +32,6 @@ from .theorems import (
     BORDERLINE_MARGIN,
     COMPARISON_EPSILON,
     EXTREMAL_TABLE_NOTE,
-    SUITE_CHECK_NAMES,
     THRESHOLD_AGREEMENT,
     Conclusion,
     TheoremKind,
@@ -39,7 +39,6 @@ from .theorems import (
     check_even_factor_many,
     extremal_table,
     order_bound,
-    run_property_suite,
 )
 
 SCHEMA_VERSION = "3"
@@ -53,6 +52,12 @@ TOLERANCES = {
     "root_tol": ROOT_TOL,
     "threshold_agreement": THRESHOLD_AGREEMENT,
 }
+
+# the oracle table leaves out the edge lists, which --json and --csv carry
+_TABLE_COLUMNS = {"oracle": ["line", "graph6", "n", "m", "status", "nodes_explored"]}
+
+# what each command hands to _emit_report: config, rows, violations
+Report = tuple[dict, list[dict], list[dict]]
 
 
 def _read_lines(source: Optional[str]) -> list[bytes]:
@@ -113,11 +118,11 @@ def _print_table(rows: list[dict], columns: Optional[list[str]] = None) -> None:
         print("  ".join(cells[c].ljust(widths[c]) for c in cols))
 
 
-def _emit_report(args, command: str, config: dict, rows: list[dict],
-                 violations: list[dict], started: float,
-                 columns: Optional[list[str]] = None) -> int:
+def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
+                 started: float) -> int:
+    """Print the table and violations, write --json/--csv; the exit status."""
     timing = 0.0 if args.no_timing else time.perf_counter() - started
-    _print_table(rows, columns)
+    _print_table(rows, _TABLE_COLUMNS.get(args.command))
     if violations:
         print(f"\n{len(violations)} violation(s):")
         for v in violations:
@@ -126,8 +131,8 @@ def _emit_report(args, command: str, config: dict, rows: list[dict],
         print("\nno violations")
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**config, "tolerances": TOLERANCES},
         "rows": rows,
         "violations": violations,
         "timing_seconds": timing,
@@ -149,8 +154,7 @@ def _emit_report(args, command: str, config: dict, rows: list[dict],
 # -- spectra ------------------------------------------------------------------
 
 
-def cmd_spectra(args) -> int:
-    started = time.perf_counter()
+def cmd_spectra(args) -> Report:
     graphs, bad = _parse_graphs(_read_lines(args.input))
     rows = []
     for line_no, text, g in graphs:
@@ -165,8 +169,7 @@ def cmd_spectra(args) -> int:
             "wiener": wiener_index(g) if connected and g.n >= 1 else None,
             "rho_d": rho_d(g) if connected and g.n >= 1 else None,
         })
-    config = {"input": args.input or "-", "tolerances": TOLERANCES}
-    return _emit_report(args, "spectra", config, rows, bad, started)
+    return {"input": args.input or "-"}, rows, bad
 
 
 # -- certify ------------------------------------------------------------------
@@ -198,8 +201,7 @@ def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
     }
 
 
-def cmd_certify(args) -> int:
-    started = time.perf_counter()
+def cmd_certify(args) -> Report:
     kind = _THEOREM_KINDS[args.theorem]
     graphs, bad = _parse_graphs(_read_lines(args.input))
     rows = []
@@ -221,9 +223,8 @@ def cmd_certify(args) -> int:
         "theorem": args.theorem,
         "oracle": args.oracle,
         "oracle_cap": DEFAULT_NODE_CAP,
-        "tolerances": TOLERANCES,
     }
-    return _emit_report(args, "certify", config, rows, violations, started)
+    return config, rows, violations
 
 
 # -- scan ---------------------------------------------------------------------
@@ -238,8 +239,6 @@ def _scan_source(args) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]],
         graphs, bad = _parse_graphs(_read_lines(args.corpus))
         return f"corpus:{args.corpus}", graphs, bad
     if args.sample_size is not None:
-        if args.n is None:
-            raise SystemExit("scan: --sample-size needs -n")
         rng = Random(args.seed)
 
         def gen():
@@ -247,19 +246,15 @@ def _scan_source(args) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]],
                 yield i + 1, None, sample_connected_graph(rng, args.n)
 
         return f"sampler:n={args.n},size={args.sample_size},seed={args.seed}", gen(), []
-    if args.n is not None and args.n in BUNDLED_COUNTS:
-        lines = bundled_corpus_lines(args.n)
-        return (
-            f"bundled:n={args.n}",
-            ((i, line, from_graph6(line)) for i, line in enumerate(lines, 1)),
-            [],
-        )
-    raise SystemExit("scan: need --corpus, or --sample-size, or -n in 1..8 "
-                     "for a bundled corpus")
+    lines = bundled_corpus_lines(args.n)
+    return (
+        f"bundled:n={args.n}",
+        ((i, line, from_graph6(line)) for i, line in enumerate(lines, 1)),
+        [],
+    )
 
 
-def cmd_scan(args) -> int:
-    started = time.perf_counter()
+def cmd_scan(args) -> Report:
     kind = _THEOREM_KINDS[args.theorem]
     source, graphs, bad = _scan_source(args)
     counts = {c.value: 0 for c in Conclusion}
@@ -301,44 +296,25 @@ def cmd_scan(args) -> int:
         "oracle_cap": DEFAULT_NODE_CAP,
         "seed": args.seed,
         "p_range": list(P_RANGE),
-        "tolerances": TOLERANCES,
     }
-    return _emit_report(args, "scan", config, rows, violations, started)
+    return config, rows, violations
 
 
 # -- lemmas ---------------------------------------------------------------------
 
 
-def cmd_lemmas(args) -> int:
-    started = time.perf_counter()
-    checks = set(args.check) if args.check else None
-
-    def want(name: str) -> bool:
-        return checks is None or name in checks
-
-    # only the corpora some selected check reads are decoded
-    corpus_graphs = []
-    if want("wiener-lower-bound"):
-        for n in range(1, args.corpus_max_n + 1):
-            if n in BUNDLED_COUNTS:
-                corpus_graphs.extend(load_bundled_corpus(n))
-    # even orders feed the implication check, odd ones the observation
-    parity_check = ("odd-component-implication", "odd-order-observation")
-    oracle_graphs = []
-    for n in range(3, args.oracle_max_n + 1):
-        if n in BUNDLED_COUNTS and want(parity_check[n % 2]):
-            oracle_graphs.extend(load_bundled_corpus(n))
-    report = run_property_suite(
+def cmd_lemmas(args) -> Report:
+    outcomes = run_property_suite(
         seed=args.seed,
         trials=args.trials,
         delta_range=(2, args.delta_max),
         n_max=args.n_max,
-        corpus_graphs=corpus_graphs,
-        oracle_graphs=oracle_graphs,
-        checks=checks,
+        corpus_max_n=args.corpus_max_n,
+        oracle_max_n=args.oracle_max_n,
+        checks=args.check,
     )
     per_check: dict[str, dict] = {}
-    for o in report.outcomes:
+    for o in outcomes:
         agg = per_check.setdefault(o.check, {
             "check": o.check, "points": 0, "failed": 0, "min_margin": None,
         })
@@ -349,7 +325,7 @@ def cmd_lemmas(args) -> int:
     rows = [per_check[k] for k in sorted(per_check)]
     violations = [
         {"check": o.check, "point": o.point, "margin": o.margin, "note": o.note}
-        for o in report.failures
+        for o in outcomes if not o.passed
     ]
     config = {
         "seed": args.seed,
@@ -358,17 +334,15 @@ def cmd_lemmas(args) -> int:
         "n_max": args.n_max,
         "corpus_max_n": args.corpus_max_n,
         "oracle_max_n": args.oracle_max_n,
-        "checks": sorted(checks) if checks else "all",
-        "tolerances": TOLERANCES,
+        "checks": sorted(set(args.check)) if args.check else "all",
     }
-    return _emit_report(args, "lemmas", config, rows, violations, started)
+    return config, rows, violations
 
 
 # -- extremal --------------------------------------------------------------------
 
 
-def cmd_extremal(args) -> int:
-    started = time.perf_counter()
+def cmd_extremal(args) -> Report:
     table = extremal_table((args.delta_min, args.delta_max), args.n_min, args.n_max)
     rows = [{
         "n": r.n,
@@ -394,16 +368,14 @@ def cmd_extremal(args) -> int:
         "n_max": args.n_max if args.n_max is not None else 40,
         "oracle_cap": DEFAULT_NODE_CAP,
         "note": EXTREMAL_TABLE_NOTE,
-        "tolerances": TOLERANCES,
     }
-    return _emit_report(args, "extremal", config, rows, violations, started)
+    return config, rows, violations
 
 
 # -- oracle ----------------------------------------------------------------------
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def cmd_oracle(args) -> Report:
     graphs, bad = _parse_graphs(_read_lines(args.input))
     rows = []
     for line_no, text, g in graphs:
@@ -420,10 +392,8 @@ def cmd_oracle(args) -> int:
     config = {
         "input": args.input or "-",
         "oracle_cap": DEFAULT_NODE_CAP,
-        "tolerances": TOLERANCES,
     }
-    columns = ["line", "graph6", "n", "m", "status", "nodes_explored"]
-    return _emit_report(args, "oracle", config, rows, bad, started, columns)
+    return config, rows, bad
 
 
 # -- parser ------------------------------------------------------------------------
@@ -476,11 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-max", type=int, default=5)
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--corpus-max-n", type=int, default=7,
-                   help="exhaustive corpora up to this order feed the "
-                        "Wiener lower-bound check")
+                   help="bundled corpora up to this order (at most 8) feed "
+                        "the Wiener lower-bound check")
     p.add_argument("--oracle-max-n", type=int, default=6,
-                   help="even orders up to this feed the odd-component "
-                        "implication check")
+                   help="bundled corpora up to this order (at most 8) feed "
+                        "the odd-component implication (even orders) and "
+                        "the odd-order observation")
     p.add_argument("--check", action="append", choices=SUITE_CHECK_NAMES,
                    help="run only the named checks (repeatable)")
     p.set_defaults(func=cmd_lemmas)
@@ -505,13 +476,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "scan" and not args.corpus and args.sample_size is not None
-            and args.n is not None and args.n <= MIN_DEGREE):
-        parser.error(f"scan: the sampler needs -n >= {MIN_DEGREE + 1}: no connected "
-                     f"graph on {args.n} vertices has minimum degree {MIN_DEGREE}")
+    if args.command == "scan" and not args.corpus:
+        if args.sample_size is None:
+            if args.n not in BUNDLED_COUNTS:
+                parser.error("scan: need --corpus, or --sample-size, or -n in 1..8 "
+                             "for a bundled corpus")
+        elif args.n is None:
+            parser.error("scan: --sample-size needs -n")
+        elif args.sample_size < 0:
+            parser.error(f"scan: --sample-size must be >= 0, got {args.sample_size}")
+        elif args.n <= MIN_DEGREE:
+            parser.error(f"scan: the sampler needs -n >= {MIN_DEGREE + 1}: no connected "
+                         f"graph on {args.n} vertices has minimum degree {MIN_DEGREE}")
+    if args.command == "lemmas":
+        top = max(BUNDLED_COUNTS)
+        for flag, value in (("--corpus-max-n", args.corpus_max_n),
+                            ("--oracle-max-n", args.oracle_max_n)):
+            if not 0 <= value <= top:
+                parser.error(f"lemmas: {flag} must be in 0..{top}, the orders of "
+                             f"the bundled corpora, got {value}")
     if args.command == "extremal" and args.delta_min < 2:
         parser.error(f"extremal: --delta-min must be >= 2, got {args.delta_min}")
-    return args.func(args)
+    started = time.perf_counter()
+    config, rows, violations = args.func(args)
+    return _emit_report(args, config, rows, violations, started)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,514 @@
+"""Property checks of the facts behind the two even-factor conditions.
+
+Each check tests one supporting fact at every point of its input (seeded
+samples, a grid of extremal-family cells, or a bundled corpus) and returns
+one CheckOutcome per point: spectral monotonicity, join-family dominance,
+equitable-quotient roots, the Wiener lower bound, the rho_Q bracket, the
+odd-component implication, the extremal Wiener closed form, the block-family
+Rayleigh gap, Perron-component positivity and the block-family cubics.
+
+CHECKS is the registry: it fixes which checks exist, the order they run in,
+and the input each one reads.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from random import Random
+from typing import Iterable, Optional
+
+from .corpus import load_bundled_corpus
+from .graphs import Graph, clique_join
+from .oracle import CertificateStatus, find_even_factor, odd_component_condition
+from .quotient import (
+    CubicFamily,
+    charpoly3,
+    d_block_gap_at_wiener_floor,
+    d_block_gap_coeffs,
+    eval_poly,
+    family_cubic,
+    largest_root,
+    q_block_gap_at_bracket_floor,
+    q_block_gap_coeffs,
+    q_block_gap_s2_coeffs,
+    quotient_matrix,
+)
+from .sampling import sample_graph
+from .spectral import (
+    distance_matrix,
+    largest_eigenvalue,
+    rho_d,
+    rho_q,
+    signless_laplacian,
+    wiener_index,
+)
+from .theorems import (
+    COMPARISON_EPSILON,
+    THRESHOLD_AGREEMENT,
+    ExtremalParams,
+    TheoremKind,
+    extremal_graph,
+    extremal_wiener,
+    order_bound_grid,
+    threshold_rho_d,
+    threshold_rho_q,
+)
+
+
+@dataclass(frozen=True)
+class CheckOutcome:
+    check: str
+    point: str
+    passed: bool
+    margin: float
+    note: str = ""
+
+
+def extremal_blocks(p: ExtremalParams) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(join, big clique, singletons) vertex blocks of extremal_graph."""
+    d, q = p.delta, p.big_clique
+    return (
+        tuple(range(d)),
+        tuple(range(d, d + q)),
+        tuple(range(d + q, p.n)),
+    )
+
+
+# -- Perron block components of the extremal distance quotient -----------------
+
+
+@dataclass(frozen=True)
+class PerronABC:
+    """Block components (big clique a=1, join b, singletons c) at rho.
+
+    ``system_residual`` is the worst absolute defect of the three quotient
+    eigen-equations; ``ratio_residual`` compares b against the closed form
+    (rho + n - 2delta + 2) / (2rho - delta + 2).
+    """
+
+    a: float
+    b: float
+    c: float
+    rho: float
+    system_residual: float
+    ratio_residual: float
+
+
+def perron_abc(p: ExtremalParams) -> PerronABC:
+    """Solve the 3-block distance quotient eigen-system with a = 1."""
+    n, d = p.n, p.delta
+    rho = threshold_rho_d(p)
+    # rows of the quotient (blocks: big clique, join, singletons):
+    #   rho a = (n-2d) a   + d b     + 2(d-1) c
+    #   rho b = (n-2d+1) a + (d-1) b + (d-1) c
+    #   rho c = 2(n-2d+1) a + d b    + 2(d-2) c
+    # Solve rows 1 and 3 for (b, c) with a = 1, then rows give residuals.
+    c = (rho + n - 2 * d + 2) / (rho + 2)
+    b = (rho - (n - 2 * d) - 2 * (d - 1) * c) / d
+    a = 1.0
+    r1 = abs((n - 2 * d) * a + d * b + 2 * (d - 1) * c - rho * a)
+    r2 = abs((n - 2 * d + 1) * a + (d - 1) * b + (d - 1) * c - rho * b)
+    r3 = abs(2 * (n - 2 * d + 1) * a + d * b + 2 * (d - 2) * c - rho * c)
+    closed_b = (rho + n - 2 * d + 2) / (2 * rho - d + 2)
+    result = PerronABC(a, b, c, rho, max(r1, r2, r3), abs(b - closed_b))
+    if not (b > 0 and c > 0):
+        raise RuntimeError(f"non-positive Perron block components: {result}")
+    return result
+
+
+# -- the checks -------------------------------------------------------------------
+
+
+def _random_connected_graph(rng: Random, n: int, p: float) -> Graph:
+    while True:
+        g = sample_graph(rng, n, p)
+        if g.is_connected():
+            return g
+
+
+def check_q_edge_addition(rng: Random, trials: int) -> list[CheckOutcome]:
+    """Adding any missing edge to a connected graph strictly raises rho_Q."""
+    out = []
+    done = 0
+    while done < trials:
+        n = rng.randrange(4, 10)
+        g = _random_connected_graph(rng, n, rng.uniform(0.3, 0.7))
+        non_edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
+        ]
+        if not non_edges:
+            continue
+        u, v = rng.choice(non_edges)
+        bigger = Graph(n, g.edges() + [(u, v)])
+        margin = rho_q(bigger) - rho_q(g)
+        out.append(CheckOutcome(
+            "q-monotone-edge-add", f"n={n},m={g.edge_count},edge=({u},{v})",
+            margin > COMPARISON_EPSILON, margin,
+        ))
+        done += 1
+    return out
+
+
+def check_d_edge_deletion(rng: Random, trials: int) -> list[CheckOutcome]:
+    """Deleting a non-bridge edge strictly raises rho_D."""
+    out = []
+    done = 0
+    while done < trials:
+        n = rng.randrange(4, 10)
+        g = _random_connected_graph(rng, n, rng.uniform(0.4, 0.8))
+        choices = list(g.edges())
+        rng.shuffle(choices)
+        smaller = None
+        removed = None
+        for u, v in choices:
+            cand = Graph(n, [e for e in g.edges() if e != (u, v)])
+            if cand.is_connected():
+                smaller, removed = cand, (u, v)
+                break
+        if smaller is None:
+            continue
+        margin = rho_d(smaller) - rho_d(g)
+        out.append(CheckOutcome(
+            "d-monotone-edge-delete", f"n={n},m={g.edge_count},edge={removed}",
+            margin > COMPARISON_EPSILON, margin,
+        ))
+        done += 1
+    return out
+
+
+def _dominance_point(rng: Random) -> tuple[int, int, int, tuple[int, ...]]:
+    while True:
+        t = rng.randrange(2, 4)
+        s = rng.randrange(2, 5)
+        p = rng.randrange(1, 3)
+        parts = sorted((rng.randrange(p, p + 4) for _ in range(t)), reverse=True)
+        n = s + sum(parts)
+        if parts[0] < n - s - p * (t - 1):
+            return n, s, p, tuple(parts)
+
+
+def check_family_dominance(rng: Random, trials: int) -> list[CheckOutcome]:
+    """Concentrating clique mass raises rho_Q and lowers rho_D.
+
+    Compares K_s v (K_{n_1} u ... u K_{n_t}) against
+    K_s v (K_{n-s-p(t-1)} u (t-1)K_p) when n_1 < n - s - p(t-1), at one
+    point per four trials (at least one), each with a Q and a D outcome.
+    """
+    out = []
+    for _ in range(max(1, trials // 4)):
+        n, s, p, parts = _dominance_point(rng)
+        t = len(parts)
+        spread = clique_join(s, parts)
+        packed = clique_join(s, (n - s - p * (t - 1),) + (p,) * (t - 1))
+        q_margin = rho_q(packed) - rho_q(spread)
+        d_margin = rho_d(spread) - rho_d(packed)
+        point = f"n={n},s={s},p={p},parts={parts}"
+        out.append(CheckOutcome("q-family-dominance", point,
+                                q_margin > COMPARISON_EPSILON, q_margin))
+        out.append(CheckOutcome("d-family-dominance", point,
+                                d_margin > COMPARISON_EPSILON, d_margin))
+    return out
+
+
+def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+    """Equitable-quotient cubic roots equal full-matrix Perron values."""
+    out = []
+    for p in grid:
+        g = extremal_graph(p)
+        joins, bigs, singles = extremal_blocks(p)
+        n, d = p.n, p.delta
+        qm = quotient_matrix(signless_laplacian(g), (joins, bigs, singles))
+        root = largest_root(charpoly3(qm), 2 * n - 2 * d, 4 * n, widen=True)
+        err_q = abs(root - rho_q(g))
+        dm = quotient_matrix(distance_matrix(g), (bigs, joins, singles))
+        root_d = largest_root(charpoly3(dm), Fraction(2 * extremal_wiener(p), n), 4 * n,
+                              widen=True)
+        err_d = abs(root_d - rho_d(g))
+        note = "" if qm.equitable and dm.equitable else "partition not equitable"
+        err = max(err_q, err_d)
+        out.append(CheckOutcome(
+            "quotient-root-matches-matrix", f"n={n},delta={d}",
+            err <= THRESHOLD_AGREEMENT and qm.equitable and dm.equitable, err, note,
+        ))
+    return out
+
+
+def check_wiener_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+    """rho_D >= 2 W / n for connected graphs (all-ones Rayleigh quotient)."""
+    out = []
+    for i, g in enumerate(graphs):
+        margin = rho_d(g) - 2 * wiener_index(g) / g.n
+        out.append(CheckOutcome(
+            "wiener-lower-bound", f"graph#{i},n={g.n},m={g.edge_count}",
+            margin >= -COMPARISON_EPSILON, margin,
+        ))
+    return out
+
+
+def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+    """Strict bracket 2n-2delta < rho_Q(extremal) < 2n-delta."""
+    out = []
+    for p in grid:
+        thr = threshold_rho_q(p)
+        lo_margin = thr - (2 * p.n - 2 * p.delta)
+        hi_margin = (2 * p.n - p.delta) - thr
+        out.append(CheckOutcome(
+            "q-threshold-bracket", f"n={p.n},delta={p.delta}",
+            lo_margin > 0 and hi_margin > 0, min(lo_margin, hi_margin),
+        ))
+    return out
+
+
+def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+    """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
+
+    n = 2 is a genuine degenerate boundary: K_2 satisfies the condition
+    vacuously (the only subset of size >= 2 is all of V) but has no even
+    factor, so it is excluded.
+    """
+    out = []
+    for i, g in enumerate(graphs):
+        if g.n % 2 or g.n < 4:
+            continue
+        report = odd_component_condition(g)
+        if not report.holds:
+            continue
+        cert = find_even_factor(g)
+        out.append(CheckOutcome(
+            "odd-component-implication", f"graph#{i},n={g.n},m={g.edge_count}",
+            cert.status is CertificateStatus.FOUND,
+            1.0 if cert.status is CertificateStatus.FOUND else 0.0,
+            cert.status.value,
+        ))
+    return out
+
+
+def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+    """Record (never assert) the condition-vs-factor relation on odd orders.
+
+    The sufficient condition is only stated for even orders; this summarizes
+    what happens on odd-order inputs as a single always-passing observation.
+    """
+    satisfied = with_factor = without = 0
+    for g in graphs:
+        if g.n % 2 == 0 or g.n < 3:
+            continue
+        if not odd_component_condition(g).holds:
+            continue
+        satisfied += 1
+        status = find_even_factor(g).status
+        if status is CertificateStatus.FOUND:
+            with_factor += 1
+        elif status is CertificateStatus.NONE_EXISTS:
+            without += 1
+    return [CheckOutcome(
+        "odd-order-observation", f"odd-order graphs observed={satisfied}",
+        True, float(without),
+        f"condition held on {satisfied}; factor found on {with_factor}, "
+        f"absent on {without} (recorded as data, not a claim)",
+    )]
+
+
+def check_extremal_wiener_closed_form(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+    """BFS Wiener index equals the closed form on the extremal family."""
+    out = []
+    for p in grid:
+        direct = wiener_index(extremal_graph(p))
+        closed = extremal_wiener(p)
+        out.append(CheckOutcome(
+            "extremal-wiener-closed-form", f"n={p.n},delta={p.delta}",
+            direct == closed, float(direct - closed),
+        ))
+    return out
+
+
+def blocks_graph_aligned(p: ExtremalParams) -> Graph:
+    """The s=2 uniform-blocks graph laid out on the extremal graph's labels.
+
+    Starting from the extremal graph: the singletons become a clique joined
+    only to the first two join vertices; the remaining join vertices merge
+    into the big clique. The result is isomorphic to
+    K_2 v (K_{n-delta-1} u K_{delta-1}).
+    """
+    joins, _, singles = extremal_blocks(p)
+    edges = set(extremal_graph(p).edges())
+    for u in singles:
+        for j in joins[2:]:
+            edges.discard((j, u) if j < u else (u, j))
+    for i, u in enumerate(singles):
+        for w in singles[i + 1:]:
+            edges.add((u, w))
+    return Graph(p.n, sorted(edges))
+
+
+def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+    """rho_D(blocks s=2) - rho_D(extremal) >= (d-1)(d-2) x_iso (2 x_join - x_iso).
+
+    The right side is the Rayleigh quadratic form of the distance-matrix
+    perturbation evaluated at the extremal graph's unit Perron vector, whose
+    block values are read off the exact labeling.
+    """
+    out = []
+    for p in grid:
+        if p.delta < 3:
+            continue
+        star = extremal_graph(p)
+        moved = blocks_graph_aligned(p)
+        res = largest_eigenvalue(distance_matrix(star))
+        joins, _, singles = extremal_blocks(p)
+        x_join = float(res.vector[joins[0]])
+        x_iso = float(res.vector[singles[0]])
+        bound = (p.delta - 1) * (p.delta - 2) * x_iso * (2 * x_join - x_iso)
+        gap = rho_d(moved) - res.value
+        margin = gap - bound
+        out.append(CheckOutcome(
+            "d-blocks-rayleigh-gap", f"n={p.n},delta={p.delta}",
+            margin >= -COMPARISON_EPSILON and bound > 0, margin,
+            f"gap={gap:.6g},bound={bound:.6g}",
+        ))
+    return out
+
+
+def check_perron_ratio(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+    """2b - a > 0 and the closed-form ratio for b, at 1e-10.
+
+    Checked at the cells with delta >= 3 and n >= 8*delta - 7.
+    """
+    out = []
+    for p in grid:
+        if p.delta < 3 or p.n < 8 * p.delta - 7:
+            continue
+        res = perron_abc(p)
+        ok = (
+            2 * res.b - res.a > 0
+            and res.ratio_residual <= 1e-10
+            and res.system_residual <= 1e-8
+        )
+        out.append(CheckOutcome(
+            "perron-ratio-positivity", f"n={p.n},delta={p.delta}",
+            ok, 2 * res.b - res.a,
+            f"ratio_residual={res.ratio_residual:.3e}",
+        ))
+    return out
+
+
+def check_blocks_cubic_s2(delta_range: tuple[int, int], n_max: int) -> list[CheckOutcome]:
+    """The s=2 block-family cubic is the signless-Laplacian one.
+
+    The expected specialization (x^3 + (4-3n)x^2 + ... ) matches the Q-side
+    block family exactly and differs from the distance-side block family;
+    recorded here so the labeling question is settled by data.
+    """
+    out = []
+    for delta in range(max(3, delta_range[0]), delta_range[1] + 1):
+        n0 = delta + 4 - delta % 2
+        for n in range(n0, n_max + 1, 4):
+            q_cubic = family_cubic(CubicFamily.Q_BLOCKS, n, s=2, delta=delta)
+            expected = (
+                1,
+                4 - 3 * n,
+                2 * n**2 + 4 * delta * n - 10 * n - 4 * delta**2 + 8,
+                4 * n**2 - 4 * delta * n**2 + 4 * delta**2 * n + 8 * delta * n
+                - 12 * n - 8 * delta**2 + 8,
+            )
+            match_q = q_cubic.coefficients == expected
+            d_cubic = family_cubic(CubicFamily.D_BLOCKS, n, s=2, delta=delta)
+            differs_d = d_cubic.coefficients != expected
+            out.append(CheckOutcome(
+                "blocks-cubic-s2-specialization", f"n={n},delta={delta}",
+                match_q and differs_d, 1.0 if match_q else 0.0,
+                "matches signless-Laplacian block cubic; distance one differs",
+            ))
+    return out
+
+
+def check_gap_polynomial_expansions(delta_range: tuple[int, int],
+                                    n_max: int) -> list[CheckOutcome]:
+    """Expanded bound polynomials agree with direct gap evaluations (exact).
+
+    One outcome per disagreeing cell, then one for the whole grid.
+    """
+    failed = []
+    for delta in range(max(3, delta_range[0]), delta_range[1] + 1):
+        for s in range(2, delta):
+            n_lo = s + (delta + 1 - s) * (s - 1) + 1
+            for n in range(n_lo, n_max + 1, 3):
+                f_direct = eval_poly(q_block_gap_coeffs(n, s, delta), 2 * n - 2 * delta)
+                f_closed = q_block_gap_at_bracket_floor(n, s, delta)
+                g_direct = eval_poly(d_block_gap_coeffs(n, s, delta), n + delta - 3)
+                g_closed = d_block_gap_at_wiener_floor(n, s, delta)
+                s2_ok = True
+                if s == 2:
+                    s2_ok = q_block_gap_s2_coeffs(n, delta) == q_block_gap_coeffs(n, 2, delta)
+                if not (f_direct == f_closed and g_direct == g_closed and s2_ok):
+                    failed.append((f"n={n},s={s},delta={delta}", False,
+                                   f"f:{f_direct}!={f_closed} g:{g_direct}!={g_closed}"))
+    points = failed + [("grid", not failed, "")]
+    return [CheckOutcome("gap-polynomial-expansions", point, ok, float(ok), note)
+            for point, ok, note in points]
+
+
+# -- the registry -----------------------------------------------------------------
+
+# (check names, check function, the input it reads), in run order. The first
+# three draw from one Random(seed), so their order fixes every sampled point.
+CHECKS = (
+    (("q-monotone-edge-add",), check_q_edge_addition, "rng"),
+    (("d-monotone-edge-delete",), check_d_edge_deletion, "rng"),
+    (("q-family-dominance", "d-family-dominance"), check_family_dominance, "rng"),
+    (("quotient-root-matches-matrix",), check_quotient_matches_matrix, "q-grid"),
+    (("wiener-lower-bound",), check_wiener_bound, "wiener-corpus"),
+    (("q-threshold-bracket",), check_q_threshold_bracket, "q-grid"),
+    (("odd-component-implication",), check_odd_component_implication, "even-corpus"),
+    (("odd-order-observation",), observe_odd_order_condition, "odd-corpus"),
+    (("extremal-wiener-closed-form",), check_extremal_wiener_closed_form, "d-grid"),
+    (("d-blocks-rayleigh-gap",), check_blocks_rayleigh_gap, "d-grid"),
+    (("perron-ratio-positivity",), check_perron_ratio, "d-grid"),
+    (("blocks-cubic-s2-specialization",), check_blocks_cubic_s2, "delta-range"),
+    (("gap-polynomial-expansions",), check_gap_polynomial_expansions, "delta-range"),
+)
+
+SUITE_CHECK_NAMES = tuple(name for names, _, _ in CHECKS for name in names)
+
+
+def run_property_suite(
+    *,
+    seed: int = 12345,
+    trials: int = 200,
+    delta_range: tuple[int, int] = (2, 5),
+    n_max: int = 40,
+    corpus_max_n: int = 0,
+    oracle_max_n: int = 0,
+    checks: Optional[Iterable[str]] = None,
+) -> list[CheckOutcome]:
+    """Outcomes of the named checks (all by default), in registry order.
+
+    The bundled corpora of orders 1..corpus_max_n feed the Wiener lower
+    bound; those of orders 3..oracle_max_n feed the odd-component
+    implication (even orders) and the odd-order observation (odd orders).
+    A corpus is decoded only when a selected check reads it.
+    """
+    selected = set(SUITE_CHECK_NAMES if checks is None else checks)
+    unknown = selected.difference(SUITE_CHECK_NAMES)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    rng = Random(seed)
+
+    def corpus(orders: range) -> list[Graph]:
+        return [g for n in orders for g in load_bundled_corpus(n)]
+
+    inputs = {
+        "rng": lambda: (rng, trials),
+        "q-grid": lambda: (order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max),),
+        "d-grid": lambda: (order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max),),
+        "delta-range": lambda: (delta_range, n_max),
+        "wiener-corpus": lambda: (corpus(range(1, corpus_max_n + 1)),),
+        "even-corpus": lambda: (corpus(range(4, oracle_max_n + 1, 2)),),
+        "odd-corpus": lambda: (corpus(range(3, oracle_max_n + 1, 2)),),
+    }
+    outcomes = []
+    for names, check, reads in CHECKS:
+        if not selected.isdisjoint(names):
+            outcomes.extend(o for o in check(*inputs[reads]()) if o.check in selected)
+    return outcomes

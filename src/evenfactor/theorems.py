@@ -1,4 +1,4 @@
-"""Extremal family, spectral thresholds, and even-factor certification.
+"""Extremal graph, spectral thresholds, and even-factor verdicts.
 
 The two sufficient conditions implemented here compare a connected graph
 of even order n and minimum degree delta >= 2 against the extremal graph
@@ -12,54 +12,23 @@ K_delta v (K_{n-2delta+1} u (delta-1)K_1):
 
 Thresholds come from the closed-form quotient cubics and are cross-checked
 against the explicitly built extremal graph on every evaluation. Order
-bounds are compared in exact rational arithmetic. A property-check suite
-exercises the supporting monotonicity, dominance, quotient, and
-perturbation facts on finite grids.
+bounds are compared in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from random import Random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, clique_join
-from .oracle import (
-    CertificateStatus,
-    EvenFactorCertificate,
-    find_even_factor,
-    odd_component_condition,
-)
-from .quotient import (
-    CubicFamily,
-    blocks_family_big_clique,
-    charpoly3,
-    d_block_gap_at_wiener_floor,
-    d_block_gap_coeffs,
-    eval_poly,
-    family_cubic,
-    largest_root,
-    q_block_gap_at_bracket_floor,
-    q_block_gap_coeffs,
-    q_block_gap_s2_coeffs,
-    quotient_matrix,
-)
-from .sampling import sample_graph
-from .spectral import (
-    distance_matrix,
-    largest_eigenvalue,
-    rho_d,
-    rho_d_many,
-    rho_q,
-    rho_q_many,
-    signless_laplacian,
-    wiener_index,
-)
+from .oracle import CertificateStatus, EvenFactorCertificate, find_even_factor
+from .quotient import CubicFamily, family_cubic, largest_root
+from .spectral import rho_d, rho_d_many, rho_q, rho_q_many
 
 COMPARISON_EPSILON = 1e-8
 BORDERLINE_MARGIN = 1e-6
@@ -102,66 +71,10 @@ def extremal_graph(p: ExtremalParams) -> Graph:
     return clique_join(p.delta, (p.big_clique,) + (1,) * (p.delta - 1))
 
 
-def extremal_blocks(p: ExtremalParams) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(join, big clique, singletons) vertex blocks of extremal_graph."""
-    d, q = p.delta, p.big_clique
-    return (
-        tuple(range(d)),
-        tuple(range(d, d + q)),
-        tuple(range(d + q, p.n)),
-    )
-
-
 def extremal_wiener(p: ExtremalParams) -> int:
     """Closed-form Wiener index (n^2 + (2delta-3)n - 3delta^2 + 3delta) / 2."""
     n, d = p.n, p.delta
     return (n * n + (2 * d - 3) * n - 3 * d * d + 3 * d) // 2
-
-
-# -- the comparison families --------------------------------------------------
-
-
-class JoinFamily(Enum):
-    ODD_CLIQUES = "odd-cliques"          # K_s v (K_{n_1} u ... u K_{n_s})
-    SINGLETONS = "singletons"            # K_s v (K_{n-2s+1} u (s-1)K_1)
-    UNIFORM_BLOCKS = "uniform-blocks"    # K_s v (K_q u (s-1)K_{delta+1-s})
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    n: int
-    s: int
-    delta: Optional[int] = None
-    parts: Optional[tuple[int, ...]] = None
-
-
-def family_graph(f: FamilyParams, which: JoinFamily) -> Graph:
-    """Build one of the three comparison families; labeling as clique_join."""
-    if which is JoinFamily.ODD_CLIQUES:
-        if f.parts is None:
-            raise ValueError("odd-cliques family needs parts")
-        parts = tuple(f.parts)
-        if len(parts) != f.s:
-            raise ValueError(f"expected {f.s} parts, got {len(parts)}")
-        if any(p % 2 == 0 or p < 1 for p in parts):
-            raise ValueError(f"parts must be odd positive integers, got {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be nonincreasing, got {parts}")
-        if sum(parts) != f.n - f.s:
-            raise ValueError(f"parts must sum to n - s = {f.n - f.s}, got {sum(parts)}")
-        return clique_join(f.s, parts)
-    if which is JoinFamily.SINGLETONS:
-        if f.s < 2 or f.n < 2 * f.s:
-            raise ValueError(f"singleton family needs s >= 2 and n >= 2s, got {f}")
-        return clique_join(f.s, (f.n - 2 * f.s + 1,) + (1,) * (f.s - 1))
-    if f.delta is None:
-        raise ValueError("uniform-blocks family needs delta")
-    if not (2 <= f.s <= f.delta - 1):
-        raise ValueError(f"uniform-blocks family needs 2 <= s <= delta-1, got {f}")
-    q = blocks_family_big_clique(f.n, f.s, f.delta)
-    if q < 1:
-        raise ValueError(f"uniform-blocks family needs a nonempty big clique, got {f}")
-    return clique_join(f.s, (q,) + (f.delta + 1 - f.s,) * (f.s - 1))
 
 
 # -- thresholds ----------------------------------------------------------------
@@ -444,58 +357,6 @@ def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
                                     spectral_value=value, connected=conn)
 
 
-def check_even_factor_q(g: Graph, **kwargs) -> TheoremVerdict:
-    """Signless-Laplacian condition: rho_Q(G) >= threshold."""
-    return check_even_factor(g, TheoremKind.SIGNLESS_LAPLACIAN, **kwargs)
-
-
-def check_even_factor_d(g: Graph, **kwargs) -> TheoremVerdict:
-    """Distance condition: rho_D(G) <= threshold."""
-    return check_even_factor(g, TheoremKind.DISTANCE, **kwargs)
-
-
-# -- Perron block components of the extremal distance quotient -----------------
-
-
-@dataclass(frozen=True)
-class PerronABC:
-    """Block components (big clique a=1, join b, singletons c) at rho.
-
-    ``system_residual`` is the worst absolute defect of the three quotient
-    eigen-equations; ``ratio_residual`` compares b against the closed form
-    (rho + n - 2delta + 2) / (2rho - delta + 2).
-    """
-
-    a: float
-    b: float
-    c: float
-    rho: float
-    system_residual: float
-    ratio_residual: float
-
-
-def perron_abc(p: ExtremalParams) -> PerronABC:
-    """Solve the 3-block distance quotient eigen-system with a = 1."""
-    n, d = p.n, p.delta
-    rho = threshold_rho_d(p)
-    # rows of the quotient (blocks: big clique, join, singletons):
-    #   rho a = (n-2d) a   + d b     + 2(d-1) c
-    #   rho b = (n-2d+1) a + (d-1) b + (d-1) c
-    #   rho c = 2(n-2d+1) a + d b    + 2(d-2) c
-    # Solve rows 1 and 3 for (b, c) with a = 1, then rows give residuals.
-    c = (rho + n - 2 * d + 2) / (rho + 2)
-    b = (rho - (n - 2 * d) - 2 * (d - 1) * c) / d
-    a = 1.0
-    r1 = abs((n - 2 * d) * a + d * b + 2 * (d - 1) * c - rho * a)
-    r2 = abs((n - 2 * d + 1) * a + (d - 1) * b + (d - 1) * c - rho * b)
-    r3 = abs(2 * (n - 2 * d + 1) * a + d * b + 2 * (d - 2) * c - rho * c)
-    closed_b = (rho + n - 2 * d + 2) / (2 * rho - d + 2)
-    result = PerronABC(a, b, c, rho, max(r1, r2, r3), abs(b - closed_b))
-    if not (b > 0 and c > 0):
-        raise RuntimeError(f"non-positive Perron block components: {result}")
-    return result
-
-
 # -- even factor of the extremal graph ------------------------------------------
 
 
@@ -506,430 +367,6 @@ def extremal_even_factor(p: ExtremalParams) -> EvenFactorCertificate:
     most 12,569 search nodes.
     """
     return find_even_factor(extremal_graph(p))
-
-
-# -- property-check suite -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    check: str
-    point: str
-    passed: bool
-    margin: float
-    note: str = ""
-
-
-@dataclass
-class SuiteReport:
-    outcomes: list[CheckOutcome] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[CheckOutcome]:
-        return [o for o in self.outcomes if not o.passed]
-
-    def extend(self, outcomes: Iterable[CheckOutcome]) -> None:
-        self.outcomes.extend(outcomes)
-
-
-def _random_connected_graph(rng: Random, n: int, p: float) -> Graph:
-    while True:
-        g = sample_graph(rng, n, p)
-        if g.is_connected():
-            return g
-
-
-def check_q_edge_addition(rng: Random, trials: int) -> list[CheckOutcome]:
-    """Adding any missing edge to a connected graph strictly raises rho_Q."""
-    out = []
-    done = 0
-    while done < trials:
-        n = rng.randrange(4, 10)
-        g = _random_connected_graph(rng, n, rng.uniform(0.3, 0.7))
-        non_edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
-        ]
-        if not non_edges:
-            continue
-        u, v = rng.choice(non_edges)
-        bigger = Graph(n, g.edges() + [(u, v)])
-        margin = rho_q(bigger) - rho_q(g)
-        out.append(CheckOutcome(
-            "q-monotone-edge-add", f"n={n},m={g.edge_count},edge=({u},{v})",
-            margin > COMPARISON_EPSILON, margin,
-        ))
-        done += 1
-    return out
-
-
-def check_d_edge_deletion(rng: Random, trials: int) -> list[CheckOutcome]:
-    """Deleting a non-bridge edge strictly raises rho_D."""
-    out = []
-    done = 0
-    while done < trials:
-        n = rng.randrange(4, 10)
-        g = _random_connected_graph(rng, n, rng.uniform(0.4, 0.8))
-        choices = list(g.edges())
-        rng.shuffle(choices)
-        smaller = None
-        removed = None
-        for u, v in choices:
-            cand = Graph(n, [e for e in g.edges() if e != (u, v)])
-            if cand.is_connected():
-                smaller, removed = cand, (u, v)
-                break
-        if smaller is None:
-            continue
-        margin = rho_d(smaller) - rho_d(g)
-        out.append(CheckOutcome(
-            "d-monotone-edge-delete", f"n={n},m={g.edge_count},edge={removed}",
-            margin > COMPARISON_EPSILON, margin,
-        ))
-        done += 1
-    return out
-
-
-def _dominance_point(rng: Random) -> tuple[int, int, int, tuple[int, ...]]:
-    while True:
-        t = rng.randrange(2, 4)
-        s = rng.randrange(2, 5)
-        p = rng.randrange(1, 3)
-        parts = sorted((rng.randrange(p, p + 4) for _ in range(t)), reverse=True)
-        n = s + sum(parts)
-        if parts[0] < n - s - p * (t - 1):
-            return n, s, p, tuple(parts)
-
-
-def check_family_dominance(rng: Random, trials: int) -> list[CheckOutcome]:
-    """Concentrating clique mass raises rho_Q and lowers rho_D.
-
-    Compares K_s v (K_{n_1} u ... u K_{n_t}) against
-    K_s v (K_{n-s-p(t-1)} u (t-1)K_p) when n_1 < n - s - p(t-1).
-    """
-    out = []
-    for _ in range(trials):
-        n, s, p, parts = _dominance_point(rng)
-        t = len(parts)
-        spread = clique_join(s, parts)
-        packed = clique_join(s, (n - s - p * (t - 1),) + (p,) * (t - 1))
-        q_margin = rho_q(packed) - rho_q(spread)
-        d_margin = rho_d(spread) - rho_d(packed)
-        point = f"n={n},s={s},p={p},parts={parts}"
-        out.append(CheckOutcome("q-family-dominance", point,
-                                q_margin > COMPARISON_EPSILON, q_margin))
-        out.append(CheckOutcome("d-family-dominance", point,
-                                d_margin > COMPARISON_EPSILON, d_margin))
-    return out
-
-
-def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
-    """Equitable-quotient cubic roots equal full-matrix Perron values."""
-    out = []
-    for p in grid:
-        g = extremal_graph(p)
-        joins, bigs, singles = extremal_blocks(p)
-        n, d = p.n, p.delta
-        qm = quotient_matrix(signless_laplacian(g), (joins, bigs, singles))
-        root = largest_root(charpoly3(qm), 2 * n - 2 * d, 4 * n, widen=True)
-        err_q = abs(root - rho_q(g))
-        dm = quotient_matrix(distance_matrix(g), (bigs, joins, singles))
-        root_d = largest_root(charpoly3(dm), Fraction(2 * extremal_wiener(p), n), 4 * n,
-                              widen=True)
-        err_d = abs(root_d - rho_d(g))
-        note = "" if qm.equitable and dm.equitable else "partition not equitable"
-        err = max(err_q, err_d)
-        out.append(CheckOutcome(
-            "quotient-root-matches-matrix", f"n={n},delta={d}",
-            err <= THRESHOLD_AGREEMENT and qm.equitable and dm.equitable, err, note,
-        ))
-    return out
-
-
-def check_wiener_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
-    """rho_D >= 2 W / n for connected graphs (all-ones Rayleigh quotient)."""
-    out = []
-    for i, g in enumerate(graphs):
-        margin = rho_d(g) - 2 * wiener_index(g) / g.n
-        out.append(CheckOutcome(
-            "wiener-lower-bound", f"graph#{i},n={g.n},m={g.edge_count}",
-            margin >= -COMPARISON_EPSILON, margin,
-        ))
-    return out
-
-
-def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
-    """Strict bracket 2n-2delta < rho_Q(extremal) < 2n-delta."""
-    out = []
-    for p in grid:
-        thr = threshold_rho_q(p)
-        lo_margin = thr - (2 * p.n - 2 * p.delta)
-        hi_margin = (2 * p.n - p.delta) - thr
-        out.append(CheckOutcome(
-            "q-threshold-bracket", f"n={p.n},delta={p.delta}",
-            lo_margin > 0 and hi_margin > 0, min(lo_margin, hi_margin),
-        ))
-    return out
-
-
-def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
-    """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
-
-    n = 2 is a genuine degenerate boundary: K_2 satisfies the condition
-    vacuously (the only subset of size >= 2 is all of V) but has no even
-    factor, so it is excluded.
-    """
-    out = []
-    for i, g in enumerate(graphs):
-        if g.n % 2 or g.n < 4:
-            continue
-        report = odd_component_condition(g)
-        if not report.holds:
-            continue
-        cert = find_even_factor(g)
-        out.append(CheckOutcome(
-            "odd-component-implication", f"graph#{i},n={g.n},m={g.edge_count}",
-            cert.status is CertificateStatus.FOUND,
-            1.0 if cert.status is CertificateStatus.FOUND else 0.0,
-            cert.status.value,
-        ))
-    return out
-
-
-def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
-    """Record (never assert) the condition-vs-factor relation on odd orders.
-
-    The sufficient condition is only stated for even orders; this summarizes
-    what happens on odd-order inputs as a single always-passing observation.
-    """
-    satisfied = with_factor = without = 0
-    for g in graphs:
-        if g.n % 2 == 0 or g.n < 3:
-            continue
-        if not odd_component_condition(g).holds:
-            continue
-        satisfied += 1
-        status = find_even_factor(g).status
-        if status is CertificateStatus.FOUND:
-            with_factor += 1
-        elif status is CertificateStatus.NONE_EXISTS:
-            without += 1
-    return [CheckOutcome(
-        "odd-order-observation", f"odd-order graphs observed={satisfied}",
-        True, float(without),
-        f"condition held on {satisfied}; factor found on {with_factor}, "
-        f"absent on {without} (recorded as data, not a claim)",
-    )]
-
-
-def check_extremal_wiener_closed_form(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
-    """BFS Wiener index equals the closed form on the extremal family."""
-    out = []
-    for p in grid:
-        direct = wiener_index(extremal_graph(p))
-        closed = extremal_wiener(p)
-        out.append(CheckOutcome(
-            "extremal-wiener-closed-form", f"n={p.n},delta={p.delta}",
-            direct == closed, float(direct - closed),
-        ))
-    return out
-
-
-def blocks_graph_aligned(p: ExtremalParams) -> Graph:
-    """The s=2 uniform-blocks graph laid out on the extremal graph's labels.
-
-    Starting from the extremal graph: the singletons become a clique joined
-    only to the first two join vertices; the remaining join vertices merge
-    into the big clique. The result is isomorphic to
-    K_2 v (K_{n-delta-1} u K_{delta-1}).
-    """
-    joins, _, singles = extremal_blocks(p)
-    edges = set(extremal_graph(p).edges())
-    for u in singles:
-        for j in joins[2:]:
-            edges.discard((j, u) if j < u else (u, j))
-    for i, u in enumerate(singles):
-        for w in singles[i + 1:]:
-            edges.add((u, w))
-    return Graph(p.n, sorted(edges))
-
-
-def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
-    """rho_D(blocks s=2) - rho_D(extremal) >= (d-1)(d-2) x_iso (2 x_join - x_iso).
-
-    The right side is the Rayleigh quadratic form of the distance-matrix
-    perturbation evaluated at the extremal graph's unit Perron vector, whose
-    block values are read off the exact labeling.
-    """
-    out = []
-    for p in grid:
-        if p.delta < 3:
-            continue
-        star = extremal_graph(p)
-        moved = blocks_graph_aligned(p)
-        res = largest_eigenvalue(distance_matrix(star))
-        joins, _, singles = extremal_blocks(p)
-        x_join = float(res.vector[joins[0]])
-        x_iso = float(res.vector[singles[0]])
-        bound = (p.delta - 1) * (p.delta - 2) * x_iso * (2 * x_join - x_iso)
-        gap = rho_d(moved) - res.value
-        margin = gap - bound
-        out.append(CheckOutcome(
-            "d-blocks-rayleigh-gap", f"n={p.n},delta={p.delta}",
-            margin >= -COMPARISON_EPSILON and bound > 0, margin,
-            f"gap={gap:.6g},bound={bound:.6g}",
-        ))
-    return out
-
-
-def check_perron_ratio(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
-    """2b - a > 0 and the closed-form ratio for b, at 1e-10."""
-    out = []
-    for p in grid:
-        res = perron_abc(p)
-        ok = (
-            2 * res.b - res.a > 0
-            and res.ratio_residual <= 1e-10
-            and res.system_residual <= 1e-8
-        )
-        out.append(CheckOutcome(
-            "perron-ratio-positivity", f"n={p.n},delta={p.delta}",
-            ok, 2 * res.b - res.a,
-            f"ratio_residual={res.ratio_residual:.3e}",
-        ))
-    return out
-
-
-def check_blocks_cubic_s2(delta_range: tuple[int, int], n_max: int) -> list[CheckOutcome]:
-    """The s=2 block-family cubic is the signless-Laplacian one.
-
-    The expected specialization (x^3 + (4-3n)x^2 + ... ) matches the Q-side
-    block family exactly and differs from the distance-side block family;
-    recorded here so the labeling question is settled by data.
-    """
-    out = []
-    for delta in range(max(3, delta_range[0]), delta_range[1] + 1):
-        n0 = delta + 4 - delta % 2
-        for n in range(n0, n_max + 1, 4):
-            q_cubic = family_cubic(CubicFamily.Q_BLOCKS, n, s=2, delta=delta)
-            expected = (
-                1,
-                4 - 3 * n,
-                2 * n**2 + 4 * delta * n - 10 * n - 4 * delta**2 + 8,
-                4 * n**2 - 4 * delta * n**2 + 4 * delta**2 * n + 8 * delta * n
-                - 12 * n - 8 * delta**2 + 8,
-            )
-            match_q = q_cubic.coefficients == expected
-            d_cubic = family_cubic(CubicFamily.D_BLOCKS, n, s=2, delta=delta)
-            differs_d = d_cubic.coefficients != expected
-            out.append(CheckOutcome(
-                "blocks-cubic-s2-specialization", f"n={n},delta={delta}",
-                match_q and differs_d, 1.0 if match_q else 0.0,
-                "matches signless-Laplacian block cubic; distance one differs",
-            ))
-    return out
-
-
-def check_gap_polynomial_expansions(delta_range: tuple[int, int],
-                                    n_max: int) -> list[CheckOutcome]:
-    """Expanded bound polynomials agree with direct gap evaluations (exact)."""
-    out = []
-    worst_pass = True
-    for delta in range(max(3, delta_range[0]), delta_range[1] + 1):
-        for s in range(2, delta):
-            n_lo = s + (delta + 1 - s) * (s - 1) + 1
-            for n in range(n_lo, n_max + 1, 3):
-                f_direct = eval_poly(q_block_gap_coeffs(n, s, delta), 2 * n - 2 * delta)
-                f_closed = q_block_gap_at_bracket_floor(n, s, delta)
-                g_direct = eval_poly(d_block_gap_coeffs(n, s, delta), n + delta - 3)
-                g_closed = d_block_gap_at_wiener_floor(n, s, delta)
-                s2_ok = True
-                if s == 2:
-                    s2_ok = q_block_gap_s2_coeffs(n, delta) == q_block_gap_coeffs(n, 2, delta)
-                ok = f_direct == f_closed and g_direct == g_closed and s2_ok
-                worst_pass = worst_pass and ok
-                if not ok:
-                    out.append(CheckOutcome(
-                        "gap-polynomial-expansions", f"n={n},s={s},delta={delta}",
-                        False, 0.0,
-                        f"f:{f_direct}!={f_closed} g:{g_direct}!={g_closed}",
-                    ))
-    out.append(CheckOutcome(
-        "gap-polynomial-expansions", "grid", worst_pass,
-        1.0 if worst_pass else 0.0,
-    ))
-    return out
-
-
-def run_property_suite(
-    *,
-    seed: int = 12345,
-    trials: int = 200,
-    delta_range: tuple[int, int] = (2, 5),
-    n_max: int = 40,
-    corpus_graphs: Sequence[Graph] = (),
-    oracle_graphs: Sequence[Graph] = (),
-    checks: Optional[set[str]] = None,
-) -> SuiteReport:
-    """Run the supporting-fact checks on seeded samples and finite grids.
-
-    ``corpus_graphs`` feeds the Wiener lower bound; ``oracle_graphs`` feeds
-    the odd-component implication (even orders only). ``checks`` restricts
-    the run to a subset of check names.
-    """
-    rng = Random(seed)
-    q_grid = list(order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max))
-    d_grid = list(order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max))
-    report = SuiteReport()
-
-    def want(name: str) -> bool:
-        return checks is None or name in checks
-
-    if want("q-monotone-edge-add"):
-        report.extend(check_q_edge_addition(rng, trials))
-    if want("d-monotone-edge-delete"):
-        report.extend(check_d_edge_deletion(rng, trials))
-    if want("q-family-dominance") or want("d-family-dominance"):
-        report.extend(check_family_dominance(rng, max(1, trials // 4)))
-    if want("quotient-root-matches-matrix"):
-        report.extend(check_quotient_matches_matrix(q_grid))
-    if want("wiener-lower-bound"):
-        report.extend(check_wiener_bound(corpus_graphs))
-    if want("q-threshold-bracket"):
-        report.extend(check_q_threshold_bracket(q_grid))
-    if want("odd-component-implication"):
-        report.extend(check_odd_component_implication(oracle_graphs))
-    if want("odd-order-observation"):
-        report.extend(observe_odd_order_condition(oracle_graphs))
-    if want("extremal-wiener-closed-form"):
-        report.extend(check_extremal_wiener_closed_form(d_grid))
-    if want("d-blocks-rayleigh-gap"):
-        report.extend(check_blocks_rayleigh_gap(d_grid))
-    if want("perron-ratio-positivity"):
-        report.extend(check_perron_ratio(
-            [p for p in d_grid if p.delta >= 3 and p.n >= 8 * p.delta - 7]))
-    if want("blocks-cubic-s2-specialization"):
-        report.extend(check_blocks_cubic_s2(delta_range, n_max))
-    if want("gap-polynomial-expansions"):
-        report.extend(check_gap_polynomial_expansions(delta_range, n_max))
-    return report
-
-
-SUITE_CHECK_NAMES = (
-    "q-monotone-edge-add",
-    "d-monotone-edge-delete",
-    "q-family-dominance",
-    "d-family-dominance",
-    "quotient-root-matches-matrix",
-    "wiener-lower-bound",
-    "q-threshold-bracket",
-    "odd-component-implication",
-    "odd-order-observation",
-    "extremal-wiener-closed-form",
-    "d-blocks-rayleigh-gap",
-    "perron-ratio-positivity",
-    "blocks-cubic-s2-specialization",
-    "gap-polynomial-expansions",
-)
 
 
 # -- extremal status table -------------------------------------------------------
@@ -976,3 +413,4 @@ def extremal_table(
             extremal_even_factor(p).status,
         ))
     return rows
+

@@ -10,6 +10,7 @@ from random import Random
 
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import to_graph6
+from evenfactor.lemmas import perron_abc, run_property_suite
 from evenfactor.oracle import (
     CertificateStatus,
     find_even_factor,
@@ -33,9 +34,7 @@ from evenfactor.theorems import (
     extremal_table,
     order_bound,
     order_bound_grid,
-    perron_abc,
     recognize_extremal,
-    run_property_suite,
     threshold_rho_q,
     EXTREMAL_TABLE_NOTE,
 )
@@ -242,12 +241,12 @@ def test_criterion_7_perron_positivity_and_ratio():
 
 def test_criterion_8_monotonicity_suites():
     """1000 seeded edge additions (rho_Q up), 1000 deletions (rho_D up)."""
-    report = run_property_suite(
+    outcomes = run_property_suite(
         seed=808, trials=1000,
         checks={"q-monotone-edge-add", "d-monotone-edge-delete"},
     )
-    add = [o for o in report.outcomes if o.check == "q-monotone-edge-add"]
-    dele = [o for o in report.outcomes if o.check == "d-monotone-edge-delete"]
+    add = [o for o in outcomes if o.check == "q-monotone-edge-add"]
+    dele = [o for o in outcomes if o.check == "d-monotone-edge-delete"]
     ok = (
         len(add) == 1000 and len(dele) == 1000
         and all(o.passed and o.margin > 0 for o in add + dele)

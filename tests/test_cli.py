@@ -156,10 +156,18 @@ def test_scan_sampler_beyond_one_character_graph6_size(tmp_path):
 
 
 def test_impossible_arguments_are_usage_errors(capsys):
-    # minimum degree 2 needs three vertices; the extremal family needs delta >= 2
+    # minimum degree 2 needs three vertices; the extremal family needs delta >= 2;
+    # a scan needs a source; the bundled corpora stop at n = 8
     for argv in (["scan", "-n", "0", "--sample-size", "5"],
                  ["scan", "-n", "1", "--sample-size", "5"],
                  ["scan", "-n", "2", "--sample-size", "5"],
+                 ["scan", "-n", "10", "--sample-size", "-3"],
+                 ["scan", "--sample-size", "3"],
+                 ["scan"],
+                 ["scan", "-n", "9"],
+                 ["lemmas", "--oracle-max-n", "12"],
+                 ["lemmas", "--corpus-max-n", "10"],
+                 ["lemmas", "--corpus-max-n", "-1"],
                  ["extremal", "--delta-min", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
