@@ -495,8 +495,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             if not 0 <= value <= top:
                 parser.error(f"lemmas: {flag} must be in 0..{top}, the orders of "
                              f"the bundled corpora, got {value}")
-    if args.command == "extremal" and args.delta_min < 2:
-        parser.error(f"extremal: --delta-min must be >= 2, got {args.delta_min}")
+        if args.trials < 0:
+            parser.error(f"lemmas: --trials must be >= 0, got {args.trials}")
+        if args.delta_max < 2:
+            parser.error(f"lemmas: --delta-max must be >= 2, the smallest delta "
+                         f"of the grid checks, got {args.delta_max}")
+    if args.command == "extremal":
+        if args.delta_min < 2:
+            parser.error(f"extremal: --delta-min must be >= 2, got {args.delta_min}")
+        if args.delta_max < args.delta_min:
+            parser.error(f"extremal: --delta-max must be >= --delta-min "
+                         f"({args.delta_min}), got {args.delta_max}")
     started = time.perf_counter()
     config, rows, violations = args.func(args)
     return _emit_report(args, config, rows, violations, started)

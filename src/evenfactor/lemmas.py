@@ -263,6 +263,9 @@ def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutco
 def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
 
+    On even orders the condition is bicriticality (see
+    ``odd_component_condition``), so this tests "bicritical => even factor".
+
     n = 2 is a genuine degenerate boundary: K_2 satisfies the condition
     vacuously (the only subset of size >= 2 is all of V) but has no even
     factor, so it is excluded.

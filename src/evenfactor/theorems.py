@@ -185,6 +185,7 @@ class TheoremKind(Enum):
     DISTANCE = "distance"
 
 
+@lru_cache(maxsize=None)
 def order_bound(kind: TheoremKind, delta: int) -> Fraction:
     """Smallest admissible n for the given condition at minimum degree delta."""
     d = Fraction(delta)

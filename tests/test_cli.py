@@ -157,7 +157,8 @@ def test_scan_sampler_beyond_one_character_graph6_size(tmp_path):
 
 def test_impossible_arguments_are_usage_errors(capsys):
     # minimum degree 2 needs three vertices; the extremal family needs delta >= 2;
-    # a scan needs a source; the bundled corpora stop at n = 8
+    # a scan needs a source; the bundled corpora stop at n = 8; a negative
+    # trial count or an empty delta range would drop checks or rows silently
     for argv in (["scan", "-n", "0", "--sample-size", "5"],
                  ["scan", "-n", "1", "--sample-size", "5"],
                  ["scan", "-n", "2", "--sample-size", "5"],
@@ -168,7 +169,11 @@ def test_impossible_arguments_are_usage_errors(capsys):
                  ["lemmas", "--oracle-max-n", "12"],
                  ["lemmas", "--corpus-max-n", "10"],
                  ["lemmas", "--corpus-max-n", "-1"],
-                 ["extremal", "--delta-min", "1"]):
+                 ["lemmas", "--trials", "-5"],
+                 ["lemmas", "--delta-max", "1"],
+                 ["extremal", "--delta-min", "1"],
+                 ["extremal", "--delta-max", "1"],
+                 ["extremal", "--delta-min", "5", "--delta-max", "4"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -20,6 +22,7 @@ from evenfactor.graphs import (
 )
 from evenfactor.oracle import (
     CertificateStatus,
+    OddComponentReport,
     find_even_factor,
     is_even_factor,
     odd_component_condition,
@@ -277,6 +280,45 @@ def brute_force_odd_component_condition(g):
     return True, None
 
 
+# SHA-256 of (holds, witness, subsets_checked) over _odd_component_graphs(),
+# recorded from the plain subset enumeration before even orders were
+# decided by the bicritical test; the two must agree on every graph
+ODD_COMPONENT_DIGEST = "bc85f9dd2015211d72b63288a4c8e7ffe018e1bd8c6edcf280fba74236f9055a"
+
+
+def _odd_component_graphs():
+    """The bundled corpora n = 3..8, then 600 seeded graphs on 4..12
+    vertices: in turn sparse to dense, dense, and near-bipartite (dense
+    between two random sides, sparse within them)."""
+    for n in range(3, 9):
+        yield from load_bundled_corpus(n)
+    rng = random.Random(8)
+    for i in range(600):
+        n = rng.randrange(4, 13)
+        if i % 3 == 2:
+            side = [rng.random() < 0.5 for _ in range(n)]
+            p = rng.uniform(0.6, 1.0)
+            yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < (p if side[u] != side[v] else 0.1)])
+        else:
+            p = rng.uniform(0.7, 1.0) if i % 3 else rng.uniform(0.2, 0.9)
+            yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+
+
+def test_odd_component_reports_match_golden_digest():
+    digest = hashlib.sha256()
+    dense = Counter()
+    for g in _odd_component_graphs():
+        rep = odd_component_condition(g)
+        digest.update(f"{rep.holds} {rep.witness} {rep.subsets_checked}\n".encode())
+        if g.n % 2 == 0 and g.min_degree() >= 3:
+            dense[rep.holds] += 1
+    assert digest.hexdigest() == ODD_COMPONENT_DIGEST
+    # even orders with minimum degree >= 3, both bicritical and not
+    assert dense == {True: 2366, False: 419}
+
+
 def test_odd_component_examples():
     assert odd_component_condition(complete(6)).holds
     rep = odd_component_condition(complete_bipartite(2, 3))
@@ -284,6 +326,14 @@ def test_odd_component_examples():
     assert components(complete_bipartite(2, 3), rep.witness).odd_count >= 2
     rep2 = odd_component_condition(clique_join(2, (7, 1)))
     assert not rep2.holds and rep2.witness == (0, 1)
+    for n in (16, 20):
+        rep = odd_component_condition(complete(n))
+        assert rep == OddComponentReport(True, None, sum(comb(n, s) for s in range(2, n // 2 + 1)))
+    assert odd_component_condition(complete(20)).subsets_checked == 616645
+    # minimum degree 4 but not bicritical: deleting two vertices of one side
+    # leaves sides of 2 and 4; the enumeration names the witness
+    rep = odd_component_condition(complete_bipartite(4, 4))
+    assert (rep.holds, rep.witness, rep.subsets_checked) == (False, (0, 1, 2, 3), 85)
 
 
 def test_odd_component_matches_unpruned_enumeration():
@@ -297,6 +347,37 @@ def test_odd_component_matches_unpruned_enumeration():
         assert rep.holds == holds
         if witness is not None:
             assert rep.witness == witness  # same size-lex enumeration order
+
+
+def _subsets_up_to(n, witness):
+    """Subsets of sizes 2..n/2 in size-lex order, up to the witness if any."""
+    if witness is None:
+        return sum(comb(n, s) for s in range(2, n // 2 + 1))
+    k = len(witness)
+    return sum(comb(n, s) for s in range(2, k)) + list(combinations(range(n), k)).index(witness) + 1
+
+
+def test_odd_component_on_dense_even_orders_matches_unpruned_enumeration():
+    # even n with minimum degree >= 3, the graphs the bicritical test decides;
+    # every third one near-bipartite, so that many are not bicritical
+    rng = random.Random(46)
+    verdicts = Counter()
+    for i in range(200):
+        n = rng.randrange(4, 11, 2)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.uniform(0.5, 1.0)
+        within = 0.1 if i % 3 == 2 else p
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < (p if side[u] != side[v] else within)])
+        if g.min_degree() < 3:
+            continue
+        holds, witness = brute_force_odd_component_condition(g)
+        rep = odd_component_condition(g)
+        assert (rep.holds, rep.witness) == (holds, witness)
+        assert rep.subsets_checked == _subsets_up_to(n, witness)
+        verdicts[n, holds] += 1
+    assert all(verdicts[n, True] for n in (4, 6, 8, 10))
+    assert sum(verdicts[n, False] for n in (4, 6, 8, 10)) >= 10
 
 
 def test_odd_component_witness_is_genuine():
