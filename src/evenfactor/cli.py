@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from random import Random
@@ -39,6 +40,7 @@ from .theorems import (
     check_even_factor_many,
     extremal_table,
     order_bound,
+    order_bound_grid,
 )
 
 SCHEMA_VERSION = "3"
@@ -473,9 +475,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unusable_paths(args) -> Iterable[str]:
+    """Why each input or report path named in args cannot work, if it cannot."""
+    source = args.corpus if args.command == "scan" else getattr(args, "input", None)
+    if source not in (None, "-"):
+        try:
+            open(source, "rb").close()
+        except OSError as exc:
+            yield f"{args.command}: cannot read {source}: {exc.strerror}"
+    for flag, path in (("--json", args.json), ("--csv", args.csv)):
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            yield f"{args.command}: {flag} {path}: no directory {folder}"
+        elif os.path.isdir(path):
+            yield f"{args.command}: {flag} {path}: is a directory"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for problem in _unusable_paths(args):
+        parser.error(problem)
+    if args.command == "scan" and args.corpus:
+        if args.n is not None or args.sample_size is not None:
+            parser.error("scan: --corpus reads its graphs from the file; "
+                         "it takes neither -n nor --sample-size")
     if args.command == "scan" and not args.corpus:
         if args.sample_size is None:
             if args.n not in BUNDLED_COUNTS:
@@ -500,12 +526,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.delta_max < 2:
             parser.error(f"lemmas: --delta-max must be >= 2, the smallest delta "
                          f"of the grid checks, got {args.delta_max}")
+        first = next(order_bound_grid(TheoremKind.DISTANCE, (2, 2))).n
+        if args.n_max < first:
+            parser.error(f"lemmas: --n-max must be >= {first}, the first order of "
+                         f"the distance grid at delta = 2, got {args.n_max}")
     if args.command == "extremal":
         if args.delta_min < 2:
             parser.error(f"extremal: --delta-min must be >= 2, got {args.delta_min}")
         if args.delta_max < args.delta_min:
             parser.error(f"extremal: --delta-max must be >= --delta-min "
                          f"({args.delta_min}), got {args.delta_max}")
+        cells = order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN,
+                                 (args.delta_min, args.delta_max), args.n_max, args.n_min)
+        if next(cells, None) is None:
+            parser.error("extremal: empty grid: every delta's first order (its "
+                         "order bound, or --n-min) lies above --n-max")
     started = time.perf_counter()
     config, rows, violations = args.func(args)
     return _emit_report(args, config, rows, violations, started)

@@ -263,8 +263,9 @@ def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutco
 def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
 
-    On even orders the condition is bicriticality (see
-    ``odd_component_condition``), so this tests "bicritical => even factor".
+    By the Tutte-Berge formula the condition says, on even orders, that G
+    is bicritical: every G - u - v has a perfect matching (see
+    ``odd_component_condition``). So this tests "bicritical => even factor".
 
     n = 2 is a genuine degenerate boundary: K_2 satisfies the condition
     vacuously (the only subset of size >= 2 is all of V) but has no even
@@ -292,6 +293,9 @@ def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
 
     The sufficient condition is only stated for even orders; this summarizes
     what happens on odd-order inputs as a single always-passing observation.
+    On odd orders the condition says, by the Tutte-Berge formula, that every
+    G - u - v has a matching missing just one vertex (see
+    ``odd_component_condition``).
     """
     satisfied = with_factor = without = 0
     for g in graphs:

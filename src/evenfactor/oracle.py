@@ -11,22 +11,19 @@ its decided degree plus its undecided incident edges cannot reach an even
 value of at least 2, and the search accepts as soon as every vertex has
 an even chosen degree of at least 2. Also provides the odd-component
 counting condition o(G - S) < |S| for all |S| >= 2, which is sufficient
-on even orders. On even orders it is the same as bicriticality (G - u - v
-has a perfect matching for every pair u, v), which a memoised matching
-search over vertex bitmasks settles; the graphs that fail it, and odd
-orders, enumerate the subsets S and count the components of G - S by
-flood fills on the graph's neighbour bitmasks.
+on even orders. By the Tutte-Berge formula it holds iff every G - u - v
+has a maximum matching that misses at most n mod 2 vertices (on even
+orders: G is bicritical), which one memoised matching search over vertex
+bitmasks settles at either parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from math import comb
 from typing import Iterable, Optional
 
-from .graphs import Graph, _bridges, _component
+from .graphs import Graph, _bridges
 
 DEFAULT_NODE_CAP = 100_000_000
 
@@ -48,12 +45,12 @@ class EvenFactorCertificate:
 class OddComponentReport:
     """Outcome of checking o(G - S) < |S| over all S with |S| >= 2.
 
-    ``witness`` is the first S (smallest size, lexicographic) violating the
-    condition, i.e. with o(G - S) >= |S|.
+    ``subsets_checked`` is the number of vertex pairs {u, v} whose G - u - v
+    the matching search tested (see ``odd_component_condition``); 0 when
+    the degree rule decided.
     """
 
     holds: bool
-    witness: Optional[tuple[int, ...]]
     subsets_checked: int
 
 
@@ -195,84 +192,63 @@ def find_even_factor(g: Graph, *, node_cap: int = DEFAULT_NODE_CAP) -> EvenFacto
             ok = r > 1 or k and (r or not k & 1)
 
 
-def _bicritical(bits: list[int]) -> bool:
-    """True iff G - u - v has a perfect matching for every pair u < v.
+def odd_component_condition(g: Graph) -> OddComponentReport:
+    """Check o(G - S) < |S| for every S with |S| >= 2.
+
+    By the Tutte-Berge formula, a maximum matching of H misses exactly
+    max_T (o(H - T) - |T|) vertices. With H = G - u - v and S = T + {u, v}
+    that is the largest o(G - S) - |S| + 2 over the S holding u and v.
+    Since o(G - S) has the parity of n - |S|, o(G - S) < |S| says
+    o(G - S) - |S| <= (n mod 2) - 2. Every S with |S| >= 2 holds a pair,
+    so the condition holds iff every G - u - v has a maximum matching
+    missing at most n mod 2 vertices: a perfect matching on even n, one
+    missing a single vertex on odd n.
 
     One memoised search over alive-vertex bitmasks serves every pair: the
-    lowest alive vertex is matched to each alive neighbour in turn. The
-    pairs run in lexicographic order and the test stops at the first pair
-    without a perfect matching. The recursion is n/2 calls deep.
-    """
-    memo = {0: True}
+    lowest alive vertex is matched to each alive neighbour in turn, and on
+    odd n it may instead be left unmatched, at most once; the memo key
+    carries that one-vertex budget as bit n. The pairs u < v run in
+    lexicographic order, the test stops at the first pair that fails, and
+    ``subsets_checked`` counts the pairs tested. The recursion is about
+    n/2 calls deep.
 
-    def matchable(alive: int) -> bool:
-        known = memo.get(alive)
-        if known is None:
-            low = alive & -alive
-            rest = alive ^ low
-            partners = bits[low.bit_length() - 1] & rest
-            known = False
-            while partners:
-                w = partners & -partners
-                partners ^= w
-                if matchable(rest ^ w):
-                    known = True
-                    break
-            memo[alive] = known
-        return known
+    Exact early exit: on even n >= 4 a vertex x of degree <= 2 fails the
+    condition with no search (0 pairs), because deleting a two-vertex S
+    that holds N(x) but not x leaves {x} as an odd component, and n - 2
+    is even, so another odd component remains.
 
-    n = len(bits)
-    full = (1 << n) - 1
-    return all(matchable(full ^ (1 << u) ^ (1 << v))
-               for u in range(n) for v in range(u + 1, n))
-
-
-def odd_component_condition(g: Graph) -> OddComponentReport:
-    """Check o(G - S) < |S| for every S with |S| >= 2, witness on failure.
-
-    On even n the condition says that G is bicritical: G - u - v has a
-    perfect matching for every pair u, v. By Tutte's theorem G - u - v has
-    one iff o(G - S) <= |S| - 2 for every S = T + {u, v}, and on even n
-    o(G - S) has the parity of |S|, so that is o(G - S) < |S|. A vertex of
-    degree <= 2 is isolated by deleting its neighbours, so for n >= 4
-    bicritical graphs have minimum degree >= 3. Those graphs are decided by
-    the matching test; when it passes, the report counts every subset the
-    enumeration below would have checked.
-
-    Every other graph (odd n, minimum degree <= 2, or not bicritical) runs
-    the enumeration. Only sizes up to n/2 are enumerated: o(G - S) >= |S|
-    needs at least |S| vertices outside S. Enumeration is in increasing
-    size, lexicographic, so the reported witness is deterministic. For each
-    S the components of G - S are peeled off one bitmask flood fill at a
-    time, and the peeling stops as soon as the verdict is settled: once |S|
-    of them are odd, or once the odd ones so far plus the vertices left
-    (each remaining component adds at most one) fall short of |S|.
-
-    Measured on one core of a 2-vCPU Xeon (Python 3.11): K_16 takes 0.2 ms
-    and K_20 0.3 ms, where enumerating their 39186 and 616645 subsets takes
-    70 ms and 1.5 s. The 11236 bundled graphs of even order take 0.22 s,
-    0.07 s of it on the 2207 that satisfy the condition (best of 5). The
-    enumeration stays exponential when it has to find a late witness:
-    K_{10,10} fails the matching test and then takes 431890 subsets and
-    1.2 s to reach its witness, one side of the bipartition.
+    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 5): K_16
+    takes 0.3 ms, K_21 0.6 ms and K_{10,10} 1.8 ms; the 11235 bundled
+    graphs of even order 4..8 take 0.15 s, 8626 of them settled by the
+    degree rule. The memo is keyed by alive sets, so on large sparse
+    graphs it can still grow exponentially in n.
     """
     n = g.n
+    if n % 2 == 0 and n >= 4 and g.min_degree() <= 2:
+        return OddComponentReport(False, 0)
     bits = [g.neighbor_bits(v) for v in range(n)]
-    if n % 2 == 0 and g.min_degree() >= 3 and _bicritical(bits):
-        return OddComponentReport(True, None, sum(comb(n, s) for s in range(2, n // 2 + 1)))
     full = (1 << n) - 1
+    spare = (n & 1) << n
+    memo = {0: True, spare: True}
+
+    def matchable(key: int) -> bool:
+        known = memo.get(key)
+        if known is None:
+            low = key & -key
+            rest = key ^ low
+            known = key > full and matchable(rest ^ spare)
+            partners = bits[low.bit_length() - 1] & rest
+            while partners and not known:
+                w = partners & -partners
+                partners ^= w
+                known = matchable(rest ^ w)
+            memo[key] = known
+        return known
+
     checked = 0
-    for size in range(2, n // 2 + 1):
-        for subset in combinations(range(n), size):
+    for u in range(n):
+        for v in range(u + 1, n):
             checked += 1
-            alive = full
-            for v in subset:
-                alive ^= 1 << v
-            odd = 0
-            while odd < size <= odd + alive.bit_count():
-                comp = _component(bits, alive & -alive, alive)
-                odd += comp.bit_count() & 1
-                alive ^= comp
-            if odd >= size:
-                return OddComponentReport(False, subset, checked)
-    return OddComponentReport(True, None, checked)
+            if not matchable(spare | full ^ (1 << u) ^ (1 << v)):
+                return OddComponentReport(False, checked)
+    return OddComponentReport(True, checked)

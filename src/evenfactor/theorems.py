@@ -128,11 +128,20 @@ def threshold_rho_d(p: ExtremalParams) -> float:
 
 
 def recognize_extremal(g: Graph, delta: int) -> bool:
-    """Structural isomorphism test against the extremal graph at (n, delta).
+    """Isomorphism test against the extremal graph at (n, delta).
 
-    The target is rigid: delta dominating vertices of degree n-1, delta-1
-    vertices of degree delta whose neighborhood is exactly the dominating
-    set, and a clique on the rest. No general isomorphism search is needed.
+    The extremal graph's degree multiset, delta of n - 1, delta - 1 of
+    delta and q = n - 2delta + 1 of n - delta, forces the graph, so
+    comparing sorted degrees is enough. The delta vertices of degree n - 1
+    are universal. A vertex of degree delta is adjacent to all of them, so
+    it has no other neighbour. Each of the q vertices left sees the delta
+    hubs and none of the delta - 1 degree-delta vertices, so the rest of
+    its degree n - delta is exactly the other q - 1: the big clique. The
+    classes n - 1 and delta differ as delta >= 2 and n >= 2delta, and
+    n - 1 and n - delta differ as delta >= 2. At n = 2delta the classes
+    delta and n - delta merge into delta vertices that see only the hubs,
+    which is the extremal graph with q = 1. The edge count is checked first
+    as a fast reject.
     """
     n = g.n
     if delta < 2 or n < 2 * delta:
@@ -143,38 +152,8 @@ def recognize_extremal(g: Graph, delta: int) -> bool:
     )
     if g.edge_count != expected_edges:
         return False
-    hubs = [v for v in range(n) if g.degree(v) == n - 1]
-    if len(hubs) != delta:
-        return False
-    hub_mask = 0
-    for v in hubs:
-        hub_mask |= 1 << v
-    only_hubs = []
-    big = []
-    for v in range(n):
-        if v in hubs:
-            continue
-        if g.neighbor_bits(v) == hub_mask:
-            only_hubs.append(v)
-        elif g.degree(v) == n - delta:
-            big.append(v)
-        else:
-            return False
-    if n == 2 * delta:
-        # degree classes delta and n - delta coincide; the big clique is K_1
-        return len(only_hubs) == delta and not big
-    if len(only_hubs) != delta - 1 or len(big) != q:
-        return False
-    big_mask = 0
-    for v in big:
-        big_mask |= 1 << v
-    for v in big:
-        nb = g.neighbor_bits(v)
-        if nb & ~(hub_mask | big_mask):
-            return False
-        if (big_mask & ~(1 << v)) & ~nb:
-            return False
-    return True
+    expected = [delta] * (delta - 1) + [n - delta] * q + [n - 1] * delta
+    return sorted(g.degree(v) for v in range(n)) == expected
 
 
 # -- theorem order bounds (exact rational arithmetic) --------------------------

@@ -155,11 +155,34 @@ def test_scan_sampler_beyond_one_character_graph6_size(tmp_path):
     assert json.loads(report_path.read_text())["rows"][0]["inputs"] == 1
 
 
-def test_impossible_arguments_are_usage_errors(capsys):
+def test_impossible_arguments_are_usage_errors(capsys, tmp_path):
     # minimum degree 2 needs three vertices; the extremal family needs delta >= 2;
     # a scan needs a source; the bundled corpora stop at n = 8; a negative
-    # trial count or an empty delta range would drop checks or rows silently
-    for argv in (["scan", "-n", "0", "--sample-size", "5"],
+    # trial count, an empty delta range or an empty order grid would drop
+    # checks or rows silently; a missing or directory path would fail with a
+    # traceback, a report path only after the whole run; a corpus scan
+    # would ignore -n and --sample-size
+    corpus = tmp_path / "in.g6"
+    corpus.write_text("C~\n")
+    missing = str(tmp_path / "missing.g6")
+    for argv in (["spectra", missing],
+                 ["certify", missing],
+                 ["oracle", missing],
+                 ["scan", "--corpus", missing],
+                 ["spectra", str(tmp_path)],
+                 ["oracle", str(tmp_path)],
+                 ["scan", "--corpus", str(tmp_path)],
+                 ["spectra", str(corpus), "--json", str(tmp_path / "no" / "r.json")],
+                 ["scan", "-n", "4", "--csv", str(tmp_path / "no" / "r.csv")],
+                 ["scan", "-n", "4", "--json", str(tmp_path)],
+                 ["scan", "--corpus", str(corpus), "--sample-size", "50", "-n", "10"],
+                 ["scan", "--corpus", str(corpus), "-n", "10"],
+                 ["scan", "--corpus", str(corpus), "--sample-size", "50"],
+                 ["extremal", "--n-max", "3"],
+                 ["extremal", "--n-min", "30", "--n-max", "20"],
+                 ["lemmas", "--n-max", "9"],
+                 ["lemmas", "--n-max", "2"],
+                 ["scan", "-n", "0", "--sample-size", "5"],
                  ["scan", "-n", "1", "--sample-size", "5"],
                  ["scan", "-n", "2", "--sample-size", "5"],
                  ["scan", "-n", "10", "--sample-size", "-3"],

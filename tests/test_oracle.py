@@ -272,18 +272,25 @@ def test_search_trace_matches_golden_digest():
 
 
 def brute_force_odd_component_condition(g):
-    """Check o(G-S) < |S| over every subset of size >= 2, no pruning."""
+    """(holds, pairs) from o(G-S) < |S| over every subset of size >= 2.
+
+    No pruning and no matching: ``pairs`` counts the pairs u < v in
+    lexicographic order up to the first one inside a violating S, or all
+    of them when the condition holds.
+    """
+    first = None
     for size in range(2, g.n + 1):
         for subset in combinations(range(g.n), size):
             if components(g, subset).odd_count >= size:
-                return False, subset
-    return True, None
+                first = min(first or subset[:2], subset[:2])
+    pairs = list(combinations(range(g.n), 2))
+    return first is None, len(pairs) if first is None else pairs.index(first) + 1
 
 
-# SHA-256 of (holds, witness, subsets_checked) over _odd_component_graphs(),
-# recorded from the plain subset enumeration before even orders were
-# decided by the bicritical test; the two must agree on every graph
-ODD_COMPONENT_DIGEST = "bc85f9dd2015211d72b63288a4c8e7ffe018e1bd8c6edcf280fba74236f9055a"
+# SHA-256 of holds over _odd_component_graphs(), recorded from the subset
+# enumeration that named a witness before one matching test decided both
+# parities; the two must agree on every graph
+ODD_COMPONENT_DIGEST = "fdcb4318dde4071416fe4ccf1298a948ecacb49e7c3c1f45901203cbffcebef1"
 
 
 def _odd_component_graphs():
@@ -311,7 +318,7 @@ def test_odd_component_reports_match_golden_digest():
     dense = Counter()
     for g in _odd_component_graphs():
         rep = odd_component_condition(g)
-        digest.update(f"{rep.holds} {rep.witness} {rep.subsets_checked}\n".encode())
+        digest.update(f"{rep.holds}\n".encode())
         if g.n % 2 == 0 and g.min_degree() >= 3:
             dense[rep.holds] += 1
     assert digest.hexdigest() == ODD_COMPONENT_DIGEST
@@ -321,44 +328,40 @@ def test_odd_component_reports_match_golden_digest():
 
 def test_odd_component_examples():
     assert odd_component_condition(complete(6)).holds
-    rep = odd_component_condition(complete_bipartite(2, 3))
-    assert not rep.holds and rep.witness == (0, 1)
-    assert components(complete_bipartite(2, 3), rep.witness).odd_count >= 2
-    rep2 = odd_component_condition(clique_join(2, (7, 1)))
-    assert not rep2.holds and rep2.witness == (0, 1)
-    for n in (16, 20):
-        rep = odd_component_condition(complete(n))
-        assert rep == OddComponentReport(True, None, sum(comb(n, s) for s in range(2, n // 2 + 1)))
-    assert odd_component_condition(complete(20)).subsets_checked == 616645
-    # minimum degree 4 but not bicritical: deleting two vertices of one side
-    # leaves sides of 2 and 4; the enumeration names the witness
-    rep = odd_component_condition(complete_bipartite(4, 4))
-    assert (rep.holds, rep.witness, rep.subsets_checked) == (False, (0, 1, 2, 3), 85)
+    # deleting the side of two leaves three isolated vertices
+    assert odd_component_condition(complete_bipartite(2, 3)) == OddComponentReport(False, 1)
+    # a degree-2 vertex on even order: decided before any pair
+    assert odd_component_condition(clique_join(2, (7, 1))) == OddComponentReport(False, 0)
+    for n in (16, 20, 21):
+        assert odd_component_condition(complete(n)) == OddComponentReport(True, comb(n, 2))
+    # minimum degree 4 and 10 but not bicritical: deleting two vertices of
+    # one side leaves unequal sides
+    for k in (4, 10):
+        assert odd_component_condition(complete_bipartite(k, k)).holds is False
+    for n in (0, 1, 2, 3):
+        assert odd_component_condition(complete(n)) == OddComponentReport(True, comb(n, 2))
 
 
 def test_odd_component_matches_unpruned_enumeration():
+    # both parities, n = 2..10; odd orders have no degree rule, so every
+    # one of them runs the matching search with its one-vertex budget
     rng = random.Random(44)
-    for _ in range(40):
-        n = rng.randrange(2, 8)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        g = Graph(n, edges)
-        holds, witness = brute_force_odd_component_condition(g)
+    verdicts = Counter()
+    for _ in range(150):
+        n = rng.randrange(2, 11)
+        p = rng.uniform(0.3, 1.0)
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        holds, pairs = brute_force_odd_component_condition(g)
         rep = odd_component_condition(g)
-        assert rep.holds == holds
-        if witness is not None:
-            assert rep.witness == witness  # same size-lex enumeration order
-
-
-def _subsets_up_to(n, witness):
-    """Subsets of sizes 2..n/2 in size-lex order, up to the witness if any."""
-    if witness is None:
-        return sum(comb(n, s) for s in range(2, n // 2 + 1))
-    k = len(witness)
-    return sum(comb(n, s) for s in range(2, k)) + list(combinations(range(n), k)).index(witness) + 1
+        # even n >= 4 with a vertex of degree <= 2 is decided before any pair
+        degree_rule = g.n % 2 == 0 and g.n >= 4 and g.min_degree() <= 2
+        assert rep == OddComponentReport(holds, 0 if degree_rule else pairs), g
+        verdicts[n % 2, holds] += 1
+    assert all(verdicts[parity, holds] >= 5 for parity in (0, 1) for holds in (True, False)), verdicts
 
 
 def test_odd_component_on_dense_even_orders_matches_unpruned_enumeration():
-    # even n with minimum degree >= 3, the graphs the bicritical test decides;
+    # even n with minimum degree >= 3, the graphs the matching search decides;
     # every third one near-bipartite, so that many are not bicritical
     rng = random.Random(46)
     verdicts = Counter()
@@ -371,21 +374,8 @@ def test_odd_component_on_dense_even_orders_matches_unpruned_enumeration():
                       if rng.random() < (p if side[u] != side[v] else within)])
         if g.min_degree() < 3:
             continue
-        holds, witness = brute_force_odd_component_condition(g)
-        rep = odd_component_condition(g)
-        assert (rep.holds, rep.witness) == (holds, witness)
-        assert rep.subsets_checked == _subsets_up_to(n, witness)
+        holds, pairs = brute_force_odd_component_condition(g)
+        assert odd_component_condition(g) == OddComponentReport(holds, pairs)
         verdicts[n, holds] += 1
     assert all(verdicts[n, True] for n in (4, 6, 8, 10))
     assert sum(verdicts[n, False] for n in (4, 6, 8, 10)) >= 10
-
-
-def test_odd_component_witness_is_genuine():
-    rng = random.Random(45)
-    for _ in range(40):
-        n = rng.randrange(4, 9)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
-        rep = odd_component_condition(Graph(n, edges))
-        if rep.witness is not None:
-            assert len(rep.witness) >= 2
-            assert components(Graph(n, edges), rep.witness).odd_count >= len(rep.witness)

@@ -26,6 +26,7 @@ from evenfactor.lemmas import (
     run_property_suite,
 )
 from evenfactor.theorems import (
+    THRESHOLD_AGREEMENT,
     Conclusion,
     ExtremalParams,
     VERDICT_CHUNK,
@@ -102,6 +103,19 @@ def test_recognize_extremal():
     assert not recognize_extremal(complete(8), 2)
     assert not recognize_extremal(cycle(8), 2)
     assert not recognize_extremal(extremal_graph(ExtremalParams(8, 2)), 3)
+
+
+def test_recognize_extremal_finds_one_bundled_graph_per_cell():
+    # the bundled corpora hold every connected graph up to isomorphism, so
+    # the degree-sequence test must pick out exactly one at each (n, delta)
+    for n in range(4, 9):
+        corpus = load_bundled_corpus(n)
+        for d in range(2, n // 2 + 1):
+            found = [g for g in corpus if recognize_extremal(g, d)]
+            assert len(found) == 1, (n, d)
+            if n % 2 == 0:
+                thr = threshold_rho_q(ExtremalParams(n, d))
+                assert abs(rho_q(found[0]) - thr) <= THRESHOLD_AGREEMENT, (n, d)
 
 
 def test_recognize_extremal_rejects_nearby_rewirings():
