@@ -120,15 +120,26 @@ def _print_table(rows: list[dict], columns: Optional[list[str]] = None) -> None:
         print("  ".join(cells[c].ljust(widths[c]) for c in cols))
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, default=str)
+
+
 def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
                  started: float) -> int:
-    """Print the table and violations, write --json/--csv; the exit status."""
+    """Print the table and violations, write --json/--csv; the exit status.
+
+    The JSON report has one top-level key per line, in sorted order, and one
+    row or violation per line, each written as it is encoded. ``json.dumps``
+    without ``indent`` runs the C encoder; with ``indent`` (or through
+    ``json.dump``) CPython falls back to its pure-Python encoder, which cost
+    more than the oracle itself on per-graph reports.
+    """
     timing = 0.0 if args.no_timing else time.perf_counter() - started
     _print_table(rows, _TABLE_COLUMNS.get(args.command))
     if violations:
         print(f"\n{len(violations)} violation(s):")
         for v in violations:
-            print("  " + json.dumps(v, sort_keys=True, default=str))
+            print("  " + _dumps(v))
     else:
         print("\nno violations")
     report = {
@@ -141,15 +152,25 @@ def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+            fh.write("{")
+            for i, key in enumerate(sorted(report)):
+                value = report[key]
+                fh.write(f'{"," if i else ""}\n  {_dumps(key)}: ')
+                if key in ("rows", "violations") and value:
+                    for j, item in enumerate(value):
+                        fh.write(f'{"," if j else "["}\n    {_dumps(item)}')
+                    fh.write("\n  ]")
+                else:
+                    fh.write(_dumps(value))
+            fh.write("\n}\n")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             if rows:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
                 writer.writeheader()
                 for row in rows:
-                    writer.writerow(row)
+                    writer.writerow({k: _dumps(v) if isinstance(v, list) else v
+                                     for k, v in row.items()})
     return 1 if violations else 0
 
 
@@ -526,21 +547,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.delta_max < 2:
             parser.error(f"lemmas: --delta-max must be >= 2, the smallest delta "
                          f"of the grid checks, got {args.delta_max}")
-        first = next(order_bound_grid(TheoremKind.DISTANCE, (2, 2))).n
-        if args.n_max < first:
-            parser.error(f"lemmas: --n-max must be >= {first}, the first order of "
-                         f"the distance grid at delta = 2, got {args.n_max}")
     if args.command == "extremal":
         if args.delta_min < 2:
             parser.error(f"extremal: --delta-min must be >= 2, got {args.delta_min}")
         if args.delta_max < args.delta_min:
             parser.error(f"extremal: --delta-max must be >= --delta-min "
                          f"({args.delta_min}), got {args.delta_max}")
-        cells = order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN,
-                                 (args.delta_min, args.delta_max), args.n_max, args.n_min)
-        if next(cells, None) is None:
-            parser.error("extremal: empty grid: every delta's first order (its "
-                         "order bound, or --n-min) lies above --n-max")
+    if args.command in ("lemmas", "extremal") and args.n_max is not None:
+        # the distance bound is at least the signless-Laplacian one at every
+        # delta >= 2, so the distance grid names every delta a lemma grid loses
+        if args.command == "lemmas":
+            kind, deltas, n_min = TheoremKind.DISTANCE, (2, args.delta_max), None
+        else:
+            kind, deltas, n_min = (TheoremKind.SIGNLESS_LAPLACIAN,
+                                   (args.delta_min, args.delta_max), args.n_min)
+        lost = []
+        for delta in range(deltas[0], deltas[1] + 1):
+            first = next(order_bound_grid(kind, (delta, delta), n_min=n_min)).n
+            if first > args.n_max:
+                lost.append(f"{delta} (first order {first})")
+        if lost:
+            parser.error(f"{args.command}: --n-max {args.n_max} lies below the grid of "
+                         f"delta = {', '.join(lost)}")
     started = time.perf_counter()
     config, rows, violations = args.func(args)
     return _emit_report(args, config, rows, violations, started)

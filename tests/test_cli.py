@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, reports, determinism, exit codes."""
 
 import argparse
+import csv
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ from random import Random
 
 import pytest
 
+from evenfactor import cli
 from evenfactor.cli import build_parser, main
 from evenfactor.graphs import to_graph6
 from evenfactor.sampling import sample_connected_graph
@@ -158,10 +160,10 @@ def test_scan_sampler_beyond_one_character_graph6_size(tmp_path):
 def test_impossible_arguments_are_usage_errors(capsys, tmp_path):
     # minimum degree 2 needs three vertices; the extremal family needs delta >= 2;
     # a scan needs a source; the bundled corpora stop at n = 8; a negative
-    # trial count, an empty delta range or an empty order grid would drop
-    # checks or rows silently; a missing or directory path would fail with a
-    # traceback, a report path only after the whole run; a corpus scan
-    # would ignore -n and --sample-size
+    # trial count, an empty delta range or an --n-max below some delta's
+    # first grid order would drop checks or rows silently; a missing or
+    # directory path would fail with a traceback, a report path only after
+    # the whole run; a corpus scan would ignore -n and --sample-size
     corpus = tmp_path / "in.g6"
     corpus.write_text("C~\n")
     missing = str(tmp_path / "missing.g6")
@@ -180,8 +182,10 @@ def test_impossible_arguments_are_usage_errors(capsys, tmp_path):
                  ["scan", "--corpus", str(corpus), "--sample-size", "50"],
                  ["extremal", "--n-max", "3"],
                  ["extremal", "--n-min", "30", "--n-max", "20"],
+                 ["extremal", "--delta-max", "6", "--n-max", "20"],
                  ["lemmas", "--n-max", "9"],
                  ["lemmas", "--n-max", "2"],
+                 ["lemmas", "--delta-max", "6", "--n-max", "20"],
                  ["scan", "-n", "0", "--sample-size", "5"],
                  ["scan", "-n", "1", "--sample-size", "5"],
                  ["scan", "-n", "2", "--sample-size", "5"],
@@ -215,8 +219,8 @@ def test_scan_requires_source():
 def test_lemmas_command(tmp_path):
     report_path = tmp_path / "lemmas.json"
     proc = run_cli(
-        ["lemmas", "--trials", "10", "--n-max", "20", "--corpus-max-n", "4",
-         "--oracle-max-n", "4", "--check", "q-monotone-edge-add",
+        ["lemmas", "--trials", "10", "--delta-max", "3", "--n-max", "20",
+         "--corpus-max-n", "4", "--oracle-max-n", "4", "--check", "q-monotone-edge-add",
          "--check", "q-threshold-bracket", "--json", str(report_path),
          "--no-timing"],
     )
@@ -283,6 +287,77 @@ def test_csv_output(tmp_path):
     text = csv_path.read_text().splitlines()
     assert text[0].startswith("line,graph6,n,m")
     assert len(text) == 2
+    # list cells carry the JSON report's encoding of the same value
+    json_path = tmp_path / "rows.json"
+    proc = run_cli(["oracle", "--csv", str(csv_path), "--json", str(json_path)],
+                   stdin="C~\nCF\n")
+    assert proc.returncode == 0
+    with open(csv_path, newline="") as fh:
+        found, none = list(csv.DictReader(fh))
+    assert found["edges"] == "[[0, 1], [0, 2], [1, 3], [2, 3]]"
+    assert json.loads(found["edges"]) == json.loads(json_path.read_text())["rows"][0]["edges"]
+    assert none["status"] == "none-exists" and none["edges"] == ""
+
+
+def _small_reports(tmp_path):
+    """argv for a small --no-timing JSON report of each of the six commands."""
+    graphs = tmp_path / "in.g6"
+    graphs.write_text("C~\nBw\nCF\n" + extremal_line() + "\nhello\n")
+    return [
+        ["spectra", str(graphs)],
+        ["certify", "--theorem", "1", "--oracle", "on", str(graphs)],
+        ["scan", "-n", "5", "--theorem", "2"],
+        ["lemmas", "--trials", "10", "--delta-max", "3", "--n-max", "20",
+         "--corpus-max-n", "4", "--oracle-max-n", "4"],
+        ["extremal", "--delta-max", "3", "--n-max", "16"],
+        ["oracle", str(graphs)],
+    ]
+
+
+def test_json_report_layout_and_content(tmp_path, monkeypatch):
+    handed = []
+    emit = cli._emit_report
+
+    def spy(args, config, rows, violations, started):
+        handed.append((config, rows, violations))
+        return emit(args, config, rows, violations, started)
+
+    monkeypatch.setattr(cli, "_emit_report", spy)
+    for argv in _small_reports(tmp_path):
+        path = tmp_path / f"{argv[0]}.json"
+        main(argv + ["--json", str(path), "--no-timing"])
+        config, rows, violations = handed.pop()
+        # parsed content equals what json.dump(..., indent=2) wrote before
+        indented = json.dumps({
+            "schema_version": cli.SCHEMA_VERSION,
+            "command": argv[0],
+            "config": {**config, "tolerances": cli.TOLERANCES},
+            "rows": rows,
+            "violations": violations,
+            "timing_seconds": 0.0,
+        }, indent=2, sort_keys=True, default=str)
+        text = path.read_text()
+        report = json.loads(text)
+        assert report == json.loads(indented)
+        # one top-level key per line, sorted; one row or violation per line
+        assert text.endswith("}\n")
+        lines = text.splitlines()
+        keys = [ln.split('"')[1] for ln in lines if ln.startswith('  "')]
+        assert keys == sorted(report)
+        items = [json.loads(ln.strip().rstrip(",")) for ln in lines if ln.startswith("    ")]
+        assert items == report["rows"] + report["violations"]
+        assert report["rows"] and len(lines) == 2 + len(keys) + len(items) + sum(
+            1 for k in ("rows", "violations") if report[k])
+
+
+def test_no_timing_per_graph_reports_are_byte_identical(tmp_path):
+    for argv in _small_reports(tmp_path):
+        if argv[0] not in ("oracle", "certify"):
+            continue
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(argv + ["--json", str(a), "--no-timing"]).returncode == 1
+        assert run_cli(argv + ["--json", str(b), "--no-timing"]).returncode == 1
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_readme_names_only_defined_options():

@@ -94,6 +94,11 @@ def test_order_bounds_exact_rational():
     # the quadratic branch wins for large delta
     assert order_bound(TheoremKind.SIGNLESS_LAPLACIAN, 30) == Fraction(900, 4) + 15 + 6
     assert order_bound(TheoremKind.DISTANCE, 30) == 300 + 3
+    # the CLI names the deltas an --n-max drops from the lemma grids by the
+    # distance grid alone, which relies on its bound never being the lower
+    for delta in range(2, 51):
+        assert (order_bound(TheoremKind.DISTANCE, delta)
+                >= order_bound(TheoremKind.SIGNLESS_LAPLACIAN, delta))
 
 
 def test_recognize_extremal():
