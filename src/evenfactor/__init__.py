@@ -25,6 +25,7 @@ from .graphs import (
     from_graph6,
     join,
     path,
+    read_graph6,
     to_graph6,
 )
 from .oracle import (

@@ -22,8 +22,8 @@ from random import Random
 from typing import Iterable, Optional
 
 from . import __version__
-from .corpus import BUNDLED_COUNTS, bundled_corpus_lines
-from .graphs import Graph, Graph6Error, from_graph6, to_graph6
+from .corpus import BUNDLED_COUNTS, iter_bundled_corpus
+from .graphs import Graph, Graph6Error, read_graph6, to_graph6
 from .lemmas import SUITE_CHECK_NAMES, run_property_suite
 from .oracle import DEFAULT_NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
@@ -63,7 +63,7 @@ Report = tuple[dict, list[dict], list[dict]]
 
 
 def _read_lines(source: Optional[str]) -> list[bytes]:
-    """Raw input lines; each is decoded on its own by _parse_graphs."""
+    """Raw input lines, for _parse_graphs."""
     if source is None or source == "-":
         return sys.stdin.buffer.read().splitlines()
     with open(source, "rb") as fh:
@@ -71,8 +71,9 @@ def _read_lines(source: Optional[str]) -> list[bytes]:
 
 
 def _parse_graphs(lines: Iterable[bytes]) -> tuple[list[tuple[int, str, Graph]], list[dict]]:
-    """(line_no, graph6, graph) triples plus parse violations."""
-    good = []
+    """(line_no, graph6, graph) triples plus parse violations, both in line
+    order; the graph6 lines are decoded together by read_graph6."""
+    texts = []
     bad = []
     for line_no, raw in enumerate(lines, start=1):
         try:
@@ -84,12 +85,15 @@ def _parse_graphs(lines: Iterable[bytes]) -> tuple[list[tuple[int, str, Graph]],
                 "error": f"non-ASCII byte 0x{raw[exc.start]:02x} at column {exc.start + 1}",
             })
             continue
-        if not text:
-            continue
-        try:
-            good.append((line_no, text, from_graph6(text)))
-        except Graph6Error as exc:
-            bad.append({"line": line_no, "graph6": text, "error": str(exc)})
+        if text:
+            texts.append((line_no, text))
+    good = []
+    for (line_no, text), g in zip(texts, read_graph6(text for _, text in texts)):
+        if isinstance(g, Graph6Error):
+            bad.append({"line": line_no, "graph6": text, "error": str(g)})
+        else:
+            good.append((line_no, text, g))
+    bad.sort(key=lambda v: v["line"])
     return good, bad
 
 
@@ -269,10 +273,9 @@ def _scan_source(args) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]],
                 yield i + 1, None, sample_connected_graph(rng, args.n)
 
         return f"sampler:n={args.n},size={args.sample_size},seed={args.seed}", gen(), []
-    lines = bundled_corpus_lines(args.n)
     return (
         f"bundled:n={args.n}",
-        ((i, line, from_graph6(line)) for i, line in enumerate(lines, 1)),
+        ((i, line, g) for i, (line, g) in enumerate(iter_bundled_corpus(args.n), 1)),
         [],
     )
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from importlib import resources
+from typing import Iterator
 
-from .graphs import Graph, from_graph6
+from .graphs import Graph, Graph6Error, read_graph6
 
 BUNDLED_ORDERS = range(1, 9)
 
@@ -33,6 +34,15 @@ def bundled_corpus_lines(n: int) -> list[str]:
     return lines
 
 
+def iter_bundled_corpus(n: int) -> Iterator[tuple[str, Graph]]:
+    """(graph6 line, graph) for each corpus graph, decoded a batch at a time."""
+    lines = bundled_corpus_lines(n)
+    for line, g in zip(lines, read_graph6(lines)):
+        if isinstance(g, Graph6Error):
+            raise g
+        yield line, g
+
+
 def load_bundled_corpus(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one representative per class."""
-    return [from_graph6(line) for line in bundled_corpus_lines(n)]
+    return [g for _, g in iter_bundled_corpus(n)]

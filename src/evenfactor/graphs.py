@@ -11,7 +11,10 @@ neighbourhoods at a time. All constructors document their labeling;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class Graph6Error(ValueError):
@@ -46,13 +49,13 @@ class Graph:
         self.edge_count = count
 
     @classmethod
-    def _from_bits(cls, bits: tuple[int, ...]) -> Graph:
-        """Graph on len(bits) vertices from symmetric, loop-free bitmasks,
-        taken on trust: callers build them that way."""
+    def _from_bits(cls, bits: tuple[int, ...], edge_count: int) -> Graph:
+        """Graph on len(bits) vertices with edge_count edges from symmetric,
+        loop-free bitmasks, all taken on trust: callers build them that way."""
         g = object.__new__(cls)
         g.n = len(bits)
         g._bits = bits
-        g.edge_count = sum(b.bit_count() for b in bits) // 2
+        g.edge_count = edge_count
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -286,22 +289,25 @@ def components(g: Graph, removed: Iterable[int] = ()) -> ComponentReport:
 # triangle bits are read column-major: x(0,1), x(0,2), x(1,2), x(0,3),
 # x(1,3), x(2,3), ... packed 6 bits per character MSB first, each
 # character value = bits + 63, zero-padded to a 6-bit boundary.
+#
+# Lines are decoded a batch at a time. A batch ends with the line that
+# brings it to _BATCH_CHARS characters, and its lines are grouped by size
+# prefix and length. The lines of a group share n, so the size and length
+# checks run once per group, as does the character range check (one
+# bytes.translate; lines are searched one by one only if it finds a bad
+# character). The group's bits go through one numpy pass into a (k, n, n)
+# bool stack, its rows padded to whole bytes. A well-formed line of order
+# n is about n^2 / 12 characters long, so a batch's stacks take at most 21
+# bytes per character read (under 16 from n = 20 on): under 90 KB, plus
+# about n^2 bytes for the batch's last line.
 
 # largest n with a four-character size; the eight-character form is not read
 _MAX_GRAPH6_ORDER = 258047
 
-_SEXTET = {chr(63 + v): format(v, "06b") for v in range(64)}
-_SEXTET_CHAR = {bits: ch for ch, bits in _SEXTET.items()}
+_BATCH_CHARS = 1 << 12
 
-
-def _sextets(chars: str, what: str) -> str:
-    """graph6 characters as their 6-bit groups, one '0'/'1' string."""
-    try:
-        return "".join(map(_SEXTET.__getitem__, chars))
-    except KeyError as exc:
-        raise Graph6Error(
-            f"{what} character {exc.args[0]!r} out of range 63..126"
-        ) from None
+_SEXTET_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
+_GRAPH6_BYTES = bytes(range(63, 127))
 
 
 def _sextet_chars(bits: str) -> str:
@@ -310,16 +316,24 @@ def _sextet_chars(bits: str) -> str:
     return "".join(_SEXTET_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6))
 
 
-def from_graph6(text: str) -> Graph:
-    """Decode one graph6 line (n <= 258047); a leading header is skipped."""
-    line = text.strip()
-    if line.startswith(GRAPH6_HEADER):
-        line = line[len(GRAPH6_HEADER):]
+def _char_error(chars: str, what: str) -> Graph6Error | None:
+    """The error for the first character of chars outside 63..126, if any."""
+    for ch in chars:
+        if not "?" <= ch <= "~":
+            return Graph6Error(f"{what} character {ch!r} out of range 63..126")
+    return None
+
+
+def _shape(line: str) -> tuple[int, int]:
+    """(n, index of the first data character) of a stripped graph6 line.
+
+    Makes every check that reads only the size prefix and the length, so
+    its outcome holds for all lines with the same prefix and length.
+    """
     if not line:
         raise Graph6Error("empty graph6 line")
     if line[0] != "~":
-        n = int(_sextets(line[0], "size"), 2)
-        body = line[1:]
+        size, start = line[:1], 1
     elif line[1:2] == "~":
         raise Graph6Error(
             f"graph6 sizes above {_MAX_GRAPH6_ORDER} are not supported"
@@ -327,32 +341,136 @@ def from_graph6(text: str) -> Graph:
     elif len(line) < 4:
         raise Graph6Error("truncated four-character graph6 size")
     else:
-        n = int(_sextets(line[1:4], "size"), 2)
-        if n < 63:
-            raise Graph6Error(f"size {n} written in four characters, not one")
-        body = line[4:]
-    nbits = n * (n - 1) // 2
-    nchars = (nbits + 5) // 6
-    if len(body) != nchars:
+        size, start = line[1:4], 4
+    error = _char_error(size, "size")
+    if error is not None:
+        raise error
+    n = 0
+    for ch in size:
+        n = n << 6 | ord(ch) - 63
+    if start == 4 and n < 63:
+        raise Graph6Error(f"size {n} written in four characters, not one")
+    nchars = (n * (n - 1) // 2 + 5) // 6
+    if len(line) - start != nchars:
         raise Graph6Error(
-            f"expected {nchars} data characters for n={n}, got {len(body)}"
+            f"expected {nchars} data characters for n={n}, got {len(line) - start}"
         )
-    bits = _sextets(body, "data")
-    if "1" in bits[nbits:]:
-        raise Graph6Error("nonzero padding bits")
-    # reversed, bit col*(col-1)/2 + row of upper is x(row, col)
-    upper = int(bits[nbits - 1::-1], 2) if nbits else 0
-    adj = [0] * n
-    for col in range(1, n):
-        low = upper & ((1 << col) - 1)
-        upper >>= col
-        adj[col] |= low
-        high = 1 << col
-        while low:
-            b = low & -low
-            adj[b.bit_length() - 1] |= high
-            low ^= b
-    return Graph._from_bits(tuple(adj))
+    return n, start
+
+
+@lru_cache(maxsize=16)
+def _bit_index(n: int, start: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each upper-triangle bit of order n is read and written.
+
+    Bit i of the upper triangle, in graph6's column-major order, is bit
+    2 + i % 6 of character start + i // 6 once each character of the line
+    is unpacked to 8 bits, and x(row, col) lands at row * width + col and
+    at col * width + row of a row-major (n, width) stack.
+    """
+    # built in Python: numpy's index helpers and integer ufuncs would cost
+    # about 0.3 MB of peak memory on first use, more than these arrays
+    pairs = [(row, col) for col in range(n) for row in range(col)]
+    return (np.array([(start + i // 6) * 8 + 2 + i % 6 for i in range(len(pairs))], np.intp),
+            np.array([row * width + col for row, col in pairs], np.intp),
+            np.array([col * width + row for row, col in pairs], np.intp))
+
+
+def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Error]:
+    """Decode lines of order n, all of one length, in one numpy pass."""
+    k, length = len(lines), len(lines[0])
+    text = "".join(lines)
+    data = text.encode("ascii", "replace")
+    # a character outside 63..126 is in no line, or is looked for line by
+    # line; "replace" writes an in-range "?" for a non-ASCII character
+    clean = text.isascii() and not data.translate(None, _GRAPH6_BYTES)
+    # the (k, n, width) bool stack, width n rounded up to whole bytes, so
+    # that one flat packbits gives each vertex's bitmask, low byte first
+    width = -(-n // 8) * 8
+    read, upper_at, lower_at = _bit_index(n, start, width)
+    codes = (np.frombuffer(data, np.uint8) - np.uint8(63)).reshape(k, length)
+    upper = np.unpackbits(codes, axis=1)[:, read]
+    stack = np.zeros((k, n * width), bool)
+    stack[:, upper_at] = upper
+    stack[:, lower_at] = upper
+    packed = np.packbits(stack, bitorder="little").reshape(k, n, width // 8)
+    if n <= 64:
+        words = np.zeros((k, n, 8), np.uint8)
+        words[:, :, :width // 8] = packed
+        masks = words.view("<u8").reshape(k, n).tolist()
+    else:
+        rows = packed.tobytes()
+        step = width // 8
+        masks = [[int.from_bytes(rows[i:i + step], "little")
+                  for i in range(g, g + n * step, step)]
+                 for g in range(0, k * n * step, n * step)]
+    # the padding bits are the low bits of the last character
+    padding = (1 << 6 * (length - start) - len(read)) - 1
+    out: list[Graph | Graph6Error] = []
+    for line, mask, m in zip(lines, masks, upper.sum(axis=1).tolist()):
+        error = None if clean else _char_error(line[start:], "data")
+        if error is not None:
+            out.append(error)
+        elif ord(line[-1]) - 63 & padding:
+            out.append(Graph6Error("nonzero padding bits"))
+        else:
+            out.append(Graph._from_bits(tuple(mask), m))
+    return out
+
+
+def _decode_batch(texts: Sequence[str]) -> list[Graph | Graph6Error]:
+    """Each line's graph or Graph6Error, one numpy pass per group of lines
+    with the same size prefix and length."""
+    lines = []
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, text in enumerate(texts):
+        line = text.strip()
+        if line.startswith(GRAPH6_HEADER):
+            line = line[len(GRAPH6_HEADER):]
+        lines.append(line)
+        key = (line[:4] if line[:1] == "~" else line[:1], len(line))
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * len(lines)
+    for idx in groups.values():
+        group = [lines[i] for i in idx]
+        try:
+            n, start = _shape(group[0])
+        except Graph6Error as exc:
+            decoded = [Graph6Error(*exc.args) for _ in idx]
+        else:
+            decoded = _decode_group(group, n, start)
+        for i, g in zip(idx, decoded):
+            out[i] = g
+    return out
+
+
+def read_graph6(texts: Iterable[str]) -> Iterator[Graph | Graph6Error]:
+    """Decode graph6 lines lazily, one batch at a time, in input order.
+
+    Yields each line's Graph, or the Graph6Error that from_graph6 raises
+    for it (a blank line is an error, so callers that allow blank lines
+    drop them first). Memory stays bounded by the batch size; see the
+    codec notes above.
+    """
+    batch: list[str] = []
+    size = 0
+    for text in texts:
+        batch.append(text)
+        size += len(text)
+        if size >= _BATCH_CHARS:
+            yield from _decode_batch(batch)
+            batch, size = [], 0
+    yield from _decode_batch(batch)
+
+
+def from_graph6(text: str) -> Graph:
+    """Decode one graph6 line (n <= 258047); a leading header is skipped.
+
+    A batch of one for read_graph6, which takes many lines per numpy pass.
+    """
+    (g,) = _decode_batch([text])
+    if isinstance(g, Graph6Error):
+        raise g
+    return g
 
 
 def to_graph6(g: Graph) -> str:

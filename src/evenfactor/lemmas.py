@@ -3,8 +3,9 @@
 Each check tests one supporting fact at every point of its input (seeded
 samples, a grid of extremal-family cells, or a bundled corpus) and returns
 one CheckOutcome per point: spectral monotonicity, join-family dominance,
-equitable-quotient roots, the Wiener lower bound, the rho_Q bracket, the
-odd-component implication, the extremal Wiener closed form, the block-family
+equitable-quotient roots, the Wiener lower bound, the rho_Q bracket, rho_Q
+of the extremal graph above that of any bridged graph, the odd-component
+implication, the extremal Wiener closed form, the block-family
 Rayleigh gap, Perron-component positivity and the block-family cubics.
 
 CHECKS is the registry: it fixes which checks exist, the order they run in,
@@ -260,6 +261,22 @@ def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutco
     return out
 
 
+def check_q_threshold_above_bridged(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+    """rho_Q(extremal) > 2(n - delta - 1), the most a bridged graph reaches.
+
+    A bridge of a graph with minimum degree delta has at least delta + 1
+    vertices on each side, so every degree is at most n - delta - 1, and
+    rho_Q <= 2 Delta. The margin is rho_Q(extremal) - 2(n - delta - 1).
+    """
+    out = []
+    for p in grid:
+        margin = threshold_rho_q(p) - 2 * (p.n - p.delta - 1)
+        out.append(CheckOutcome(
+            "q-threshold-above-2n-2delta", f"n={p.n},delta={p.delta}", margin > 0, margin,
+        ))
+    return out
+
+
 def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
 
@@ -467,6 +484,7 @@ CHECKS = (
     (("quotient-root-matches-matrix",), check_quotient_matches_matrix, "q-grid"),
     (("wiener-lower-bound",), check_wiener_bound, "wiener-corpus"),
     (("q-threshold-bracket",), check_q_threshold_bracket, "q-grid"),
+    (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "q-grid-from-2delta"),
     (("odd-component-implication",), check_odd_component_implication, "even-corpus"),
     (("odd-order-observation",), observe_odd_order_condition, "odd-corpus"),
     (("extremal-wiener-closed-form",), check_extremal_wiener_closed_form, "d-grid"),
@@ -508,6 +526,8 @@ def run_property_suite(
     inputs = {
         "rng": lambda: (rng, trials),
         "q-grid": lambda: (order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max),),
+        "q-grid-from-2delta": lambda: (
+            order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max, n_min=0),),
         "d-grid": lambda: (order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max),),
         "delta-range": lambda: (delta_range, n_max),
         "wiener-corpus": lambda: (corpus(range(1, corpus_max_n + 1)),),

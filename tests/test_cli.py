@@ -13,9 +13,15 @@ import pytest
 
 from evenfactor import cli
 from evenfactor.cli import build_parser, main
-from evenfactor.graphs import to_graph6
-from evenfactor.sampling import sample_connected_graph
-from evenfactor.theorems import ExtremalParams, extremal_graph
+from evenfactor.graphs import from_graph6, to_graph6
+from evenfactor.oracle import find_even_factor
+from evenfactor.sampling import sample_connected_graph, sample_graph
+from evenfactor.theorems import (
+    ExtremalParams,
+    TheoremKind,
+    check_even_factor,
+    extremal_graph,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -278,6 +284,72 @@ def test_oracle_command(tmp_path):
     assert rows[0]["status"] == "found"
     assert rows[1]["status"] == "found"  # triangle
     assert rows[0]["edges"]
+
+
+# malformed lines of a mixed-order input, by line number, with their errors
+MIXED_BAD = {
+    3: (b"A~", "nonzero padding bits"),
+    6: (b"C\xc3\xa9", "non-ASCII byte 0xc3 at column 2"),
+    9: (b"~??", "truncated four-character graph6 size"),
+    10: (b"C", "expected 1 data characters for n=4, got 0"),
+    14: (b"C~~", "expected 1 data characters for n=4, got 2"),
+    15: (b"E>??", "data character '>' out of range 63..126"),
+    19: (b"~~??????", "graph6 sizes above 258047 are not supported"),
+    20: (b">>graph6<<", "empty graph6 line"),
+    23: (b"~???", "size 0 written in four characters, not one"),
+    24: (b"\x01Bw", "size character '\\x01' out of range 63..126"),
+    27: (b"H~~~~~~~~~~", "expected 6 data characters for n=9, got 10"),
+    28: (b"F?~v~", "nonzero padding bits"),
+}
+
+
+def _mixed_input(tmp_path):
+    """A file of orders 2..9, twice over, with malformed and blank lines;
+    returns its path and its well-formed lines by line number."""
+    rng = Random(29)
+    graphs = [to_graph6(sample_graph(rng, n, rng.uniform(0.3, 0.9))).encode()
+              for n in list(range(2, 10)) * 2]
+    fill = iter(graphs[:8] + [b"  ", b" Bw "] + graphs[8:] + [b">>graph6<<C~", b""])
+    lines = [MIXED_BAD[i][0] if i in MIXED_BAD else next(fill) for i in range(1, 33)]
+    path = tmp_path / "mixed.g6"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    good = {i: raw.decode().strip() for i, raw in enumerate(lines, 1)
+            if i not in MIXED_BAD and raw.strip()}
+    return path, good
+
+
+def test_mixed_orders_and_malformed_lines(tmp_path, capsys):
+    path, good = _mixed_input(tmp_path)
+    assert {from_graph6(text).n for text in good.values()} == set(range(2, 10))
+    # in line order, as each line decoded alone reports it
+    expected_violations = [{"line": i, "graph6": raw.decode("ascii", "backslashreplace"),
+                            "error": error} for i, (raw, error) in sorted(MIXED_BAD.items())]
+
+    report_path = tmp_path / "oracle.json"
+    assert main(["oracle", str(path), "--json", str(report_path), "--no-timing"]) == 1
+    report = json.loads(report_path.read_text())
+    assert report["violations"] == expected_violations
+    rows = []
+    for line_no, text in good.items():
+        g = from_graph6(text)
+        cert = find_even_factor(g)
+        rows.append({"line": line_no, "graph6": text, "n": g.n, "m": g.edge_count,
+                     "status": cert.status.value, "nodes_explored": cert.nodes_explored,
+                     "edges": None if cert.edges is None else [list(e) for e in cert.edges]})
+    assert report["rows"] == rows
+
+    for theorem, kind in (("1", TheoremKind.SIGNLESS_LAPLACIAN), ("2", TheoremKind.DISTANCE)):
+        report_path = tmp_path / f"scan{theorem}.json"
+        assert main(["scan", "--corpus", str(path), "--theorem", theorem,
+                     "--json", str(report_path), "--no-timing"]) == 1
+        report = json.loads(report_path.read_text())
+        assert report["violations"] == expected_violations
+        [row] = report["rows"]
+        verdicts = [check_even_factor(from_graph6(text), kind).conclusion.value
+                    for text in good.values()]
+        assert row["inputs"] == len(good)
+        assert {c: row[c] for c in set(verdicts)} == {c: verdicts.count(c) for c in verdicts}
+    capsys.readouterr()
 
 
 def test_csv_output(tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
+from evenfactor import graphs
 from evenfactor.graphs import (
     ComponentReport,
     _bridges,
@@ -21,6 +22,7 @@ from evenfactor.graphs import (
     from_graph6,
     join,
     path,
+    read_graph6,
     to_graph6,
 )
 
@@ -161,23 +163,35 @@ def test_graph6_header_stripped():
     assert from_graph6(">>graph6<<C~") == complete(4)
 
 
+# malformed lines and their errors; lines are stripped, so "B " lacks
+# its data character
+MALFORMED = {
+    "": "empty graph6 line",
+    ">>graph6<<": "empty graph6 line",
+    "~??": "truncated four-character graph6 size",
+    "~???": "size 0 written in four characters, not one",
+    "~~??????": "graph6 sizes above 258047 are not supported",
+    "~?!?": "size character '!' out of range 63..126",
+    "\x01Bw": "size character '\\x01' out of range 63..126",
+    "é": "size character 'é' out of range 63..126",
+    "C": "expected 1 data characters for n=4, got 0",
+    "C~~": "expected 1 data characters for n=4, got 2",
+    "B\x20": "expected 1 data characters for n=3, got 0",
+    "~?@????": "expected 336 data characters for n=64, got 3",
+    "C>": "data character '>' out of range 63..126",
+    "B\x7f": "data character '\\x7f' out of range 63..126",
+    "Cé": "data character 'é' out of range 63..126",
+    "D?é": "data character 'é' out of range 63..126",
+    "A~": "nonzero padding bits",
+    "D~~": "nonzero padding bits",
+}
+
+
 def test_graph6_errors():
-    with pytest.raises(Graph6Error):
-        from_graph6("")
-    with pytest.raises(Graph6Error):
-        from_graph6("~??")  # truncated four-character size
-    with pytest.raises(Graph6Error):
-        from_graph6("~???")  # n = 0 takes the one-character size
-    with pytest.raises(Graph6Error):
-        from_graph6("~~??????")  # eight-character size, n > 258047
-    with pytest.raises(Graph6Error):
-        from_graph6("C")  # missing data characters
-    with pytest.raises(Graph6Error):
-        from_graph6("C~~")  # extra data characters
-    with pytest.raises(Graph6Error):
-        from_graph6("B\x20")  # character below 63
-    with pytest.raises(Graph6Error):
-        from_graph6("A~")  # nonzero padding bits for n=2
+    for line, error in MALFORMED.items():
+        with pytest.raises(Graph6Error) as info:  # "Cé" too, not UnicodeEncodeError
+            from_graph6(line)
+        assert str(info.value) == error
     with pytest.raises(Graph6Error):
         to_graph6(empty(258048))
 
@@ -208,6 +222,85 @@ def test_bundled_corpus_lines_are_canonical():
     for n in BUNDLED_ORDERS:
         for line in bundled_corpus_lines(n):
             assert to_graph6(from_graph6(line)) == line
+
+
+def _alone(line):
+    """The graph, or the error text, of one line decoded by itself."""
+    try:
+        g = from_graph6(line)
+    except Graph6Error as exc:
+        return str(exc)
+    return g.n, g.edge_count, g._bits
+
+
+def _reference_decode(line):
+    """The graph of a well-formed graph6 line, read bit by bit."""
+    size, body = (line[1:4], line[4:]) if line[0] == "~" else (line[0], line[1:])
+    n = int("".join(format(ord(c) - 63, "06b") for c in size), 2)
+    bits = "".join(format(ord(c) - 63, "06b") for c in body)
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
+
+
+def _batched(lines):
+    return [str(r) if isinstance(r, Graph6Error) else (r.n, r.edge_count, r._bits)
+            for r in read_graph6(lines)]
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def test_read_graph6_matches_lines_alone_on_the_corpora():
+    for n in BUNDLED_ORDERS:
+        lines = bundled_corpus_lines(n)
+        assert _batched(lines) == [_alone(line) for line in lines]
+        reference = [_reference_decode(line) for line in lines]
+        assert _batched(lines) == [(g.n, g.edge_count, g._bits) for g in reference]
+
+
+def test_read_graph6_random_orders_to_140():
+    rng = random.Random(140)
+    expected = [_random_graph(rng, n) for n in range(141) for _ in range(3)]
+    rng.shuffle(expected)
+    lines = [to_graph6(g) for g in expected]
+    assert any(line.startswith("~") for line in lines)
+    assert _batched(lines) == [_alone(line) for line in lines]
+    assert _batched(lines) == [(g.n, g.edge_count, g._bits) for g in expected]
+    assert [_reference_decode(line) for line in lines] == expected
+
+
+def test_read_graph6_batches_cross_the_boundary():
+    # one order whose lines straddle several batch boundaries, then lines
+    # of alternating orders, so a group is cut at every boundary
+    rng = random.Random(7)
+    lines = [to_graph6(_random_graph(rng, 9)) for _ in range(3 * graphs._BATCH_CHARS // 10 + 1)]
+    lines += [to_graph6(_random_graph(rng, rng.choice((5, 40, 70)))) for _ in range(300)]
+    assert sum(map(len, lines)) > 4 * graphs._BATCH_CHARS
+    assert _batched(lines) == [_alone(line) for line in lines]
+
+
+def test_read_graph6_interleaves_orders_and_malformed_lines():
+    rng = random.Random(3)
+    good = [to_graph6(_random_graph(rng, n)) for n in range(2, 12)] * 2
+    bad = list(MALFORMED) * 2
+    lines = good + bad + ["  C~ ", ">>graph6<<Bw"]
+    rng.shuffle(lines)
+    assert _batched(lines) == [_alone(line) for line in lines]
+
+
+def test_read_graph6_is_lazy():
+    pulled = []
+
+    def lines():
+        for i in range(100 * graphs._BATCH_CHARS):
+            pulled.append(i)
+            yield "C~"
+
+    first = next(read_graph6(lines()))
+    assert first == complete(4)
+    assert len(pulled) * 2 <= graphs._BATCH_CHARS
 
 
 def _reference_components(n, adj, removed):

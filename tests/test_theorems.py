@@ -21,6 +21,7 @@ from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor.spectral import rho_d, rho_q
 from evenfactor.lemmas import (
     blocks_graph_aligned,
+    check_q_threshold_above_bridged,
     check_quotient_matches_matrix,
     perron_abc,
     run_property_suite,
@@ -298,6 +299,22 @@ def test_property_suite_all_pass():
     assert [o for o in outcomes if not o.passed] == []
     names = {o.check for o in outcomes}
     assert "q-threshold-bracket" in names and "d-blocks-rayleigh-gap" in names
+    assert "q-threshold-above-2n-2delta" in names
+
+
+def test_q_threshold_above_bridged_graphs():
+    # rho_Q(extremal) > 2(n - delta - 1) >= rho_Q of any bridged graph, on
+    # every even order from 2 delta, far below the order bound
+    cells = [ExtremalParams(n, d) for d in range(2, 13) for n in range(2 * d, 8 * d + 9, 2)]
+    outcomes = check_q_threshold_above_bridged(cells)
+    assert len(outcomes) == 286 and all(o.passed for o in outcomes)
+    worst = min(outcomes, key=lambda o: o.margin)
+    assert worst.point == "n=24,delta=2"
+    assert worst.margin == pytest.approx(2.0950, abs=1e-4)
+    # the suite reads the grid from n = 2 delta, not from the order bound
+    suite = run_property_suite(delta_range=(3, 3), n_max=12,
+                               checks={"q-threshold-above-2n-2delta"})
+    assert [o.point for o in suite] == [f"n={n},delta=3" for n in (6, 8, 10, 12)]
 
 
 def test_property_suite_check_filter_and_determinism():
@@ -381,6 +398,6 @@ def test_property_suite_draw_order_digest():
     digest = hashlib.sha256()
     for o in outcomes:
         digest.update(f"{o.check}|{o.point}|{o.passed}\n".encode())
-    assert len(outcomes) == 872
+    assert len(outcomes) == 942
     assert digest.hexdigest() == \
-        "6af7048fa15c6913ce4e19b8ac6c29fe84e75ff209b7f6950f2522de4f5ca540"
+        "190f93e1b033f8e8f6d37565e524845b57b5c855434a46738646a265384904ae"
