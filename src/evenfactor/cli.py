@@ -18,8 +18,9 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__
 from .corpus import BUNDLED_COUNTS, iter_bundled_corpus
@@ -27,7 +28,7 @@ from .graphs import Graph, Graph6Error, read_graph6, to_graph6
 from .lemmas import SUITE_CHECK_NAMES, run_property_suite
 from .oracle import DEFAULT_NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
-from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graph
+from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graphs
 from .spectral import RESIDUAL_TOL, rho_d, rho_q, wiener_index
 from .theorems import (
     BORDERLINE_MARGIN,
@@ -62,39 +63,43 @@ _TABLE_COLUMNS = {"oracle": ["line", "graph6", "n", "m", "status", "nodes_explor
 Report = tuple[dict, list[dict], list[dict]]
 
 
-def _read_lines(source: Optional[str]) -> list[bytes]:
-    """Raw input lines, for _parse_graphs."""
-    if source is None or source == "-":
-        return sys.stdin.buffer.read().splitlines()
-    with open(source, "rb") as fh:
-        return fh.read().splitlines()
+def _parse_graphs(source: Optional[str], bad: list[dict]) -> Iterator[tuple[int, str, Graph]]:
+    """(line_no, graph6, graph) per well-formed line of the file source, or
+    of stdin for None or "-", read and decoded lazily by read_graph6.
 
+    Each malformed line's violation is appended to bad as it is found; once
+    the items are exhausted, bad holds them all, in line order.
+    """
+    with (nullcontext(sys.stdin.buffer) if source in (None, "-")
+          else open(source, "rb")) as fh:
+        # splitting each newline-ended line again splits on the line breaks
+        # of bytes.splitlines, "\r" and "\r\n" as well as "\n"
+        lines = itertools.chain.from_iterable(map(bytes.splitlines, fh))
 
-def _parse_graphs(lines: Iterable[bytes]) -> tuple[list[tuple[int, str, Graph]], list[dict]]:
-    """(line_no, graph6, graph) triples plus parse violations, both in line
-    order; the graph6 lines are decoded together by read_graph6."""
-    texts = []
-    bad = []
-    for line_no, raw in enumerate(lines, start=1):
-        try:
-            text = raw.decode("ascii").strip()
-        except UnicodeDecodeError as exc:
-            bad.append({
-                "line": line_no,
-                "graph6": raw.decode("ascii", "backslashreplace").strip(),
-                "error": f"non-ASCII byte 0x{raw[exc.start]:02x} at column {exc.start + 1}",
-            })
-            continue
-        if text:
-            texts.append((line_no, text))
-    good = []
-    for (line_no, text), g in zip(texts, read_graph6(text for _, text in texts)):
-        if isinstance(g, Graph6Error):
-            bad.append({"line": line_no, "graph6": text, "error": str(g)})
-        else:
-            good.append((line_no, text, g))
+        def texts():
+            for line_no, raw in enumerate(lines, start=1):
+                try:
+                    text = raw.decode("ascii").strip()
+                except UnicodeDecodeError as exc:
+                    bad.append({
+                        "line": line_no,
+                        "graph6": raw.decode("ascii", "backslashreplace").strip(),
+                        "error": f"non-ASCII byte 0x{raw[exc.start]:02x} "
+                                 f"at column {exc.start + 1}",
+                    })
+                    continue
+                if text:
+                    yield line_no, text
+
+        # read_graph6 reads a batch ahead of what it yields; tee holds the
+        # line numbers of that batch
+        numbered, decode = itertools.tee(texts())
+        for (line_no, text), g in zip(numbered, read_graph6(text for _, text in decode)):
+            if isinstance(g, Graph6Error):
+                bad.append({"line": line_no, "graph6": text, "error": str(g)})
+            else:
+                yield line_no, text, g
     bad.sort(key=lambda v: v["line"])
-    return good, bad
 
 
 def _fmt(value) -> str:
@@ -182,9 +187,9 @@ def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
 
 
 def cmd_spectra(args) -> Report:
-    graphs, bad = _parse_graphs(_read_lines(args.input))
+    bad: list[dict] = []
     rows = []
-    for line_no, text, g in graphs:
+    for line_no, text, g in _parse_graphs(args.input, bad):
         connected = g.is_connected() and g.n >= 1
         rows.append({
             "line": line_no,
@@ -230,14 +235,14 @@ def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
 
 def cmd_certify(args) -> Report:
     kind = _THEOREM_KINDS[args.theorem]
-    graphs, bad = _parse_graphs(_read_lines(args.input))
+    bad: list[dict] = []
     rows = []
-    violations = list(bad)
-    for line_no, text, _, v in _judge(graphs, kind, args):
+    contradicted = []
+    for line_no, text, _, v in _judge(_parse_graphs(args.input, bad), kind, args):
         row = _verdict_row(line_no, text, v)
         rows.append(row)
         if row["oracle_agrees"] is False:
-            violations.append({
+            contradicted.append({
                 "line": line_no,
                 "graph6": text,
                 "spectral_value": row["spectral_value"],
@@ -251,44 +256,40 @@ def cmd_certify(args) -> Report:
         "oracle": args.oracle,
         "oracle_cap": DEFAULT_NODE_CAP,
     }
-    return config, rows, violations
+    return config, rows, bad + contradicted
 
 
 # -- scan ---------------------------------------------------------------------
 
 
-def _scan_source(args) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]], list[dict]]:
-    """The scan's label, (line_no, graph6, graph) items and parse violations.
+def _scan_source(args, bad: list[dict]) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]]]:
+    """The scan's label and (line_no, graph6, graph) items; a corpus's parse
+    violations go to bad as _parse_graphs finds them.
 
     Sampled graphs carry no graph6 text; a row that needs one encodes it.
     """
     if args.corpus:
-        graphs, bad = _parse_graphs(_read_lines(args.corpus))
-        return f"corpus:{args.corpus}", graphs, bad
+        return f"corpus:{args.corpus}", _parse_graphs(args.corpus, bad)
     if args.sample_size is not None:
-        rng = Random(args.seed)
-
-        def gen():
-            for i in range(args.sample_size):
-                yield i + 1, None, sample_connected_graph(rng, args.n)
-
-        return f"sampler:n={args.n},size={args.sample_size},seed={args.seed}", gen(), []
+        graphs = sample_connected_graphs(Random(args.seed), args.n, args.sample_size)
+        return (f"sampler:n={args.n},size={args.sample_size},seed={args.seed}",
+                ((i, None, g) for i, g in enumerate(graphs, 1)))
     return (
         f"bundled:n={args.n}",
         ((i, line, g) for i, (line, g) in enumerate(iter_bundled_corpus(args.n), 1)),
-        [],
     )
 
 
 def cmd_scan(args) -> Report:
     kind = _THEOREM_KINDS[args.theorem]
-    source, graphs, bad = _scan_source(args)
+    bad: list[dict] = []
+    source, graphs = _scan_source(args, bad)
     counts = {c.value: 0 for c in Conclusion}
     total = 0
     borderline = 0
     oracle_runs = 0
     cap_exceeded = 0
-    violations = list(bad)
+    contradicted = []
     for line_no, text, g, v in _judge(graphs, kind, args):
         total += 1
         counts[v.conclusion.value] += 1
@@ -298,7 +299,7 @@ def cmd_scan(args) -> Report:
             if v.oracle_status is CertificateStatus.SEARCH_CAP_EXCEEDED:
                 cap_exceeded += 1
         if v.oracle_agrees is False:
-            violations.append({
+            contradicted.append({
                 "line": line_no,
                 "graph6": text if text is not None else to_graph6(g),
                 "spectral_value": v.spectral_value,
@@ -306,6 +307,7 @@ def cmd_scan(args) -> Report:
                 "oracle_status": v.oracle_status.value,
                 "reason": "guaranteed conclusion contradicted by the oracle",
             })
+    violations = bad + contradicted
     rows = [{
         "source": source,
         "inputs": total,
@@ -402,9 +404,9 @@ def cmd_extremal(args) -> Report:
 
 
 def cmd_oracle(args) -> Report:
-    graphs, bad = _parse_graphs(_read_lines(args.input))
+    bad: list[dict] = []
     rows = []
-    for line_no, text, g in graphs:
+    for line_no, text, g in _parse_graphs(args.input, bad):
         cert = find_even_factor(g)
         rows.append({
             "line": line_no,

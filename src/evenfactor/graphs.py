@@ -375,6 +375,20 @@ def _bit_index(n: int, start: int, width: int) -> tuple[np.ndarray, np.ndarray, 
             np.array([col * width + row for row, col in pairs], np.intp))
 
 
+def _row_masks(packed: np.ndarray) -> list[list[int]]:
+    """Neighbour bitmasks of a (k, n, b) uint8 stack of adjacency rows, each
+    row packed little-endian into b bytes: one list of n ints per graph."""
+    k, n, width = packed.shape
+    if width <= 8:
+        words = np.zeros((k, n, 8), np.uint8)
+        words[:, :, :width] = packed
+        return words.view("<u8").reshape(k, n).tolist()
+    rows = packed.tobytes()
+    return [[int.from_bytes(rows[i:i + width], "little")
+             for i in range(g, g + n * width, width)]
+            for g in range(0, k * n * width, n * width)]
+
+
 def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Error]:
     """Decode lines of order n, all of one length, in one numpy pass."""
     k, length = len(lines), len(lines[0])
@@ -392,17 +406,7 @@ def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Er
     stack = np.zeros((k, n * width), bool)
     stack[:, upper_at] = upper
     stack[:, lower_at] = upper
-    packed = np.packbits(stack, bitorder="little").reshape(k, n, width // 8)
-    if n <= 64:
-        words = np.zeros((k, n, 8), np.uint8)
-        words[:, :, :width // 8] = packed
-        masks = words.view("<u8").reshape(k, n).tolist()
-    else:
-        rows = packed.tobytes()
-        step = width // 8
-        masks = [[int.from_bytes(rows[i:i + step], "little")
-                  for i in range(g, g + n * step, step)]
-                 for g in range(0, k * n * step, n * step)]
+    masks = _row_masks(np.packbits(stack, bitorder="little").reshape(k, n, width // 8))
     # the padding bits are the low bits of the last character
     padding = (1 << 6 * (length - start) - len(read)) - 1
     out: list[Graph | Graph6Error] = []

@@ -23,7 +23,7 @@ from evenfactor.quotient import (
     identity_check,
     largest_root,
 )
-from evenfactor.sampling import sample_connected_graph
+from evenfactor.sampling import sample_connected_graphs
 from evenfactor.spectral import rho_d, rho_q
 from evenfactor.theorems import (
     Conclusion,
@@ -159,7 +159,7 @@ def test_criterion_5_d_condition_sampled_n10():
     violations = []
     guaranteed = 0
     applicable = 0
-    graphs, judged = tee(sample_connected_graph(rng, 10) for _ in range(samples))
+    graphs, judged = tee(sample_connected_graphs(rng, 10, samples))
     verdicts = check_even_factor_many(judged, TheoremKind.DISTANCE, run_oracle=True)
     for g, verdict in zip(graphs, verdicts):
         if verdict.hypotheses.met:

@@ -13,9 +13,10 @@ import pytest
 
 from evenfactor import cli
 from evenfactor.cli import build_parser, main
+from evenfactor.corpus import bundled_corpus_lines
 from evenfactor.graphs import from_graph6, to_graph6
 from evenfactor.oracle import find_even_factor
-from evenfactor.sampling import sample_connected_graph, sample_graph
+from evenfactor.sampling import sample_connected_graphs, sample_graph
 from evenfactor.theorems import (
     ExtremalParams,
     TheoremKind,
@@ -214,7 +215,7 @@ def test_impossible_arguments_are_usage_errors(capsys, tmp_path):
         assert err[-1].startswith("evenfactor: error: "), err
     for n in (0, 1, 2):
         with pytest.raises(ValueError):
-            sample_connected_graph(Random(0), n)
+            next(sample_connected_graphs(Random(0), n, 1))
 
 
 def test_scan_requires_source():
@@ -350,6 +351,44 @@ def test_mixed_orders_and_malformed_lines(tmp_path, capsys):
         assert row["inputs"] == len(good)
         assert {c: row[c] for c in set(verdicts)} == {c: verdicts.count(c) for c in verdicts}
     capsys.readouterr()
+
+
+def test_scan_corpus_malformed_lines_mid_corpus(tmp_path, monkeypatch):
+    # the 11117 graphs of order 8 span 17 decode batches; malformed lines sit
+    # in the middle, behind a mix of "\n", "\r\n" and "\r" line ends
+    lines = [line.encode() for line in bundled_corpus_lines(8)]
+    bad = {3000: b"G??", 6000: b"G\xff?????", 9000: b"A~"}
+    for line_no, raw in bad.items():
+        lines.insert(line_no - 1, raw)
+    text = (b"\n".join(lines[:4000]) + b"\r\n" + b"\r\n".join(lines[4000:8000])
+            + b"\r" + b"\r".join(lines[8000:]) + b"\n")
+    corpus = tmp_path / "mixed8.g6"
+    corpus.write_bytes(text)
+    scanned, bundled = tmp_path / "corpus.json", tmp_path / "bundled.json"
+    assert main(["scan", "--corpus", str(corpus), "--json", str(scanned), "--no-timing"]) == 1
+    assert main(["scan", "-n", "8", "--json", str(bundled), "--no-timing"]) == 0
+    report = json.loads(scanned.read_text())
+    assert report["violations"] == [
+        {"line": 3000, "graph6": "G??", "error": "expected 5 data characters for n=8, got 2"},
+        {"line": 6000, "graph6": "G\\xff?????", "error": "non-ASCII byte 0xff at column 2"},
+        {"line": 9000, "graph6": "A~", "error": "nonzero padding bits"},
+    ]
+    [row], [reference] = report["rows"], json.loads(bundled.read_text())["rows"]
+    assert {**row, "source": None} == {**reference, "source": None, "violations": 3}
+
+    # lines are read as they are decoded: the first graph comes after one batch
+    served = []
+
+    def stdin_lines():
+        for raw in text.splitlines(keepends=True):
+            served.append(raw)
+            yield raw
+
+    monkeypatch.setattr(sys, "stdin", argparse.Namespace(buffer=stdin_lines()))
+    violations = []
+    first = next(cli._parse_graphs("-", violations))
+    assert first[:2] == (1, lines[0].decode())
+    assert len(served) < 1000 and not violations
 
 
 def test_csv_output(tmp_path):
