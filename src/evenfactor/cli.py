@@ -14,7 +14,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -40,11 +39,11 @@ from .theorems import (
     TheoremVerdict,
     check_even_factor_many,
     extremal_table,
-    order_bound,
+    min_order,
     order_bound_grid,
 )
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
@@ -387,7 +386,7 @@ def cmd_extremal(args) -> Report:
         {"n": r.n, "delta": r.delta, "reason": "bracket violated"}
         for r in table
         if not r.bracket_ok
-        and r.n >= math.ceil(order_bound(TheoremKind.SIGNLESS_LAPLACIAN, r.delta))
+        and r.n >= min_order(TheoremKind.SIGNLESS_LAPLACIAN, r.delta)
     ]
     print(EXTREMAL_TABLE_NOTE)
     config = {

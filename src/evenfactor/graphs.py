@@ -81,7 +81,7 @@ class Graph:
 
     def min_degree(self) -> int:
         """delta(G); 0 for the empty graph."""
-        return min((b.bit_count() for b in self._bits), default=0)
+        return min(map(int.bit_count, self._bits), default=0)
 
     def is_connected(self) -> bool:
         """BFS connectivity; the 0-vertex graph counts as connected."""

@@ -12,7 +12,7 @@ K_delta v (K_{n-2delta+1} u (delta-1)K_1):
 
 Thresholds come from the closed-form quotient cubics and are cross-checked
 against the explicitly built extremal graph on every evaluation. Order
-bounds are compared in exact rational arithmetic.
+bounds are exact rationals; a graph's order is compared with their ceiling.
 """
 
 from __future__ import annotations
@@ -173,6 +173,12 @@ def order_bound(kind: TheoremKind, delta: int) -> Fraction:
     return max(Fraction(8 * delta - 7), d * d / 3 + 3)
 
 
+@lru_cache(maxsize=None)
+def min_order(kind: TheoremKind, delta: int) -> int:
+    """Smallest integer order n >= order_bound(kind, delta)."""
+    return math.ceil(order_bound(kind, delta))
+
+
 def order_bound_grid(kind: TheoremKind, delta_range: tuple[int, int],
                      n_max: Optional[int] = None,
                      n_min: Optional[int] = None) -> Iterator[ExtremalParams]:
@@ -183,7 +189,7 @@ def order_bound_grid(kind: TheoremKind, delta_range: tuple[int, int],
     without it at 40, or at the first order when that lies above 40.
     """
     for delta in range(delta_range[0], delta_range[1] + 1):
-        lo = math.ceil(order_bound(kind, delta)) if n_min is None else n_min
+        lo = min_order(kind, delta) if n_min is None else n_min
         lo = max(lo + lo % 2, 2 * delta)
         hi = max(lo, 40) if n_max is None else n_max
         for n in range(lo, hi + 1, 2):
@@ -231,48 +237,24 @@ class TheoremVerdict:
     oracle_agrees: Optional[bool] = None
 
 
-def _spectral_value_defined(n: int, connected: bool, kind: TheoremKind) -> bool:
-    """rho_Q needs a vertex; rho_D needs a connected graph with a vertex."""
-    return n >= 1 and (kind is TheoremKind.SIGNLESS_LAPLACIAN or connected)
-
-
-def check_even_factor(
-    g: Graph,
-    kind: TheoremKind,
-    *,
-    run_oracle: bool = False,
-    spectral_value: Optional[float] = None,
-    connected: Optional[bool] = None,
-) -> TheoremVerdict:
-    """Evaluate one spectral sufficient condition on a graph.
-
-    The minimum degree used in thresholds is always min_degree(g). The
-    condition counts as met within COMPARISON_EPSILON of the threshold.
-    When the spectral value lands within BORDERLINE_MARGIN of the threshold
-    the verdict is flagged borderline; with ``run_oracle`` the exact search
-    cross-checks every conclusion that claims an even factor.
-    ``spectral_value`` is g's rho_Q or rho_D and ``connected`` is
-    ``g.is_connected()`` when the caller already has them; each is computed
-    here when None.
-    """
+def _hypotheses(g: Graph, kind: TheoremKind) -> tuple[int, HypothesisReport]:
+    """(min_degree(g), the report on g's hypotheses under kind)."""
     n = g.n
     delta = g.min_degree()
-    if connected is None:
-        connected = g.is_connected()
-    hyp = HypothesisReport(
-        connected=connected and n >= 1,
+    return delta, HypothesisReport(
+        connected=n >= 1 and g.is_connected(),
         even_order=n % 2 == 0 and n > 0,
         min_degree_ok=delta >= 2,
-        order_bound_ok=delta >= 2 and Fraction(n) >= order_bound(kind, delta),
+        order_bound_ok=delta >= 2 and n >= min_order(kind, delta),
     )
-    spectral = spectral_value
-    if spectral is None and _spectral_value_defined(n, connected, kind):
-        spectral = rho_q(g) if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d(g)
 
+
+def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
+              spectral: Optional[float], run_oracle: bool) -> TheoremVerdict:
+    """The verdict on g from its hypotheses and, when they are met, its rho."""
+    n = g.n
     if not hyp.met:
-        return TheoremVerdict(
-            kind, n, delta, hyp, spectral, None, False, Conclusion.NOT_APPLICABLE
-        )
+        return TheoremVerdict(kind, n, delta, hyp, None, None, False, Conclusion.NOT_APPLICABLE)
 
     params = ExtremalParams(n, delta)
     threshold = (
@@ -311,30 +293,47 @@ def check_even_factor(
     )
 
 
+def check_even_factor(g: Graph, kind: TheoremKind, *,
+                      run_oracle: bool = False) -> TheoremVerdict:
+    """Evaluate one spectral sufficient condition on a graph.
+
+    The hypotheses are settled first, and only a graph that meets them has
+    its rho_Q or rho_D computed: a ``not-applicable`` verdict carries
+    ``spectral_value`` and ``threshold`` as None. The minimum degree used in
+    thresholds is always min_degree(g). The condition counts as met within
+    COMPARISON_EPSILON of the threshold. When the spectral value lands
+    within BORDERLINE_MARGIN of the threshold the verdict is flagged
+    borderline; with ``run_oracle`` the exact search cross-checks every
+    conclusion that claims an even factor.
+    """
+    delta, hyp = _hypotheses(g, kind)
+    rho = rho_q if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d
+    return _conclude(g, kind, delta, hyp, rho(g) if hyp.met else None, run_oracle)
+
+
 def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
                            run_oracle: bool = False) -> Iterator[TheoremVerdict]:
     """``check_even_factor`` on each graph, yielding verdicts in input order.
 
-    Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
-    values of same-order graphs come from one stacked eigen-solve and are
-    passed on as ``spectral_value``, and each graph's connectivity, found
-    once, as ``connected``.
+    Graphs are read VERDICT_CHUNK at a time. Within a chunk, each graph's
+    hypotheses are settled first; the spectral values of the same-order
+    graphs that meet them come from one stacked eigen-solve, and no other
+    graph is eigen-solved.
     """
     radii = rho_q_many if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d_many
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
-        connected = [g.is_connected() for g in chunk]
+        checked = [_hypotheses(g, kind) for g in chunk]
         by_order: dict[int, list[int]] = {}
-        for i, g in enumerate(chunk):
-            if _spectral_value_defined(g.n, connected[i], kind):
+        for i, (g, (_, hyp)) in enumerate(zip(chunk, checked)):
+            if hyp.met:
                 by_order.setdefault(g.n, []).append(i)
         values: list[Optional[float]] = [None] * len(chunk)
         for members in by_order.values():
             for i, value in zip(members, radii([chunk[i] for i in members])):
                 values[i] = float(value)
-        for g, value, conn in zip(chunk, values, connected):
-            yield check_even_factor(g, kind, run_oracle=run_oracle,
-                                    spectral_value=value, connected=conn)
+        for g, (delta, hyp), value in zip(chunk, checked, values):
+            yield _conclude(g, kind, delta, hyp, value, run_oracle)
 
 
 # -- even factor of the extremal graph ------------------------------------------

@@ -44,7 +44,7 @@ def test_spectra_via_subprocess(tmp_path):
     proc = run_cli(["spectra", "--json", str(report_path)], stdin="C~\nCh\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     rows = report["rows"]
     assert rows[0]["n"] == 4 and rows[0]["rho_q"] == pytest.approx(6, abs=1e-9)
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)

@@ -18,7 +18,8 @@ from evenfactor.graphs import (
     to_graph6,
 )
 from evenfactor.oracle import CertificateStatus, is_even_factor
-from evenfactor.spectral import rho_d, rho_q
+from evenfactor import theorems
+from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
 from evenfactor.lemmas import (
     blocks_graph_aligned,
     check_q_threshold_above_bridged,
@@ -342,6 +343,30 @@ def test_check_even_factor_many_matches_per_graph_verdicts():
                 assert v.spectral_value == rho(g)
     assert batched[-1].spectral_value is None  # rho_D of a disconnected graph
     assert batched[-2].spectral_value is None  # the 0-vertex graph
+
+
+def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
+    solved = []
+
+    def recording(radii):
+        def wrapper(graphs):
+            solved.extend(graphs)
+            return radii(graphs)
+        return wrapper
+
+    monkeypatch.setattr(theorems, "rho_q_many", recording(rho_q_many))
+    monkeypatch.setattr(theorems, "rho_d_many", recording(rho_d_many))
+    refused = [complete(8), cycle(7), disjoint_union(cycle(4), cycle(4)), Graph(0)]
+    # the order bound at delta = 2 is 8 for rho_Q and 9 for rho_D
+    for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
+        admitted = [cycle(n), extremal_graph(ExtremalParams(n, 2))]
+        solved.clear()
+        verdicts = list(check_even_factor_many(refused + admitted, kind))
+        assert solved == admitted
+        assert [v.spectral_value is None for v in verdicts] == [True] * 4 + [False] * 2
+    v = check_even_factor(complete(8), TheoremKind.SIGNLESS_LAPLACIAN)
+    assert v.conclusion is Conclusion.NOT_APPLICABLE
+    assert v.spectral_value is None and v.threshold is None
 
 
 def test_extremal_table():
