@@ -232,6 +232,18 @@ def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
     }
 
 
+def _contradiction(line_no: int, text: str, v: TheoremVerdict) -> dict:
+    """The violation row of a guarantee that the oracle refutes."""
+    return {
+        "line": line_no,
+        "graph6": text,
+        "spectral_value": v.spectral_value,
+        "threshold": v.threshold,
+        "oracle_status": v.oracle_status.value,
+        "reason": "guaranteed conclusion contradicted by the oracle",
+    }
+
+
 def cmd_certify(args) -> Report:
     kind = _THEOREM_KINDS[args.theorem]
     bad: list[dict] = []
@@ -240,15 +252,8 @@ def cmd_certify(args) -> Report:
     for line_no, text, _, v in _judge(_parse_graphs(args.input, bad), kind, args):
         row = _verdict_row(line_no, text, v)
         rows.append(row)
-        if row["oracle_agrees"] is False:
-            contradicted.append({
-                "line": line_no,
-                "graph6": text,
-                "spectral_value": row["spectral_value"],
-                "threshold": row["threshold"],
-                "oracle_status": row["oracle_status"],
-                "reason": "guaranteed conclusion contradicted by the oracle",
-            })
+        if v.oracle_agrees is False:
+            contradicted.append(_contradiction(line_no, text, v))
     config = {
         "input": args.input or "-",
         "theorem": args.theorem,
@@ -298,14 +303,8 @@ def cmd_scan(args) -> Report:
             if v.oracle_status is CertificateStatus.SEARCH_CAP_EXCEEDED:
                 cap_exceeded += 1
         if v.oracle_agrees is False:
-            contradicted.append({
-                "line": line_no,
-                "graph6": text if text is not None else to_graph6(g),
-                "spectral_value": v.spectral_value,
-                "threshold": v.threshold,
-                "oracle_status": v.oracle_status.value,
-                "reason": "guaranteed conclusion contradicted by the oracle",
-            })
+            text = text if text is not None else to_graph6(g)
+            contradicted.append(_contradiction(line_no, text, v))
     violations = bad + contradicted
     rows = [{
         "source": source,

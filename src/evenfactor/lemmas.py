@@ -15,7 +15,6 @@ and the input each one reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional
 
@@ -220,11 +219,10 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
         joins, bigs, singles = extremal_blocks(p)
         n, d = p.n, p.delta
         qm = quotient_matrix(signless_laplacian(g), (joins, bigs, singles))
-        root = largest_root(charpoly3(qm), 2 * n - 2 * d, 4 * n, widen=True)
+        root = largest_root(charpoly3(qm))
         err_q = abs(root - rho_q(g))
         dm = quotient_matrix(distance_matrix(g), (bigs, joins, singles))
-        root_d = largest_root(charpoly3(dm), Fraction(2 * extremal_wiener(p), n), 4 * n,
-                              widen=True)
+        root_d = largest_root(charpoly3(dm))
         err_d = abs(root_d - rho_d(g))
         note = "" if qm.equitable and dm.equitable else "partition not equitable"
         err = max(err_q, err_d)

@@ -6,10 +6,13 @@ The three-block join families (extremal, singleton tail, uniform-block
 tail, for both the signless Laplacian and the distance matrix) have
 closed-form monic cubics; their coefficient formulas are transcribed here
 and unit-tested against cofactor expansion of the constructed matrices.
+``largest_root`` takes a cubic alone and certifies its largest real root
+to ROOT_TOL by exact signs, so no caller has to know where that root lies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +30,7 @@ class InvalidPartitionError(ValueError):
 
 
 class BracketingError(ValueError):
-    """No sign change found on the requested root bracket."""
+    """The largest real root of a cubic could not be certified simple."""
 
 
 def validate_partition(order: int, blocks: Sequence[Sequence[int]]) -> None:
@@ -370,52 +373,36 @@ def identity_check(
 # -- root finding ------------------------------------------------------------
 
 
-def largest_root(
-    cubic: Cubic,
-    lo,
-    hi,
-    *,
-    widen: bool = False,
-    hi_cap=None,
-) -> float:
-    """Root of a cubic inside a sign-change bracket, to absolute ROOT_TOL.
+def largest_root(cubic: Cubic) -> float:
+    """Largest real root of a cubic with three real roots, to ROOT_TOL.
 
-    Bisection in exact rational arithmetic: sign decisions never suffer
-    float cancellation, so multiple roots converge to ROOT_TOL as well. The
-    result is the largest real root whenever the caller brackets above all
-    other roots. With ``widen`` the upper end doubles its distance from
-    ``lo`` until a sign change appears, never past ``hi_cap``.
+    The trigonometric form of the depressed cubic gives a float estimate;
+    one Newton step in exact rational arithmetic refines it, rounded to a
+    float x. Exact signs then certify x: with a = x - ROOT_TOL and
+    b = x + ROOT_TOL, f(a) < 0 < f(b), f'(b) > 0 and f''(b) > 0 under a
+    positive leading coefficient make f rise on [b, inf), so the largest
+    real root lies in (a, b). A simple largest root, such as a Perron root,
+    always passes; a multiple one raises BracketingError.
     """
-    a = Fraction(lo)
-    b = Fraction(hi)
-    if not a < b:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    fa = cubic(a)
-    fb = cubic(b)
-    if fa == 0 and fb != 0:
-        return float(a)
-    if fb == 0:
-        return float(b)
-    while (fa > 0) == (fb > 0):
-        if not widen:
-            raise BracketingError(f"no sign change on [{lo}, {hi}]")
-        new_b = a + 2 * (b - a)
-        if hi_cap is not None and new_b > Fraction(hi_cap):
-            raise BracketingError(
-                f"no sign change up to the widening cap {hi_cap} (last hi {float(b)})"
-            )
-        b = new_b
-        fb = cubic(b)
-        if fb == 0:
-            return float(b)
-    negative_left = fa < 0
-    while b - a > Fraction(ROOT_TOL) / 4:
-        mid = (a + b) / 2
-        fm = cubic(mid)
-        if fm == 0:
-            return float(mid)
-        if (fm < 0) == negative_left:
-            a = mid
-        else:
-            b = mid
-    return float((a + b) / 2)
+    f = Cubic(*(Fraction(c) for c in cubic.coefficients))
+    c3, c2, c1, c0 = f.coefficients
+    if not c3 > 0:
+        raise BracketingError(f"leading coefficient {c3} is not positive")
+    # x = t - s turns f / c3 into the depressed cubic t^3 + p t + q
+    s = c2 / (3 * c3)
+    p = c1 / c3 - 3 * s * s
+    q = 2 * s**3 - s * c1 / c3 + c0 / c3
+    if p == 0 or 4 * p**3 + 27 * q**2 > 0:
+        raise BracketingError("the cubic has a complex pair or a triple root")
+    r = math.sqrt(float(-p) / 3)
+    cos3 = max(-1.0, min(1.0, float(-q) / (2 * r**3)))
+    x0 = Fraction(2 * r * math.cos(math.acos(cos3) / 3) - float(s))
+    slope = f.derivative(x0)
+    if slope == 0:
+        raise BracketingError(f"the derivative vanishes at the estimate {float(x0)!r}")
+    x = float(x0 - f(x0) / slope)
+    a = Fraction(x) - Fraction(ROOT_TOL)
+    b = Fraction(x) + Fraction(ROOT_TOL)
+    if f(a) < 0 < f(b) and f.derivative(b) > 0 and 3 * c3 * b + c2 > 0:
+        return x
+    raise BracketingError(f"no certified simple largest root near {x!r}")

@@ -86,32 +86,18 @@ class ThresholdConsistencyError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _thresholds(n: int, delta: int) -> tuple[float, float]:
-    p = ExtremalParams(n, delta)
-    g = extremal_graph(p)
-    cubic_q = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=delta)
-    root_q = largest_root(
-        cubic_q, 2 * n - 2 * delta, 2 * n - delta, widen=True, hi_cap=4 * n
-    )
-    direct_q = rho_q(g)
-    if abs(root_q - direct_q) > THRESHOLD_AGREEMENT:
-        raise ThresholdConsistencyError(
-            f"rho_Q threshold mismatch at (n={n}, delta={delta}): "
-            f"cubic {root_q!r} vs matrix {direct_q!r}"
-        )
-    cubic_d = family_cubic(CubicFamily.D_EXTREMAL, n, delta=delta)
-    # 2W/n, the all-ones Rayleigh quotient, never exceeds rho_D, and lies
-    # above the cubic's other two roots (checked for delta <= 29, n up to
-    # 10*delta + 8; the matrix cross-check below guards the rest). The
-    # bound n + delta - 3 exceeds rho_D at some cells near n = 2*delta.
-    wiener_floor = Fraction(2 * extremal_wiener(p), n)
-    root_d = largest_root(cubic_d, wiener_floor, 3 * n, widen=True, hi_cap=4 * n)
-    direct_d = rho_d(g)
-    if abs(root_d - direct_d) > THRESHOLD_AGREEMENT:
-        raise ThresholdConsistencyError(
-            f"rho_D threshold mismatch at (n={n}, delta={delta}): "
-            f"cubic {root_d!r} vs matrix {direct_d!r}"
-        )
-    return root_q, root_d
+    g = extremal_graph(ExtremalParams(n, delta))
+    roots = []
+    for family, rho in ((CubicFamily.Q_EXTREMAL, rho_q), (CubicFamily.D_EXTREMAL, rho_d)):
+        root = largest_root(family_cubic(family, n, delta=delta))
+        direct = rho(g)
+        if abs(root - direct) > THRESHOLD_AGREEMENT:
+            raise ThresholdConsistencyError(
+                f"{rho.__name__} threshold mismatch at (n={n}, delta={delta}): "
+                f"cubic {root!r} vs matrix {direct!r}"
+            )
+        roots.append(root)
+    return roots[0], roots[1]
 
 
 def threshold_rho_q(p: ExtremalParams) -> float:
@@ -295,7 +281,13 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
 
 def check_even_factor(g: Graph, kind: TheoremKind, *,
                       run_oracle: bool = False) -> TheoremVerdict:
-    """Evaluate one spectral sufficient condition on a graph.
+    """Evaluate one spectral sufficient condition on a graph: a batch of one."""
+    return next(check_even_factor_many((g,), kind, run_oracle=run_oracle))
+
+
+def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
+                           run_oracle: bool = False) -> Iterator[TheoremVerdict]:
+    """Evaluate one spectral sufficient condition on each graph, in input order.
 
     The hypotheses are settled first, and only a graph that meets them has
     its rho_Q or rho_D computed: a ``not-applicable`` verdict carries
@@ -305,20 +297,10 @@ def check_even_factor(g: Graph, kind: TheoremKind, *,
     within BORDERLINE_MARGIN of the threshold the verdict is flagged
     borderline; with ``run_oracle`` the exact search cross-checks every
     conclusion that claims an even factor.
-    """
-    delta, hyp = _hypotheses(g, kind)
-    rho = rho_q if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d
-    return _conclude(g, kind, delta, hyp, rho(g) if hyp.met else None, run_oracle)
 
-
-def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
-                           run_oracle: bool = False) -> Iterator[TheoremVerdict]:
-    """``check_even_factor`` on each graph, yielding verdicts in input order.
-
-    Graphs are read VERDICT_CHUNK at a time. Within a chunk, each graph's
-    hypotheses are settled first; the spectral values of the same-order
-    graphs that meet them come from one stacked eigen-solve, and no other
-    graph is eigen-solved.
+    Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
+    values of the same-order graphs that meet the hypotheses come from one
+    stacked eigen-solve.
     """
     radii = rho_q_many if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d_many
     source = iter(graphs)

@@ -63,7 +63,7 @@ def test_criterion_1_q_threshold_consistency_and_bracket():
     for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 6), 60):
         n, d = p.n, p.delta
         cubic = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=d)
-        root = largest_root(cubic, 2 * n - 2 * d, 2 * n - d)
+        root = largest_root(cubic)
         direct = rho_q(extremal_graph(p))
         gap = abs(root - direct)
         margin = min(root - (2 * n - 2 * d), (2 * n - d) - root)
@@ -88,7 +88,7 @@ def test_criterion_2_d_threshold_consistency_and_floor():
     for p in order_bound_grid(TheoremKind.DISTANCE, (2, 6), 60):
         n, d = p.n, p.delta
         cubic = family_cubic(CubicFamily.D_EXTREMAL, n, delta=d)
-        root = largest_root(cubic, n + d - 3, 3 * n, widen=True, hi_cap=4 * n)
+        root = largest_root(cubic)
         direct = rho_d(extremal_graph(p))
         gap = abs(root - direct)
         floor_margin = root - (n + d - 3)

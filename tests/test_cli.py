@@ -489,3 +489,27 @@ def test_readme_names_only_defined_options():
 def test_version_flag():
     proc = run_cli(["--version"])
     assert proc.returncode == 0
+
+
+def test_certify_and_scan_report_a_refuted_guarantee_alike(tmp_path, monkeypatch):
+    # K_3 v (K_10 u K_1) lies above the extremal graph at (14, 3), so its
+    # verdict is a guarantee; an oracle that finds no even factor refutes it
+    from evenfactor import theorems
+    from evenfactor.graphs import clique_join
+    from evenfactor.oracle import CertificateStatus, EvenFactorCertificate
+
+    monkeypatch.setattr(theorems, "find_even_factor", lambda g: EvenFactorCertificate(
+        CertificateStatus.NONE_EXISTS, None, 0))
+    line = to_graph6(clique_join(3, (10, 1)))
+    corpus = tmp_path / "in.g6"
+    corpus.write_text(f"C~\n{line}\n")
+    found = []
+    for argv in (["certify", str(corpus)], ["scan", "--corpus", str(corpus)]):
+        path = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--theorem", "1", "--oracle", "on",
+                            "--json", str(path), "--no-timing"]) == 1
+        found.append(json.loads(path.read_text())["violations"])
+    (row,) = found[0]
+    assert found[1] == found[0]
+    assert (row["line"], row["graph6"], row["oracle_status"]) == (2, line, "none-exists")
+    assert row["reason"] == "guaranteed conclusion contradicted by the oracle"

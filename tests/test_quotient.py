@@ -12,6 +12,7 @@ from evenfactor.quotient import (
     CubicFamily,
     DifferenceIdentity,
     InvalidPartitionError,
+    ROOT_TOL,
     blocks_family_big_clique,
     charpoly3,
     d_block_gap_at_wiener_floor,
@@ -230,19 +231,18 @@ def test_gap_factor_degrees():
 # -- root finding -------------------------------------------------------------
 
 
-def test_largest_root_known_brackets():
+def test_largest_root_known_roots():
     c = Cubic(1, -20, 104, -120)
-    root = largest_root(c, 12, 13)
+    root = largest_root(c)
     assert 12 < root < 13
     assert abs(c(root)) < 1e-7
-    d = Cubic(1, -5, -28, -12)
-    rootd = largest_root(d, 8, 9)
-    assert 8 < rootd < 9
-    triple = Cubic(1, -3, 3, -1)
-    assert largest_root(triple, 0.5, 2) == pytest.approx(1, abs=1e-9)
+    assert largest_root(Cubic(1, -5, -28, -12)) == pytest.approx(4 + 20**0.5, abs=ROOT_TOL)
+    # (x + 1)^2 (x - 2): a double root below a simple largest root
+    assert largest_root(Cubic(1, 0, -3, -2)) == 2
+    assert largest_root(Cubic(2, -12, 22, -12)) == pytest.approx(3, abs=ROOT_TOL)
 
 
-def test_largest_root_bisection_matches_numpy():
+def test_largest_root_matches_numpy():
     import numpy as np
 
     rng = random.Random(3)
@@ -251,32 +251,25 @@ def test_largest_root_bisection_matches_numpy():
         c2 = -(roots[0] + roots[1] + roots[2])
         c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
         c0 = -roots[0] * roots[1] * roots[2]
-        cub = Cubic(1, c2, c1, c0)
         if roots[2] - roots[1] < 1e-3:
             continue
-        lo = (roots[1] + roots[2]) / 2
-        found = largest_root(cub, lo, roots[2] + 5)
-        assert found == pytest.approx(roots[2], abs=1e-8)
         biggest = max(np.roots([1, c2, c1, c0]).real)
-        assert found == pytest.approx(float(biggest), abs=1e-6)
+        assert largest_root(Cubic(1, c2, c1, c0)) == pytest.approx(biggest, abs=ROOT_TOL)
+    for _ in range(200):
+        m = np.array([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
+        m = m + m.T
+        qm = quotient_matrix(m, ([0], [1], [2]))
+        expected = np.linalg.eigvalsh(m.astype(float))[-1]
+        assert largest_root(charpoly3(qm)) == pytest.approx(expected, abs=ROOT_TOL)
 
 
-def test_largest_root_widening_and_errors():
-    c = Cubic(1, -20, 104, -120)
-    assert largest_root(c, 12, 12.1, widen=True, hi_cap=32) == pytest.approx(
-        largest_root(c, 12, 13), abs=1e-9
-    )
+def test_largest_root_rejects_uncertifiable_cubics():
     with pytest.raises(BracketingError):
-        largest_root(c, 14, 15)  # above the largest root, no sign change
+        largest_root(Cubic(1, -3, 3, -1))  # (x - 1)^3, a triple root
     with pytest.raises(BracketingError):
-        largest_root(Cubic(1, 0, 0, 1), 1, 2, widen=True, hi_cap=100)
-    with pytest.raises(ValueError):
-        largest_root(c, 13, 12)
-
-
-def test_largest_root_deterministic_under_refinement():
-    c = Cubic(1, -20, 104, -120)
-    r1 = largest_root(c, 12, 13)
-    r2 = largest_root(c, 11.5, 14, widen=False)
-    assert abs(r1 - r2) < 1e-9
-    assert largest_root(c, 12, 13) == r1
+        largest_root(Cubic(1, 0, 0, 1))  # x^3 + 1, a complex pair
+    with pytest.raises(BracketingError):
+        largest_root(Cubic(1, 0, -3, 2))  # (x - 1)^2 (x + 2), a double largest root
+    with pytest.raises(BracketingError):
+        # x (x - 1)^2: the estimate lands on the double root, where f' = 0
+        largest_root(Cubic(1, -2, 1, 0))

@@ -87,6 +87,15 @@ def test_threshold_brackets_on_grid():
             assert 2 * n - 2 * d < thr < 2 * n - d
 
 
+def test_thresholds_from_the_smallest_order():
+    # every cell from n = 2*delta up, where the brackets callers once chose
+    # fell short; both thresholds are cross-checked against the matrix
+    for d in range(2, 13):
+        for n in range(2 * d, 8 * d + 9, 2):
+            p = ExtremalParams(n, d)
+            assert threshold_rho_q(p) > threshold_rho_d(p) > 0
+
+
 def test_order_bounds_exact_rational():
     assert order_bound(TheoremKind.SIGNLESS_LAPLACIAN, 2) == 8
     assert order_bound(TheoremKind.SIGNLESS_LAPLACIAN, 3) == 14
@@ -403,7 +412,8 @@ def test_order_bound_grid():
 
 def test_quotient_check_below_the_order_bound():
     # n + delta - 3 lies above rho_D of the extremal graph at these cells, so
-    # a distance bracket starting there widens forever without a sign change
+    # no lower bound of that form can bracket rho_D there; the certified root
+    # needs none
     cells = [ExtremalParams(n, d) for n, d in ((8, 4), (16, 7), (26, 11))]
     assert all(o.passed for o in check_quotient_matches_matrix(cells))
 
