@@ -19,11 +19,7 @@ from .graphs import (
     complete_bipartite,
     components,
     cycle,
-    delete_vertices,
-    disjoint_union,
-    empty,
     from_graph6,
-    join,
     path,
     read_graph6,
     to_graph6,

@@ -197,8 +197,8 @@ def cmd_spectra(args) -> Report:
             "m": g.edge_count,
             "min_degree": g.min_degree(),
             "rho_q": rho_q(g) if g.n >= 1 else None,
-            "wiener": wiener_index(g) if connected and g.n >= 1 else None,
-            "rho_d": rho_d(g) if connected and g.n >= 1 else None,
+            "wiener": wiener_index(g) if connected else None,
+            "rho_d": rho_d(g) if connected else None,
         })
     return {"input": args.input or "-"}, rows, bad
 
@@ -391,7 +391,7 @@ def cmd_extremal(args) -> Report:
     config = {
         "delta_range": [args.delta_min, args.delta_max],
         "n_min": args.n_min if args.n_min is not None else "per-delta bound",
-        "n_max": args.n_max if args.n_max is not None else 40,
+        "n_max": args.n_max if args.n_max is not None else "max(40, first order)",
         "oracle_cap": DEFAULT_NODE_CAP,
         "note": EXTREMAL_TABLE_NOTE,
     }

@@ -3,9 +3,8 @@
 Vertices are dense integer labels. Adjacency is one bitmask per vertex
 (bit w of ``_bits[v]`` is set iff vw is an edge), and every query reads
 it: degrees are popcounts, membership is one shift, and the component
-flood fill behind connectivity and the odd-component condition ORs whole
-neighbourhoods at a time. All constructors document their labeling;
-``join`` places its first argument's vertices first.
+flood fill behind connectivity ORs whole neighbourhoods at a time. All
+constructors document their labeling.
 """
 
 from __future__ import annotations
@@ -113,11 +112,6 @@ class ComponentReport:
 # -- constructors ---------------------------------------------------------
 
 
-def empty(k: int) -> Graph:
-    """k isolated vertices."""
-    return Graph(k)
-
-
 def complete(k: int) -> Graph:
     """K_k."""
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
@@ -140,22 +134,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """G1 u G2; g2's vertices are relabeled by offset g1.n."""
-    off = g1.n
-    edges = g1.edges() + [(u + off, v + off) for u, v in g2.edges()]
-    return Graph(g1.n + g2.n, edges)
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """G1 v G2: disjoint union plus all cross edges; g1's vertices come first."""
-    off = g1.n
-    edges = g1.edges()
-    edges += [(u + off, v + off) for u, v in g2.edges()]
-    edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
-    return Graph(g1.n + g2.n, edges)
-
-
 def clique_join(s: int, parts: Sequence[int]) -> Graph:
     """K_s joined to a disjoint union of cliques K_{parts[0]}, K_{parts[1]}, ...
 
@@ -163,13 +141,18 @@ def clique_join(s: int, parts: Sequence[int]) -> Graph:
     """
     if s < 0 or any(p < 0 for p in parts):
         raise ValueError("clique sizes must be nonnegative")
-    inner = empty(0)
+    n = s + sum(parts)
+    hubs = (1 << s) - 1
+    # a hub sees every other vertex; a part's vertex sees its part and the hubs
+    bits = [((1 << n) - 1) ^ (1 << v) for v in range(s)]
     for p in parts:
-        inner = disjoint_union(inner, complete(p))
-    return join(complete(s), inner)
+        start = len(bits)
+        part = hubs | ((1 << p) - 1) << start
+        bits += [part ^ (1 << v) for v in range(start, start + p)]
+    return Graph._from_bits(tuple(bits), sum(map(int.bit_count, bits)) // 2)
 
 
-# -- vertex deletion and components ---------------------------------------
+# -- components -----------------------------------------------------------
 
 
 def _vertices(mask: int) -> tuple[int, ...]:
@@ -245,23 +228,6 @@ def _bridges(bits: Sequence[int]) -> list[tuple[int, int]]:
         sub[p] |= sub[c]
         reach[p] |= reach[c]
     return sorted(out)
-
-
-def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on V - remove, relabeled consecutively.
-
-    Returns (subgraph, kept) where kept[new_label] = old_label.
-    """
-    removed = set(remove)
-    for v in removed:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    kept = tuple(v for v in range(g.n) if v not in removed)
-    index = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges() if u in index and v in index
-    ]
-    return Graph(len(kept), edges), kept
 
 
 def components(g: Graph, removed: Iterable[int] = ()) -> ComponentReport:

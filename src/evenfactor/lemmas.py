@@ -345,28 +345,10 @@ def check_extremal_wiener_closed_form(grid: Iterable[ExtremalParams]) -> list[Ch
     return out
 
 
-def blocks_graph_aligned(p: ExtremalParams) -> Graph:
-    """The s=2 uniform-blocks graph laid out on the extremal graph's labels.
-
-    Starting from the extremal graph: the singletons become a clique joined
-    only to the first two join vertices; the remaining join vertices merge
-    into the big clique. The result is isomorphic to
-    K_2 v (K_{n-delta-1} u K_{delta-1}).
-    """
-    joins, _, singles = extremal_blocks(p)
-    edges = set(extremal_graph(p).edges())
-    for u in singles:
-        for j in joins[2:]:
-            edges.discard((j, u) if j < u else (u, j))
-    for i, u in enumerate(singles):
-        for w in singles[i + 1:]:
-            edges.add((u, w))
-    return Graph(p.n, sorted(edges))
-
-
 def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
     """rho_D(blocks s=2) - rho_D(extremal) >= (d-1)(d-2) x_iso (2 x_join - x_iso).
 
+    The s=2 uniform-blocks graph is K_2 v (K_{n-delta-1} u K_{delta-1}).
     The right side is the Rayleigh quadratic form of the distance-matrix
     perturbation evaluated at the extremal graph's unit Perron vector, whose
     block values are read off the exact labeling.
@@ -376,13 +358,13 @@ def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutco
         if p.delta < 3:
             continue
         star = extremal_graph(p)
-        moved = blocks_graph_aligned(p)
         res = largest_eigenvalue(distance_matrix(star))
         joins, _, singles = extremal_blocks(p)
         x_join = float(res.vector[joins[0]])
         x_iso = float(res.vector[singles[0]])
         bound = (p.delta - 1) * (p.delta - 2) * x_iso * (2 * x_join - x_iso)
-        gap = rho_d(moved) - res.value
+        blocks = clique_join(2, (p.n - p.delta - 1, p.delta - 1))
+        gap = rho_d(blocks) - res.value
         margin = gap - bound
         out.append(CheckOutcome(
             "d-blocks-rayleigh-gap", f"n={p.n},delta={p.delta}",

@@ -251,6 +251,21 @@ def test_extremal_command(tmp_path):
     assert "extremal graph itself" in report["config"]["note"]
 
 
+def test_extremal_config_states_the_default_n_max(tmp_path):
+    # delta = 8 and 9 first reach the order bound at n = 50 and 56, above 40,
+    # so without --n-max each delta's one row lies there
+    report_path = tmp_path / "ext.json"
+    proc = run_cli(
+        ["extremal", "--delta-min", "8", "--delta-max", "9",
+         "--json", str(report_path), "--no-timing"],
+    )
+    assert proc.returncode == 0
+    report = json.loads(report_path.read_text())
+    assert [(r["n"], r["delta"]) for r in report["rows"]] == [(50, 8), (56, 9)]
+    assert report["config"]["n_min"] == "per-delta bound"
+    assert report["config"]["n_max"] == "max(40, first order)"
+
+
 # every valid cell with delta <= 11 at which n + delta - 3 lies above rho_D
 # of the extremal graph, so a bracket starting there finds no root
 LOW_ORDER_CELLS = [(8, 4), (10, 5), (12, 6), (14, 7), (16, 7), (16, 8), (18, 8),

@@ -1,4 +1,5 @@
-"""Graph model, family constructors, components, and graph6 codec."""
+"""Graph model, family constructors against their definitions, components,
+bridges, and the graph6 codec."""
 
 import random
 
@@ -16,11 +17,7 @@ from evenfactor.graphs import (
     complete_bipartite,
     components,
     cycle,
-    delete_vertices,
-    disjoint_union,
-    empty,
     from_graph6,
-    join,
     path,
     read_graph6,
     to_graph6,
@@ -48,36 +45,23 @@ def test_duplicate_edges_collapse():
 
 
 def test_disjoint_union_relabels_and_counts():
-    g = disjoint_union(complete(3), complete(1))
+    # with s = 0 the clique join is the disjoint union of its parts, in order
+    g = clique_join(0, (3, 1))
     assert (g.n, g.edge_count) == (4, 3)
     assert components(g).components == ((0, 1, 2), (3,))
-    assert disjoint_union(empty(0), complete(2)) == complete(2)
-    sizes = sorted(len(c) for c in components(disjoint_union(complete(5), complete(1))).components)
+    assert clique_join(0, (0, 2)) == complete(2)
+    sizes = sorted(len(c) for c in components(clique_join(0, (5, 1))).components)
     assert sizes == [1, 5]
 
 
 def test_join_edge_arithmetic():
-    g = join(complete(2), disjoint_union(complete(1), complete(1)))
+    g = clique_join(2, (1, 1))
     assert (g.n, g.edge_count) == (4, 5)  # K_4 minus one edge
-    assert join(empty(0), complete(3)) == complete(3)
+    assert clique_join(0, (3,)) == clique_join(3, ()) == complete(3)
     # e(G1 v G2) = e(G1) + e(G2) + n1*n2, counted from the definition
-    g2 = join(complete(2), disjoint_union(complete(5), complete(1)))
+    g2 = clique_join(2, (5, 1))
     assert g2.edge_count == 1 + 10 + 0 + 2 * 6 == 23
     assert g2.n == 8
-
-
-def test_join_union_arithmetic_randomized():
-    rng = random.Random(4)
-    for _ in range(30):
-        n1, n2 = rng.randrange(0, 6), rng.randrange(0, 6)
-        e1 = [(i, j) for i in range(n1) for j in range(i + 1, n1) if rng.random() < 0.5]
-        e2 = [(i, j) for i in range(n2) for j in range(i + 1, n2) if rng.random() < 0.5]
-        g1, g2 = Graph(n1, e1), Graph(n2, e2)
-        u = disjoint_union(g1, g2)
-        j = join(g1, g2)
-        assert u.n == j.n == n1 + n2
-        assert u.edge_count == len(e1) + len(e2)
-        assert j.edge_count == len(e1) + len(e2) + n1 * n2
 
 
 def test_cycle():
@@ -90,35 +74,33 @@ def test_cycle():
         cycle(2)
 
 
+def _clique_join_by_definition(s, parts):
+    """K_s v (K_{parts[0]} u K_{parts[1]} u ...) from its edge list: every
+    pair with a K_s end, and every pair inside one part."""
+    n = s + sum(parts)
+    edges = [(u, v) for u in range(s) for v in range(u + 1, n)]
+    start = s
+    for p in parts:
+        edges += [(u, v) for u in range(start, start + p) for v in range(u + 1, start + p)]
+        start += p
+    return Graph(n, edges)
+
+
 def test_clique_join_labels():
-    g = clique_join(2, (5, 1))
-    assert g == join(complete(2), disjoint_union(complete(5), complete(1)))
-
-
-def test_delete_vertices():
-    g, kept = delete_vertices(complete(4), {0})
-    assert g == complete(3)
-    assert kept == (1, 2, 3)
-    g2, _ = delete_vertices(cycle(6), {0, 3})
-    assert sorted(len(c) for c in components(g2).components) == [2, 2]
-    assert all(deg == 1 for v in range(g2.n) for deg in [g2.degree(v)])
-    same, kept_all = delete_vertices(cycle(5), set())
-    assert same == cycle(5) and kept_all == (0, 1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        delete_vertices(complete(3), {5})
-
-
-def test_delete_vertices_degree_identity():
-    rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randrange(2, 9)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        g = Graph(n, edges)
-        removed = {v for v in range(n) if rng.random() < 0.3}
-        sub, kept = delete_vertices(g, removed)
-        for new, old in enumerate(kept):
-            lost = sum(1 for w in g.neighbors(old) if w in removed)
-            assert sub.degree(new) == g.degree(old) - lost
+    # every extremal cell K_delta v (K_{n-2delta+1} u (delta-1)K_1) of the
+    # threshold grid, then the degenerate shapes
+    shapes = [(d, (n - 2 * d + 1,) + (1,) * (d - 1))
+              for d in range(2, 13) for n in range(2 * d, 8 * d + 9, 2)]
+    assert len(shapes) == 286
+    shapes += [(0, ()), (3, ()), (0, (4,)), (0, (0, 0)), (2, (0, 3, 0)),
+               (0, (1, 1)), (1, (1, 1)), (2, (1, 1))]
+    for s, parts in shapes:
+        g, reference = clique_join(s, parts), _clique_join_by_definition(s, parts)
+        assert g == reference, (s, parts)
+        assert g.edge_count == reference.edge_count, (s, parts)
+    for s, parts in [(-1, ()), (-1, (2,)), (2, (3, -1)), (0, (-2,))]:
+        with pytest.raises(ValueError):
+            clique_join(s, parts)
 
 
 def test_components_odd_count():
@@ -126,7 +108,7 @@ def test_components_odd_count():
     assert rep == ComponentReport(((2,), (3,), (4,)), 3)
     rep2 = components(cycle(6), (0, 3))
     assert rep2.odd_count == 0 and len(rep2.components) == 2
-    g = join(complete(2), disjoint_union(complete(5), complete(1)))
+    g = clique_join(2, (5, 1))
     rep3 = components(g, (0, 1))
     assert sorted(len(c) for c in rep3.components) == [1, 5]
     assert rep3.odd_count == 2
@@ -137,12 +119,12 @@ def test_components_odd_count():
 
 def test_min_degree_and_connectivity():
     assert complete_bipartite(2, 3).min_degree() == 2
-    assert not disjoint_union(complete(3), complete(1)).is_connected()
-    g = join(complete(2), disjoint_union(complete(5), complete(1)))
+    assert not clique_join(0, (3, 1)).is_connected()
+    g = clique_join(2, (5, 1))
     assert g.min_degree() == 2
-    assert empty(0).is_connected()
-    assert empty(1).is_connected()
-    assert not empty(2).is_connected()
+    assert Graph(0).is_connected()
+    assert Graph(1).is_connected()
+    assert not Graph(2).is_connected()
 
 
 # -- graph6 -----------------------------------------------------------------
@@ -155,8 +137,8 @@ def test_graph6_known_lines():
     # bits 101001 in order x(0,1) x(0,2) x(1,2) x(0,3) x(1,3) x(2,3)
     assert p4 == path(4)
     assert to_graph6(path(4)) == "Ch"
-    assert from_graph6("?") == empty(0)
-    assert to_graph6(empty(0)) == "?"
+    assert from_graph6("?") == Graph(0)
+    assert to_graph6(Graph(0)) == "?"
 
 
 def test_graph6_header_stripped():
@@ -193,7 +175,7 @@ def test_graph6_errors():
             from_graph6(line)
         assert str(info.value) == error
     with pytest.raises(Graph6Error):
-        to_graph6(empty(258048))
+        to_graph6(Graph(258048))
 
 
 def test_graph6_roundtrip_randomized():
@@ -367,7 +349,7 @@ def test_bridges_match_reference():
     def bridges(g):
         return _bridges([g.neighbor_bits(v) for v in range(g.n)])
 
-    assert bridges(empty(0)) == [] and bridges(empty(1)) == []
+    assert bridges(Graph(0)) == [] and bridges(Graph(1)) == []
     assert bridges(path(5)) == path(5).edges()
     assert bridges(cycle(6)) == []
     rng = random.Random(77)

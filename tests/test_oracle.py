@@ -17,7 +17,6 @@ from evenfactor.graphs import (
     complete_bipartite,
     components,
     cycle,
-    empty,
     path,
 )
 from evenfactor.oracle import (
@@ -72,9 +71,9 @@ def test_find_even_factor_examples():
 
 
 def test_find_even_factor_degenerate_orders():
-    assert find_even_factor(empty(0)).status is CertificateStatus.FOUND
-    assert find_even_factor(empty(0)).edges == ()
-    assert find_even_factor(empty(1)).status is CertificateStatus.NONE_EXISTS
+    assert find_even_factor(Graph(0)).status is CertificateStatus.FOUND
+    assert find_even_factor(Graph(0)).edges == ()
+    assert find_even_factor(Graph(1)).status is CertificateStatus.NONE_EXISTS
 
 
 def test_min_degree_short_circuit():

@@ -7,10 +7,9 @@ import pytest
 
 from evenfactor.graphs import (
     Graph,
+    clique_join,
     complete,
     cycle,
-    disjoint_union,
-    join,
     path,
 )
 from evenfactor.spectral import (
@@ -44,7 +43,7 @@ def test_distance_matrix_entries():
     for row in c4:
         assert sorted(row.tolist()) == [0, 1, 1, 2]
     with pytest.raises(DisconnectedGraphError):
-        distance_matrix(disjoint_union(complete(2), complete(2)))
+        distance_matrix(clique_join(0, (2, 2)))
 
 
 def _floyd_warshall(g):
@@ -90,7 +89,7 @@ def test_distance_stack_vs_floyd_warshall():
         for g, d in zip(graphs, stack):
             assert (d == _floyd_warshall(g)).all()
     with pytest.raises(DisconnectedGraphError):
-        _distance_stack([path(4), disjoint_union(complete(2), complete(2))])
+        _distance_stack([path(4), clique_join(0, (2, 2))])
     with pytest.raises(ValueError):
         _distance_stack([path(4), path(5)])
 
@@ -165,7 +164,7 @@ def test_largest_eigenvalue_input_validation():
 
 
 def test_largest_eigenvalue_deterministic():
-    q = signless_laplacian(join(complete(2), disjoint_union(complete(5), complete(1))))
+    q = signless_laplacian(clique_join(2, (5, 1)))
     a = largest_eigenvalue(q)
     b = largest_eigenvalue(q)
     assert a.value == b.value and a.residual == b.residual
@@ -176,7 +175,7 @@ def test_extremal_rho_q_bracketed_by_cubic_signs():
     # the cubic x^3 - 20x^2 + 104x - 120 changes sign on [12, 13]
     poly = lambda x: x**3 - 20 * x**2 + 104 * x - 120
     assert poly(12) < 0 < poly(13)
-    g = join(complete(2), disjoint_union(complete(5), complete(1)))
+    g = clique_join(2, (5, 1))
     value = rho_q(g)
     assert 12 < value < 13
     assert poly(value) == pytest.approx(0, abs=1e-6)
@@ -187,11 +186,11 @@ def test_wiener_values():
         assert wiener_index(complete(n)) == n * (n - 1) // 2
     assert wiener_index(path(3)) == 4
     assert wiener_index(path(4)) == 1 + 1 + 1 + 2 + 2 + 3 == 10
-    g = join(complete(2), disjoint_union(complete(5), complete(1)))
+    g = clique_join(2, (5, 1))
     n, delta = 8, 2
     assert wiener_index(g) == (n * n + (2 * delta - 3) * n - 3 * delta**2 + 3 * delta) // 2 == 33
     with pytest.raises(DisconnectedGraphError):
-        wiener_index(disjoint_union(complete(1), complete(1)))
+        wiener_index(clique_join(0, (1, 1)))
 
 
 def test_wiener_rayleigh_lower_bound_randomized():

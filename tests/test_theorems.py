@@ -13,7 +13,6 @@ from evenfactor.graphs import (
     clique_join,
     complete,
     cycle,
-    disjoint_union,
     from_graph6,
     to_graph6,
 )
@@ -21,7 +20,6 @@ from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor import theorems
 from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
 from evenfactor.lemmas import (
-    blocks_graph_aligned,
     check_q_threshold_above_bridged,
     check_quotient_matches_matrix,
     perron_abc,
@@ -271,18 +269,6 @@ def test_extremal_even_factor_certificates():
             assert is_even_factor(extremal_graph(p), cert.edges), (n, d)
 
 
-def test_blocks_graph_aligned_is_isomorphic_to_family():
-    for n, d in [(14, 3), (22, 4), (30, 5)]:
-        p = ExtremalParams(n, d)
-        moved = blocks_graph_aligned(p)
-        family = clique_join(2, (n - d - 1, d - 1))
-        assert moved.n == family.n and moved.edge_count == family.edge_count
-        assert sorted(moved.degree(v) for v in range(n)) == \
-            sorted(family.degree(v) for v in range(n))
-        assert rho_d(moved) == pytest.approx(rho_d(family), abs=1e-9)
-        assert rho_q(moved) == pytest.approx(rho_q(family), abs=1e-9)
-
-
 def test_join_family_dominance_spec_instance():
     # n=12, s=2, p=1, t=2: concentrating K_5 u K_5 into K_9 u K_1
     spread = clique_join(2, (5, 5))
@@ -340,7 +326,7 @@ def test_check_even_factor_many_matches_per_graph_verdicts():
     corpora = [load_bundled_corpus(n)[:120] for n in (6, 7, 8)]
     graphs = [g for triple in zip(*corpora) for g in triple]
     graphs += [extremal_graph(ExtremalParams(8, 2)), Graph(0),
-               disjoint_union(complete(3), complete(3))]
+               clique_join(0, (3, 3))]
     assert len(graphs) > 3 * VERDICT_CHUNK
     for kind, rho in ((TheoremKind.SIGNLESS_LAPLACIAN, rho_q),
                       (TheoremKind.DISTANCE, rho_d)):
@@ -365,7 +351,8 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
 
     monkeypatch.setattr(theorems, "rho_q_many", recording(rho_q_many))
     monkeypatch.setattr(theorems, "rho_d_many", recording(rho_d_many))
-    refused = [complete(8), cycle(7), disjoint_union(cycle(4), cycle(4)), Graph(0)]
+    two_c4 = Graph(8, [(i + j, i + (j + 1) % 4) for i in (0, 4) for j in range(4)])
+    refused = [complete(8), cycle(7), two_c4, Graph(0)]
     # the order bound at delta = 2 is 8 for rho_Q and 9 for rho_D
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
         admitted = [cycle(n), extremal_graph(ExtremalParams(n, 2))]
