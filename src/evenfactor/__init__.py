@@ -1,7 +1,7 @@
 """Spectral sufficient conditions for even factors, with an exact oracle.
 
 Library layout:
-  graphs    immutable graphs, family constructors, graph6 I/O
+  graphs    immutable graphs, the clique-join constructor, graph6 I/O
   spectral  Q(G), distance matrix, Perron roots (batched by order), Wiener index
   quotient  partitions, quotient matrices, family cubics, root bracketing
   oracle    exact even-factor search and the odd-component condition
@@ -11,16 +11,10 @@ Library layout:
 """
 
 from .graphs import (
-    ComponentReport,
     Graph,
     Graph6Error,
     clique_join,
-    complete,
-    complete_bipartite,
-    components,
-    cycle,
     from_graph6,
-    path,
     read_graph6,
     to_graph6,
 )

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 from . import __version__
 from .corpus import BUNDLED_COUNTS, iter_bundled_corpus
 from .graphs import Graph, Graph6Error, read_graph6, to_graph6
-from .lemmas import SUITE_CHECK_NAMES, run_property_suite
+from .lemmas import SUITE_CHECK_NAMES, THRESHOLD_AGREEMENT, run_property_suite
 from .oracle import DEFAULT_NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
 from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graphs
@@ -33,7 +33,6 @@ from .theorems import (
     BORDERLINE_MARGIN,
     COMPARISON_EPSILON,
     EXTREMAL_TABLE_NOTE,
-    THRESHOLD_AGREEMENT,
     Conclusion,
     TheoremKind,
     TheoremVerdict,

@@ -10,8 +10,11 @@ K_delta v (K_{n-2delta+1} u (delta-1)K_1):
   * distance: rho_D(G) <= rho_D(extremal)  =>  even factor, same
     exception (order bound n >= max(8*delta - 7, delta^2/3 + 3)).
 
-Thresholds come from the closed-form quotient cubics and are cross-checked
-against the explicitly built extremal graph on every evaluation. Order
+Each threshold is the certified largest root of the extremal graph's
+closed-form quotient cubic (``family_cubic``), which is that graph's
+spectral radius: the quotient is equitable and the cubic is its exact
+characteristic polynomial (tests/test_quotient.py proves the identity; the
+``quotient-root-matches-matrix`` lemma compares roots with the matrix). Order
 bounds are exact rationals; a graph's order is compared with their ceiling.
 """
 
@@ -28,11 +31,10 @@ from typing import Iterable, Iterator, Optional
 from .graphs import Graph, clique_join
 from .oracle import CertificateStatus, EvenFactorCertificate, find_even_factor
 from .quotient import CubicFamily, family_cubic, largest_root
-from .spectral import rho_d, rho_d_many, rho_q, rho_q_many
+from .spectral import rho_d_many, rho_q_many
 
 COMPARISON_EPSILON = 1e-8
 BORDERLINE_MARGIN = 1e-6
-THRESHOLD_AGREEMENT = 1e-8
 # graphs per chunk of check_even_factor_many; chunks of 512 raised the
 # peak memory of the benchmark sweeps by 11-14%, chunks of 64 by under 8%
 VERDICT_CHUNK = 64
@@ -80,34 +82,19 @@ def extremal_wiener(p: ExtremalParams) -> int:
 # -- thresholds ----------------------------------------------------------------
 
 
-class ThresholdConsistencyError(RuntimeError):
-    """Cubic root and full-matrix eigenvalue disagree beyond tolerance."""
-
-
 @lru_cache(maxsize=None)
-def _thresholds(n: int, delta: int) -> tuple[float, float]:
-    g = extremal_graph(ExtremalParams(n, delta))
-    roots = []
-    for family, rho in ((CubicFamily.Q_EXTREMAL, rho_q), (CubicFamily.D_EXTREMAL, rho_d)):
-        root = largest_root(family_cubic(family, n, delta=delta))
-        direct = rho(g)
-        if abs(root - direct) > THRESHOLD_AGREEMENT:
-            raise ThresholdConsistencyError(
-                f"{rho.__name__} threshold mismatch at (n={n}, delta={delta}): "
-                f"cubic {root!r} vs matrix {direct!r}"
-            )
-        roots.append(root)
-    return roots[0], roots[1]
+def _threshold(family: CubicFamily, n: int, delta: int) -> float:
+    return largest_root(family_cubic(family, n, delta=delta))
 
 
 def threshold_rho_q(p: ExtremalParams) -> float:
-    """rho_Q of the extremal graph, from its cubic, matrix-cross-checked."""
-    return _thresholds(p.n, p.delta)[0]
+    """rho_Q of the extremal graph: the certified largest root of its cubic."""
+    return _threshold(CubicFamily.Q_EXTREMAL, p.n, p.delta)
 
 
 def threshold_rho_d(p: ExtremalParams) -> float:
-    """rho_D of the extremal graph, from its cubic, matrix-cross-checked."""
-    return _thresholds(p.n, p.delta)[1]
+    """rho_D of the extremal graph: the certified largest root of its cubic."""
+    return _threshold(CubicFamily.D_EXTREMAL, p.n, p.delta)
 
 
 # -- recognizing the extremal graph -------------------------------------------

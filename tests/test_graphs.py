@@ -1,4 +1,4 @@
-"""Graph model, family constructors against their definitions, components,
+"""Graph model, the clique join against its definition, components,
 bridges, and the graph6 codec."""
 
 import random
@@ -8,26 +8,21 @@ import pytest
 from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
 from evenfactor import graphs
 from evenfactor.graphs import (
-    ComponentReport,
     _bridges,
     Graph,
     Graph6Error,
     clique_join,
-    complete,
-    complete_bipartite,
-    components,
-    cycle,
     from_graph6,
-    path,
     read_graph6,
     to_graph6,
 )
+from small_graphs import ComponentReport, complete_bipartite, components, cycle, path
 
 
 def test_complete_degenerate_and_k4():
-    assert complete(0).n == 0 and complete(0).edge_count == 0
-    assert complete(1).n == 1 and complete(1).edge_count == 0
-    k4 = complete(4)
+    assert clique_join(0, ()).n == 0 and clique_join(0, ()).edge_count == 0
+    assert clique_join(1, ()).n == 1 and clique_join(1, ()).edge_count == 0
+    k4 = clique_join(4, ())
     assert k4.edge_count == 6
     assert all(k4.degree(v) == 3 for v in range(4))
 
@@ -49,7 +44,7 @@ def test_disjoint_union_relabels_and_counts():
     g = clique_join(0, (3, 1))
     assert (g.n, g.edge_count) == (4, 3)
     assert components(g).components == ((0, 1, 2), (3,))
-    assert clique_join(0, (0, 2)) == complete(2)
+    assert clique_join(0, (0, 2)) == path(2)
     sizes = sorted(len(c) for c in components(clique_join(0, (5, 1))).components)
     assert sizes == [1, 5]
 
@@ -57,7 +52,7 @@ def test_disjoint_union_relabels_and_counts():
 def test_join_edge_arithmetic():
     g = clique_join(2, (1, 1))
     assert (g.n, g.edge_count) == (4, 5)  # K_4 minus one edge
-    assert clique_join(0, (3,)) == clique_join(3, ()) == complete(3)
+    assert clique_join(0, (3,)) == clique_join(3, ()) == cycle(3)
     # e(G1 v G2) = e(G1) + e(G2) + n1*n2, counted from the definition
     g2 = clique_join(2, (5, 1))
     assert g2.edge_count == 1 + 10 + 0 + 2 * 6 == 23
@@ -65,7 +60,7 @@ def test_join_edge_arithmetic():
 
 
 def test_cycle():
-    assert cycle(3) == complete(3)
+    assert cycle(3) == clique_join(3, ())
     c4 = cycle(4)
     assert c4.edge_count == 4
     c5 = cycle(5)
@@ -132,7 +127,7 @@ def test_min_degree_and_connectivity():
 
 def test_graph6_known_lines():
     k4 = from_graph6("C~")
-    assert k4 == complete(4)
+    assert k4 == clique_join(4, ())
     p4 = from_graph6("Ch")
     # bits 101001 in order x(0,1) x(0,2) x(1,2) x(0,3) x(1,3) x(2,3)
     assert p4 == path(4)
@@ -142,7 +137,7 @@ def test_graph6_known_lines():
 
 
 def test_graph6_header_stripped():
-    assert from_graph6(">>graph6<<C~") == complete(4)
+    assert from_graph6(">>graph6<<C~") == clique_join(4, ())
 
 
 # malformed lines and their errors; lines are stripped, so "B " lacks
@@ -281,7 +276,7 @@ def test_read_graph6_is_lazy():
             yield "C~"
 
     first = next(read_graph6(lines()))
-    assert first == complete(4)
+    assert first == clique_join(4, ())
     assert len(pulled) * 2 <= graphs._BATCH_CHARS
 
 

@@ -9,16 +9,7 @@ from math import comb
 import pytest
 
 from evenfactor.corpus import load_bundled_corpus
-from evenfactor.graphs import (
-    Graph,
-    _bridges,
-    clique_join,
-    complete,
-    complete_bipartite,
-    components,
-    cycle,
-    path,
-)
+from evenfactor.graphs import Graph, _bridges, clique_join
 from evenfactor.oracle import (
     CertificateStatus,
     OddComponentReport,
@@ -26,6 +17,7 @@ from evenfactor.oracle import (
     is_even_factor,
     odd_component_condition,
 )
+from small_graphs import complete_bipartite, components, cycle, path
 
 
 def bowtie():
@@ -153,14 +145,14 @@ def test_determinism():
 def test_early_accept_stops_once_every_vertex_is_settled():
     # K_9: the first 15 edges taken give degrees 8, 8 and 2 elsewhere; the
     # remaining 21 edges would only be excluded, so none is decided
-    cert = find_even_factor(complete(9))
+    cert = find_even_factor(clique_join(9, ()))
     assert cert.status is CertificateStatus.FOUND
     assert cert.nodes_explored == len(cert.edges) == 15
-    assert is_even_factor(complete(9), cert.edges)
+    assert is_even_factor(clique_join(9, ()), cert.edges)
 
 
 def test_search_cap():
-    cert = find_even_factor(complete(8), node_cap=3)
+    cert = find_even_factor(clique_join(8, ()), node_cap=3)
     assert cert.status is CertificateStatus.SEARCH_CAP_EXCEEDED
     assert cert.nodes_explored == 3
 
@@ -326,19 +318,19 @@ def test_odd_component_reports_match_golden_digest():
 
 
 def test_odd_component_examples():
-    assert odd_component_condition(complete(6)).holds
+    assert odd_component_condition(clique_join(6, ())).holds
     # deleting the side of two leaves three isolated vertices
     assert odd_component_condition(complete_bipartite(2, 3)) == OddComponentReport(False, 1)
     # a degree-2 vertex on even order: decided before any pair
     assert odd_component_condition(clique_join(2, (7, 1))) == OddComponentReport(False, 0)
     for n in (16, 20, 21):
-        assert odd_component_condition(complete(n)) == OddComponentReport(True, comb(n, 2))
+        assert odd_component_condition(clique_join(n, ())) == OddComponentReport(True, comb(n, 2))
     # minimum degree 4 and 10 but not bicritical: deleting two vertices of
     # one side leaves unequal sides
     for k in (4, 10):
         assert odd_component_condition(complete_bipartite(k, k)).holds is False
     for n in (0, 1, 2, 3):
-        assert odd_component_condition(complete(n)) == OddComponentReport(True, comb(n, 2))
+        assert odd_component_condition(clique_join(n, ())) == OddComponentReport(True, comb(n, 2))
 
 
 def test_odd_component_matches_unpruned_enumeration():

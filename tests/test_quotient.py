@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from evenfactor.graphs import complete, clique_join, path
+from evenfactor.graphs import clique_join
 from evenfactor.quotient import (
     BracketingError,
     Cubic,
@@ -29,6 +29,7 @@ from evenfactor.quotient import (
     quotient_matrix,
 )
 from evenfactor.spectral import distance_matrix, signless_laplacian
+from small_graphs import path
 
 
 def blocks_of(sizes):
@@ -41,7 +42,7 @@ def blocks_of(sizes):
 
 
 def test_quotient_of_k4_half_split():
-    qm = quotient_matrix(signless_laplacian(complete(4)), blocks_of([2, 2]))
+    qm = quotient_matrix(signless_laplacian(clique_join(4, ())), blocks_of([2, 2]))
     assert qm.equitable
     assert qm.entries == ((Fraction(4), Fraction(2)), (Fraction(2), Fraction(4)))
 
@@ -55,7 +56,7 @@ def test_quotient_matrix_exactness_and_non_equitable():
 
 
 def test_quotient_partition_validation():
-    m = signless_laplacian(complete(3))
+    m = signless_laplacian(clique_join(3, ()))
     with pytest.raises(InvalidPartitionError):
         quotient_matrix(m, [(0, 1)])
     with pytest.raises(InvalidPartitionError):
@@ -148,6 +149,18 @@ def quotient_cubic_of_family(family, n, s, delta):
     return charpoly3(qm)
 
 
+# For the extremal families this grid is a proof, not a sample. The extremal
+# graph has diameter <= 2, so its (join, big clique, singletons) partition is
+# equitable for Q and D alike, and every quotient entry is affine in
+# (n, delta) on the whole domain delta >= 2, n >= 2*delta. The coefficients
+# of charpoly3 of that quotient, like those of family_cubic, are therefore
+# polynomials of degree <= 3 in each of n and delta. At each delta of the
+# grid, agreement at 4 distinct n makes the two polynomials in n identical;
+# each of their n-coefficients is then a polynomial of degree <= 3 in delta
+# that agrees at 4 distinct deltas. So the family cubic is the quotient's
+# characteristic polynomial at every cell, and its largest root, the Perron
+# root of an equitable quotient of a nonnegative irreducible matrix, is the
+# extremal graph's spectral radius: the thresholds need no matrix.
 GRID = [
     (CubicFamily.Q_EXTREMAL, [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
     (CubicFamily.D_EXTREMAL, [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
@@ -158,6 +171,17 @@ GRID = [
     (CubicFamily.D_BLOCKS, [(n, s, d) for d in (3, 4, 6) for s in range(2, d)
                             for n in range(s + (d + 1 - s) * (s - 1) + 1, 41, 5)]),
 ]
+
+
+def test_extremal_grid_determines_the_cubics():
+    # the proof above needs 4 distinct deltas, each with 4 distinct orders
+    for family, points in GRID:
+        if family in (CubicFamily.Q_EXTREMAL, CubicFamily.D_EXTREMAL):
+            orders = {}
+            for n, _, d in points:
+                orders.setdefault(d, set()).add(n)
+            assert len(orders) >= 4, family
+            assert all(len(ns) >= 4 for ns in orders.values()), family
 
 
 @pytest.mark.parametrize("family,points", GRID, ids=lambda v: getattr(v, "value", "grid"))

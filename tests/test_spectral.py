@@ -5,13 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from evenfactor.graphs import (
-    Graph,
-    clique_join,
-    complete,
-    cycle,
-    path,
-)
+from evenfactor.graphs import Graph, clique_join
 from evenfactor.spectral import (
     DisconnectedGraphError,
     distance_matrix,
@@ -25,17 +19,18 @@ from evenfactor.spectral import (
     wiener_index,
 )
 from evenfactor.spectral import _distance_stack, _signless_laplacian_stack
+from small_graphs import cycle, path
 
 
 def test_signless_laplacian_entries():
-    assert signless_laplacian(complete(2)).tolist() == [[1, 1], [1, 1]]
+    assert signless_laplacian(clique_join(2, ())).tolist() == [[1, 1], [1, 1]]
     q3 = signless_laplacian(cycle(3))
     assert q3.tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
-    assert signless_laplacian(complete(1)).tolist() == [[0]]
+    assert signless_laplacian(clique_join(1, ())).tolist() == [[0]]
 
 
 def test_distance_matrix_entries():
-    d = distance_matrix(complete(5))
+    d = distance_matrix(clique_join(5, ()))
     assert (d + np.eye(5) == np.ones((5, 5))).all()
     p3 = distance_matrix(path(3))
     assert p3[0, 2] == 2 and p3[0, 1] == 1 and p3[1, 2] == 1
@@ -119,12 +114,12 @@ def test_perron_vector_positive_for_connected_graphs():
 
 def test_perron_known_values():
     # regular graphs: rho_Q equals the constant row sum
-    assert rho_q(complete(8)) == pytest.approx(14, abs=1e-9)
+    assert rho_q(clique_join(8, ())) == pytest.approx(14, abs=1e-9)
     assert rho_q(cycle(6)) == pytest.approx(4, abs=1e-9)
-    assert rho_d(complete(8)) == pytest.approx(7, abs=1e-9)
+    assert rho_d(clique_join(8, ())) == pytest.approx(7, abs=1e-9)
     # D(C_4) has constant row sum 4 with the all-ones eigenvector
     assert rho_d(cycle(4)) == pytest.approx(4, abs=1e-9)
-    assert rho_q(complete(1)) == pytest.approx(0, abs=1e-12)
+    assert rho_q(clique_join(1, ())) == pytest.approx(0, abs=1e-12)
 
 
 def test_perron_matches_lapack_and_residual():
@@ -183,7 +178,7 @@ def test_extremal_rho_q_bracketed_by_cubic_signs():
 
 def test_wiener_values():
     for n in range(2, 7):
-        assert wiener_index(complete(n)) == n * (n - 1) // 2
+        assert wiener_index(clique_join(n, ())) == n * (n - 1) // 2
     assert wiener_index(path(3)) == 4
     assert wiener_index(path(4)) == 1 + 1 + 1 + 2 + 2 + 3 == 10
     g = clique_join(2, (5, 1))

@@ -8,25 +8,18 @@ import numpy as np
 import pytest
 
 from evenfactor.corpus import load_bundled_corpus
-from evenfactor.graphs import (
-    Graph,
-    clique_join,
-    complete,
-    cycle,
-    from_graph6,
-    to_graph6,
-)
+from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor import theorems
 from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
 from evenfactor.lemmas import (
+    THRESHOLD_AGREEMENT,
     check_q_threshold_above_bridged,
     check_quotient_matches_matrix,
     perron_abc,
     run_property_suite,
 )
 from evenfactor.theorems import (
-    THRESHOLD_AGREEMENT,
     Conclusion,
     ExtremalParams,
     VERDICT_CHUNK,
@@ -43,6 +36,7 @@ from evenfactor.theorems import (
     threshold_rho_d,
     threshold_rho_q,
 )
+from small_graphs import cycle
 
 
 def test_extremal_params_validation():
@@ -87,11 +81,24 @@ def test_threshold_brackets_on_grid():
 
 def test_thresholds_from_the_smallest_order():
     # every cell from n = 2*delta up, where the brackets callers once chose
-    # fell short; both thresholds are cross-checked against the matrix
+    # fell short; both thresholds are compared with the matrix
     for d in range(2, 13):
         for n in range(2 * d, 8 * d + 9, 2):
             p = ExtremalParams(n, d)
             assert threshold_rho_q(p) > threshold_rho_d(p) > 0
+            g = extremal_graph(p)
+            assert abs(threshold_rho_q(p) - rho_q(g)) <= THRESHOLD_AGREEMENT, (n, d)
+            assert abs(threshold_rho_d(p) - rho_d(g)) <= THRESHOLD_AGREEMENT, (n, d)
+
+
+@pytest.mark.parametrize("n,d", [(200, 12), (400, 5), (162, 20)])
+def test_thresholds_match_the_matrix_beyond_the_acceptance_grid(n, d):
+    # the certified cubic roots are the extremal graph's spectral radii at
+    # orders and degrees past the n <= 60 grid of the acceptance criteria
+    p = ExtremalParams(n, d)
+    g = extremal_graph(p)
+    assert abs(threshold_rho_q(p) - rho_q(g)) <= THRESHOLD_AGREEMENT
+    assert abs(threshold_rho_d(p) - rho_d(g)) <= THRESHOLD_AGREEMENT
 
 
 def test_order_bounds_exact_rational():
@@ -114,7 +121,7 @@ def test_recognize_extremal():
     for n, d in [(8, 2), (12, 3), (14, 3), (6, 3), (4, 2)]:
         g = extremal_graph(ExtremalParams(n, d))
         assert recognize_extremal(g, d), (n, d)
-    assert not recognize_extremal(complete(8), 2)
+    assert not recognize_extremal(clique_join(8, ()), 2)
     assert not recognize_extremal(cycle(8), 2)
     assert not recognize_extremal(extremal_graph(ExtremalParams(8, 2)), 3)
 
@@ -167,7 +174,7 @@ def test_check_q_on_extremal_and_simple_graphs():
     assert v2.spectral_value == pytest.approx(4, abs=1e-9)
     assert v2.conclusion is Conclusion.INCONCLUSIVE
 
-    v3 = check_even_factor(complete(8), TheoremKind.SIGNLESS_LAPLACIAN)
+    v3 = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v3.conclusion is Conclusion.NOT_APPLICABLE  # delta=7 needs n >= 42
     assert not v3.hypotheses.order_bound_ok
 
@@ -185,7 +192,7 @@ def test_check_d_direction():
     assert v2.conclusion is Conclusion.INCONCLUSIVE
     assert v2.spectral_value > v2.threshold
     # complete graph of even order: delta = n-1 fails the order bound
-    v3 = check_even_factor(complete(10), TheoremKind.DISTANCE)
+    v3 = check_even_factor(clique_join(10, ()), TheoremKind.DISTANCE)
     assert v3.conclusion is Conclusion.NOT_APPLICABLE
 
 
@@ -281,7 +288,7 @@ def test_rho_d_complete_graph_equality_case():
     from evenfactor.spectral import wiener_index
 
     for n in (3, 5, 8):
-        g = complete(n)
+        g = clique_join(n, ())
         assert rho_d(g) == pytest.approx(2 * wiener_index(g) / n, abs=1e-9)
         assert rho_d(g) == pytest.approx(n - 1, abs=1e-9)
 
@@ -352,7 +359,7 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
     monkeypatch.setattr(theorems, "rho_q_many", recording(rho_q_many))
     monkeypatch.setattr(theorems, "rho_d_many", recording(rho_d_many))
     two_c4 = Graph(8, [(i + j, i + (j + 1) % 4) for i in (0, 4) for j in range(4)])
-    refused = [complete(8), cycle(7), two_c4, Graph(0)]
+    refused = [clique_join(8, ()), cycle(7), two_c4, Graph(0)]
     # the order bound at delta = 2 is 8 for rho_Q and 9 for rho_D
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
         admitted = [cycle(n), extremal_graph(ExtremalParams(n, 2))]
@@ -360,7 +367,7 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
         verdicts = list(check_even_factor_many(refused + admitted, kind))
         assert solved == admitted
         assert [v.spectral_value is None for v in verdicts] == [True] * 4 + [False] * 2
-    v = check_even_factor(complete(8), TheoremKind.SIGNLESS_LAPLACIAN)
+    v = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.conclusion is Conclusion.NOT_APPLICABLE
     assert v.spectral_value is None and v.threshold is None
 
