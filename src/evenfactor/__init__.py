@@ -1,8 +1,10 @@
 """Spectral sufficient conditions for even factors, with an exact oracle.
 
 Library layout:
-  graphs    immutable graphs, the clique-join constructor, graph6 I/O
-  spectral  Q(G), distance matrix, Perron roots (batched by order), Wiener index
+  graphs    immutable graphs, the clique-join constructor, graph6 I/O, and
+            the one codec between neighbour bitmasks and adjacency stacks
+  spectral  Q(G), distance matrix, Wiener index, and ``perron``, the one
+            eigensolver, on stacks of same-order matrices
   quotient  partitions, quotient matrices, family cubics, root bracketing
   oracle    exact even-factor search and the odd-component condition
   theorems  thresholds, verdicts, extremal recognition, the extremal table
@@ -13,6 +15,7 @@ Library layout:
 from .graphs import (
     Graph,
     Graph6Error,
+    adjacency_stack,
     clique_join,
     from_graph6,
     read_graph6,
@@ -42,9 +45,7 @@ from .quotient import (
 from .lemmas import PerronABC, perron_abc, run_property_suite
 from .spectral import (
     DisconnectedGraphError,
-    PerronResult,
     distance_matrix,
-    largest_eigenvalue,
     perron,
     rho_d,
     rho_d_many,

@@ -199,6 +199,49 @@ def _bridges(bits: Sequence[int]) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+# -- adjacency stacks ------------------------------------------------------
+#
+# Row v of a graph's adjacency matrix is its neighbour bitmask of v, bit w
+# at column w. A stack holds same-order graphs as a (k, n, n) bool array,
+# and a bitmask is its row packed little-endian, low byte first, into
+# whole bytes; both directions below go through that one layout.
+
+
+def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The (k, n, n) bool adjacency matrices of same-order graphs."""
+    orders = {g.n for g in graphs}
+    if len(orders) != 1:
+        raise ValueError(f"need graphs of one order, got orders {sorted(orders)}")
+    n = orders.pop()
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(
+        b.to_bytes(width, "little") for g in graphs for b in g._bits), np.uint8)
+    bits = np.unpackbits(rows, bitorder="little").view(bool)
+    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n]
+
+
+def adjacency_masks(stack: np.ndarray) -> list[list[int]]:
+    """Neighbour bitmasks of a (k, n, w) bool adjacency stack, w >= n and
+    columns from n on clear: one list of n ints per graph."""
+    k, n, w = stack.shape
+    width = -(-w // 8)
+    if w % 8:
+        # pad rows to whole bytes: one flat packbits is many times faster
+        # than packing along the last axis
+        padded = np.zeros((k, n, 8 * width), bool)
+        padded[:, :, :w] = stack
+        stack = padded
+    packed = np.packbits(stack, bitorder="little").reshape(k, n, width)
+    if width <= 8:
+        words = np.zeros((k, n, 8), np.uint8)
+        words[:, :, :width] = packed
+        return words.view("<u8").reshape(k, n).tolist()
+    rows = packed.tobytes()
+    return [[int.from_bytes(rows[i:i + width], "little")
+             for i in range(g, g + n * width, width)]
+            for g in range(0, k * n * width, n * width)]
+
+
 # -- graph6 codec ----------------------------------------------------------
 #
 # A line is the size n, then the upper triangle. The size is one character
@@ -292,20 +335,6 @@ def _bit_index(n: int, start: int, width: int) -> tuple[np.ndarray, np.ndarray, 
             np.array([col * width + row for row, col in pairs], np.intp))
 
 
-def _row_masks(packed: np.ndarray) -> list[list[int]]:
-    """Neighbour bitmasks of a (k, n, b) uint8 stack of adjacency rows, each
-    row packed little-endian into b bytes: one list of n ints per graph."""
-    k, n, width = packed.shape
-    if width <= 8:
-        words = np.zeros((k, n, 8), np.uint8)
-        words[:, :, :width] = packed
-        return words.view("<u8").reshape(k, n).tolist()
-    rows = packed.tobytes()
-    return [[int.from_bytes(rows[i:i + width], "little")
-             for i in range(g, g + n * width, width)]
-            for g in range(0, k * n * width, n * width)]
-
-
 def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Error]:
     """Decode lines of order n, all of one length, in one numpy pass."""
     k, length = len(lines), len(lines[0])
@@ -314,8 +343,8 @@ def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Er
     # a character outside 63..126 is in no line, or is looked for line by
     # line; "replace" writes an in-range "?" for a non-ASCII character
     clean = text.isascii() and not data.translate(None, _GRAPH6_BYTES)
-    # the (k, n, width) bool stack, width n rounded up to whole bytes, so
-    # that one flat packbits gives each vertex's bitmask, low byte first
+    # the (k, n, width) bool adjacency stack, width n rounded up to whole
+    # bytes
     width = -(-n // 8) * 8
     read, upper_at, lower_at = _bit_index(n, start, width)
     codes = (np.frombuffer(data, np.uint8) - np.uint8(63)).reshape(k, length)
@@ -323,7 +352,7 @@ def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Er
     stack = np.zeros((k, n * width), bool)
     stack[:, upper_at] = upper
     stack[:, lower_at] = upper
-    masks = _row_masks(np.packbits(stack, bitorder="little").reshape(k, n, width // 8))
+    masks = adjacency_masks(stack.reshape(k, n, width))
     # the padding bits are the low bits of the last character
     padding = (1 << 6 * (length - start) - len(read)) - 1
     out: list[Graph | Graph6Error] = []

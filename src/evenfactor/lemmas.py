@@ -37,7 +37,7 @@ from .quotient import (
 from .sampling import sample_graph
 from .spectral import (
     distance_matrix,
-    largest_eigenvalue,
+    perron,
     rho_d,
     rho_q,
     signless_laplacian,
@@ -215,7 +215,10 @@ def check_family_dominance(rng: Random, trials: int) -> list[CheckOutcome]:
 
 def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
     """Equitable-quotient cubic roots equal full-matrix Perron values, and
-    the quotient cubics are the family cubics the thresholds are roots of."""
+    the quotient cubics are the family cubics the thresholds are roots of.
+
+    The margin is THRESHOLD_AGREEMENT less the cell's larger root error, so
+    the smallest margin is the worst cell."""
     out = []
     for p in grid:
         g = extremal_graph(p)
@@ -233,10 +236,10 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
         for family, cubic in ((CubicFamily.Q_EXTREMAL, cubic_q), (CubicFamily.D_EXTREMAL, cubic_d)):
             if cubic.coefficients != family_cubic(family, n, delta=d).coefficients:
                 notes.append(f"quotient cubic differs from {family.value} family cubic")
-        err = max(err_q, err_d)
+        margin = THRESHOLD_AGREEMENT - max(err_q, err_d)
         out.append(CheckOutcome(
             "quotient-root-matches-matrix", f"n={n},delta={d}",
-            err <= THRESHOLD_AGREEMENT and not notes, err, "; ".join(notes),
+            margin >= 0 and not notes, margin, "; ".join(notes),
         ))
     return out
 
@@ -366,13 +369,13 @@ def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutco
         if p.delta < 3:
             continue
         star = extremal_graph(p)
-        res = largest_eigenvalue(distance_matrix(star))
+        value, vector, _ = perron(distance_matrix(star))
         joins, _, singles = extremal_blocks(p)
-        x_join = float(res.vector[joins[0]])
-        x_iso = float(res.vector[singles[0]])
+        x_join = float(vector[joins[0]])
+        x_iso = float(vector[singles[0]])
         bound = (p.delta - 1) * (p.delta - 2) * x_iso * (2 * x_join - x_iso)
         blocks = clique_join(2, (p.n - p.delta - 1, p.delta - 1))
-        gap = rho_d(blocks) - res.value
+        gap = rho_d(blocks) - float(value)
         margin = gap - bound
         out.append(CheckOutcome(
             "d-blocks-rayleigh-gap", f"n={p.n},delta={p.delta}",

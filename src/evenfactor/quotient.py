@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -337,37 +337,21 @@ def eval_poly(coeffs: Sequence, x):
     return acc
 
 
-def identity_check(
-    identity: DifferenceIdentity,
-    n: int,
-    s: int,
-    delta: int,
-    x_samples: Iterable,
-) -> float:
-    """Max relative residual of a difference-factorization identity.
-
-    Left side: family cubic minus extremal cubic, via exact coefficient
-    subtraction. Right side: (s - delta) (or its negation) times the gap
-    quadratic. Integer sample points are evaluated exactly.
-    """
+def identity_check(identity: DifferenceIdentity, n: int, s: int, delta: int) -> bool:
+    """Whether a difference-factorization identity holds, coefficient for
+    coefficient: the family cubic minus the extremal cubic equals (s - delta)
+    (or its negation) times the gap quadratic, in exact integers."""
     family, gap_fn, sign = _IDENTITY_TABLE[identity]
-    fam = family_cubic(family, n, s=s, delta=delta)
     base_family = (
         CubicFamily.Q_EXTREMAL
         if family in (CubicFamily.Q_SINGLETONS, CubicFamily.Q_BLOCKS)
         else CubicFamily.D_EXTREMAL
     )
-    base = family_cubic(base_family, n, delta=delta)
-    diff = tuple(a - b for a, b in zip(fam.coefficients, base.coefficients))
-    gap = gap_fn(n, s, delta)
+    fam = family_cubic(family, n, s=s, delta=delta).coefficients
+    base = family_cubic(base_family, n, delta=delta).coefficients
     mult = sign * (s - delta)
-    worst = 0.0
-    for x in x_samples:
-        left = eval_poly(diff, x)
-        right = mult * eval_poly(gap, x)
-        scale = max(1.0, abs(left), abs(right))
-        worst = max(worst, abs(left - right) / scale)
-    return worst
+    return (tuple(a - b for a, b in zip(fam, base))
+            == (0,) + tuple(mult * c for c in gap_fn(n, s, delta)))
 
 
 # -- root finding ------------------------------------------------------------

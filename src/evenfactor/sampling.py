@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, _row_masks
+from .graphs import Graph, adjacency_masks
 
 P_RANGE = (0.25, 0.75)
 # the theorems need minimum degree >= 2
@@ -104,7 +104,7 @@ def sample_connected_graphs(rng: Random, n: int, count: int) -> Iterator[Graph]:
                 break
             reached = grown
         keep &= reached.all(axis=(1, 2))
-        masks = _row_masks(np.packbits(adj[keep], axis=-1, bitorder="little"))
+        masks = adjacency_masks(adj[keep])
         for mask, m in zip(masks, hits[keep].sum(axis=1).tolist()):
             yield Graph._from_bits(tuple(mask), m)
         count -= len(masks)

@@ -1,7 +1,8 @@
 """Dense symmetric matrices of a graph and their Perron roots.
 
-Matrices are built for a stack of same-order graphs at once: the signless
-Laplacian Q(G) = A(G) + D(G) from the neighbour bitmasks, and the distance
+Matrices are built for a stack of same-order graphs at once, from the
+adjacency stack that ``graphs.adjacency_stack`` reads off the neighbour
+bitmasks: the signless Laplacian Q(G) = A(G) + D(G), and the distance
 matrix by breadth-first search run as boolean powers of A. The one-graph
 builders (``signless_laplacian``, ``distance_matrix``, ``wiener_index``) are
 stacks of one.
@@ -11,18 +12,17 @@ stacks of one.
 largest eigenvalue, its eigenvector signed to a nonnegative sum, and the
 residual max|Mx - lambda x|, which it checks against
 RESIDUAL_TOL * (1 + ||M||_inf). ``rho_q_many`` and ``rho_d_many`` give the
-spectral radii of a same-order stack in one call; their values equal the
-one-graph ``rho_q`` and ``rho_d`` exactly.
+spectral radii of a same-order stack in one call, and ``rho_q`` and
+``rho_d`` are stacks of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, adjacency_stack
 
 
 class DisconnectedGraphError(ValueError):
@@ -33,31 +33,8 @@ class DisconnectedGraphError(ValueError):
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PerronResult:
-    """Largest eigenvalue with unit eigenvector (nonnegative sum) and residual."""
-
-    value: float
-    vector: np.ndarray
-    residual: float
-
-
-def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """0/1 adjacency matrices of same-order graphs as a (k, n, n) stack."""
-    orders = {g.n for g in graphs}
-    if len(orders) != 1:
-        raise ValueError(f"need graphs of one order, got orders {sorted(orders)}")
-    n = orders.pop()
-    width = (n + 7) // 8
-    masks = b"".join(
-        g.neighbor_bits(v).to_bytes(width, "little") for g in graphs for v in range(n)
-    )
-    bits = np.unpackbits(np.frombuffer(masks, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(float)
-
-
 def _signless_laplacian_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    q = _adjacency_stack(graphs)
+    q = adjacency_stack(graphs).astype(float)
     diag = np.arange(q.shape[1])
     q[:, diag, diag] = q.sum(axis=2)
     return q
@@ -70,7 +47,7 @@ def _distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
     product with A adds their neighbours, and each newly reached entry gets
     distance t. Entries are exact small integers.
     """
-    a = _adjacency_stack(graphs)
+    a = adjacency_stack(graphs).astype(float)
     if a.shape[1] == 0:
         raise ValueError("distance matrix undefined for the 0-vertex graph")
     reached = np.broadcast_to(np.eye(a.shape[1], dtype=bool), a.shape).copy()
@@ -86,10 +63,6 @@ def _distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
     if not reached.all():
         raise DisconnectedGraphError("graph is not connected")
     return dist
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _adjacency_stack([g])[0]
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
@@ -143,24 +116,14 @@ def perron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, vectors, residuals
 
 
-def largest_eigenvalue(m: np.ndarray) -> PerronResult:
-    """Largest eigenvalue of one real symmetric matrix, by ``perron``."""
-    if np.ndim(m) != 2:
-        raise ValueError(f"matrix must be square, got shape {np.shape(m)}")
-    value, vector, residual = perron(m)
-    return PerronResult(float(value), vector, float(residual))
-
-
 def rho_q(g: Graph) -> float:
     """Signless Laplacian spectral radius."""
-    if g.n == 0:
-        raise ValueError("spectral radius undefined for the 0-vertex graph")
-    return largest_eigenvalue(signless_laplacian(g)).value
+    return float(rho_q_many((g,))[0])
 
 
 def rho_d(g: Graph) -> float:
     """Distance spectral radius of a connected graph."""
-    return largest_eigenvalue(distance_matrix(g)).value
+    return float(rho_d_many((g,))[0])
 
 
 def rho_q_many(graphs: Sequence[Graph]) -> np.ndarray:

@@ -237,16 +237,18 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
     )
     assert spectral is not None
     borderline = abs(spectral - threshold) <= BORDERLINE_MARGIN
+    # the extremal graph's rho is the threshold itself, which no float
+    # comparison can place, so it is recognized first
     if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-        met = spectral >= threshold - COMPARISON_EPSILON
+        met = spectral >= threshold + COMPARISON_EPSILON
     else:
-        met = spectral <= threshold + COMPARISON_EPSILON
-    if not met:
-        conclusion = Conclusion.INCONCLUSIVE
-    elif recognize_extremal(g, delta):
+        met = spectral <= threshold - COMPARISON_EPSILON
+    if recognize_extremal(g, delta):
         conclusion = Conclusion.EXTREMAL_EXCEPTION
-    else:
+    elif met:
         conclusion = Conclusion.EVEN_FACTOR_GUARANTEED
+    else:
+        conclusion = Conclusion.INCONCLUSIVE
 
     oracle_status = None
     oracle_agrees = None
@@ -279,11 +281,15 @@ def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
     The hypotheses are settled first, and only a graph that meets them has
     its rho_Q or rho_D computed: a ``not-applicable`` verdict carries
     ``spectral_value`` and ``threshold`` as None. The minimum degree used in
-    thresholds is always min_degree(g). The condition counts as met within
-    COMPARISON_EPSILON of the threshold. When the spectral value lands
-    within BORDERLINE_MARGIN of the threshold the verdict is flagged
-    borderline; with ``run_oracle`` the exact search cross-checks every
-    conclusion that claims an even factor.
+    thresholds is always min_degree(g). The extremal graph is recognized
+    by its degrees, with no float comparison, and is ``extremal-exception``.
+    Any other graph is ``even-factor-guaranteed`` only when its rho_Q is at
+    least COMPARISON_EPSILON above the threshold, or its rho_D that far
+    below it, and ``inconclusive`` otherwise, so the slack never grants a
+    guarantee. When the spectral value lands within BORDERLINE_MARGIN of
+    the threshold the verdict is flagged borderline; with ``run_oracle``
+    the exact search cross-checks every conclusion that claims an even
+    factor.
 
     Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
     values of the same-order graphs that meet the hypotheses come from one

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -25,12 +26,16 @@ from evenfactor.theorems import (
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(args, stdin=""):
+    # the checkout's package, also when pytest alone put src on its path
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "evenfactor.cli", *args],
-        input=stdin, capture_output=True, text=True,
+        input=stdin, capture_output=True, text=isinstance(stdin, str),
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -89,11 +94,7 @@ def test_non_ascii_line_is_a_per_line_violation(tmp_path):
     graph_file.write_bytes(data)
     for source, stdin in ((str(graph_file), b""), ("-", data)):
         report_path = tmp_path / "report.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "evenfactor.cli", "certify", source,
-             "--json", str(report_path)],
-            input=stdin, capture_output=True,
-        )
+        proc = run_cli(["certify", source, "--json", str(report_path)], stdin=stdin)
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
         report = json.loads(report_path.read_text())

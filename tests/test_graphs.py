@@ -1,8 +1,9 @@
 """Graph model, the clique join against its definition, components,
-bridges, and the graph6 codec."""
+bridges, the bitmask/adjacency-stack codec, and the graph6 codec."""
 
 import random
 
+import numpy as np
 import pytest
 
 from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
@@ -11,6 +12,8 @@ from evenfactor.graphs import (
     _bridges,
     Graph,
     Graph6Error,
+    adjacency_masks,
+    adjacency_stack,
     clique_join,
     from_graph6,
     read_graph6,
@@ -322,6 +325,32 @@ def test_bitmask_queries_match_edge_list_reference():
         assert components(g, removed) == ComponentReport(ref, sum(len(c) % 2 for c in ref))
         h = from_graph6(to_graph6(g))
         assert h == g and hash(h) == hash(g)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_stack_codec_round_trip(n):
+    # 63..65 and 130 sit at and past the one-word and whole-byte row widths
+    rng = random.Random(n)
+    graphs = [clique_join(n, ()), clique_join(0, (1,) * n)]
+    for p in (0.1, 0.5, 0.9):
+        graphs.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p]))
+    stack = adjacency_stack(graphs)
+    assert stack.dtype == bool and stack.shape == (len(graphs), n, n)
+    for g, a in zip(graphs, stack):
+        assert a.tolist() == [[g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    assert adjacency_masks(stack) == [[g.neighbor_bits(v) for v in range(n)] for g in graphs]
+    # padding columns past n, clear, leave the masks as they are
+    padded = np.zeros((len(graphs), n, n + 11), bool)
+    padded[:, :, :n] = stack
+    assert adjacency_masks(padded) == adjacency_masks(stack)
+
+
+def test_stack_codec_needs_one_order():
+    with pytest.raises(ValueError, match="one order"):
+        adjacency_stack([path(4), path(5)])
+    with pytest.raises(ValueError, match="one order"):
+        adjacency_stack([])
 
 
 def _reference_bridges(g):

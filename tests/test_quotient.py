@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from evenfactor.graphs import clique_join
+from evenfactor.graphs import adjacency_stack, clique_join
+from evenfactor import quotient
 from evenfactor.quotient import (
     BracketingError,
     Cubic,
@@ -48,9 +49,7 @@ def test_quotient_of_k4_half_split():
 
 
 def test_quotient_matrix_exactness_and_non_equitable():
-    from evenfactor.spectral import adjacency_matrix
-
-    qm = quotient_matrix(adjacency_matrix(path(3)), blocks_of([2, 1]))
+    qm = quotient_matrix(adjacency_stack([path(3)])[0], blocks_of([2, 1]))
     assert not qm.equitable
     assert qm.entries[0][1] == Fraction(1, 2)  # average of rows 0 and 1 into {2}
 
@@ -212,20 +211,27 @@ def test_identity_residuals_random_draws(identity):
     rng = random.Random(hash(identity.value) & 0xFFFF)
     for _ in range(100):
         n, s, d = admissible_identity_point(rng, identity)
-        xs = [rng.randrange(0, 3 * n) for _ in range(3)] + [n + d - 3, 2 * n]
-        assert identity_check(identity, n, s, d, xs) <= 1e-6
+        assert identity_check(identity, n, s, d) is True
 
 
 def test_identity_exact_zero_at_s_equal_delta():
+    # at s = delta the family is the extremal one: the difference is zero
     for n, d in [(12, 3), (20, 4), (30, 5)]:
-        xs = [0, 7, n, 2 * n, 3 * n + 1]
-        assert identity_check(DifferenceIdentity.Q_SINGLETONS, n, d, d, xs) == 0.0
-        assert identity_check(DifferenceIdentity.D_SINGLETONS, n, d, d, xs) == 0.0
+        assert identity_check(DifferenceIdentity.Q_SINGLETONS, n, d, d) is True
+        assert identity_check(DifferenceIdentity.D_SINGLETONS, n, d, d) is True
 
 
 def test_identity_spec_sample_points():
-    assert identity_check(DifferenceIdentity.Q_SINGLETONS, 21, 4, 3, [30, 40, 50]) <= 1e-6
-    assert identity_check(DifferenceIdentity.D_BLOCKS, 30, 3, 5, [30 + 5 - 3, 60]) <= 1e-6
+    assert identity_check(DifferenceIdentity.Q_SINGLETONS, 21, 4, 3) is True
+    assert identity_check(DifferenceIdentity.D_BLOCKS, 30, 3, 5) is True
+
+
+def test_identity_check_rejects_a_wrong_gap(monkeypatch):
+    family, gap_fn, sign = quotient._IDENTITY_TABLE[DifferenceIdentity.Q_BLOCKS]
+    off_by_one = lambda n, s, d: gap_fn(n, s, d)[:2] + (gap_fn(n, s, d)[2] + 1,)
+    monkeypatch.setitem(quotient._IDENTITY_TABLE, DifferenceIdentity.Q_BLOCKS,
+                        (family, off_by_one, sign))
+    assert identity_check(DifferenceIdentity.Q_BLOCKS, 30, 3, 5) is False
 
 
 def test_gap_expansions_match_direct_evaluation():

@@ -9,7 +9,6 @@ from evenfactor.graphs import Graph, clique_join
 from evenfactor.spectral import (
     DisconnectedGraphError,
     distance_matrix,
-    largest_eigenvalue,
     perron,
     rho_d,
     rho_d_many,
@@ -103,9 +102,9 @@ def test_perron_vector_positive_for_connected_graphs():
         graphs = [_random_connected(rng, n, p) for p in (0.2, 0.5, 0.9)] + [path(n)]
         for g in graphs:
             for m in (signless_laplacian(g), distance_matrix(g)):
-                res = largest_eigenvalue(m)
-                assert (res.vector > 0).all()
-                assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
+                _, vector, _ = perron(m)
+                assert (vector > 0).all()
+                assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
         for stack in (_signless_laplacian_stack(graphs), _distance_stack(graphs)):
             values, vectors, residuals = perron(stack)
             assert values.shape == residuals.shape == (len(graphs),)
@@ -129,41 +128,43 @@ def test_perron_matches_lapack_and_residual():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
         g = Graph(n, edges)
         q = signless_laplacian(g)
-        res = largest_eigenvalue(q)
+        value, vector, residual = perron(q)
         norm = float(np.max(np.sum(np.abs(q), axis=1)))
-        assert res.residual <= 1e-10 * (1 + norm)
-        assert res.value == pytest.approx(float(np.linalg.eigvalsh(q)[-1]), abs=1e-8)
-        assert res.value == pytest.approx(float(res.vector @ q @ res.vector), abs=1e-10)
+        assert residual <= 1e-10 * (1 + norm)
+        assert value == pytest.approx(float(np.linalg.eigvalsh(q)[-1]), abs=1e-8)
+        assert value == pytest.approx(float(vector @ q @ vector), abs=1e-10)
         if g.is_connected() and n >= 2:
             d = distance_matrix(g)
-            resd = largest_eigenvalue(d)
-            assert resd.value == pytest.approx(float(np.linalg.eigvalsh(d)[-1]), abs=1e-8)
-            assert (resd.vector > 0).all()  # Perron vector of irreducible matrix
+            value, vector, _ = perron(d)
+            assert value == pytest.approx(float(np.linalg.eigvalsh(d)[-1]), abs=1e-8)
+            assert (vector > 0).all()  # Perron vector of irreducible matrix
 
 
-def test_largest_eigenvalue_input_validation():
+def test_perron_input_validation():
     with pytest.raises(ValueError):
-        largest_eigenvalue(np.zeros((2, 3)))
+        perron(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        largest_eigenvalue(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        perron(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
-        largest_eigenvalue(np.zeros((0, 0)))
+        perron(np.zeros((0, 0)))
     with pytest.raises(ValueError):
-        largest_eigenvalue(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+        perron(np.array([[0.0, np.inf], [np.inf, 0.0]]))
     with pytest.raises(ValueError):
-        largest_eigenvalue(np.zeros((2, 2, 2)))  # stacks go through perron
+        perron(np.zeros((1, 2, 2, 2)))
+    with pytest.raises(ValueError):
+        rho_q(Graph(0))
     with pytest.raises(ValueError):
         perron(np.zeros((3, 0, 0)))
     with pytest.raises(ValueError):
         perron(np.array([[[0.0, 1.0], [0.5, 0.0]]]))
 
 
-def test_largest_eigenvalue_deterministic():
+def test_perron_deterministic():
     q = signless_laplacian(clique_join(2, (5, 1)))
-    a = largest_eigenvalue(q)
-    b = largest_eigenvalue(q)
-    assert a.value == b.value and a.residual == b.residual
-    assert (a.vector == b.vector).all()
+    a_value, a_vector, a_residual = perron(q)
+    b_value, b_vector, b_residual = perron(q)
+    assert a_value == b_value and a_residual == b_residual
+    assert (a_vector == b_vector).all()
 
 
 def test_extremal_rho_q_bracketed_by_cubic_signs():

@@ -10,7 +10,7 @@ import pytest
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, is_even_factor
-from evenfactor import theorems
+from evenfactor import cli, theorems
 from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
 from evenfactor.lemmas import (
     THRESHOLD_AGREEMENT,
@@ -370,6 +370,42 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
     v = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.conclusion is Conclusion.NOT_APPLICABLE
     assert v.spectral_value is None and v.threshold is None
+
+
+def test_conclude_keeps_the_slack_on_the_safe_side():
+    # spectral values placed by hand around the threshold: a guarantee needs
+    # the full epsilon past it, and the extremal graph needs no comparison
+    eps = theorems.COMPARISON_EPSILON
+    for kind, n, toward in ((TheoremKind.SIGNLESS_LAPLACIAN, 8, 1),
+                            (TheoremKind.DISTANCE, 10, -1)):
+        p = ExtremalParams(n, 2)
+        theta = threshold_rho_q(p) if kind is TheoremKind.SIGNLESS_LAPLACIAN else threshold_rho_d(p)
+
+        def conclusion(g, value):
+            delta, hyp = theorems._hypotheses(g, kind)
+            assert hyp.met and delta == 2
+            return theorems._conclude(g, kind, delta, hyp, value, False).conclusion
+
+        other, star = cycle(n), extremal_graph(p)
+        assert conclusion(other, theta + toward * 2 * eps) is Conclusion.EVEN_FACTOR_GUARANTEED
+        for value in (theta + toward * eps / 2, theta, theta - toward * eps / 2):
+            assert conclusion(other, value) is Conclusion.INCONCLUSIVE
+        for value in (theta - toward * 2 * eps, theta, theta + toward * 2 * eps):
+            assert conclusion(star, value) is Conclusion.EXTREMAL_EXCEPTION
+
+
+def test_quotient_check_margin_is_the_worst_cell():
+    grid = list(order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 5), 40))
+    outcomes = check_quotient_matches_matrix(grid)
+    errors = [max(abs(threshold_rho_q(p) - rho_q(extremal_graph(p))),
+                  abs(threshold_rho_d(p) - rho_d(extremal_graph(p)))) for p in grid]
+    assert [o.margin for o in outcomes] == [THRESHOLD_AGREEMENT - e for e in errors]
+    worst = min(outcomes, key=lambda o: o.margin)
+    assert worst.margin == THRESHOLD_AGREEMENT - max(errors) < THRESHOLD_AGREEMENT
+    # the lemmas summary, on the same default grid, reports that cell
+    _, [row], _ = cli.cmd_lemmas(cli.build_parser().parse_args(
+        ["lemmas", "--check", "quotient-root-matches-matrix"]))
+    assert row["points"] == len(grid) and row["min_margin"] == worst.margin
 
 
 def test_extremal_table():
