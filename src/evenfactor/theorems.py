@@ -317,8 +317,8 @@ def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
 def extremal_even_factor(p: ExtremalParams) -> EvenFactorCertificate:
     """Settle the extremal graph's even-factor status by the exact search.
 
-    FOUND at every cell with delta = 2..20 and even n = 2*delta..160, in at
-    most 12,569 search nodes.
+    FOUND at every cell with delta = 2..20 and even n = 2*delta..160, each
+    by the oracle's parity repair with no search node.
     """
     return find_even_factor(extremal_graph(p))
 

@@ -421,7 +421,7 @@ def test_csv_output(tmp_path):
     assert proc.returncode == 0
     with open(csv_path, newline="") as fh:
         found, none = list(csv.DictReader(fh))
-    assert found["edges"] == "[[0, 1], [0, 2], [1, 3], [2, 3]]"
+    assert found["edges"] == "[[0, 2], [0, 3], [1, 2], [1, 3]]"
     assert json.loads(found["edges"]) == json.loads(json_path.read_text())["rows"][0]["edges"]
     assert none["status"] == "none-exists" and none["edges"] == ""
 

@@ -11,8 +11,11 @@ import pytest
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import Graph, _bridges, clique_join
 from evenfactor.oracle import (
+    DEFAULT_NODE_CAP,
     CertificateStatus,
     OddComponentReport,
+    _parity_repair,
+    _search,
     find_even_factor,
     is_even_factor,
     odd_component_condition,
@@ -52,6 +55,15 @@ def test_is_even_factor_examples():
         is_even_factor(c5, [(0, 2)])
     with pytest.raises(ValueError):
         is_even_factor(c5, [(0, 1), (1, 0)])
+
+
+def test_is_even_factor_rejects_labels_out_of_range():
+    # a negative label must not wrap to the last vertex, and a label >= n
+    # is a ValueError like any other edge not in the graph
+    triangle = cycle(3)
+    for edges in ([(0, 1), (1, 2), (-1, 0)], [(0, 1), (1, 2), (2, 3)], [(3, 0)]):
+        with pytest.raises(ValueError):
+            is_even_factor(triangle, edges)
 
 
 def test_find_even_factor_examples():
@@ -116,7 +128,7 @@ def test_certificates_valid_on_bundled_corpora():
     # the early accept must report only decided edges, after backtracking too
     for n in (6, 7, 8):
         for g in load_bundled_corpus(n):
-            cert = find_even_factor(g)
+            cert = _search(g, DEFAULT_NODE_CAP)
             if cert.status is CertificateStatus.FOUND:
                 assert is_even_factor(g, cert.edges), g.edges()
 
@@ -145,16 +157,19 @@ def test_determinism():
 def test_early_accept_stops_once_every_vertex_is_settled():
     # K_9: the first 15 edges taken give degrees 8, 8 and 2 elsewhere; the
     # remaining 21 edges would only be excluded, so none is decided
-    cert = find_even_factor(clique_join(9, ()))
+    cert = _search(clique_join(9, ()), DEFAULT_NODE_CAP)
     assert cert.status is CertificateStatus.FOUND
     assert cert.nodes_explored == len(cert.edges) == 15
     assert is_even_factor(clique_join(9, ()), cert.edges)
 
 
 def test_search_cap():
-    cert = find_even_factor(clique_join(8, ()), node_cap=3)
+    cert = _search(clique_join(8, ()), 3)
     assert cert.status is CertificateStatus.SEARCH_CAP_EXCEEDED
     assert cert.nodes_explored == 3
+    # the parity repair settles K_8 before any search node is spent
+    cert = find_even_factor(clique_join(8, ()), node_cap=3)
+    assert cert.status is CertificateStatus.FOUND and cert.nodes_explored == 0
 
 
 # -- cut parity: no even factor uses a bridge ---------------------------------
@@ -199,6 +214,9 @@ def test_factor_found_around_a_bridge():
     cert = find_even_factor(g)
     assert cert.status is CertificateStatus.FOUND
     assert is_even_factor(g, cert.edges) and (1, 5) not in cert.edges
+    # the parity repair settles both, with no bridge deletion in front: an
+    # even subgraph uses no bridge
+    assert cert.nodes_explored == find_even_factor(triangles).nodes_explored == 0
 
 
 def test_matches_brute_force_with_planted_bridges():
@@ -230,6 +248,10 @@ def test_matches_brute_force_with_planted_bridges():
 # from the search before it moved onto flat edge lists; a change to the edge
 # order, the branch order or the accept/backtrack rules changes it
 SEARCH_TRACE_DIGEST = "7d8bf503553c94c365dded7c929675ea69da068d6f9750e658d2884aed453565"
+# the same over find_even_factor, recorded when the parity repair went in
+# front of the search; a change to the forest, the leaf edges or the
+# T-join, or to which graphs fall back to the search, changes it
+FIND_TRACE_DIGEST = "6b7823f58679f20ef44f9d94cd288121344e452868f3693bcfb78621195320f4"
 
 
 def _trace_graphs():
@@ -251,12 +273,66 @@ def _trace_graphs():
                             if rng.random() < p])
 
 
-def test_search_trace_matches_golden_digest():
+def _trace_digest(oracle):
     digest = hashlib.sha256()
     for g in _trace_graphs():
-        cert = find_even_factor(g)
+        cert = oracle(g)
         digest.update(f"{cert.status.value} {cert.edges} {cert.nodes_explored}\n".encode())
-    assert digest.hexdigest() == SEARCH_TRACE_DIGEST
+    return digest.hexdigest()
+
+
+def test_search_trace_matches_golden_digest():
+    assert _trace_digest(lambda g: _search(g, DEFAULT_NODE_CAP)) == SEARCH_TRACE_DIGEST
+
+
+def test_find_trace_matches_golden_digest():
+    assert _trace_digest(find_even_factor) == FIND_TRACE_DIGEST
+
+
+# -- parity repair: an even factor without search ------------------------------
+
+
+def test_repair_agrees_with_search_on_trace_graphs():
+    # the bundled corpora n = 3..8 lead _trace_graphs(); every repaired
+    # certificate is checked, and the search alone answers the rest
+    repaired = fell_back = 0
+    for g in _trace_graphs():
+        cert = find_even_factor(g)
+        search = _search(g, DEFAULT_NODE_CAP)
+        assert cert.status is search.status, g.edges()
+        if _parity_repair(g) is None:
+            assert cert == search
+            fell_back += search.status is CertificateStatus.FOUND
+        else:
+            assert cert.status is CertificateStatus.FOUND and cert.nodes_explored == 0
+            assert is_even_factor(g, cert.edges), g.edges()
+            repaired += 1
+    assert repaired and fell_back
+
+
+def test_repair_falls_back_to_the_search():
+    # K_{2,3} on {0, 1} | {2, 3, 4} plus the edge 24. The forest from 0 is
+    # 02, 03, 04, 21; the leaves 1, 3 and 4 take 13 and 14; the T-join of
+    # the odd vertices 0 and 1 is the path 1-2-0, which leaves 2 bare. The
+    # search finds the 5-cycle 0-3-1-2-4.
+    g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
+    assert _parity_repair(g) is None
+    cert = find_even_factor(g)
+    assert cert == _search(g, DEFAULT_NODE_CAP)
+    assert cert.status is CertificateStatus.FOUND and cert.nodes_explored > 0
+    assert is_even_factor(g, cert.edges)
+
+
+def test_repair_on_disconnected_and_large_graphs():
+    # one tree per component, each with its own T-join
+    apart = Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
+    cert = find_even_factor(apart)
+    assert cert.nodes_explored == 0 and cert.edges == tuple(apart.edges())
+    # the extremal graph at (160, 20): bitmasks of three 64-bit words
+    g = clique_join(20, (121,) + (1,) * 19)
+    cert = find_even_factor(g)
+    assert cert.status is CertificateStatus.FOUND and cert.nodes_explored == 0
+    assert is_even_factor(g, cert.edges)
 
 
 # -- odd-component condition ---------------------------------------------------
