@@ -115,16 +115,10 @@ def _print_table(rows: list[dict], columns: Optional[list[str]] = None) -> None:
         print("(no rows)")
         return
     cols = columns or list(rows[0].keys())
-    widths = {c: len(c) for c in cols}
-    rendered = []
-    for row in rows:
-        cells = {c: _fmt(row.get(c)) for c in cols}
-        rendered.append(cells)
-        for c in cols:
-            widths[c] = max(widths[c], len(cells[c]))
-    print("  ".join(c.ljust(widths[c]) for c in cols))
-    for cells in rendered:
-        print("  ".join(cells[c].ljust(widths[c]) for c in cols))
+    cells = [[_fmt(row.get(c)) for row in rows] for c in cols]
+    widths = [max(len(c), *map(len, column)) for c, column in zip(cols, cells)]
+    print("\n".join("  ".join(s.ljust(w) for s, w in zip(line, widths))
+                    for line in (cols, *zip(*cells))))
 
 
 def _dumps(value) -> str:

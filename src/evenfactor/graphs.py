@@ -153,52 +153,6 @@ def _component(bits: Sequence[int], start: int, alive: int) -> int:
     return seen
 
 
-def _bridges(bits: Sequence[int]) -> list[tuple[int, int]]:
-    """Bridges of G as (u, v) with u < v, sorted; ``bits`` are G's
-    neighbour bitmasks.
-
-    One search grows a spanning forest, claiming each vertex's unseen
-    neighbours as its children. Then, children before parents, each
-    vertex c folds its subtree S and the neighbourhood N(S) into its
-    parent p. The tree edge pc is the only edge leaving S, so a bridge,
-    iff N(S) - S is {p}. (p meets S in c alone: a neighbour of p in S
-    would still have been unseen when p claimed its children, and so a
-    child of p.) An edge off the forest lies on a cycle and is never a
-    bridge.
-    """
-    n = len(bits)
-    parent = [-1] * n
-    order = []             # every vertex after its parent
-    unseen = (1 << n) - 1
-    while unseen:
-        root = unseen & -unseen
-        unseen ^= root
-        stack = [root.bit_length() - 1]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            kids = bits[v] & unseen
-            unseen ^= kids
-            while kids:
-                low = kids & -kids
-                c = low.bit_length() - 1
-                parent[c] = v
-                stack.append(c)
-                kids ^= low
-    sub = [1 << v for v in range(n)]
-    reach = list(bits)
-    out = []
-    for c in reversed(order):
-        p = parent[c]
-        if p < 0:
-            continue
-        if reach[c] & ~sub[c] == 1 << p:
-            out.append((p, c) if p < c else (c, p))
-        sub[p] |= sub[c]
-        reach[p] |= reach[c]
-    return sorted(out)
-
-
 # -- adjacency stacks ------------------------------------------------------
 #
 # Row v of a graph's adjacency matrix is its neighbour bitmask of v, bit w

@@ -1,20 +1,21 @@
 """Ground-truth even-factor decisions: a parity repair, then exact search.
 
 An even factor is a spanning subgraph in which every vertex has nonzero
-even degree. Vertices of degree < 2 rule one out immediately. A parity
-repair tries first: a spanning forest plus one extra edge per leaf gives
-minimum degree 2, and deleting the forest's T-join of the odd-degree
-vertices makes every degree even; when no vertex is left bare that is an
-even factor, found with no search. Otherwise an exact search decides. An
-even subgraph meets every edge cut in an even number of edges, so it
-uses no bridge: the search deletes the bridges first (one spanning-forest
-pass over the neighbour bitmasks), and a vertex they leave with degree
-< 2 rules the factor out with no search. The rest is a depth-first
-backtrack over edge include/exclude decisions with parity pruning: a
-vertex dies as soon as its decided degree plus its undecided incident
-edges cannot reach an even value of at least 2, and the search accepts
-as soon as every vertex has an even chosen degree of at least 2. Only the
-search answers NONE_EXISTS.
+even degree. Vertices of degree < 2 rule one out immediately. Each call
+grows one spanning forest over the neighbour bitmasks, breadth-first.
+The parity repair tries first: the forest plus one extra edge per leaf
+gives minimum degree 2, and deleting the forest's T-join of the
+odd-degree vertices makes every degree even; when no vertex is left bare
+that is an even factor, found with no search. Otherwise an exact search
+decides. An even subgraph meets every edge cut in an even number of
+edges, so it uses no bridge: the bridges, read off the same forest, are
+deleted first, and a vertex they leave with degree < 2 rules the factor
+out with no search. The rest is a depth-first backtrack over edge
+include/exclude decisions with parity pruning: a vertex dies as soon as
+its decided degree plus its undecided incident edges cannot reach an
+even value of at least 2, and the search accepts as soon as every vertex
+has an even chosen degree of at least 2. Only the bridge rule and the
+search answer NONE_EXISTS.
 
 Also provides the odd-component counting condition o(G - S) < |S| for
 all |S| >= 2, which is sufficient on even orders. By the Tutte-Berge
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, _bridges
+from .graphs import Graph
 
 DEFAULT_NODE_CAP = 100_000_000
 
@@ -82,49 +83,56 @@ def is_even_factor(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 def find_even_factor(g: Graph, *, node_cap: int = DEFAULT_NODE_CAP) -> EvenFactorCertificate:
     """FOUND with a certificate, or NONE_EXISTS, decided exactly.
 
-    A parity repair runs first (``_parity_repair``); when it builds an even
-    factor the answer is FOUND with ``nodes_explored == 0``. Otherwise the
-    backtracking search decides (``_search``), and it alone can answer
-    NONE_EXISTS or give up with SEARCH_CAP_EXCEEDED after ``node_cap``
-    include/exclude decisions. Deterministic.
+    One spanning forest serves the whole call. The parity repair grows it
+    (``_parity_repair``); when the repair builds an even factor the answer
+    is FOUND with ``nodes_explored == 0``. Otherwise the bridges are read
+    off the same forest and deleted (``_delete_bridges``): a vertex they
+    leave with degree < 2 gives NONE_EXISTS with ``nodes_explored == 0``,
+    and else the backtracking search decides on the bridge-free bitmasks
+    (``_search``). Only the search can give up, with SEARCH_CAP_EXCEEDED
+    after ``node_cap`` include/exclude decisions. Deterministic.
 
-    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 7):
+    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 31):
     near-extremal graphs on 14 to 26 vertices with about 170 edges take
-    0.022 ms, every one of them repaired; K_30 takes 0.033 ms; 15-vertex
-    graphs with about 63 edges and a factor take 0.023 ms (191 of 200
-    repaired). The repair settles every extremal graph with delta = 2..20
-    and even n = 2*delta..160, and 1941 of the 2206 bundled graphs that
-    meet the odd-component condition. A graph it does not settle pays its
-    0.01 to 0.02 ms on top of the search: 15-vertex graphs with no factor
-    take 0.031 ms, against 0.014 ms for the search alone.
+    0.022 ms, every one of them repaired; K_30 takes 0.037 ms; 15-vertex
+    graphs with about 63 edges take 0.021 ms with a factor (191 of 200
+    repaired) and 0.021 ms without one (all 200 settled by the bridges,
+    with no search node). The repair settles every extremal graph with
+    delta = 2..20 and even n = 2*delta..160, and 1941 of the 2206 bundled
+    graphs that meet the odd-component condition.
     """
-    found = _parity_repair(g)
+    found, order, parent = _parity_repair(g._bits)
     if found is not None:
         return EvenFactorCertificate(CertificateStatus.FOUND, found, 0)
-    return _search(g, node_cap)
+    bits = _delete_bridges(g._bits, order, parent)
+    if min(map(int.bit_count, bits)) < 2:
+        return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
+    return _search(bits, node_cap)
 
 
-def _parity_repair(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
-    """An even factor of g, built without search, or None.
+def _parity_repair(bits: Sequence[int]) -> tuple[Optional[tuple[tuple[int, int], ...]],
+                                                 list[int], list[int]]:
+    """An even factor built without search, or None, and the forest grown.
 
-    Grow a spanning forest breadth-first, each tree from a vertex of
-    largest degree. Give each leaf one edge off the forest, to another
-    leaf still without one where it can, so that the subgraph H has
-    minimum degree 2. The odd-degree vertices of H are even in number in
-    each tree, so one pass from the leaves to the roots deletes a forest
-    edge set J that meets each of them an odd number of times and every
-    other vertex an even number: every degree of H - J is even. If none is
-    0, H - J is an even factor, with edges (u, v), u < v, sorted. None
-    when g has a vertex of degree < 2 or H - J leaves a vertex bare; that
-    says nothing about g.
+    ``bits`` are the neighbour bitmasks of a graph g. Grow a spanning
+    forest breadth-first, each tree from an unseen vertex of largest
+    degree, lowest label first; every vertex claims all of its unseen
+    neighbours as children. Give each leaf one edge off the forest, to
+    another leaf still without one where it can, so that the subgraph H
+    has minimum degree 2. The odd-degree vertices of H are even in number
+    in each tree, so one pass from the leaves to the roots deletes a
+    forest edge set J that meets each of them an odd number of times and
+    every other vertex an even number: every degree of H - J is even. If
+    none is 0, H - J is an even factor, with edges (u, v), u < v, sorted.
+    It is None when g has a vertex of degree < 2 or H - J leaves a vertex
+    bare; that says nothing about g. The forest comes back as ``order``
+    (every vertex after its parent) and ``parent`` (-1 at a root), grown
+    in both cases.
     """
-    n = g.n
-    bits = [g.neighbor_bits(v) for v in range(n)]
+    n = len(bits)
     deg = [b.bit_count() for b in bits]
-    if min(deg, default=2) < 2:
-        return None
     parent = [-1] * n
-    order = []             # every vertex after its parent
+    order = []
     leaves = 0
     odd = 0                # odd-degree vertices of the subgraph built so far
     unseen = (1 << n) - 1
@@ -137,7 +145,7 @@ def _parity_repair(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
         tree = [root]
         for v in tree:
             kids = bits[v] & unseen
-            if not kids:       # never a root, which claims all its neighbours
+            if not kids:       # a root only when isolated, which fails below
                 leaves |= 1 << v
                 continue
             unseen ^= kids
@@ -151,6 +159,8 @@ def _parity_repair(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
                 parent[c] = v
                 tree.append(c)
         order += tree
+    if min(deg, default=2) < 2:
+        return None, order, parent
     edges = []
     covered = 0            # vertices that an edge of H - J meets
     while leaves:
@@ -174,23 +184,50 @@ def _parity_repair(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
             covered |= 1 << c | 1 << p
             edges.append((c, p) if c < p else (p, c))
     if covered != (1 << n) - 1:
-        return None
+        return None, order, parent
     edges.sort()
-    return tuple(edges)
+    return tuple(edges), order, parent
 
 
-def _search(g: Graph, node_cap: int) -> EvenFactorCertificate:
+def _delete_bridges(bits: Sequence[int], order: list[int], parent: list[int]) -> list[int]:
+    """The neighbour bitmasks ``bits`` with every bridge deleted.
+
+    ``order`` and ``parent`` are a spanning forest of the graph in which
+    each vertex claimed all of its unseen neighbours as children, such as
+    ``_parity_repair`` grows. Children before parents, each vertex c folds
+    its subtree S and the neighbourhood N(S) into its parent p. The tree
+    edge pc is the only edge leaving S, so a bridge, iff N(S) - S is {p}.
+    (p meets S in c alone: a neighbour of p in S would still have been
+    unseen when p claimed its children, and so a child of p.) An edge off
+    the forest lies on a cycle and is never a bridge.
+    """
+    sub = [1 << v for v in range(len(bits))]
+    reach = list(bits)
+    kept = list(bits)
+    for c in reversed(order):
+        p = parent[c]
+        if p < 0:
+            continue
+        if reach[c] & ~sub[c] == 1 << p:
+            kept[p] ^= 1 << c
+            kept[c] ^= 1 << p
+        sub[p] |= sub[c]
+        reach[p] |= reach[c]
+    return kept
+
+
+def _search(bits: list[int], node_cap: int) -> EvenFactorCertificate:
     """Exact backtracking search: FOUND with a certificate, or exhaustion.
 
-    Two exact rules cut the search. Cut parity: no even factor uses a
-    bridge, so the bridges are deleted before the search, and a vertex
-    left with degree < 2 gives NONE_EXISTS with ``nodes_explored == 0``.
-    Early accept: once every vertex has an even chosen degree of at least
-    2, the undecided edges are excluded and the search returns; the walk
-    would have excluded them anyway, so this saves nodes without changing
-    the certificate. ``nodes_explored`` counts include/exclude decisions;
-    after ``node_cap`` of them the search gives up with
-    SEARCH_CAP_EXCEEDED.
+    ``bits`` are neighbour bitmasks with the bridges already deleted (no
+    even factor uses a bridge: an even subgraph meets every edge cut in an
+    even number of edges); a vertex of degree < 2 gives NONE_EXISTS with
+    ``nodes_explored == 0``. Early accept: once every vertex has an even
+    chosen degree of at least 2, the undecided edges are excluded and the
+    search returns; the walk would have excluded them anyway, so this
+    saves nodes without changing the certificate. ``nodes_explored``
+    counts include/exclude decisions; after ``node_cap`` of them the
+    search gives up with SEARCH_CAP_EXCEEDED.
 
     Deterministic: edges are decided in the order of (smaller endpoint
     degree, larger endpoint degree, u, v), degrees taken after the bridges
@@ -198,27 +235,22 @@ def _search(g: Graph, node_cap: int) -> EvenFactorCertificate:
     endpoint has fewer than 2 included edges) depends only on the current
     parity state. The search runs on flat lists: the sorted edge
     endpoints, and per vertex its included and undecided edge counts.
-    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 7), the
-    search alone: 15-vertex graphs with about 63 edges and a factor take
-    0.065 ms (median 54 nodes); near-extremal graphs on 14 to 26 vertices
-    with about 170 edges take 0.11 ms (median 90 nodes), of which ordering
-    the edges is about half; two dense blocks joined through a degree-2
-    vertex take 0.012 ms and no nodes; K_30 takes 0.27 ms. In front of it
-    ``find_even_factor`` settles most graphs with a factor by the parity
-    repair, so the search's FOUND path is now the fallback, and its
-    NONE_EXISTS path is unchanged. Search stays exponential
-    where parity is forced across a cut of three or more edges: two
-    7-vertex blocks joined through three degree-2 vertices (17 vertices,
-    36 edges, no bridge) take 1.2M nodes and 0.6 s, about 0.5 us a node.
-    Beyond that rely on ``node_cap``.
+    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 15), the
+    search alone on bridge-free bitmasks: 15-vertex graphs with about 63
+    edges and a factor take 0.054 ms (median 54 nodes); near-extremal
+    graphs on 14 to 26 vertices with about 170 edges take 0.10 ms (median
+    90 nodes), of which ordering the edges is about half; K_30 takes
+    0.25 ms. In front of it ``find_even_factor`` settles
+    most graphs with a factor by the parity repair, so the search's FOUND
+    path is the fallback. Search stays exponential where parity is forced
+    across a cut of three or more edges: two 7-vertex blocks joined
+    through three degree-2 vertices (17 vertices, 36 edges, no bridge)
+    take 1.2M nodes and 0.6 s, about 0.5 us a node. Beyond that rely on
+    ``node_cap``.
     """
-    n = g.n
-    bits = [g.neighbor_bits(v) for v in range(n)]
-    for u, v in _bridges(bits):
-        bits[u] ^= 1 << v
-        bits[v] ^= 1 << u
+    n = len(bits)
     und = [b.bit_count() for b in bits]   # degrees, then undecided incident edges
-    if min(und) < 2:
+    if min(und, default=2) < 2:
         return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
 
     # edge order (min degree, max degree, u, v): one int per edge packing
@@ -336,7 +368,7 @@ def odd_component_condition(g: Graph) -> OddComponentReport:
     n = g.n
     if n % 2 == 0 and n >= 4 and g.min_degree() <= 2:
         return OddComponentReport(False, 0)
-    bits = [g.neighbor_bits(v) for v in range(n)]
+    bits = g._bits
     full = (1 << n) - 1
     spare = (n & 1) << n
     memo = {0: True, spare: True}

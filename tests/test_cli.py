@@ -303,6 +303,29 @@ def test_oracle_command(tmp_path):
     assert rows[0]["edges"]
 
 
+def test_oracle_table_stdout_is_pinned():
+    # each column as wide as its widest cell or header, every cell padded,
+    # the last one too; a none-exists row (two K_4 through a degree-2
+    # vertex) and two malformed lines, which leave gaps in the line numbers
+    k20_bad = "S" + "~" * 60 + "w"
+    proc = run_cli(["oracle", "--no-timing"],
+                   stdin=f"C~\nBw\nA~\nD]w\nH~_GGKF\nE?~w\n{k20_bad}\n")
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        "line  graph6   n  m   status       nodes_explored\n"
+        "1     C~       4  6   found        0             \n"
+        "2     Bw       3  3   found        0             \n"
+        "4     D]w      5  7   found        11            \n"
+        "5     H~_GGKF  9  14  none-exists  0             \n"
+        "6     E?~w     6  9   found        0             \n"
+        "\n"
+        "2 violation(s):\n"
+        '  {"error": "nonzero padding bits", "graph6": "A~", "line": 3}\n'
+        '  {"error": "expected 32 data characters for n=20, got 61", '
+        f'"graph6": "{k20_bad}", "line": 7}}\n'
+    )
+
+
 # malformed lines of a mixed-order input, by line number, with their errors
 MIXED_BAD = {
     3: (b"A~", "nonzero padding bits"),

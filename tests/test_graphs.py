@@ -1,5 +1,5 @@
-"""Graph model, the clique join against its definition, components,
-bridges, the bitmask/adjacency-stack codec, and the graph6 codec."""
+"""Graph model, the clique join against its definition, components, the
+bitmask/adjacency-stack codec, and the graph6 codec."""
 
 import random
 
@@ -9,7 +9,6 @@ import pytest
 from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
 from evenfactor import graphs
 from evenfactor.graphs import (
-    _bridges,
     Graph,
     Graph6Error,
     adjacency_masks,
@@ -351,34 +350,3 @@ def test_stack_codec_needs_one_order():
         adjacency_stack([path(4), path(5)])
     with pytest.raises(ValueError, match="one order"):
         adjacency_stack([])
-
-
-def _reference_bridges(g):
-    """Edges whose removal disconnects their two ends, by a plain DFS."""
-    out = []
-    for u, v in g.edges():
-        seen, stack = {u}, [u]
-        while stack:
-            w = stack.pop()
-            for x in g.neighbors(w):
-                if {w, x} != {u, v} and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        if v not in seen:
-            out.append((u, v))
-    return out
-
-
-def test_bridges_match_reference():
-    def bridges(g):
-        return _bridges([g.neighbor_bits(v) for v in range(g.n)])
-
-    assert bridges(Graph(0)) == [] and bridges(Graph(1)) == []
-    assert bridges(path(5)) == path(5).edges()
-    assert bridges(cycle(6)) == []
-    rng = random.Random(77)
-    for _ in range(300):
-        n = rng.randrange(0, 15)
-        p = rng.choice((0.1, 0.2, 0.35, 0.6))
-        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-        assert bridges(g) == _reference_bridges(g), g.edges()

@@ -8,12 +8,14 @@ from math import comb
 
 import pytest
 
-from evenfactor.corpus import load_bundled_corpus
-from evenfactor.graphs import Graph, _bridges, clique_join
+from evenfactor.corpus import BUNDLED_ORDERS, load_bundled_corpus
+from evenfactor.graphs import Graph, clique_join, from_graph6
 from evenfactor.oracle import (
     DEFAULT_NODE_CAP,
     CertificateStatus,
+    EvenFactorCertificate,
     OddComponentReport,
+    _delete_bridges,
     _parity_repair,
     _search,
     find_even_factor,
@@ -21,6 +23,13 @@ from evenfactor.oracle import (
     odd_component_condition,
 )
 from small_graphs import complete_bipartite, components, cycle, path
+
+
+def _bridge_free(g):
+    """g's neighbour bitmasks less its bridges, read off the parity
+    repair's forest: what find_even_factor hands to _search."""
+    _, order, parent = _parity_repair(g._bits)
+    return _delete_bridges(g._bits, order, parent)
 
 
 def bowtie():
@@ -128,7 +137,7 @@ def test_certificates_valid_on_bundled_corpora():
     # the early accept must report only decided edges, after backtracking too
     for n in (6, 7, 8):
         for g in load_bundled_corpus(n):
-            cert = _search(g, DEFAULT_NODE_CAP)
+            cert = _search(_bridge_free(g), DEFAULT_NODE_CAP)
             if cert.status is CertificateStatus.FOUND:
                 assert is_even_factor(g, cert.edges), g.edges()
 
@@ -157,14 +166,14 @@ def test_determinism():
 def test_early_accept_stops_once_every_vertex_is_settled():
     # K_9: the first 15 edges taken give degrees 8, 8 and 2 elsewhere; the
     # remaining 21 edges would only be excluded, so none is decided
-    cert = _search(clique_join(9, ()), DEFAULT_NODE_CAP)
+    cert = _search(_bridge_free(clique_join(9, ())), DEFAULT_NODE_CAP)
     assert cert.status is CertificateStatus.FOUND
     assert cert.nodes_explored == len(cert.edges) == 15
     assert is_even_factor(clique_join(9, ()), cert.edges)
 
 
 def test_search_cap():
-    cert = _search(clique_join(8, ()), 3)
+    cert = _search(_bridge_free(clique_join(8, ())), 3)
     assert cert.status is CertificateStatus.SEARCH_CAP_EXCEEDED
     assert cert.nodes_explored == 3
     # the parity repair settles K_8 before any search node is spent
@@ -188,6 +197,54 @@ def _blocks(rng, sizes, p):
     return start, edges
 
 
+def _bridges(g):
+    """The edges find_even_factor deletes as bridges, as (u, v), u < v."""
+    kept = _bridge_free(g)
+    return [(u, v) for u, v in g.edges() if not kept[u] >> v & 1]
+
+
+def _reference_bridges(g):
+    """Edges whose removal disconnects their two ends, by a plain DFS."""
+    out = []
+    for u, v in g.edges():
+        seen, stack = {u}, [u]
+        while stack:
+            w = stack.pop()
+            for x in g.neighbors(w):
+                if {w, x} != {u, v} and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        if v not in seen:
+            out.append((u, v))
+    return out
+
+
+def test_bridges_match_reference():
+    # the fold runs over the repair's breadth-first forest, on connected
+    # and disconnected graphs, sparse ones with leaves and isolated
+    # vertices, and multi-word bitmasks
+    assert _bridges(Graph(0)) == [] and _bridges(Graph(1)) == []
+    assert _bridges(path(5)) == path(5).edges()
+    assert _bridges(cycle(6)) == []
+    rng = random.Random(77)
+    random_graphs = []
+    for _ in range(300):
+        n = rng.randrange(0, 15)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        random_graphs.append(
+            Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    # blocks of 30 + 1 + 25 + 20 vertices, the K_30 and K_25 apart from
+    # the rest, joined by the bridges (29, 30), (30, 31) and (40, 56)
+    n, edges = 76, [(29, 30), (30, 31), (40, 56)]
+    for lo, hi in ((0, 30), (31, 56), (56, 76)):
+        edges += [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
+    wide = Graph(n, edges)
+    assert _bridges(wide) == [(29, 30), (30, 31), (40, 56)]
+    small = [g for k in BUNDLED_ORDERS if k < 3 for g in load_bundled_corpus(k)]
+    for g in (*small, *_trace_graphs(), *random_graphs, wide):
+        assert _bridges(g) == _reference_bridges(g), g.edges()
+
+
 def test_bridges_through_a_degree_two_vertex_need_no_search():
     rng = random.Random(31)
     checked = 0
@@ -201,6 +258,23 @@ def test_bridges_through_a_degree_two_vertex_need_no_search():
         cert = find_even_factor(g)
         assert cert.status is CertificateStatus.NONE_EXISTS
         assert cert.nodes_explored == 0
+
+
+def test_stranded_vertex_answers_before_the_search(monkeypatch):
+    # two K_4, on 0..3 and 5..8, joined through the degree-2 vertex 4:
+    # both of its edges are bridges, so their deletion strands it and the
+    # search never starts
+    g = from_graph6("H~_GGKF")
+    assert g.degree(4) == 2 and g.edge_count == 14
+    assert _parity_repair(g._bits)[0] is None
+    assert _bridges(g) == [(0, 4), (4, 5)]
+
+    def no_search(bits, node_cap):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("evenfactor.oracle._search", no_search)
+    cert = find_even_factor(g)
+    assert cert == EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
 
 
 def test_factor_found_around_a_bridge():
@@ -229,7 +303,7 @@ def test_matches_brute_force_with_planted_bridges():
         g = Graph(n, edges)
         if n > 9 or g.edge_count > 14 or g.min_degree() < 2:
             continue
-        assert _bridges([g.neighbor_bits(v) for v in range(n)])
+        assert _bridges(g)
         expected = brute_force_even_factor(g)
         cert = find_even_factor(g)
         assert cert.status is (
@@ -282,7 +356,7 @@ def _trace_digest(oracle):
 
 
 def test_search_trace_matches_golden_digest():
-    assert _trace_digest(lambda g: _search(g, DEFAULT_NODE_CAP)) == SEARCH_TRACE_DIGEST
+    assert _trace_digest(lambda g: _search(_bridge_free(g), DEFAULT_NODE_CAP)) == SEARCH_TRACE_DIGEST
 
 
 def test_find_trace_matches_golden_digest():
@@ -298,9 +372,9 @@ def test_repair_agrees_with_search_on_trace_graphs():
     repaired = fell_back = 0
     for g in _trace_graphs():
         cert = find_even_factor(g)
-        search = _search(g, DEFAULT_NODE_CAP)
+        search = _search(_bridge_free(g), DEFAULT_NODE_CAP)
         assert cert.status is search.status, g.edges()
-        if _parity_repair(g) is None:
+        if _parity_repair(g._bits)[0] is None:
             assert cert == search
             fell_back += search.status is CertificateStatus.FOUND
         else:
@@ -316,9 +390,9 @@ def test_repair_falls_back_to_the_search():
     # the odd vertices 0 and 1 is the path 1-2-0, which leaves 2 bare. The
     # search finds the 5-cycle 0-3-1-2-4.
     g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
-    assert _parity_repair(g) is None
+    assert _parity_repair(g._bits)[0] is None
     cert = find_even_factor(g)
-    assert cert == _search(g, DEFAULT_NODE_CAP)
+    assert cert == _search(_bridge_free(g), DEFAULT_NODE_CAP)
     assert cert.status is CertificateStatus.FOUND and cert.nodes_explored > 0
     assert is_even_factor(g, cert.edges)
 
