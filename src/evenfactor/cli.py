@@ -6,6 +6,10 @@ Input is newline-separated graph6 (file argument or stdin); a leading
 fixed inputs, seed, and config; pass --no-timing to zero the timing field
 when byte-identical output is needed. Exit status is 1 iff any violation
 was found or any input line was malformed, and 2 for an argument error.
+
+There is one verdict mode: certify and scan run the exact oracle on every
+guarantee, extremal exception and borderline verdict, and every report's
+config names the oracle's node cap and the tolerances.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from typing import Iterable, Iterator, Optional
 from . import __version__
 from .corpus import BUNDLED_COUNTS, iter_bundled_corpus
 from .graphs import Graph, Graph6Error, read_graph6, to_graph6
-from .lemmas import SUITE_CHECK_NAMES, THRESHOLD_AGREEMENT, run_property_suite
-from .oracle import DEFAULT_NODE_CAP, CertificateStatus, find_even_factor
+from .lemmas import SUITE_CHECK_NAMES, run_property_suite
+from .oracle import NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
 from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graphs
 from .spectral import RESIDUAL_TOL, rho_d, rho_q, wiener_index
 from .theorems import (
-    BORDERLINE_MARGIN,
     COMPARISON_EPSILON,
     EXTREMAL_TABLE_NOTE,
     Conclusion,
@@ -42,16 +45,14 @@ from .theorems import (
     order_bound_grid,
 )
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
 TOLERANCES = {
     "comparison_epsilon": COMPARISON_EPSILON,
-    "borderline_margin": BORDERLINE_MARGIN,
     "eigen_residual_tol": RESIDUAL_TOL,
     "root_tol": ROOT_TOL,
-    "threshold_agreement": THRESHOLD_AGREEMENT,
 }
 
 # the oracle table leaves out the edge lists, which --json and --csv carry
@@ -129,11 +130,13 @@ def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
                  started: float) -> int:
     """Print the table and violations, write --json/--csv; the exit status.
 
-    The JSON report has one top-level key per line, in sorted order, and one
-    row or violation per line, each written as it is encoded. ``json.dumps``
-    without ``indent`` runs the C encoder; with ``indent`` (or through
-    ``json.dump``) CPython falls back to its pure-Python encoder, which cost
-    more than the oracle itself on per-graph reports.
+    Every report's config carries the oracle's node cap and the tolerances
+    next to the command's own settings. The JSON report has one top-level
+    key per line, in sorted order, and one row or violation per line, each
+    written as it is encoded. ``json.dumps`` without ``indent`` runs the C
+    encoder; with ``indent`` (or through ``json.dump``) CPython falls back
+    to its pure-Python encoder, which cost more than the oracle itself on
+    per-graph reports.
     """
     timing = 0.0 if args.no_timing else time.perf_counter() - started
     _print_table(rows, _TABLE_COLUMNS.get(args.command))
@@ -146,7 +149,7 @@ def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": {**config, "tolerances": TOLERANCES},
+        "config": {**config, "oracle_cap": NODE_CAP, "tolerances": TOLERANCES},
         "rows": rows,
         "violations": violations,
         "timing_seconds": timing,
@@ -199,13 +202,11 @@ def cmd_spectra(args) -> Report:
 # -- certify ------------------------------------------------------------------
 
 
-def _judge(items: Iterable[tuple[int, Optional[str], Graph]], kind: TheoremKind,
-           args) -> Iterable[tuple[int, Optional[str], Graph, TheoremVerdict]]:
+def _judge(items: Iterable[tuple[int, Optional[str], Graph]], kind: TheoremKind
+           ) -> Iterable[tuple[int, Optional[str], Graph, TheoremVerdict]]:
     """(line_no, graph6, graph, verdict) per input, in input order."""
     items, graphs = itertools.tee(items)
-    verdicts = check_even_factor_many(
-        (g for _, _, g in graphs), kind, run_oracle=args.oracle == "on"
-    )
+    verdicts = check_even_factor_many((g for _, _, g in graphs), kind)
     for (line_no, text, g), v in zip(items, verdicts):
         yield line_no, text, g, v
 
@@ -242,17 +243,12 @@ def cmd_certify(args) -> Report:
     bad: list[dict] = []
     rows = []
     contradicted = []
-    for line_no, text, _, v in _judge(_parse_graphs(args.input, bad), kind, args):
+    for line_no, text, _, v in _judge(_parse_graphs(args.input, bad), kind):
         row = _verdict_row(line_no, text, v)
         rows.append(row)
         if v.oracle_agrees is False:
             contradicted.append(_contradiction(line_no, text, v))
-    config = {
-        "input": args.input or "-",
-        "theorem": args.theorem,
-        "oracle": args.oracle,
-        "oracle_cap": DEFAULT_NODE_CAP,
-    }
+    config = {"input": args.input or "-", "theorem": args.theorem}
     return config, rows, bad + contradicted
 
 
@@ -287,7 +283,7 @@ def cmd_scan(args) -> Report:
     oracle_runs = 0
     cap_exceeded = 0
     contradicted = []
-    for line_no, text, g, v in _judge(graphs, kind, args):
+    for line_no, text, g, v in _judge(graphs, kind):
         total += 1
         counts[v.conclusion.value] += 1
         borderline += v.borderline
@@ -311,8 +307,6 @@ def cmd_scan(args) -> Report:
     config = {
         "source": source,
         "theorem": args.theorem,
-        "oracle": args.oracle,
-        "oracle_cap": DEFAULT_NODE_CAP,
         "seed": args.seed,
         "p_range": list(P_RANGE),
     }
@@ -385,7 +379,6 @@ def cmd_extremal(args) -> Report:
         "delta_range": [args.delta_min, args.delta_max],
         "n_min": args.n_min if args.n_min is not None else "per-delta bound",
         "n_max": args.n_max if args.n_max is not None else "max(40, first order)",
-        "oracle_cap": DEFAULT_NODE_CAP,
         "note": EXTREMAL_TABLE_NOTE,
     }
     return config, rows, violations
@@ -408,11 +401,7 @@ def cmd_oracle(args) -> Report:
             "nodes_explored": cert.nodes_explored,
             "edges": list(cert.edges) if cert.edges is not None else None,
         })
-    config = {
-        "input": args.input or "-",
-        "oracle_cap": DEFAULT_NODE_CAP,
-    }
-    return config, rows, bad
+    return {"input": args.input or "-"}, rows, bad
 
 
 # -- parser ------------------------------------------------------------------------
@@ -443,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="graph6 file (default stdin)")
     p.add_argument("--theorem", choices=["1", "2"], default="1",
                    help="1: signless-Laplacian lower bound; 2: distance upper bound")
-    p.add_argument("--oracle", choices=["on", "off"], default="off",
-                   help="cross-check claims with the exact search")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("scan", parents=[common],
@@ -455,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of seeded random samples")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--theorem", choices=["1", "2"], default="1")
-    p.add_argument("--oracle", choices=["on", "off"], default="on")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("lemmas", parents=[common],

@@ -15,7 +15,8 @@ include/exclude decisions with parity pruning: a vertex dies as soon as
 its decided degree plus its undecided incident edges cannot reach an
 even value of at least 2, and the search accepts as soon as every vertex
 has an even chosen degree of at least 2. Only the bridge rule and the
-search answer NONE_EXISTS.
+search answer NONE_EXISTS, and only the search can give up, after the
+fixed NODE_CAP decisions; no caller sets a cap of its own.
 
 Also provides the odd-component counting condition o(G - S) < |S| for
 all |S| >= 2, which is sufficient on even orders. By the Tutte-Berge
@@ -32,7 +33,8 @@ from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph
 
-DEFAULT_NODE_CAP = 100_000_000
+# include/exclude decisions after which the backtracking search gives up
+NODE_CAP = 100_000_000
 
 
 class CertificateStatus(Enum):
@@ -80,7 +82,7 @@ def is_even_factor(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     return all(d >= 2 and d % 2 == 0 for d in deg)
 
 
-def find_even_factor(g: Graph, *, node_cap: int = DEFAULT_NODE_CAP) -> EvenFactorCertificate:
+def find_even_factor(g: Graph) -> EvenFactorCertificate:
     """FOUND with a certificate, or NONE_EXISTS, decided exactly.
 
     One spanning forest serves the whole call. The parity repair grows it
@@ -90,7 +92,7 @@ def find_even_factor(g: Graph, *, node_cap: int = DEFAULT_NODE_CAP) -> EvenFacto
     leave with degree < 2 gives NONE_EXISTS with ``nodes_explored == 0``,
     and else the backtracking search decides on the bridge-free bitmasks
     (``_search``). Only the search can give up, with SEARCH_CAP_EXCEEDED
-    after ``node_cap`` include/exclude decisions. Deterministic.
+    after NODE_CAP include/exclude decisions. Deterministic.
 
     Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 31):
     near-extremal graphs on 14 to 26 vertices with about 170 edges take
@@ -107,7 +109,7 @@ def find_even_factor(g: Graph, *, node_cap: int = DEFAULT_NODE_CAP) -> EvenFacto
     bits = _delete_bridges(g._bits, order, parent)
     if min(map(int.bit_count, bits)) < 2:
         return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
-    return _search(bits, node_cap)
+    return _search(bits)
 
 
 def _parity_repair(bits: Sequence[int]) -> tuple[Optional[tuple[tuple[int, int], ...]],
@@ -216,7 +218,7 @@ def _delete_bridges(bits: Sequence[int], order: list[int], parent: list[int]) ->
     return kept
 
 
-def _search(bits: list[int], node_cap: int) -> EvenFactorCertificate:
+def _search(bits: list[int]) -> EvenFactorCertificate:
     """Exact backtracking search: FOUND with a certificate, or exhaustion.
 
     ``bits`` are neighbour bitmasks with the bridges already deleted (no
@@ -226,8 +228,8 @@ def _search(bits: list[int], node_cap: int) -> EvenFactorCertificate:
     chosen degree of at least 2, the undecided edges are excluded and the
     search returns; the walk would have excluded them anyway, so this
     saves nodes without changing the certificate. ``nodes_explored``
-    counts include/exclude decisions; after ``node_cap`` of them the
-    search gives up with SEARCH_CAP_EXCEEDED.
+    counts include/exclude decisions; after NODE_CAP of them the search
+    gives up with SEARCH_CAP_EXCEEDED.
 
     Deterministic: edges are decided in the order of (smaller endpoint
     degree, larger endpoint degree, u, v), degrees taken after the bridges
@@ -245,10 +247,11 @@ def _search(bits: list[int], node_cap: int) -> EvenFactorCertificate:
     path is the fallback. Search stays exponential where parity is forced
     across a cut of three or more edges: two 7-vertex blocks joined
     through three degree-2 vertices (17 vertices, 36 edges, no bridge)
-    take 1.2M nodes and 0.6 s, about 0.5 us a node. Beyond that rely on
-    ``node_cap``.
+    take 1.2M nodes and 0.6 s, about 0.5 us a node. Beyond that NODE_CAP
+    bounds the search.
     """
     n = len(bits)
+    cap = NODE_CAP
     und = [b.bit_count() for b in bits]   # degrees, then undecided incident edges
     if min(und, default=2) < 2:
         return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
@@ -311,7 +314,7 @@ def _search(bits: list[int], node_cap: int) -> EvenFactorCertificate:
                     break
             take = not chosen[pos]
             flipped[pos] = True
-        if nodes >= node_cap:
+        if nodes >= cap:
             return EvenFactorCertificate(CertificateStatus.SEARCH_CAP_EXCEEDED, None, nodes)
         nodes += 1
         und[u] -= 1

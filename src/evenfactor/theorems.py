@@ -16,6 +16,11 @@ spectral radius: the quotient is equitable and the cubic is its exact
 characteristic polynomial (tests/test_quotient.py proves the identity; the
 ``quotient-root-matches-matrix`` lemma compares roots with the matrix). Order
 bounds are exact rationals; a graph's order is compared with their ceiling.
+
+One tolerance, COMPARISON_EPSILON, marks the band around a threshold in
+which a float comparison cannot place a graph; a verdict there is
+``borderline``. The exact oracle checks every guarantee, the extremal
+exception and every borderline verdict.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .quotient import CubicFamily, family_cubic, largest_root
 from .spectral import rho_d_many, rho_q_many
 
 COMPARISON_EPSILON = 1e-8
-BORDERLINE_MARGIN = 1e-6
 # graphs per chunk of check_even_factor_many; chunks of 512 raised the
 # peak memory of the benchmark sweeps by 11-14%, chunks of 64 by under 8%
 VERDICT_CHUNK = 64
@@ -207,7 +211,15 @@ class TheoremVerdict:
     borderline: bool
     conclusion: Conclusion
     oracle_status: Optional[CertificateStatus] = None
-    oracle_agrees: Optional[bool] = None
+
+    @property
+    def oracle_agrees(self) -> Optional[bool]:
+        """Whether the oracle confirms a guarantee; None for any other
+        conclusion, or when the search gave up."""
+        if (self.conclusion is not Conclusion.EVEN_FACTOR_GUARANTEED
+                or self.oracle_status is CertificateStatus.SEARCH_CAP_EXCEEDED):
+            return None
+        return self.oracle_status is CertificateStatus.FOUND
 
 
 def _hypotheses(g: Graph, kind: TheoremKind) -> tuple[int, HypothesisReport]:
@@ -223,59 +235,42 @@ def _hypotheses(g: Graph, kind: TheoremKind) -> tuple[int, HypothesisReport]:
 
 
 def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
-              spectral: Optional[float], run_oracle: bool) -> TheoremVerdict:
+              spectral: Optional[float]) -> TheoremVerdict:
     """The verdict on g from its hypotheses and, when they are met, its rho."""
     n = g.n
     if not hyp.met:
         return TheoremVerdict(kind, n, delta, hyp, None, None, False, Conclusion.NOT_APPLICABLE)
 
     params = ExtremalParams(n, delta)
-    threshold = (
-        threshold_rho_q(params)
-        if kind is TheoremKind.SIGNLESS_LAPLACIAN
-        else threshold_rho_d(params)
-    )
     assert spectral is not None
-    borderline = abs(spectral - threshold) <= BORDERLINE_MARGIN
+    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
+        threshold = threshold_rho_q(params)
+        margin = spectral - threshold
+    else:
+        threshold = threshold_rho_d(params)
+        margin = threshold - spectral
+    borderline = abs(margin) < COMPARISON_EPSILON
     # the extremal graph's rho is the threshold itself, which no float
     # comparison can place, so it is recognized first
-    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-        met = spectral >= threshold + COMPARISON_EPSILON
-    else:
-        met = spectral <= threshold - COMPARISON_EPSILON
     if recognize_extremal(g, delta):
         conclusion = Conclusion.EXTREMAL_EXCEPTION
-    elif met:
+    elif margin >= COMPARISON_EPSILON:
         conclusion = Conclusion.EVEN_FACTOR_GUARANTEED
     else:
         conclusion = Conclusion.INCONCLUSIVE
-
-    oracle_status = None
-    oracle_agrees = None
-    claims_factor = conclusion is Conclusion.EVEN_FACTOR_GUARANTEED
-    if run_oracle and (claims_factor or conclusion is Conclusion.EXTREMAL_EXCEPTION
-                       or borderline):
-        cert = find_even_factor(g)
-        oracle_status = cert.status
-        if claims_factor:
-            if cert.status is CertificateStatus.FOUND:
-                oracle_agrees = True
-            elif cert.status is CertificateStatus.NONE_EXISTS:
-                oracle_agrees = False
-    return TheoremVerdict(
-        kind, n, delta, hyp, spectral, threshold, borderline, conclusion,
-        oracle_status, oracle_agrees,
-    )
+    if conclusion is Conclusion.INCONCLUSIVE and not borderline:
+        return TheoremVerdict(kind, n, delta, hyp, spectral, threshold, False, conclusion)
+    return TheoremVerdict(kind, n, delta, hyp, spectral, threshold, borderline, conclusion,
+                          find_even_factor(g).status)
 
 
-def check_even_factor(g: Graph, kind: TheoremKind, *,
-                      run_oracle: bool = False) -> TheoremVerdict:
+def check_even_factor(g: Graph, kind: TheoremKind) -> TheoremVerdict:
     """Evaluate one spectral sufficient condition on a graph: a batch of one."""
-    return next(check_even_factor_many((g,), kind, run_oracle=run_oracle))
+    return next(check_even_factor_many((g,), kind))
 
 
-def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
-                           run_oracle: bool = False) -> Iterator[TheoremVerdict]:
+def check_even_factor_many(graphs: Iterable[Graph],
+                           kind: TheoremKind) -> Iterator[TheoremVerdict]:
     """Evaluate one spectral sufficient condition on each graph, in input order.
 
     The hypotheses are settled first, and only a graph that meets them has
@@ -283,13 +278,13 @@ def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
     ``spectral_value`` and ``threshold`` as None. The minimum degree used in
     thresholds is always min_degree(g). The extremal graph is recognized
     by its degrees, with no float comparison, and is ``extremal-exception``.
-    Any other graph is ``even-factor-guaranteed`` only when its rho_Q is at
-    least COMPARISON_EPSILON above the threshold, or its rho_D that far
-    below it, and ``inconclusive`` otherwise, so the slack never grants a
-    guarantee. When the spectral value lands within BORDERLINE_MARGIN of
-    the threshold the verdict is flagged borderline; with ``run_oracle``
-    the exact search cross-checks every conclusion that claims an even
-    factor.
+    A spectral value less than COMPARISON_EPSILON from the threshold is
+    ``borderline``. Any other graph is ``even-factor-guaranteed`` when it
+    lies outside that band on the theorem's side (rho_Q above the
+    threshold, rho_D below it), and ``inconclusive`` otherwise, so the band
+    never grants a guarantee. The exact search runs on every guarantee,
+    on the extremal exception and on every borderline verdict, and
+    ``oracle_status`` holds its answer; it is None on the other verdicts.
 
     Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
     values of the same-order graphs that meet the hypotheses come from one
@@ -308,7 +303,7 @@ def check_even_factor_many(graphs: Iterable[Graph], kind: TheoremKind, *,
             for i, value in zip(members, radii([chunk[i] for i in members])):
                 values[i] = float(value)
         for g, (delta, hyp), value in zip(chunk, checked, values):
-            yield _conclude(g, kind, delta, hyp, value, run_oracle)
+            yield _conclude(g, kind, delta, hyp, value)
 
 
 # -- even factor of the extremal graph ------------------------------------------

@@ -159,7 +159,7 @@ def test_criterion_5_d_condition_sampled_n10():
     guaranteed = 0
     applicable = 0
     graphs, judged = tee(sample_connected_graphs(rng, 10, samples))
-    verdicts = check_even_factor_many(judged, TheoremKind.DISTANCE, run_oracle=True)
+    verdicts = check_even_factor_many(judged, TheoremKind.DISTANCE)
     for g, verdict in zip(graphs, verdicts):
         if verdict.hypotheses.met:
             applicable += 1

@@ -16,7 +16,7 @@ from evenfactor import cli
 from evenfactor.cli import build_parser, main
 from evenfactor.corpus import bundled_corpus_lines
 from evenfactor.graphs import from_graph6, to_graph6
-from evenfactor.oracle import find_even_factor
+from evenfactor.oracle import NODE_CAP, find_even_factor
 from evenfactor.sampling import sample_connected_graphs, sample_graph
 from evenfactor.theorems import (
     ExtremalParams,
@@ -49,7 +49,7 @@ def test_spectra_via_subprocess(tmp_path):
     proc = run_cli(["spectra", "--json", str(report_path)], stdin="C~\nCh\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    assert report["schema_version"] == "4"
+    assert report["schema_version"] == "5"
     rows = report["rows"]
     assert rows[0]["n"] == 4 and rows[0]["rho_q"] == pytest.approx(6, abs=1e-9)
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)
@@ -107,7 +107,7 @@ def test_non_ascii_line_is_a_per_line_violation(tmp_path):
 def test_certify_extremal_row(tmp_path):
     report_path = tmp_path / "c.json"
     proc = run_cli(
-        ["certify", "--theorem", "1", "--oracle", "on", "--json", str(report_path)],
+        ["certify", "--theorem", "1", "--json", str(report_path)],
         stdin=extremal_line() + "\n",
     )
     assert proc.returncode == 0
@@ -115,6 +115,32 @@ def test_certify_extremal_row(tmp_path):
     assert row["conclusion"] == "extremal-exception"
     assert row["oracle_status"] == "found"
     assert row["borderline"] is True
+
+
+def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys):
+    # the extremal graph at (16, 2) plus the edge (2, 15) has delta = 3 and
+    # rho_Q 28.24 against the threshold 26.55: a guarantee, which the oracle
+    # confirms with no flag given; C_8 misses its threshold by far, so no
+    # oracle runs on it
+    report_path = tmp_path / "c.json"
+    proc = run_cli(["certify", "--json", str(report_path), "--no-timing"],
+                   stdin="O~~~~~~~~~~~~~~~~~~??\nGhCGKC\n")
+    assert proc.returncode == 0
+    report = json.loads(report_path.read_text())
+    guaranteed, cycle = report["rows"]
+    assert (guaranteed["min_degree"], guaranteed["conclusion"], guaranteed["oracle_status"],
+            guaranteed["oracle_agrees"]) == (3, "even-factor-guaranteed", "found", True)
+    assert (cycle["conclusion"], cycle["oracle_status"], cycle["oracle_agrees"]) == (
+        "inconclusive", None, None)
+    config = report["config"]
+    assert "oracle" not in config and config["oracle_cap"] == NODE_CAP
+    assert sorted(config["tolerances"]) == ["comparison_epsilon", "eigen_residual_tol", "root_tol"]
+    # there is no switch to turn the oracle off
+    for argv in (["certify", "--oracle", "on"], ["scan", "-n", "6", "--oracle", "off"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_certify_inconclusive_and_not_applicable():
@@ -127,8 +153,7 @@ def test_certify_inconclusive_and_not_applicable():
 def test_scan_bundled_corpus_small(tmp_path):
     report_path = tmp_path / "scan.json"
     proc = run_cli(
-        ["scan", "-n", "6", "--theorem", "1", "--oracle", "on",
-         "--json", str(report_path), "--no-timing"],
+        ["scan", "-n", "6", "--theorem", "1", "--json", str(report_path), "--no-timing"],
     )
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
@@ -455,7 +480,7 @@ def _small_reports(tmp_path):
     graphs.write_text("C~\nBw\nCF\n" + extremal_line() + "\nhello\n")
     return [
         ["spectra", str(graphs)],
-        ["certify", "--theorem", "1", "--oracle", "on", str(graphs)],
+        ["certify", "--theorem", "1", str(graphs)],
         ["scan", "-n", "5", "--theorem", "2"],
         ["lemmas", "--trials", "10", "--delta-max", "3", "--n-max", "20",
          "--corpus-max-n", "4", "--oracle-max-n", "4"],
@@ -481,7 +506,7 @@ def test_json_report_layout_and_content(tmp_path, monkeypatch):
         indented = json.dumps({
             "schema_version": cli.SCHEMA_VERSION,
             "command": argv[0],
-            "config": {**config, "tolerances": cli.TOLERANCES},
+            "config": {**config, "oracle_cap": NODE_CAP, "tolerances": cli.TOLERANCES},
             "rows": rows,
             "violations": violations,
             "timing_seconds": 0.0,
@@ -545,8 +570,7 @@ def test_certify_and_scan_report_a_refuted_guarantee_alike(tmp_path, monkeypatch
     found = []
     for argv in (["certify", str(corpus)], ["scan", "--corpus", str(corpus)]):
         path = tmp_path / f"{argv[0]}.json"
-        assert main(argv + ["--theorem", "1", "--oracle", "on",
-                            "--json", str(path), "--no-timing"]) == 1
+        assert main(argv + ["--theorem", "1", "--json", str(path), "--no-timing"]) == 1
         found.append(json.loads(path.read_text())["violations"])
     (row,) = found[0]
     assert found[1] == found[0]

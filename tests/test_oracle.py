@@ -11,7 +11,6 @@ import pytest
 from evenfactor.corpus import BUNDLED_ORDERS, load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join, from_graph6
 from evenfactor.oracle import (
-    DEFAULT_NODE_CAP,
     CertificateStatus,
     EvenFactorCertificate,
     OddComponentReport,
@@ -137,7 +136,7 @@ def test_certificates_valid_on_bundled_corpora():
     # the early accept must report only decided edges, after backtracking too
     for n in (6, 7, 8):
         for g in load_bundled_corpus(n):
-            cert = _search(_bridge_free(g), DEFAULT_NODE_CAP)
+            cert = _search(_bridge_free(g))
             if cert.status is CertificateStatus.FOUND:
                 assert is_even_factor(g, cert.edges), g.edges()
 
@@ -166,18 +165,19 @@ def test_determinism():
 def test_early_accept_stops_once_every_vertex_is_settled():
     # K_9: the first 15 edges taken give degrees 8, 8 and 2 elsewhere; the
     # remaining 21 edges would only be excluded, so none is decided
-    cert = _search(_bridge_free(clique_join(9, ())), DEFAULT_NODE_CAP)
+    cert = _search(_bridge_free(clique_join(9, ())))
     assert cert.status is CertificateStatus.FOUND
     assert cert.nodes_explored == len(cert.edges) == 15
     assert is_even_factor(clique_join(9, ()), cert.edges)
 
 
-def test_search_cap():
-    cert = _search(_bridge_free(clique_join(8, ())), 3)
+def test_search_cap(monkeypatch):
+    monkeypatch.setattr("evenfactor.oracle.NODE_CAP", 3)
+    cert = _search(_bridge_free(clique_join(8, ())))
     assert cert.status is CertificateStatus.SEARCH_CAP_EXCEEDED
     assert cert.nodes_explored == 3
     # the parity repair settles K_8 before any search node is spent
-    cert = find_even_factor(clique_join(8, ()), node_cap=3)
+    cert = find_even_factor(clique_join(8, ()))
     assert cert.status is CertificateStatus.FOUND and cert.nodes_explored == 0
 
 
@@ -269,7 +269,7 @@ def test_stranded_vertex_answers_before_the_search(monkeypatch):
     assert _parity_repair(g._bits)[0] is None
     assert _bridges(g) == [(0, 4), (4, 5)]
 
-    def no_search(bits, node_cap):
+    def no_search(bits):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr("evenfactor.oracle._search", no_search)
@@ -356,7 +356,7 @@ def _trace_digest(oracle):
 
 
 def test_search_trace_matches_golden_digest():
-    assert _trace_digest(lambda g: _search(_bridge_free(g), DEFAULT_NODE_CAP)) == SEARCH_TRACE_DIGEST
+    assert _trace_digest(lambda g: _search(_bridge_free(g))) == SEARCH_TRACE_DIGEST
 
 
 def test_find_trace_matches_golden_digest():
@@ -372,7 +372,7 @@ def test_repair_agrees_with_search_on_trace_graphs():
     repaired = fell_back = 0
     for g in _trace_graphs():
         cert = find_even_factor(g)
-        search = _search(_bridge_free(g), DEFAULT_NODE_CAP)
+        search = _search(_bridge_free(g))
         assert cert.status is search.status, g.edges()
         if _parity_repair(g._bits)[0] is None:
             assert cert == search
@@ -392,7 +392,7 @@ def test_repair_falls_back_to_the_search():
     g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
     assert _parity_repair(g._bits)[0] is None
     cert = find_even_factor(g)
-    assert cert == _search(_bridge_free(g), DEFAULT_NODE_CAP)
+    assert cert == _search(_bridge_free(g))
     assert cert.status is CertificateStatus.FOUND and cert.nodes_explored > 0
     assert is_even_factor(g, cert.edges)
 

@@ -13,13 +13,13 @@ from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor import cli, theorems
 from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
 from evenfactor.lemmas import (
-    THRESHOLD_AGREEMENT,
     check_q_threshold_above_bridged,
     check_quotient_matches_matrix,
     perron_abc,
     run_property_suite,
 )
 from evenfactor.theorems import (
+    COMPARISON_EPSILON,
     Conclusion,
     ExtremalParams,
     VERDICT_CHUNK,
@@ -87,8 +87,8 @@ def test_thresholds_from_the_smallest_order():
             p = ExtremalParams(n, d)
             assert threshold_rho_q(p) > threshold_rho_d(p) > 0
             g = extremal_graph(p)
-            assert abs(threshold_rho_q(p) - rho_q(g)) <= THRESHOLD_AGREEMENT, (n, d)
-            assert abs(threshold_rho_d(p) - rho_d(g)) <= THRESHOLD_AGREEMENT, (n, d)
+            assert abs(threshold_rho_q(p) - rho_q(g)) < COMPARISON_EPSILON, (n, d)
+            assert abs(threshold_rho_d(p) - rho_d(g)) < COMPARISON_EPSILON, (n, d)
 
 
 @pytest.mark.parametrize("n,d", [(200, 12), (400, 5), (162, 20)])
@@ -97,8 +97,8 @@ def test_thresholds_match_the_matrix_beyond_the_acceptance_grid(n, d):
     # orders and degrees past the n <= 60 grid of the acceptance criteria
     p = ExtremalParams(n, d)
     g = extremal_graph(p)
-    assert abs(threshold_rho_q(p) - rho_q(g)) <= THRESHOLD_AGREEMENT
-    assert abs(threshold_rho_d(p) - rho_d(g)) <= THRESHOLD_AGREEMENT
+    assert abs(threshold_rho_q(p) - rho_q(g)) < COMPARISON_EPSILON
+    assert abs(threshold_rho_d(p) - rho_d(g)) < COMPARISON_EPSILON
 
 
 def test_order_bounds_exact_rational():
@@ -136,7 +136,7 @@ def test_recognize_extremal_finds_one_bundled_graph_per_cell():
             assert len(found) == 1, (n, d)
             if n % 2 == 0:
                 thr = threshold_rho_q(ExtremalParams(n, d))
-                assert abs(rho_q(found[0]) - thr) <= THRESHOLD_AGREEMENT, (n, d)
+                assert abs(rho_q(found[0]) - thr) < COMPARISON_EPSILON, (n, d)
 
 
 def test_recognize_extremal_rejects_nearby_rewirings():
@@ -163,7 +163,7 @@ def test_recognize_extremal_rejects_nearby_rewirings():
 
 def test_check_q_on_extremal_and_simple_graphs():
     p = ExtremalParams(8, 2)
-    v = check_even_factor(extremal_graph(p), TheoremKind.SIGNLESS_LAPLACIAN, run_oracle=True)
+    v = check_even_factor(extremal_graph(p), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.hypotheses.met
     assert v.conclusion is Conclusion.EXTREMAL_EXCEPTION
     assert v.borderline  # sits exactly on the threshold
@@ -185,7 +185,7 @@ def test_check_q_on_extremal_and_simple_graphs():
 
 def test_check_d_direction():
     p = ExtremalParams(10, 2)
-    v = check_even_factor(extremal_graph(p), TheoremKind.DISTANCE, run_oracle=True)
+    v = check_even_factor(extremal_graph(p), TheoremKind.DISTANCE)
     assert v.conclusion is Conclusion.EXTREMAL_EXCEPTION
     # sparser graph: rho_D grows, condition fails
     v2 = check_even_factor(cycle(10), TheoremKind.DISTANCE)
@@ -197,32 +197,17 @@ def test_check_d_direction():
 
 
 def test_guaranteed_conclusion_exists_and_oracle_agrees():
-    # dense non-extremal graph satisfying the distance condition at n=10:
-    # K_10 minus a perfect matching has delta = 8 -> not applicable; use
-    # a graph with delta = 2 built to be distance-small plus a degree-2 vertex
-    g = clique_join(2, (7, 1))  # the extremal graph at (10, 2)
-    # add one edge from the singleton to the big clique: still delta 2?
-    # no - singleton degree becomes 3. Instead take the extremal graph and
-    # remove one big-clique edge: rho_D rises above the threshold. So the
-    # guaranteed case at (10, 2) is structurally rare; check at delta >= 3
-    # via the Q condition instead, where densification helps.
-    p = ExtremalParams(16, 2)
-    base = extremal_graph(p)
-    # join the singleton to one more vertex: min degree rises to 3 ->
-    # different threshold; instead add a big-clique vertex edge? big clique
-    # is complete already. Use the odd-cliques family with two odd parts:
-    # K_2 v (K_11 u K_3) has delta 2? singleton part K_3 vertices: 2 + 2 = 4.
-    # Its min degree is 4... build explicitly: delta(K_2 v (K_11 u K_3)) =
-    # min(15, 12, 6) with n=16. Simplest true positive: perturb the
-    # extremal graph by adding one singleton-big edge and re-check with the
-    # oracle; min degree becomes 3 and the verdict recomputes at delta=3.
-    extra = (2, base.n - 1)
-    g2 = Graph(base.n, base.edges() + [extra])
-    v = check_even_factor(g2, TheoremKind.SIGNLESS_LAPLACIAN, run_oracle=True)
-    if v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED:
-        assert v.oracle_status is CertificateStatus.FOUND
-    # the verdict machinery never claims a factor while the oracle denies it
-    assert v.oracle_agrees in (True, None)
+    # the extremal graph at (16, 2) plus an edge from the big clique's
+    # vertex 2 to the singleton 15: delta rises to 3, and rho_Q = 28.24
+    # clears the (16, 3) threshold 26.55, so the Q condition guarantees a
+    # factor
+    base = extremal_graph(ExtremalParams(16, 2))
+    g = Graph(base.n, base.edges() + [(2, base.n - 1)])
+    v = check_even_factor(g, TheoremKind.SIGNLESS_LAPLACIAN)
+    assert v.min_degree == 3
+    assert v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED
+    assert v.oracle_status is CertificateStatus.FOUND
+    assert v.oracle_agrees is True
 
 
 def test_perron_abc_matches_general_eigensolver():
@@ -337,8 +322,8 @@ def test_check_even_factor_many_matches_per_graph_verdicts():
     assert len(graphs) > 3 * VERDICT_CHUNK
     for kind, rho in ((TheoremKind.SIGNLESS_LAPLACIAN, rho_q),
                       (TheoremKind.DISTANCE, rho_d)):
-        batched = list(check_even_factor_many(graphs, kind, run_oracle=True))
-        single = [check_even_factor(g, kind, run_oracle=True) for g in graphs]
+        batched = list(check_even_factor_many(graphs, kind))
+        single = [check_even_factor(g, kind) for g in graphs]
         assert batched == single
         for g, v in zip(graphs, batched):
             if v.spectral_value is not None:
@@ -374,24 +359,29 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
 
 def test_conclude_keeps_the_slack_on_the_safe_side():
     # spectral values placed by hand around the threshold: a guarantee needs
-    # the full epsilon past it, and the extremal graph needs no comparison
+    # the full epsilon past it, the band within epsilon of it is borderline
+    # and oracle-checked, and the extremal graph needs no comparison
     eps = theorems.COMPARISON_EPSILON
     for kind, n, toward in ((TheoremKind.SIGNLESS_LAPLACIAN, 8, 1),
                             (TheoremKind.DISTANCE, 10, -1)):
         p = ExtremalParams(n, 2)
         theta = threshold_rho_q(p) if kind is TheoremKind.SIGNLESS_LAPLACIAN else threshold_rho_d(p)
 
-        def conclusion(g, value):
+        def verdict(g, value):
             delta, hyp = theorems._hypotheses(g, kind)
             assert hyp.met and delta == 2
-            return theorems._conclude(g, kind, delta, hyp, value, False).conclusion
+            v = theorems._conclude(g, kind, delta, hyp, value)
+            return v.conclusion, v.borderline, v.oracle_status is not None
 
         other, star = cycle(n), extremal_graph(p)
-        assert conclusion(other, theta + toward * 2 * eps) is Conclusion.EVEN_FACTOR_GUARANTEED
+        assert verdict(other, theta + toward * 2 * eps) == (
+            Conclusion.EVEN_FACTOR_GUARANTEED, False, True)
         for value in (theta + toward * eps / 2, theta, theta - toward * eps / 2):
-            assert conclusion(other, value) is Conclusion.INCONCLUSIVE
+            assert verdict(other, value) == (Conclusion.INCONCLUSIVE, True, True)
+        assert verdict(other, theta - toward * 2 * eps) == (Conclusion.INCONCLUSIVE, False, False)
         for value in (theta - toward * 2 * eps, theta, theta + toward * 2 * eps):
-            assert conclusion(star, value) is Conclusion.EXTREMAL_EXCEPTION
+            assert verdict(star, value) == (
+                Conclusion.EXTREMAL_EXCEPTION, value == theta, True)
 
 
 def test_quotient_check_margin_is_the_worst_cell():
@@ -399,9 +389,9 @@ def test_quotient_check_margin_is_the_worst_cell():
     outcomes = check_quotient_matches_matrix(grid)
     errors = [max(abs(threshold_rho_q(p) - rho_q(extremal_graph(p))),
                   abs(threshold_rho_d(p) - rho_d(extremal_graph(p)))) for p in grid]
-    assert [o.margin for o in outcomes] == [THRESHOLD_AGREEMENT - e for e in errors]
+    assert [o.margin for o in outcomes] == [COMPARISON_EPSILON - e for e in errors]
     worst = min(outcomes, key=lambda o: o.margin)
-    assert worst.margin == THRESHOLD_AGREEMENT - max(errors) < THRESHOLD_AGREEMENT
+    assert worst.margin == COMPARISON_EPSILON - max(errors) < COMPARISON_EPSILON
     # the lemmas summary, on the same default grid, reports that cell
     _, [row], _ = cli.cmd_lemmas(cli.build_parser().parse_args(
         ["lemmas", "--check", "quotient-root-matches-matrix"]))
