@@ -6,6 +6,7 @@ Library layout:
   spectral  Q(G), distance matrix, Wiener index, and ``perron``, the one
             eigensolver, on stacks of same-order matrices
   quotient  partitions, quotient matrices, family cubics, root bracketing
+            and the exact test of a rational against the largest root
   oracle    exact even-factor search and the odd-component condition
   theorems  thresholds, verdicts, extremal recognition, the extremal table
   lemmas    the property checks behind the theorems, in one registry
@@ -36,6 +37,7 @@ from .quotient import (
     DifferenceIdentity,
     InvalidPartitionError,
     QuotientMatrix,
+    above_largest_root,
     charpoly3,
     family_cubic,
     identity_check,

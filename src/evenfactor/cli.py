@@ -45,7 +45,7 @@ from .theorems import (
     order_bound_grid,
 )
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
@@ -218,6 +218,7 @@ def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
         "n": v.n,
         "min_degree": v.min_degree,
         "spectral_value": v.spectral_value,
+        "spectral_bound": float(v.bound) if v.bound is not None else None,
         "threshold": v.threshold,
         "borderline": v.borderline,
         "conclusion": v.conclusion.value,
@@ -280,6 +281,7 @@ def cmd_scan(args) -> Report:
     counts = {c.value: 0 for c in Conclusion}
     total = 0
     borderline = 0
+    bound_decided = 0
     oracle_runs = 0
     cap_exceeded = 0
     contradicted = []
@@ -287,6 +289,7 @@ def cmd_scan(args) -> Report:
         total += 1
         counts[v.conclusion.value] += 1
         borderline += v.borderline
+        bound_decided += v.bound is not None
         if v.oracle_status is not None:
             oracle_runs += 1
             if v.oracle_status is CertificateStatus.SEARCH_CAP_EXCEEDED:
@@ -300,6 +303,7 @@ def cmd_scan(args) -> Report:
         "inputs": total,
         **counts,
         "borderline": borderline,
+        "bound_decided": bound_decided,
         "oracle_runs": oracle_runs,
         "oracle_cap_exceeded": cap_exceeded,
         "violations": len(violations),
@@ -452,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--corpus-max-n", type=int, default=7,
                    help="bundled corpora up to this order (at most 8) feed "
-                        "the Wiener lower-bound check")
+                        "the Wiener lower-bound and rho_Q <= 2 Delta checks")
     p.add_argument("--oracle-max-n", type=int, default=6,
                    help="bundled corpora up to this order (at most 8) feed "
                         "the odd-component implication (even orders) and "

@@ -81,6 +81,10 @@ class Graph:
         """delta(G); 0 for the empty graph."""
         return min(map(int.bit_count, self._bits), default=0)
 
+    def max_degree(self) -> int:
+        """Delta(G); 0 for the empty graph."""
+        return max(map(int.bit_count, self._bits), default=0)
+
     def is_connected(self) -> bool:
         """BFS connectivity; the 0-vertex graph counts as connected."""
         full = (1 << self.n) - 1

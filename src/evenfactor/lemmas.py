@@ -3,10 +3,11 @@
 Each check tests one supporting fact at every point of its input (seeded
 samples, a grid of extremal-family cells, or a bundled corpus) and returns
 one CheckOutcome per point: spectral monotonicity, join-family dominance,
-equitable-quotient roots, the Wiener lower bound, the rho_Q bracket, rho_Q
-of the extremal graph above that of any bridged graph, the odd-component
-implication, the extremal Wiener closed form, the block-family
-Rayleigh gap, Perron-component positivity and the block-family cubics.
+equitable-quotient roots, the Wiener lower bound, rho_Q <= 2 Delta, the
+rho_Q bracket, rho_Q of the extremal graph above that of any bridged graph,
+the odd-component implication, the extremal Wiener closed form, the
+block-family Rayleigh gap, Perron-component positivity and the
+block-family cubics.
 
 CHECKS is the registry: it fixes which checks exist, the order they run in,
 and the input each one reads. The equitable-quotient check accepts a cell
@@ -246,12 +247,36 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
 
 
 def check_wiener_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
-    """rho_D >= 2 W / n for connected graphs (all-ones Rayleigh quotient)."""
+    """rho_D >= 2 W / n for connected graphs (all-ones Rayleigh quotient),
+    and W >= n(n - 1) - m in exact integers, since each of the
+    n(n - 1)/2 - m non-adjacent pairs is at distance at least 2.
+
+    Together they are the lower bound rho_D >= 2(n(n - 1) - m)/n that
+    settles distance verdicts before any eigen-solve. The margin is
+    rho_D - 2W/n.
+    """
     out = []
     for i, g in enumerate(graphs):
-        margin = rho_d(g) - 2 * wiener_index(g) / g.n
+        w = wiener_index(g)
+        floor = g.n * (g.n - 1) - g.edge_count
+        margin = rho_d(g) - 2 * w / g.n
         out.append(CheckOutcome(
             "wiener-lower-bound", f"graph#{i},n={g.n},m={g.edge_count}",
+            margin >= -COMPARISON_EPSILON and w >= floor, margin,
+            "" if w >= floor else f"W={w} < n(n-1)-m={floor}",
+        ))
+    return out
+
+
+def check_q_max_degree_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+    """rho_Q <= 2 Delta: Q is nonnegative and its largest row sum is the
+    largest 2 d(v). It settles signless-Laplacian verdicts before any
+    eigen-solve. The margin is 2 Delta - rho_Q."""
+    out = []
+    for i, g in enumerate(graphs):
+        margin = 2 * g.max_degree() - rho_q(g)
+        out.append(CheckOutcome(
+            "q-max-degree-bound", f"graph#{i},n={g.n},m={g.edge_count}",
             margin >= -COMPARISON_EPSILON, margin,
         ))
     return out
@@ -272,17 +297,26 @@ def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutco
 
 
 def check_q_threshold_above_bridged(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
-    """rho_Q(extremal) > 2(n - delta - 1), the most a bridged graph reaches.
+    """rho_Q(extremal) > 2n - 2delta, above every bridged graph's rho_Q.
 
-    A bridge of a graph with minimum degree delta has at least delta + 1
-    vertices on each side, so every degree is at most n - delta - 1, and
-    rho_Q <= 2 Delta. The margin is rho_Q(extremal) - 2(n - delta - 1).
+    The extremal Q cubic takes the value -2 delta (delta - 1)(n - delta)
+    at x = 2n - 2delta, compared here in exact integers. That is negative
+    for delta >= 2 and n > delta, and a monic cubic is positive beyond its
+    largest root, so the threshold lies above 2n - 2delta. A bridge of a
+    graph with minimum degree delta has at least delta + 1 vertices on
+    each side, so every degree is at most n - delta - 1, and
+    rho_Q <= 2 Delta <= 2n - 2delta - 2. The margin is the float slack
+    rho_Q(extremal) - (2n - 2delta).
     """
     out = []
     for p in grid:
-        margin = threshold_rho_q(p) - 2 * (p.n - p.delta - 1)
+        n, d = p.n, p.delta
+        value = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=d)(2 * n - 2 * d)
+        closed = -2 * d * (d - 1) * (n - d)
         out.append(CheckOutcome(
-            "q-threshold-above-2n-2delta", f"n={p.n},delta={p.delta}", margin > 0, margin,
+            "q-threshold-above-2n-2delta", f"n={n},delta={d}",
+            value == closed < 0, threshold_rho_q(p) - (2 * n - 2 * d),
+            "" if value == closed else f"cubic value {value}, closed form {closed}",
         ))
     return out
 
@@ -474,7 +508,8 @@ CHECKS = (
     (("d-monotone-edge-delete",), check_d_edge_deletion, "rng"),
     (("q-family-dominance", "d-family-dominance"), check_family_dominance, "rng"),
     (("quotient-root-matches-matrix",), check_quotient_matches_matrix, "q-grid"),
-    (("wiener-lower-bound",), check_wiener_bound, "wiener-corpus"),
+    (("wiener-lower-bound",), check_wiener_bound, "bound-corpus"),
+    (("q-max-degree-bound",), check_q_max_degree_bound, "bound-corpus"),
     (("q-threshold-bracket",), check_q_threshold_bracket, "q-grid"),
     (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "q-grid-from-2delta"),
     (("odd-component-implication",), check_odd_component_implication, "even-corpus"),
@@ -502,7 +537,7 @@ def run_property_suite(
     """Outcomes of the named checks (all by default), in registry order.
 
     The bundled corpora of orders 1..corpus_max_n feed the Wiener lower
-    bound; those of orders 3..oracle_max_n feed the odd-component
+    bound and rho_Q <= 2 Delta; those of orders 3..oracle_max_n feed the odd-component
     implication (even orders) and the odd-order observation (odd orders).
     A corpus is decoded only when a selected check reads it.
     """
@@ -522,7 +557,7 @@ def run_property_suite(
             order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max, n_min=0),),
         "d-grid": lambda: (order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max),),
         "delta-range": lambda: (delta_range, n_max),
-        "wiener-corpus": lambda: (corpus(range(1, corpus_max_n + 1)),),
+        "bound-corpus": lambda: (corpus(range(1, corpus_max_n + 1)),),
         "even-corpus": lambda: (corpus(range(4, oracle_max_n + 1, 2)),),
         "odd-corpus": lambda: (corpus(range(3, oracle_max_n + 1, 2)),),
     }

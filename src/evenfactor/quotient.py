@@ -7,7 +7,8 @@ tail, for both the signless Laplacian and the distance matrix) have
 closed-form monic cubics; their coefficient formulas are transcribed here
 and unit-tested against cofactor expansion of the constructed matrices.
 ``largest_root`` takes a cubic alone and certifies its largest real root
-to ROOT_TOL by exact signs, so no caller has to know where that root lies.
+to ROOT_TOL by exact signs, so no caller has to know where that root lies;
+``above_largest_root`` places a rational against that root exactly.
 """
 
 from __future__ import annotations
@@ -390,3 +391,25 @@ def largest_root(cubic: Cubic) -> float:
     if f(a) < 0 < f(b) and f.derivative(b) > 0 and 3 * c3 * b + c2 > 0:
         return x
     raise BracketingError(f"no certified simple largest root near {x!r}")
+
+
+def above_largest_root(cubic: Cubic, r) -> bool:
+    """Whether the rational r lies strictly above the largest real root of
+    a cubic with positive leading coefficient and three real roots, such
+    as every family cubic (its roots are eigenvalues of a symmetric matrix).
+
+    The test is c''(r) > 0, c'(r) > 0 and c(r) > 0, in exact arithmetic
+    (r is read exactly, a float included). Proof: if all three hold, the
+    signs of c, c', c'', c''' at r show no change, so by Fourier-Budan c has
+    no root in [r, inf). Conversely, if r is above the roots
+    l3 <= l2 <= l1, every factor r - li is positive, and by Rolle the roots
+    of c' and c'' lie in [l3, l1], so c'(r) and c''(r) are positive too.
+    """
+    r = Fraction(r)
+    a, b = r.numerator, r.denominator
+    c3, c2, c1, c0 = cubic.coefficients
+    # b c''(r) / 2, b^2 c'(r) and b^3 c(r): with b > 0 they have the signs
+    # of c'', c' and c at r, and they are integers when the coefficients are
+    return (3 * c3 * a + c2 * b > 0
+            and (3 * c3 * a + 2 * c2 * b) * a + c1 * b * b > 0
+            and ((c3 * a + c2 * b) * a + c1 * b * b) * a + c0 * b**3 > 0)

@@ -21,6 +21,16 @@ One tolerance, COMPARISON_EPSILON, marks the band around a threshold in
 which a float comparison cannot place a graph; a verdict there is
 ``borderline``. The exact oracle checks every guarantee, the extremal
 exception and every borderline verdict.
+
+Most graphs that meet the hypotheses are settled before any matrix is
+built, by one exact bound on rho: rho_Q <= 2 Delta (row sums), and
+rho_D >= 2W/n >= 2(n(n-1) - m)/n (the all-ones Rayleigh quotient, with
+every non-adjacent pair at distance at least 2). When that bound lies at
+least COMPARISON_EPSILON past the threshold on the side where the
+condition fails, which ``above_largest_root`` decides exactly on the
+family cubic, rho lies there too: the verdict is ``inconclusive`` and not
+borderline, with no eigen-solve, and it carries the bound in place of the
+spectral value.
 """
 
 from __future__ import annotations
@@ -35,13 +45,15 @@ from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, clique_join
 from .oracle import CertificateStatus, EvenFactorCertificate, find_even_factor
-from .quotient import CubicFamily, family_cubic, largest_root
+from .quotient import CubicFamily, above_largest_root, family_cubic, largest_root
 from .spectral import rho_d_many, rho_q_many
 
 COMPARISON_EPSILON = 1e-8
 # graphs per chunk of check_even_factor_many; chunks of 512 raised the
 # peak memory of the benchmark sweeps by 11-14%, chunks of 64 by under 8%
 VERDICT_CHUNK = 64
+# the exact binary value of COMPARISON_EPSILON, for the exact bound tests
+_EPSILON = Fraction(COMPARISON_EPSILON)
 
 
 # -- extremal family ---------------------------------------------------------
@@ -211,6 +223,8 @@ class TheoremVerdict:
     borderline: bool
     conclusion: Conclusion
     oracle_status: Optional[CertificateStatus] = None
+    # the exact bound on rho that settled the verdict with no eigen-solve
+    bound: Optional[Fraction] = None
 
     @property
     def oracle_agrees(self) -> Optional[bool]:
@@ -234,21 +248,42 @@ def _hypotheses(g: Graph, kind: TheoremKind) -> tuple[int, HypothesisReport]:
     )
 
 
+@lru_cache(maxsize=None)
+def _settling_bound(kind: TheoremKind, n: int, delta: int, twice: int) -> Optional[Fraction]:
+    """The exact bound on rho, when it lies at least COMPARISON_EPSILON past
+    the threshold on the side where the condition fails; None otherwise.
+
+    ``twice`` is 2 Delta for rho_Q <= 2 Delta, and 2(n(n-1) - m) for
+    rho_D >= 2(n(n-1) - m)/n.
+    """
+    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
+        bound = Fraction(twice)
+        cubic = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=delta)
+        settles = not above_largest_root(cubic, bound + _EPSILON)
+    else:
+        bound = Fraction(twice, n)
+        cubic = family_cubic(CubicFamily.D_EXTREMAL, n, delta=delta)
+        settles = above_largest_root(cubic, bound - _EPSILON)
+    return bound if settles else None
+
+
 def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
-              spectral: Optional[float]) -> TheoremVerdict:
-    """The verdict on g from its hypotheses and, when they are met, its rho."""
+              spectral: Optional[float],
+              bound: Optional[Fraction] = None) -> TheoremVerdict:
+    """The verdict on g from its hypotheses and, when they are met, its rho
+    or the exact bound on rho that settles it."""
     n = g.n
     if not hyp.met:
         return TheoremVerdict(kind, n, delta, hyp, None, None, False, Conclusion.NOT_APPLICABLE)
 
     params = ExtremalParams(n, delta)
+    q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
+    threshold = threshold_rho_q(params) if q_side else threshold_rho_d(params)
+    if bound is not None:
+        return TheoremVerdict(kind, n, delta, hyp, None, threshold, False,
+                              Conclusion.INCONCLUSIVE, bound=bound)
     assert spectral is not None
-    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-        threshold = threshold_rho_q(params)
-        margin = spectral - threshold
-    else:
-        threshold = threshold_rho_d(params)
-        margin = threshold - spectral
+    margin = spectral - threshold if q_side else threshold - spectral
     borderline = abs(margin) < COMPARISON_EPSILON
     # the extremal graph's rho is the threshold itself, which no float
     # comparison can place, so it is recognized first
@@ -273,9 +308,14 @@ def check_even_factor_many(graphs: Iterable[Graph],
                            kind: TheoremKind) -> Iterator[TheoremVerdict]:
     """Evaluate one spectral sufficient condition on each graph, in input order.
 
-    The hypotheses are settled first, and only a graph that meets them has
-    its rho_Q or rho_D computed: a ``not-applicable`` verdict carries
-    ``spectral_value`` and ``threshold`` as None. The minimum degree used in
+    The hypotheses are settled first: a ``not-applicable`` verdict carries
+    ``spectral_value`` and ``threshold`` as None. A graph that meets them
+    is next held to its exact bound on rho (the module docstring); when the
+    bound settles it, the verdict is ``inconclusive``, not borderline, with
+    ``bound`` set and ``spectral_value`` None. Only the other graphs have
+    their rho_Q or rho_D computed, and their ``bound`` is None. The
+    extremal graph is never settled by the bound, since its rho is the
+    threshold itself. The minimum degree used in
     thresholds is always min_degree(g). The extremal graph is recognized
     by its degrees, with no float comparison, and is ``extremal-exception``.
     A spectral value less than COMPARISON_EPSILON from the threshold is
@@ -287,23 +327,29 @@ def check_even_factor_many(graphs: Iterable[Graph],
     ``oracle_status`` holds its answer; it is None on the other verdicts.
 
     Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
-    values of the same-order graphs that meet the hypotheses come from one
+    values of the same-order graphs left to eigen-solve come from one
     stacked eigen-solve.
     """
-    radii = rho_q_many if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d_many
+    q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
+    radii = rho_q_many if q_side else rho_d_many
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
         checked = [_hypotheses(g, kind) for g in chunk]
+        bounds: list[Optional[Fraction]] = [None] * len(chunk)
         by_order: dict[int, list[int]] = {}
-        for i, (g, (_, hyp)) in enumerate(zip(chunk, checked)):
+        for i, (g, (delta, hyp)) in enumerate(zip(chunk, checked)):
             if hyp.met:
-                by_order.setdefault(g.n, []).append(i)
+                n = g.n
+                twice = 2 * g.max_degree() if q_side else 2 * (n * (n - 1) - g.edge_count)
+                bounds[i] = _settling_bound(kind, n, delta, twice)
+                if bounds[i] is None:
+                    by_order.setdefault(g.n, []).append(i)
         values: list[Optional[float]] = [None] * len(chunk)
         for members in by_order.values():
             for i, value in zip(members, radii([chunk[i] for i in members])):
                 values[i] = float(value)
-        for g, (delta, hyp), value in zip(chunk, checked, values):
-            yield _conclude(g, kind, delta, hyp, value)
+        for g, (delta, hyp), value, bound in zip(chunk, checked, values, bounds):
+            yield _conclude(g, kind, delta, hyp, value, bound)
 
 
 # -- even factor of the extremal graph ------------------------------------------

@@ -49,7 +49,7 @@ def test_spectra_via_subprocess(tmp_path):
     proc = run_cli(["spectra", "--json", str(report_path)], stdin="C~\nCh\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    assert report["schema_version"] == "5"
+    assert report["schema_version"] == "6"
     rows = report["rows"]
     assert rows[0]["n"] == 4 and rows[0]["rho_q"] == pytest.approx(6, abs=1e-9)
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)
@@ -115,13 +115,16 @@ def test_certify_extremal_row(tmp_path):
     assert row["conclusion"] == "extremal-exception"
     assert row["oracle_status"] == "found"
     assert row["borderline"] is True
+    # no bound separates the extremal graph from its own threshold
+    assert row["spectral_bound"] is None and row["spectral_value"] is not None
 
 
 def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys):
     # the extremal graph at (16, 2) plus the edge (2, 15) has delta = 3 and
     # rho_Q 28.24 against the threshold 26.55: a guarantee, which the oracle
     # confirms with no flag given; C_8 misses its threshold by far, so no
-    # oracle runs on it
+    # oracle runs on it, and its bound rho_Q <= 2 Delta = 4 shows that with
+    # no eigen-solve
     report_path = tmp_path / "c.json"
     proc = run_cli(["certify", "--json", str(report_path), "--no-timing"],
                    stdin="O~~~~~~~~~~~~~~~~~~??\nGhCGKC\n")
@@ -132,6 +135,10 @@ def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys)
             guaranteed["oracle_agrees"]) == (3, "even-factor-guaranteed", "found", True)
     assert (cycle["conclusion"], cycle["oracle_status"], cycle["oracle_agrees"]) == (
         "inconclusive", None, None)
+    assert (cycle["spectral_value"], cycle["spectral_bound"], cycle["borderline"]) == (
+        None, 4, False)
+    assert guaranteed["spectral_bound"] is None
+    assert guaranteed["spectral_value"] == pytest.approx(28.2377392, abs=1e-6)
     config = report["config"]
     assert "oracle" not in config and config["oracle_cap"] == NODE_CAP
     assert sorted(config["tolerances"]) == ["comparison_epsilon", "eigen_residual_tol", "root_tol"]
@@ -160,6 +167,25 @@ def test_scan_bundled_corpus_small(tmp_path):
     row = report["rows"][0]
     assert row["inputs"] == 112
     assert row["violations"] == 0
+    # no graph on 6 vertices reaches the order bound 8 at delta = 2
+    assert row["not-applicable"] == 112 and row["bound_decided"] == 0
+
+
+def test_scan_counts_the_verdicts_the_bound_decided(tmp_path, capsys):
+    # every applicable seed-1 sample at n = 10 is settled by
+    # rho_D >= 2(n(n - 1) - m)/n, and the extremal graph by no bound
+    path = tmp_path / "s.json"
+    assert main(["scan", "-n", "10", "--sample-size", "3000", "--seed", "1",
+                 "--theorem", "2", "--json", str(path), "--no-timing"]) == 0
+    [row] = json.loads(path.read_text())["rows"]
+    assert (row["inconclusive"], row["not-applicable"], row["bound_decided"]) == (984, 2016, 984)
+    corpus = tmp_path / "in.g6"
+    corpus.write_text(extremal_line(10, 2) + "\n")
+    assert main(["scan", "--corpus", str(corpus), "--theorem", "2",
+                 "--json", str(path), "--no-timing"]) == 0
+    [row] = json.loads(path.read_text())["rows"]
+    assert (row["extremal-exception"], row["bound_decided"]) == (1, 0)
+    capsys.readouterr()
 
 
 def test_scan_sampler_zero_size(tmp_path):

@@ -14,6 +14,7 @@ from evenfactor.quotient import (
     DifferenceIdentity,
     InvalidPartitionError,
     ROOT_TOL,
+    above_largest_root,
     blocks_family_big_clique,
     charpoly3,
     d_block_gap_at_wiener_floor,
@@ -303,3 +304,43 @@ def test_largest_root_rejects_uncertifiable_cubics():
     with pytest.raises(BracketingError):
         # x (x - 1)^2: the estimate lands on the double root, where f' = 0
         largest_root(Cubic(1, -2, 1, 0))
+
+
+def test_above_largest_root_brackets_every_certified_family_root():
+    # both family cubics at every cell of the CI extremal grid, delta =
+    # 2..20 and even n = 2*delta..160, a millionth either side of the root
+    h = Fraction(1, 10**6)
+    cells = 0
+    for d in range(2, 21):
+        for n in range(2 * d, 161, 2):
+            for family in (CubicFamily.Q_EXTREMAL, CubicFamily.D_EXTREMAL):
+                c = family_cubic(family, n, delta=d)
+                root = Fraction(largest_root(c))
+                assert above_largest_root(c, root + h), (family, n, d)
+                assert not above_largest_root(c, root - h), (family, n, d)
+            cells += 1
+    assert cells == 1330
+
+
+def test_above_largest_root_on_rational_roots():
+    c = Cubic(1, -6, 11, -6)  # (x - 1)(x - 2)(x - 3)
+    assert not above_largest_root(c, 3)  # the root itself is not above it
+    assert above_largest_root(c, 3 + Fraction(1, 10**9))
+    assert above_largest_root(c, 3 + 1e-9)  # a float is read exactly
+    assert not above_largest_root(c, 3 - Fraction(1, 10**9))
+    # c > 0 between the lower roots, but c' < 0 there
+    assert c(Fraction(3, 2)) > 0 and not above_largest_root(c, Fraction(3, 2))
+    assert not above_largest_root(c, 0) and above_largest_root(c, 10**6)
+
+
+def test_above_largest_root_on_double_roots():
+    c = Cubic(1, -9, 24, -20)  # (x - 2)^2 (x - 5)
+    assert not above_largest_root(c, 2) and not above_largest_root(c, 5)
+    assert above_largest_root(c, 5 + Fraction(1, 10**9))
+    assert not above_largest_root(c, 5 - Fraction(1, 10**9))
+    # (x - 1)(x - 3)^2: a double largest root, with c > 0 just below it
+    c = Cubic(1, -7, 15, -9)
+    below = 3 - Fraction(1, 10**9)
+    assert c(below) > 0 and not above_largest_root(c, below)
+    assert not above_largest_root(c, 3)
+    assert above_largest_root(c, 3 + Fraction(1, 10**9))

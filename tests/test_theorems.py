@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, is_even_factor
-from evenfactor import cli, theorems
+from evenfactor.sampling import sample_connected_graphs
+from evenfactor import cli, lemmas, theorems
+from evenfactor.quotient import Cubic, CubicFamily, family_cubic
 from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
 from evenfactor.lemmas import (
     check_q_threshold_above_bridged,
@@ -161,6 +164,10 @@ def test_recognize_extremal_rejects_nearby_rewirings():
     assert not recognize_extremal(dropped, 3)
 
 
+def _less_edge(g, edge):
+    return Graph(g.n, [e for e in g.edges() if e != edge])
+
+
 def test_check_q_on_extremal_and_simple_graphs():
     p = ExtremalParams(8, 2)
     v = check_even_factor(extremal_graph(p), TheoremKind.SIGNLESS_LAPLACIAN)
@@ -169,10 +176,21 @@ def test_check_q_on_extremal_and_simple_graphs():
     assert v.borderline  # sits exactly on the threshold
     assert v.oracle_status is CertificateStatus.FOUND
 
+    # C_8: rho_Q <= 2 Delta = 4 lies far below the threshold, so the bound
+    # settles it with no eigen-solve
     v2 = check_even_factor(cycle(8), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v2.hypotheses.met
-    assert v2.spectral_value == pytest.approx(4, abs=1e-9)
+    assert v2.spectral_value is None and v2.bound == 4
+    assert v2.threshold == threshold_rho_q(p)
     assert v2.conclusion is Conclusion.INCONCLUSIVE
+    assert not v2.borderline and v2.oracle_status is None
+    # the extremal graph less a big-clique edge keeps Delta = 7, and
+    # 2 Delta = 14 lies above the threshold, so it is eigen-solved
+    v5 = check_even_factor(_less_edge(extremal_graph(p), (2, 3)),
+                           TheoremKind.SIGNLESS_LAPLACIAN)
+    assert v5.bound is None
+    assert v5.spectral_value == pytest.approx(11.97025771667926, abs=1e-9)
+    assert v5.conclusion is Conclusion.INCONCLUSIVE and not v5.borderline
 
     v3 = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v3.conclusion is Conclusion.NOT_APPLICABLE  # delta=7 needs n >= 42
@@ -187,10 +205,18 @@ def test_check_d_direction():
     p = ExtremalParams(10, 2)
     v = check_even_factor(extremal_graph(p), TheoremKind.DISTANCE)
     assert v.conclusion is Conclusion.EXTREMAL_EXCEPTION
-    # sparser graph: rho_D grows, condition fails
+    # sparser graph: rho_D grows, condition fails. For C_10 the bound
+    # rho_D >= 2(n(n - 1) - m)/n = 16 already lies above the threshold
     v2 = check_even_factor(cycle(10), TheoremKind.DISTANCE)
     assert v2.conclusion is Conclusion.INCONCLUSIVE
-    assert v2.spectral_value > v2.threshold
+    assert v2.spectral_value is None and v2.bound == 16 > v2.threshold
+    assert not v2.borderline
+    # the extremal graph less a big-clique edge: the bound 2(90 - 37)/10
+    # does not clear the threshold, so it is eigen-solved
+    v4 = check_even_factor(_less_edge(extremal_graph(p), (2, 3)), TheoremKind.DISTANCE)
+    assert v4.bound is None and v4.conclusion is Conclusion.INCONCLUSIVE
+    assert v4.spectral_value > v4.threshold + COMPARISON_EPSILON
+    assert v4.spectral_value == pytest.approx(rho_d(_less_edge(extremal_graph(p), (2, 3))))
     # complete graph of even order: delta = n-1 fails the order bound
     v3 = check_even_factor(clique_join(10, ()), TheoremKind.DISTANCE)
     assert v3.conclusion is Conclusion.NOT_APPLICABLE
@@ -288,17 +314,43 @@ def test_property_suite_all_pass():
     names = {o.check for o in outcomes}
     assert "q-threshold-bracket" in names and "d-blocks-rayleigh-gap" in names
     assert "q-threshold-above-2n-2delta" in names
+    assert {"wiener-lower-bound", "q-max-degree-bound"} <= names
 
 
-def test_q_threshold_above_bridged_graphs():
-    # rho_Q(extremal) > 2(n - delta - 1) >= rho_Q of any bridged graph, on
-    # every even order from 2 delta, far below the order bound
+def test_bound_checks_cover_both_links_of_the_bound_chain(monkeypatch):
+    graphs = [g for n in range(1, 7) for g in load_bundled_corpus(n)]
+    for check in (lemmas.check_wiener_bound, lemmas.check_q_max_degree_bound):
+        outcomes = check(graphs)
+        assert len(outcomes) == 143 and all(o.passed for o in outcomes)
+    # regular graphs meet rho_Q = 2 Delta: K_4, C_5 and K_6 among them
+    tight = [o for o in lemmas.check_q_max_degree_bound(graphs) if abs(o.margin) < 1e-9]
+    assert len(tight) >= 3
+    # a Wiener index below n(n - 1) - m fails the exact link, though it only
+    # widens the float slack of rho_D >= 2W/n
+    monkeypatch.setattr(lemmas, "wiener_index", lambda g: g.n * (g.n - 1) - g.edge_count - 1)
+    (bad,) = lemmas.check_wiener_bound([cycle(6)])
+    assert not bad.passed and bad.margin > 0
+    assert bad.note == "W=23 < n(n-1)-m=24"
+
+
+def test_q_threshold_above_bridged_graphs(monkeypatch):
+    # rho_Q(extremal) > 2n - 2delta > rho_Q of any bridged graph, on every
+    # even order from 2 delta, far below the order bound
     cells = [ExtremalParams(n, d) for d in range(2, 13) for n in range(2 * d, 8 * d + 9, 2)]
     outcomes = check_q_threshold_above_bridged(cells)
     assert len(outcomes) == 286 and all(o.passed for o in outcomes)
     worst = min(outcomes, key=lambda o: o.margin)
     assert worst.point == "n=24,delta=2"
-    assert worst.margin == pytest.approx(2.0950, abs=1e-4)
+    assert worst.margin == pytest.approx(0.0950, abs=1e-4)
+    # the pass is the exact cubic value, so a wrong cubic fails the cell
+    # however large its float margin
+    _, c2, c1, c0 = family_cubic(CubicFamily.Q_EXTREMAL, 24, delta=2).coefficients
+    wrong = Cubic(1, c2, c1, c0 - 1)
+    monkeypatch.setattr(lemmas, "family_cubic", lambda *args, **kw: wrong)
+    (bad,) = check_q_threshold_above_bridged([ExtremalParams(24, 2)])
+    assert not bad.passed and bad.margin == worst.margin
+    assert bad.note == "cubic value -89, closed form -88"
+    monkeypatch.undo()
     # the suite reads the grid from n = 2 delta, not from the order bound
     suite = run_property_suite(delta_range=(3, 3), n_max=12,
                                checks={"q-threshold-above-2n-2delta"})
@@ -345,16 +397,54 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
     monkeypatch.setattr(theorems, "rho_d_many", recording(rho_d_many))
     two_c4 = Graph(8, [(i + j, i + (j + 1) % 4) for i in (0, 4) for j in range(4)])
     refused = [clique_join(8, ()), cycle(7), two_c4, Graph(0)]
-    # the order bound at delta = 2 is 8 for rho_Q and 9 for rho_D
+    # the order bound at delta = 2 is 8 for rho_Q and 9 for rho_D; the
+    # cycle is settled by its bound, and the extremal graph and its
+    # one-edge deletion are left to the eigen-solve
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
-        admitted = [cycle(n), extremal_graph(ExtremalParams(n, 2))]
+        star = extremal_graph(ExtremalParams(n, 2))
+        open_ = [_less_edge(star, (2, 3)), star]
         solved.clear()
-        verdicts = list(check_even_factor_many(refused + admitted, kind))
-        assert solved == admitted
-        assert [v.spectral_value is None for v in verdicts] == [True] * 4 + [False] * 2
+        verdicts = list(check_even_factor_many(refused + [cycle(n)] + open_, kind))
+        assert solved == open_
+        assert [v.spectral_value is None for v in verdicts] == [True] * 5 + [False] * 2
+        assert [v.bound is not None for v in verdicts] == [False] * 4 + [True] + [False] * 2
     v = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.conclusion is Conclusion.NOT_APPLICABLE
     assert v.spectral_value is None and v.threshold is None
+
+
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_bound_path_gives_the_eigen_path_verdicts(kind):
+    # every graph of the criterion 4 sweep (all 4,853 n = 8 graphs with
+    # delta = 2) and of the benchmark's distance sweep (3,000 seed-1 n = 10
+    # samples), judged with the bound and again from its own eigen-solve
+    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
+        graphs = [g for g in load_bundled_corpus(8) if g.min_degree() == 2]
+        radii, applicable, settled = rho_q_many, 4853, 4475
+    else:
+        graphs = list(sample_connected_graphs(Random(1), 10, 3000))
+        radii, applicable, settled = rho_d_many, 984, 984
+    verdicts = list(check_even_factor_many(graphs, kind))
+    met = [(g, v) for g, v in zip(graphs, verdicts) if v.hypotheses.met]
+    assert len(met) == applicable
+    assert sum(v.bound is not None for _, v in met) == settled
+    values = radii([g for g, _ in met])
+    eigen = [theorems._conclude(g, kind, v.min_degree, v.hypotheses, float(rho))
+             for (g, v), rho in zip(met, values)]
+    for (g, v), rho, e in zip(met, values, eigen):
+        assert (v.conclusion, v.borderline) == (e.conclusion, e.borderline)
+        if v.bound is None:
+            assert v.spectral_value == float(rho)
+            continue
+        assert v.spectral_value is None and v.conclusion is Conclusion.INCONCLUSIVE
+        if kind is TheoremKind.SIGNLESS_LAPLACIAN:
+            assert v.bound == 2 * g.max_degree() and rho <= v.bound + 1e-9
+            assert v.threshold - rho >= COMPARISON_EPSILON
+        else:
+            assert v.bound == Fraction(2 * (90 - g.edge_count), 10) and rho >= v.bound - 1e-9
+            assert rho - v.threshold >= COMPARISON_EPSILON
+    assert (Counter((v.conclusion, v.borderline) for _, v in met)
+            == Counter((e.conclusion, e.borderline) for e in eigen))
 
 
 def test_conclude_keeps_the_slack_on_the_safe_side():
@@ -453,6 +543,6 @@ def test_property_suite_draw_order_digest():
     digest = hashlib.sha256()
     for o in outcomes:
         digest.update(f"{o.check}|{o.point}|{o.passed}\n".encode())
-    assert len(outcomes) == 942
+    assert len(outcomes) == 1085
     assert digest.hexdigest() == \
-        "190f93e1b033f8e8f6d37565e524845b57b5c855434a46738646a265384904ae"
+        "f072b792cfd71a44e4265cc933eb2650aa5baf571891fc8c9310c5d28a57094a"
