@@ -1,13 +1,14 @@
 """Property checks of the facts behind the two even-factor conditions.
 
-Each check tests one supporting fact at every point of its input (seeded
-samples, a grid of extremal-family cells, or a bundled corpus) and returns
-one CheckOutcome per point: spectral monotonicity, join-family dominance,
-equitable-quotient roots, the Wiener lower bound, rho_Q <= 2 Delta, the
-rho_Q bracket, rho_Q of the extremal graph above that of any bridged graph,
-the odd-component implication, the extremal Wiener closed form, the
-block-family Rayleigh gap, Perron-component positivity and the
-block-family cubics.
+Each check tests one supporting fact and returns one CheckOutcome per point
+of its input (seeded samples, a grid of extremal-family cells, or a bundled
+corpus): spectral monotonicity, join-family dominance, equitable-quotient
+roots, the Wiener lower bound, rho_Q <= 2 Delta, the rho_Q bracket, the
+odd-component implication, the extremal Wiener closed form, the
+block-family Rayleigh gap and Perron-component positivity. Three facts read
+no input and are proved once, as quotient.Poly identities for all
+parameters: rho_Q of the extremal graph above that of any bridged graph,
+the s = 2 block-family cubic and the expanded gap polynomials.
 
 CHECKS is the registry: it fixes which checks exist, the order they run in,
 and the input each one reads. The equitable-quotient check accepts a cell
@@ -18,6 +19,7 @@ by the verdicts' one band, COMPARISON_EPSILON; ``lemmas`` runs the oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from random import Random
 from typing import Iterable, Optional
 
@@ -25,7 +27,13 @@ from .corpus import load_bundled_corpus
 from .graphs import Graph, clique_join
 from .oracle import CertificateStatus, find_even_factor, odd_component_condition
 from .quotient import (
+    DELTA,
+    N,
+    S,
     CubicFamily,
+    _d_blocks_coeffs,
+    _q_blocks_coeffs,
+    _q_clique_star_coeffs,
     charpoly3,
     d_block_gap_at_wiener_floor,
     d_block_gap_coeffs,
@@ -42,7 +50,9 @@ from .spectral import (
     distance_matrix,
     perron,
     rho_d,
+    rho_d_many,
     rho_q,
+    rho_q_many,
     signless_laplacian,
     wiener_index,
 )
@@ -246,7 +256,12 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
     return out
 
 
-def check_wiener_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+def _by_order(many, graphs: list[Graph]) -> list[float]:
+    """many(...) of each graph, one stacked call per run of equal orders."""
+    return [float(v) for _, run in groupby(graphs, key=lambda g: g.n) for v in many(list(run))]
+
+
+def check_wiener_bound(graphs: list[Graph]) -> list[CheckOutcome]:
     """rho_D >= 2 W / n for connected graphs (all-ones Rayleigh quotient),
     and W >= n(n - 1) - m in exact integers, since each of the
     n(n - 1)/2 - m non-adjacent pairs is at distance at least 2.
@@ -256,10 +271,10 @@ def check_wiener_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     rho_D - 2W/n.
     """
     out = []
-    for i, g in enumerate(graphs):
+    for i, (g, rho) in enumerate(zip(graphs, _by_order(rho_d_many, graphs))):
         w = wiener_index(g)
         floor = g.n * (g.n - 1) - g.edge_count
-        margin = rho_d(g) - 2 * w / g.n
+        margin = rho - 2 * w / g.n
         out.append(CheckOutcome(
             "wiener-lower-bound", f"graph#{i},n={g.n},m={g.edge_count}",
             margin >= -COMPARISON_EPSILON and w >= floor, margin,
@@ -268,13 +283,13 @@ def check_wiener_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     return out
 
 
-def check_q_max_degree_bound(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+def check_q_max_degree_bound(graphs: list[Graph]) -> list[CheckOutcome]:
     """rho_Q <= 2 Delta: Q is nonnegative and its largest row sum is the
     largest 2 d(v). It settles signless-Laplacian verdicts before any
     eigen-solve. The margin is 2 Delta - rho_Q."""
     out = []
-    for i, g in enumerate(graphs):
-        margin = 2 * g.max_degree() - rho_q(g)
+    for i, (g, rho) in enumerate(zip(graphs, _by_order(rho_q_many, graphs))):
+        margin = 2 * g.max_degree() - rho
         out.append(CheckOutcome(
             "q-max-degree-bound", f"graph#{i},n={g.n},m={g.edge_count}",
             margin >= -COMPARISON_EPSILON, margin,
@@ -296,29 +311,23 @@ def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutco
     return out
 
 
-def check_q_threshold_above_bridged(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+def check_q_threshold_above_bridged() -> list[CheckOutcome]:
     """rho_Q(extremal) > 2n - 2delta, above every bridged graph's rho_Q.
 
-    The extremal Q cubic takes the value -2 delta (delta - 1)(n - delta)
-    at x = 2n - 2delta, compared here in exact integers. That is negative
-    for delta >= 2 and n > delta, and a monic cubic is positive beyond its
-    largest root, so the threshold lies above 2n - 2delta. A bridge of a
-    graph with minimum degree delta has at least delta + 1 vertices on
-    each side, so every degree is at most n - delta - 1, and
-    rho_Q <= 2 Delta <= 2n - 2delta - 2. The margin is the float slack
-    rho_Q(extremal) - (2n - 2delta).
+    As Polys, the extremal Q cubic at x = 2n - 2delta is
+    -2 delta (delta - 1)(n - delta); with delta = 2 + j and n = 3 + j + k,
+    minus its value at x = 2k + 2 has positive coefficients and constant,
+    so it is negative at every n > delta >= 2. A monic cubic is positive
+    beyond its largest root, so the threshold lies above 2n - 2delta. A
+    bridge of a graph with minimum degree delta has at least delta + 1
+    vertices on each side, so rho_Q <= 2 Delta <= 2n - 2delta - 2.
     """
-    out = []
-    for p in grid:
-        n, d = p.n, p.delta
-        value = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=d)(2 * n - 2 * d)
-        closed = -2 * d * (d - 1) * (n - d)
-        out.append(CheckOutcome(
-            "q-threshold-above-2n-2delta", f"n={n},delta={d}",
-            value == closed < 0, threshold_rho_q(p) - (2 * n - 2 * d),
-            "" if value == closed else f"cubic value {value}, closed form {closed}",
-        ))
-    return out
+    value = eval_poly((1,) + _q_clique_star_coeffs(N, DELTA), 2 * N - 2 * DELTA)
+    j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
+    shifted = -eval_poly((1,) + _q_clique_star_coeffs(3 + j + k, 2 + j), 2 * k + 2)
+    ok = (value == -2 * DELTA * (DELTA - 1) * (N - DELTA)
+          and shifted.terms.get((0, 0, 0), 0) > 0 and min(shifted.terms.values()) > 0)
+    return [CheckOutcome("q-threshold-above-2n-2delta", "all n > delta >= 2", ok, float(ok))]
 
 
 def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
@@ -443,60 +452,33 @@ def check_perron_ratio(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
     return out
 
 
-def check_blocks_cubic_s2(delta_range: tuple[int, int], n_max: int) -> list[CheckOutcome]:
-    """The s=2 block-family cubic is the signless-Laplacian one.
+def check_blocks_cubic_s2() -> list[CheckOutcome]:
+    """The s=2 block-family cubic is the signless-Laplacian one: as Polys,
+    the expected specialization (x^3 + (4-3n)x^2 + ...) matches the Q-side
+    block family and differs from the distance-side one, settling the
+    labeling question for all (n, delta)."""
+    n, d = N, DELTA
+    expected = (
+        4 - 3 * n,
+        2 * n**2 + 4 * d * n - 10 * n - 4 * d**2 + 8,
+        4 * n**2 - 4 * d * n**2 + 4 * d**2 * n + 8 * d * n - 12 * n - 8 * d**2 + 8,
+    )
+    ok = _q_blocks_coeffs(n, 2, d) == expected and _d_blocks_coeffs(n, 2, d) != expected
+    return [CheckOutcome("blocks-cubic-s2-specialization", "all n, delta", ok, float(ok),
+                         "matches signless-Laplacian block cubic; distance one differs")]
 
-    The expected specialization (x^3 + (4-3n)x^2 + ... ) matches the Q-side
-    block family exactly and differs from the distance-side block family;
-    recorded here so the labeling question is settled by data.
+
+def check_gap_polynomial_expansions() -> list[CheckOutcome]:
+    """Expanded bound polynomials equal the gap quadratics at their floors,
+    and the s = 2 gap is the Q block gap at s = 2, as Polys in (n, s, delta).
     """
-    out = []
-    for delta in range(max(3, delta_range[0]), delta_range[1] + 1):
-        n0 = delta + 4 - delta % 2
-        for n in range(n0, n_max + 1, 4):
-            q_cubic = family_cubic(CubicFamily.Q_BLOCKS, n, s=2, delta=delta)
-            expected = (
-                1,
-                4 - 3 * n,
-                2 * n**2 + 4 * delta * n - 10 * n - 4 * delta**2 + 8,
-                4 * n**2 - 4 * delta * n**2 + 4 * delta**2 * n + 8 * delta * n
-                - 12 * n - 8 * delta**2 + 8,
-            )
-            match_q = q_cubic.coefficients == expected
-            d_cubic = family_cubic(CubicFamily.D_BLOCKS, n, s=2, delta=delta)
-            differs_d = d_cubic.coefficients != expected
-            out.append(CheckOutcome(
-                "blocks-cubic-s2-specialization", f"n={n},delta={delta}",
-                match_q and differs_d, 1.0 if match_q else 0.0,
-                "matches signless-Laplacian block cubic; distance one differs",
-            ))
-    return out
-
-
-def check_gap_polynomial_expansions(delta_range: tuple[int, int],
-                                    n_max: int) -> list[CheckOutcome]:
-    """Expanded bound polynomials agree with direct gap evaluations (exact).
-
-    One outcome per disagreeing cell, then one for the whole grid.
-    """
-    failed = []
-    for delta in range(max(3, delta_range[0]), delta_range[1] + 1):
-        for s in range(2, delta):
-            n_lo = s + (delta + 1 - s) * (s - 1) + 1
-            for n in range(n_lo, n_max + 1, 3):
-                f_direct = eval_poly(q_block_gap_coeffs(n, s, delta), 2 * n - 2 * delta)
-                f_closed = q_block_gap_at_bracket_floor(n, s, delta)
-                g_direct = eval_poly(d_block_gap_coeffs(n, s, delta), n + delta - 3)
-                g_closed = d_block_gap_at_wiener_floor(n, s, delta)
-                s2_ok = True
-                if s == 2:
-                    s2_ok = q_block_gap_s2_coeffs(n, delta) == q_block_gap_coeffs(n, 2, delta)
-                if not (f_direct == f_closed and g_direct == g_closed and s2_ok):
-                    failed.append((f"n={n},s={s},delta={delta}", False,
-                                   f"f:{f_direct}!={f_closed} g:{g_direct}!={g_closed}"))
-    points = failed + [("grid", not failed, "")]
-    return [CheckOutcome("gap-polynomial-expansions", point, ok, float(ok), note)
-            for point, ok, note in points]
+    n, s, d = N, S, DELTA
+    q_floor = eval_poly(q_block_gap_coeffs(n, s, d), 2 * n - 2 * d)
+    d_floor = eval_poly(d_block_gap_coeffs(n, s, d), n + d - 3)
+    ok = (q_floor == q_block_gap_at_bracket_floor(n, s, d)
+          and d_floor == d_block_gap_at_wiener_floor(n, s, d)
+          and q_block_gap_s2_coeffs(n, d) == q_block_gap_coeffs(n, 2, d))
+    return [CheckOutcome("gap-polynomial-expansions", "all n, s, delta", ok, float(ok))]
 
 
 # -- the registry -----------------------------------------------------------------
@@ -511,14 +493,14 @@ CHECKS = (
     (("wiener-lower-bound",), check_wiener_bound, "bound-corpus"),
     (("q-max-degree-bound",), check_q_max_degree_bound, "bound-corpus"),
     (("q-threshold-bracket",), check_q_threshold_bracket, "q-grid"),
-    (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "q-grid-from-2delta"),
+    (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "none"),
     (("odd-component-implication",), check_odd_component_implication, "even-corpus"),
     (("odd-order-observation",), observe_odd_order_condition, "odd-corpus"),
     (("extremal-wiener-closed-form",), check_extremal_wiener_closed_form, "d-grid"),
     (("d-blocks-rayleigh-gap",), check_blocks_rayleigh_gap, "d-grid"),
     (("perron-ratio-positivity",), check_perron_ratio, "d-grid"),
-    (("blocks-cubic-s2-specialization",), check_blocks_cubic_s2, "delta-range"),
-    (("gap-polynomial-expansions",), check_gap_polynomial_expansions, "delta-range"),
+    (("blocks-cubic-s2-specialization",), check_blocks_cubic_s2, "none"),
+    (("gap-polynomial-expansions",), check_gap_polynomial_expansions, "none"),
 )
 
 SUITE_CHECK_NAMES = tuple(name for names, _, _ in CHECKS for name in names)
@@ -553,10 +535,8 @@ def run_property_suite(
     inputs = {
         "rng": lambda: (rng, trials),
         "q-grid": lambda: (order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max),),
-        "q-grid-from-2delta": lambda: (
-            order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max, n_min=0),),
         "d-grid": lambda: (order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max),),
-        "delta-range": lambda: (delta_range, n_max),
+        "none": lambda: (),
         "bound-corpus": lambda: (corpus(range(1, corpus_max_n + 1)),),
         "even-corpus": lambda: (corpus(range(4, oracle_max_n + 1, 2)),),
         "odd-corpus": lambda: (corpus(range(3, oracle_max_n + 1, 2)),),

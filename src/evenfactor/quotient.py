@@ -14,6 +14,7 @@ to ROOT_TOL by exact signs, so no caller has to know where that root lies;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -321,38 +322,82 @@ def d_block_gap_at_wiener_floor(n: int, s: int, delta: int) -> int:
     )
 
 
+class Poly:
+    """Integer polynomial in (n, s, delta), {(i, j, k): c} for c n^i s^j delta^k.
+    The coefficient functions here are plain integer arithmetic, so on N, S
+    and DELTA they return Polys: an identity between Polys holds everywhere."""
+
+    __hash__ = None
+
+    def __init__(self, terms: dict[tuple[int, int, int], int]):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other) -> Poly:
+        terms = dict(self.terms)
+        for e, c in _lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(terms)
+
+    def __mul__(self, other) -> Poly:
+        terms: dict[tuple[int, int, int], int] = {}
+        for (i, j, k), c in self.terms.items():
+            for (u, v, w), d in _lift(other).terms.items():
+                terms[i + u, j + v, k + w] = terms.get((i + u, j + v, k + w), 0) + c * d
+        return Poly(terms)
+
+    def __neg__(self) -> Poly:
+        return self * -1
+
+    def __sub__(self, other) -> Poly:
+        return self + _lift(other) * -1
+
+    def __rsub__(self, other) -> Poly:
+        return self * -1 + other
+
+    def __pow__(self, k: int) -> Poly:
+        return math.prod((self,) * k, start=_lift(1))
+
+    def __eq__(self, other) -> bool:
+        return self.terms == _lift(other).terms
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _lift(x) -> Poly:
+    return x if isinstance(x, Poly) else Poly({(0, 0, 0): operator.index(x)})
+
+
+N, S, DELTA = Poly({(1, 0, 0): 1}), Poly({(0, 1, 0): 1}), Poly({(0, 0, 1): 1})
+
+
 _IDENTITY_TABLE = {
-    # identity -> (family, gap coeffs, sign of the (s - delta) multiplier)
-    DifferenceIdentity.Q_SINGLETONS: (CubicFamily.Q_SINGLETONS, q_singleton_gap_coeffs, +1),
-    DifferenceIdentity.Q_BLOCKS: (CubicFamily.Q_BLOCKS, q_block_gap_coeffs, -1),
-    DifferenceIdentity.D_SINGLETONS: (CubicFamily.D_SINGLETONS, d_singleton_gap_coeffs, -1),
-    DifferenceIdentity.D_BLOCKS: (CubicFamily.D_BLOCKS, d_block_gap_coeffs, +1),
+    # identity -> (family coefficients at (n, s, delta), extremal coefficients
+    # at (n, delta), gap coefficients, sign of the (s - delta) multiplier)
+    DifferenceIdentity.Q_SINGLETONS: (lambda n, s, d: _q_clique_star_coeffs(n, s),
+                                      _q_clique_star_coeffs, q_singleton_gap_coeffs, +1),
+    DifferenceIdentity.Q_BLOCKS: (_q_blocks_coeffs, _q_clique_star_coeffs, q_block_gap_coeffs, -1),
+    DifferenceIdentity.D_SINGLETONS: (lambda n, s, d: _d_clique_star_coeffs(n, s),
+                                      _d_clique_star_coeffs, d_singleton_gap_coeffs, -1),
+    DifferenceIdentity.D_BLOCKS: (_d_blocks_coeffs, _d_clique_star_coeffs, d_block_gap_coeffs, +1),
 }
 
 
 def eval_poly(coeffs: Sequence, x):
-    """Horner evaluation, exact when coefficients and x are integers."""
+    """Horner evaluation, exact when coefficients and x are integers or Polys."""
     acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
 
 
-def identity_check(identity: DifferenceIdentity, n: int, s: int, delta: int) -> bool:
-    """Whether a difference-factorization identity holds, coefficient for
-    coefficient: the family cubic minus the extremal cubic equals (s - delta)
-    (or its negation) times the gap quadratic, in exact integers."""
-    family, gap_fn, sign = _IDENTITY_TABLE[identity]
-    base_family = (
-        CubicFamily.Q_EXTREMAL
-        if family in (CubicFamily.Q_SINGLETONS, CubicFamily.Q_BLOCKS)
-        else CubicFamily.D_EXTREMAL
-    )
-    fam = family_cubic(family, n, s=s, delta=delta).coefficients
-    base = family_cubic(base_family, n, delta=delta).coefficients
-    mult = sign * (s - delta)
-    return (tuple(a - b for a, b in zip(fam, base))
-            == (0,) + tuple(mult * c for c in gap_fn(n, s, delta)))
+def identity_check(identity: DifferenceIdentity) -> bool:
+    """Whether a difference-factorization identity holds for all (n, s, delta):
+    the family cubic minus the extremal cubic equals (s - delta), or its
+    negation, times the gap quadratic, coefficient for coefficient as Polys."""
+    family, extremal, gap, sign = _IDENTITY_TABLE[identity]
+    difference = tuple(a - b for a, b in zip(family(N, S, DELTA), extremal(N, DELTA)))
+    return difference == tuple(sign * (S - DELTA) * c for c in gap(N, S, DELTA))
 
 
 # -- root finding ------------------------------------------------------------

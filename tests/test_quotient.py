@@ -1,4 +1,4 @@
-"""Quotient matrices, family cubics, difference identities, root finding."""
+"""Quotient matrices, family cubics, root finding, and Poly proofs of identities."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,9 @@ import pytest
 from evenfactor.graphs import adjacency_stack, clique_join
 from evenfactor import quotient
 from evenfactor.quotient import (
+    DELTA,
+    N,
+    S,
     BracketingError,
     Cubic,
     CubicFamily,
@@ -192,71 +195,63 @@ def test_family_cubics_equal_constructed_quotients_exactly(family, points):
         assert closed.coefficients == built.coefficients, (family, n, s, d)
 
 
-# -- difference identities ---------------------------------------------------
+# -- integer polynomials and the difference identities ----------------------
 
 
-def admissible_identity_point(rng, identity):
-    if identity in (DifferenceIdentity.Q_SINGLETONS, DifferenceIdentity.D_SINGLETONS):
-        d = rng.randrange(2, 7)
-        s = rng.randrange(d + 1, d + 5)
-        n = max(2 * s, 8 * d - 7) + 2 * rng.randrange(0, 10)
-    else:
-        d = rng.randrange(4, 8)
-        s = rng.randrange(3, d)
-        n = max(s + (d + 1 - s) * (s - 1) + 1, 8 * d - 7) + rng.randrange(0, 20)
-    return n, s, d
+def test_poly_arithmetic_matches_known_expansions():
+    n, s, d = N, S, DELTA
+    assert (n + s)**2 == n**2 + 2 * n * s + s**2
+    assert (n - d) * (n + d) == n**2 - d**2 and (1 + n)**3 == 1 + 3 * n + 3 * n**2 + n**3
+    # ints on either side of every operator
+    assert 2 + n == n + 2 and 2 * n == n * 2 == n + n and 3 - n == -(n - 3)
+    assert n - n == 0 and 0 == n - n and n**0 == 1 and eval_poly((1, -3), n) == n - 3
+
+
+def test_poly_equality_is_not_vacuous():
+    # unequal Polys compare unequal, so no proof passes by default
+    n, s, d = N, S, DELTA
+    assert n != s and s != d and n != 0 and 0 != n and (n + s)**2 != n**2 + s**2
+    assert n * s * d != n * s * d + 1
+    with pytest.raises(TypeError):
+        n + 0.5
+    with pytest.raises(TypeError):
+        hash(n)
 
 
 @pytest.mark.parametrize("identity", list(DifferenceIdentity))
-def test_identity_residuals_random_draws(identity):
-    rng = random.Random(hash(identity.value) & 0xFFFF)
-    for _ in range(100):
-        n, s, d = admissible_identity_point(rng, identity)
-        assert identity_check(identity, n, s, d) is True
+def test_identity_holds_for_all_parameters(identity):
+    assert identity_check(identity) is True
 
 
 def test_identity_exact_zero_at_s_equal_delta():
-    # at s = delta the family is the extremal one: the difference is zero
-    for n, d in [(12, 3), (20, 4), (30, 5)]:
-        assert identity_check(DifferenceIdentity.Q_SINGLETONS, n, d, d) is True
-        assert identity_check(DifferenceIdentity.D_SINGLETONS, n, d, d) is True
-
-
-def test_identity_spec_sample_points():
-    assert identity_check(DifferenceIdentity.Q_SINGLETONS, 21, 4, 3) is True
-    assert identity_check(DifferenceIdentity.D_BLOCKS, 30, 3, 5) is True
+    # at s = delta each family graph is the extremal one, so its cubic is
+    # the extremal cubic: the block ones too, though they need s < delta
+    d = DELTA
+    assert quotient._q_blocks_coeffs(N, d, d) == quotient._q_clique_star_coeffs(N, d)
+    assert quotient._d_blocks_coeffs(N, d, d) == quotient._d_clique_star_coeffs(N, d)
 
 
 def test_identity_check_rejects_a_wrong_gap(monkeypatch):
-    family, gap_fn, sign = quotient._IDENTITY_TABLE[DifferenceIdentity.Q_BLOCKS]
-    off_by_one = lambda n, s, d: gap_fn(n, s, d)[:2] + (gap_fn(n, s, d)[2] + 1,)
+    family, extremal, gap, sign = quotient._IDENTITY_TABLE[DifferenceIdentity.Q_BLOCKS]
+    off_by_one = lambda n, s, d: gap(n, s, d)[:2] + (gap(n, s, d)[2] + 1,)
     monkeypatch.setitem(quotient._IDENTITY_TABLE, DifferenceIdentity.Q_BLOCKS,
-                        (family, off_by_one, sign))
-    assert identity_check(DifferenceIdentity.Q_BLOCKS, 30, 3, 5) is False
+                        (family, extremal, off_by_one, sign))
+    assert identity_check(DifferenceIdentity.Q_BLOCKS) is False
 
 
 def test_gap_expansions_match_direct_evaluation():
-    for d in range(3, 8):
-        for s in range(2, d):
-            for n in range(s + (d + 1 - s) * (s - 1) + 1, 45, 3):
-                assert (
-                    eval_poly(q_block_gap_coeffs(n, s, d), 2 * n - 2 * d)
-                    == q_block_gap_at_bracket_floor(n, s, d)
-                )
-                assert (
-                    eval_poly(d_block_gap_coeffs(n, s, d), n + d - 3)
-                    == d_block_gap_at_wiener_floor(n, s, d)
-                )
-        for n in range(d + 3, 45, 3):
-            assert q_block_gap_s2_coeffs(n, d) == q_block_gap_coeffs(n, 2, d)
+    n, s, d = N, S, DELTA
+    assert (eval_poly(q_block_gap_coeffs(n, s, d), 2 * n - 2 * d)
+            == q_block_gap_at_bracket_floor(n, s, d))
+    assert (eval_poly(d_block_gap_coeffs(n, s, d), n + d - 3)
+            == d_block_gap_at_wiener_floor(n, s, d))
+    assert q_block_gap_s2_coeffs(n, d) == q_block_gap_coeffs(n, 2, d)
 
 
 def test_gap_factor_degrees():
     # leading coefficients as displayed: 1, 2s-5, 1, s-3
-    assert q_singleton_gap_coeffs(20, 4, 3)[0] == 1
-    assert q_block_gap_coeffs(20, 4, 6)[0] == 2 * 4 - 5
-    assert d_singleton_gap_coeffs(20, 4, 3)[0] == 1
-    assert d_block_gap_coeffs(20, 4, 6)[0] == 4 - 3
+    gaps = (q_singleton_gap_coeffs, q_block_gap_coeffs, d_singleton_gap_coeffs, d_block_gap_coeffs)
+    assert [gap(N, S, DELTA)[0] for gap in gaps] == [1, 2 * S - 5, 1, S - 3]
 
 
 # -- root finding -------------------------------------------------------------

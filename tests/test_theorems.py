@@ -13,7 +13,6 @@ from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor.sampling import sample_connected_graphs
 from evenfactor import cli, lemmas, theorems
-from evenfactor.quotient import Cubic, CubicFamily, family_cubic
 from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
 from evenfactor.lemmas import (
     check_q_threshold_above_bridged,
@@ -333,28 +332,36 @@ def test_bound_checks_cover_both_links_of_the_bound_chain(monkeypatch):
     assert bad.note == "W=23 < n(n-1)-m=24"
 
 
+def last_coefficient_shifted(coeffs, by=1):
+    return lambda *args: coeffs(*args)[:-1] + (coeffs(*args)[-1] + by,)
+
+
 def test_q_threshold_above_bridged_graphs(monkeypatch):
-    # rho_Q(extremal) > 2n - 2delta > rho_Q of any bridged graph, on every
-    # even order from 2 delta, far below the order bound
-    cells = [ExtremalParams(n, d) for d in range(2, 13) for n in range(2 * d, 8 * d + 9, 2)]
-    outcomes = check_q_threshold_above_bridged(cells)
-    assert len(outcomes) == 286 and all(o.passed for o in outcomes)
-    worst = min(outcomes, key=lambda o: o.margin)
-    assert worst.point == "n=24,delta=2"
-    assert worst.margin == pytest.approx(0.0950, abs=1e-4)
-    # the pass is the exact cubic value, so a wrong cubic fails the cell
-    # however large its float margin
-    _, c2, c1, c0 = family_cubic(CubicFamily.Q_EXTREMAL, 24, delta=2).coefficients
-    wrong = Cubic(1, c2, c1, c0 - 1)
-    monkeypatch.setattr(lemmas, "family_cubic", lambda *args, **kw: wrong)
-    (bad,) = check_q_threshold_above_bridged([ExtremalParams(24, 2)])
-    assert not bad.passed and bad.margin == worst.margin
-    assert bad.note == "cubic value -89, closed form -88"
-    monkeypatch.undo()
-    # the suite reads the grid from n = 2 delta, not from the order bound
-    suite = run_property_suite(delta_range=(3, 3), n_max=12,
-                               checks={"q-threshold-above-2n-2delta"})
-    assert [o.point for o in suite] == [f"n={n},delta=3" for n in (6, 8, 10, 12)]
+    # rho_Q(extremal) > 2n - 2delta > rho_Q of any bridged graph, proved
+    # once for every n > delta >= 2, far below the order bound
+    (outcome,) = check_q_threshold_above_bridged()
+    assert outcome.passed and outcome.point == "all n > delta >= 2"
+    assert run_property_suite(delta_range=(3, 3), n_max=12,
+                              checks={"q-threshold-above-2n-2delta"}) == [outcome]
+    monkeypatch.setattr(lemmas, "_q_clique_star_coeffs",
+                        last_coefficient_shifted(lemmas._q_clique_star_coeffs, -1))
+    assert check_q_threshold_above_bridged()[0].passed is False
+
+
+def test_symbolic_lemmas_fail_on_perturbed_inputs(monkeypatch):
+    # a Q block cubic off by one misses the expected s = 2 tuple, a D one
+    # equal to it must not match, and a gap off by one misses its expansion
+    perturbed = [(lemmas.check_blocks_cubic_s2, "_q_blocks_coeffs",
+                  last_coefficient_shifted(lemmas._q_blocks_coeffs)),
+                 (lemmas.check_blocks_cubic_s2, "_d_blocks_coeffs", lemmas._q_blocks_coeffs)]
+    perturbed += [(lemmas.check_gap_polynomial_expansions, name,
+                   last_coefficient_shifted(getattr(lemmas, name)))
+                  for name in ("q_block_gap_coeffs", "d_block_gap_coeffs", "q_block_gap_s2_coeffs")]
+    for check, name, wrong in perturbed:
+        assert check()[0].passed
+        with monkeypatch.context() as m:
+            m.setattr(lemmas, name, wrong)
+            assert not check()[0].passed, name
 
 
 def test_property_suite_check_filter_and_determinism():
@@ -543,6 +550,6 @@ def test_property_suite_draw_order_digest():
     digest = hashlib.sha256()
     for o in outcomes:
         digest.update(f"{o.check}|{o.point}|{o.passed}\n".encode())
-    assert len(outcomes) == 1085
+    assert len(outcomes) == 990
     assert digest.hexdigest() == \
-        "f072b792cfd71a44e4265cc933eb2650aa5baf571891fc8c9310c5d28a57094a"
+        "bed99d8addfb4b149c2a0ef5991da32ec5725d84e9942192cc7ee12133796194"
