@@ -5,11 +5,11 @@ Library layout:
             the one codec between neighbour bitmasks and adjacency stacks
   spectral  Q(G), distance matrix, Wiener index, and ``perron``, the one
             eigensolver, on stacks of same-order matrices
-  quotient  partitions, quotient matrices, family cubics, root bracketing
-            and the exact test of a rational against the largest root
+  quotient  partitions, quotient matrices, family cubics on ints or Polys,
+            root bracketing and the exact test of a rational against a root
   oracle    exact even-factor search and the odd-component condition
-  theorems  thresholds, verdicts, extremal recognition, the extremal table
-  lemmas    the property checks behind the theorems, in one registry
+  theorems  extremal cubics, thresholds, verdicts, recognition, the extremal table
+  lemmas    the property checks and proofs behind the theorems, in one registry
   cli       command-line front end (spectra/certify/scan/lemmas/extremal/oracle)
 """
 
@@ -33,14 +33,10 @@ from .oracle import (
 from .quotient import (
     BracketingError,
     Cubic,
-    CubicFamily,
-    DifferenceIdentity,
     InvalidPartitionError,
     QuotientMatrix,
     above_largest_root,
     charpoly3,
-    family_cubic,
-    identity_check,
     largest_root,
     quotient_matrix,
 )
@@ -63,6 +59,7 @@ from .theorems import (
     TheoremVerdict,
     check_even_factor,
     check_even_factor_many,
+    extremal_cubic,
     extremal_even_factor,
     extremal_graph,
     extremal_table,

@@ -5,10 +5,10 @@ of its input (seeded samples, a grid of extremal-family cells, or a bundled
 corpus): spectral monotonicity, join-family dominance, equitable-quotient
 roots, the Wiener lower bound, rho_Q <= 2 Delta, the rho_Q bracket, the
 odd-component implication, the extremal Wiener closed form, the
-block-family Rayleigh gap and Perron-component positivity. Three facts read
-no input and are proved once, as quotient.Poly identities for all
-parameters: rho_Q of the extremal graph above that of any bridged graph,
-the s = 2 block-family cubic and the expanded gap polynomials.
+block-family Rayleigh gap and Perron-component positivity. Eight facts read
+no input and are proved once for all parameters on quotient.Poly: the
+extremal rho_Q above and rho_D below those of bridged graphs, the s = 2
+block cubic, the gap expansions and four difference identities.
 
 CHECKS is the registry: it fixes which checks exist, the order they run in,
 and the input each one reads. The equitable-quotient check accepts a cell
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .corpus import load_bundled_corpus
 from .graphs import Graph, clique_join
@@ -30,29 +30,32 @@ from .quotient import (
     DELTA,
     N,
     S,
-    CubicFamily,
+    Cubic,
     _d_blocks_coeffs,
+    _d_clique_star_coeffs,
+    _fourier_signs,
     _q_blocks_coeffs,
     _q_clique_star_coeffs,
     charpoly3,
     d_block_gap_at_wiener_floor,
     d_block_gap_coeffs,
+    d_singleton_gap_coeffs,
     eval_poly,
-    family_cubic,
     largest_root,
     q_block_gap_at_bracket_floor,
     q_block_gap_coeffs,
     q_block_gap_s2_coeffs,
+    q_singleton_gap_coeffs,
     quotient_matrix,
 )
 from .sampling import sample_graph
 from .spectral import (
+    _distance_stack,
+    _signless_laplacian_stack,
     distance_matrix,
     perron,
     rho_d,
-    rho_d_many,
     rho_q,
-    rho_q_many,
     signless_laplacian,
     wiener_index,
 )
@@ -60,6 +63,7 @@ from .theorems import (
     COMPARISON_EPSILON,
     ExtremalParams,
     TheoremKind,
+    extremal_cubic,
     extremal_graph,
     extremal_wiener,
     order_bound_grid,
@@ -225,7 +229,7 @@ def check_family_dominance(rng: Random, trials: int) -> list[CheckOutcome]:
 
 def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
     """Equitable-quotient cubic roots equal full-matrix Perron values, and
-    the quotient cubics are the family cubics the thresholds are roots of.
+    the quotient cubics are the extremal cubics the thresholds are roots of.
 
     A cell passes when both matrix rho lie in the verdicts' band around
     the roots, less than COMPARISON_EPSILON away. The margin is
@@ -245,9 +249,9 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
         notes = []
         if not (qm.equitable and dm.equitable):
             notes.append("partition not equitable")
-        for family, cubic in ((CubicFamily.Q_EXTREMAL, cubic_q), (CubicFamily.D_EXTREMAL, cubic_d)):
-            if cubic.coefficients != family_cubic(family, n, delta=d).coefficients:
-                notes.append(f"quotient cubic differs from {family.value} family cubic")
+        for kind, cubic in zip(TheoremKind, (cubic_q, cubic_d)):
+            if cubic != extremal_cubic(kind, n, d):
+                notes.append(f"quotient cubic differs from the {kind.value} extremal cubic")
         margin = COMPARISON_EPSILON - max(err_q, err_d)
         out.append(CheckOutcome(
             "quotient-root-matches-matrix", f"n={n},delta={d}",
@@ -256,9 +260,11 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
     return out
 
 
-def _by_order(many, graphs: list[Graph]) -> list[float]:
-    """many(...) of each graph, one stacked call per run of equal orders."""
-    return [float(v) for _, run in groupby(graphs, key=lambda g: g.n) for v in many(list(run))]
+def _by_order(build, graphs: list[Graph]) -> Iterator[tuple]:
+    """(graph, matrix, rho) per graph: one build and eigen-solve per run of equal orders."""
+    for _, run in groupby(graphs, key=lambda g: g.n):
+        stack = build(run := list(run))
+        yield from zip(run, stack, map(float, perron(stack)[0]))
 
 
 def check_wiener_bound(graphs: list[Graph]) -> list[CheckOutcome]:
@@ -268,11 +274,11 @@ def check_wiener_bound(graphs: list[Graph]) -> list[CheckOutcome]:
 
     Together they are the lower bound rho_D >= 2(n(n - 1) - m)/n that
     settles distance verdicts before any eigen-solve. The margin is
-    rho_D - 2W/n.
+    rho_D - 2W/n; W and rho_D come from the same distance matrix.
     """
     out = []
-    for i, (g, rho) in enumerate(zip(graphs, _by_order(rho_d_many, graphs))):
-        w = wiener_index(g)
+    for i, (g, dist, rho) in enumerate(_by_order(_distance_stack, graphs)):
+        w = int(dist.sum()) // 2
         floor = g.n * (g.n - 1) - g.edge_count
         margin = rho - 2 * w / g.n
         out.append(CheckOutcome(
@@ -288,7 +294,7 @@ def check_q_max_degree_bound(graphs: list[Graph]) -> list[CheckOutcome]:
     largest 2 d(v). It settles signless-Laplacian verdicts before any
     eigen-solve. The margin is 2 Delta - rho_Q."""
     out = []
-    for i, (g, rho) in enumerate(zip(graphs, _by_order(rho_q_many, graphs))):
+    for i, (g, _, rho) in enumerate(_by_order(_signless_laplacian_stack, graphs)):
         margin = 2 * g.max_degree() - rho
         out.append(CheckOutcome(
             "q-max-degree-bound", f"graph#{i},n={g.n},m={g.edge_count}",
@@ -311,6 +317,11 @@ def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutco
     return out
 
 
+def _positive(p) -> bool:
+    """Whether the Poly p has a positive constant and no negative coefficient."""
+    return p.terms.get((0, 0, 0), 0) > 0 and min(p.terms.values()) > 0
+
+
 def check_q_threshold_above_bridged() -> list[CheckOutcome]:
     """rho_Q(extremal) > 2n - 2delta, above every bridged graph's rho_Q.
 
@@ -325,9 +336,26 @@ def check_q_threshold_above_bridged() -> list[CheckOutcome]:
     value = eval_poly((1,) + _q_clique_star_coeffs(N, DELTA), 2 * N - 2 * DELTA)
     j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
     shifted = -eval_poly((1,) + _q_clique_star_coeffs(3 + j + k, 2 + j), 2 * k + 2)
-    ok = (value == -2 * DELTA * (DELTA - 1) * (N - DELTA)
-          and shifted.terms.get((0, 0, 0), 0) > 0 and min(shifted.terms.values()) > 0)
+    ok = value == -2 * DELTA * (DELTA - 1) * (N - DELTA) and _positive(shifted)
     return [CheckOutcome("q-threshold-above-2n-2delta", "all n > delta >= 2", ok, float(ok))]
+
+
+def check_d_threshold_below_bridged() -> list[CheckOutcome]:
+    """rho_D(extremal) < U <= rho_D of every bridged graph, at delta >= 3.
+
+    A bridge of a graph G with minimum degree delta has a, b >= delta + 1
+    vertices on its sides, so G spans B = K_a -xy- K_b and, by the all-ones
+    Rayleigh quotient, rho_D(G) >= rho_D(B) >= 2W(B)/n = n - 3 + 4ab/n >= U,
+    its value at a = delta + 1. At delta = 3 + j and n = 2delta + 2 + k, the
+    signs ``above_largest_root`` reads off the extremal D cubic at U are
+    Polys in j, k >= 0 with positive coefficients: U is above the threshold.
+    """
+    j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
+    d, n = 3 + j, 2 * j + 8 + k
+    nu = n**2 + 4 * d * n + n - 4 * d**2 - 8 * d - 4  # n U
+    ok = all(map(_positive, _fourier_signs(Cubic(*_d_clique_star_coeffs(n, d)), nu, n)))
+    return [CheckOutcome("d-threshold-below-bridged", "all delta >= 3, n >= 2delta + 2",
+                         ok, float(ok))]
 
 
 def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
@@ -481,6 +509,22 @@ def check_gap_polynomial_expansions() -> list[CheckOutcome]:
     return [CheckOutcome("gap-polynomial-expansions", "all n, s, delta", ok, float(ok))]
 
 
+def check_difference_identities() -> list[CheckOutcome]:
+    """Each family cubic minus the extremal one is (s - delta), or its
+    negation, times the family's gap quadratic, as Polys in (n, s, delta)."""
+    n, s, d = N, S, DELTA
+    q_star, d_star = _q_clique_star_coeffs(n, d), _d_clique_star_coeffs(n, d)
+    out = []
+    for name, family, star, factor, gap in (
+            ("q-singletons", _q_clique_star_coeffs(n, s), q_star, s - d, q_singleton_gap_coeffs),
+            ("q-blocks", _q_blocks_coeffs(n, s, d), q_star, d - s, q_block_gap_coeffs),
+            ("d-singletons", _d_clique_star_coeffs(n, s), d_star, d - s, d_singleton_gap_coeffs),
+            ("d-blocks", _d_blocks_coeffs(n, s, d), d_star, s - d, d_block_gap_coeffs)):
+        ok = tuple(a - b for a, b in zip(family, star)) == tuple(factor * c for c in gap(n, s, d))
+        out.append(CheckOutcome(f"difference-identity-{name}", "all n, s, delta", ok, float(ok)))
+    return out
+
+
 # -- the registry -----------------------------------------------------------------
 
 # (check names, check function, the input it reads), in run order. The first
@@ -494,6 +538,7 @@ CHECKS = (
     (("q-max-degree-bound",), check_q_max_degree_bound, "bound-corpus"),
     (("q-threshold-bracket",), check_q_threshold_bracket, "q-grid"),
     (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "none"),
+    (("d-threshold-below-bridged",), check_d_threshold_below_bridged, "none"),
     (("odd-component-implication",), check_odd_component_implication, "even-corpus"),
     (("odd-order-observation",), observe_odd_order_condition, "odd-corpus"),
     (("extremal-wiener-closed-form",), check_extremal_wiener_closed_form, "d-grid"),
@@ -501,6 +546,9 @@ CHECKS = (
     (("perron-ratio-positivity",), check_perron_ratio, "d-grid"),
     (("blocks-cubic-s2-specialization",), check_blocks_cubic_s2, "none"),
     (("gap-polynomial-expansions",), check_gap_polynomial_expansions, "none"),
+    (("difference-identity-q-singletons", "difference-identity-q-blocks",
+      "difference-identity-d-singletons", "difference-identity-d-blocks"),
+     check_difference_identities, "none"),
 )
 
 SUITE_CHECK_NAMES = tuple(name for names, _, _ in CHECKS for name in names)

@@ -2,12 +2,11 @@
 
 Quotient matrices of integer source matrices are computed in exact
 rational arithmetic so equitability is never a floating-point judgment.
-The three-block join families (extremal, singleton tail, uniform-block
-tail, for both the signless Laplacian and the distance matrix) have
-closed-form monic cubics; their coefficient formulas are transcribed here
-and unit-tested against cofactor expansion of the constructed matrices.
-``largest_root`` takes a cubic alone and certifies its largest real root
-to ROOT_TOL by exact signs, so no caller has to know where that root lies;
+The coefficients of the join families' monic cubics (extremal, singleton
+tail, uniform-block tail; Q and D) and of their gap quadratics run on ints
+or on ``Poly``, an integer polynomial in (n, s, delta), on which ``lemmas``
+proves their identities once for all parameters. ``largest_root``
+certifies a cubic's largest real root to ROOT_TOL by exact signs, and
 ``above_largest_root`` places a rational against that root exactly.
 """
 
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -94,22 +92,17 @@ def quotient_matrix(m, blocks: Sequence[Sequence[int]]) -> QuotientMatrix:
 
 @dataclass(frozen=True)
 class Cubic:
-    """c3*x^3 + c2*x^2 + c1*x + c0 with exact coefficients; c3 = 1 here."""
+    """The monic cubic x^3 + c2*x^2 + c1*x + c0, with exact coefficients."""
 
-    c3: Fraction | int
     c2: Fraction | int
     c1: Fraction | int
     c0: Fraction | int
 
     def __call__(self, x):
-        return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
+        return ((x + self.c2) * x + self.c1) * x + self.c0
 
     def derivative(self, x):
-        return (3 * self.c3 * x + 2 * self.c2) * x + self.c1
-
-    @property
-    def coefficients(self) -> tuple:
-        return (self.c3, self.c2, self.c1, self.c0)
+        return (3 * x + 2 * self.c2) * x + self.c1
 
 
 def charpoly3(q: QuotientMatrix) -> Cubic:
@@ -128,32 +121,17 @@ def charpoly3(q: QuotientMatrix) -> Cubic:
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
         + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
     )
-    def norm(f: Fraction):
-        return int(f) if f.denominator == 1 else f
-    return Cubic(1, norm(-trace), norm(minors), norm(-det))
+    return Cubic(-trace, minors, -det)
 
 
 # -- closed-form cubics for the three-block join families -------------------
 #
 # Families: K_t joined to (one big clique + a tail of equal small cliques).
-#   *_EXTREMAL    K_delta v (K_{n-2delta+1} u (delta-1) K_1), parameter delta
-#   *_SINGLETONS  K_s v (K_{n-2s+1} u (s-1) K_1), parameter s
-#   *_BLOCKS      K_s v (K_{n-s-(delta+1-s)(s-1)} u (s-1) K_{delta+1-s})
-# Q_* uses the signless Laplacian, D_* the distance matrix.
-
-
-class CubicFamily(Enum):
-    Q_EXTREMAL = "q-extremal"
-    Q_SINGLETONS = "q-singletons"
-    Q_BLOCKS = "q-blocks"
-    D_EXTREMAL = "d-extremal"
-    D_SINGLETONS = "d-singletons"
-    D_BLOCKS = "d-blocks"
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+#   clique-star  K_t v (K_{n-2t+1} u (t-1) K_1): the extremal graph at
+#                t = delta, the singleton family at t = s
+#   blocks       K_s v (K_{n-s-(delta+1-s)(s-1)} u (s-1) K_{delta+1-s})
+# _q_* use the signless Laplacian, _d_* the distance matrix; each returns
+# (c2, c1, c0) of the monic cubic.
 
 
 def _q_clique_star_coeffs(n: int, t: int) -> tuple[int, int, int]:
@@ -206,45 +184,7 @@ def _d_blocks_coeffs(n: int, s: int, d: int) -> tuple[int, int, int]:
     return c2, c1, c0
 
 
-def blocks_family_big_clique(n: int, s: int, delta: int) -> int:
-    """Order of the big clique in the uniform-block family."""
-    return n - s - (delta + 1 - s) * (s - 1)
-
-
-def family_cubic(
-    family: CubicFamily, n: int, *, s: int | None = None, delta: int | None = None
-) -> Cubic:
-    """Closed-form characteristic cubic of a family's 3x3 quotient matrix."""
-    if family in (CubicFamily.Q_EXTREMAL, CubicFamily.D_EXTREMAL):
-        _require(delta is not None, "extremal family needs delta")
-        _require(delta >= 2, f"extremal family needs delta >= 2, got {delta}")
-        _require(n >= 2 * delta, f"extremal family needs n >= 2*delta, got n={n}")
-        fn = _q_clique_star_coeffs if family is CubicFamily.Q_EXTREMAL else _d_clique_star_coeffs
-        return Cubic(1, *fn(n, delta))
-    if family in (CubicFamily.Q_SINGLETONS, CubicFamily.D_SINGLETONS):
-        _require(s is not None, "singleton family needs s")
-        _require(s >= 2, f"singleton family needs s >= 2, got {s}")
-        _require(n >= 2 * s, f"singleton family needs n >= 2*s, got n={n}")
-        fn = _q_clique_star_coeffs if family is CubicFamily.Q_SINGLETONS else _d_clique_star_coeffs
-        return Cubic(1, *fn(n, s))
-    _require(s is not None and delta is not None, "block family needs s and delta")
-    _require(2 <= s <= delta - 1, f"block family needs 2 <= s <= delta-1, got s={s}")
-    _require(
-        blocks_family_big_clique(n, s, delta) >= 1,
-        f"block family needs n >= s + (delta+1-s)(s-1) + 1, got n={n}",
-    )
-    fn = _q_blocks_coeffs if family is CubicFamily.Q_BLOCKS else _d_blocks_coeffs
-    return Cubic(1, *fn(n, s, delta))
-
-
 # -- gap factors: family cubic minus extremal cubic factors as (s-delta)*gap
-
-
-class DifferenceIdentity(Enum):
-    Q_SINGLETONS = "q-singletons"
-    Q_BLOCKS = "q-blocks"
-    D_SINGLETONS = "d-singletons"
-    D_BLOCKS = "d-blocks"
 
 
 def q_singleton_gap_coeffs(n: int, s: int, delta: int) -> tuple[int, int, int]:
@@ -371,33 +311,12 @@ def _lift(x) -> Poly:
 N, S, DELTA = Poly({(1, 0, 0): 1}), Poly({(0, 1, 0): 1}), Poly({(0, 0, 1): 1})
 
 
-_IDENTITY_TABLE = {
-    # identity -> (family coefficients at (n, s, delta), extremal coefficients
-    # at (n, delta), gap coefficients, sign of the (s - delta) multiplier)
-    DifferenceIdentity.Q_SINGLETONS: (lambda n, s, d: _q_clique_star_coeffs(n, s),
-                                      _q_clique_star_coeffs, q_singleton_gap_coeffs, +1),
-    DifferenceIdentity.Q_BLOCKS: (_q_blocks_coeffs, _q_clique_star_coeffs, q_block_gap_coeffs, -1),
-    DifferenceIdentity.D_SINGLETONS: (lambda n, s, d: _d_clique_star_coeffs(n, s),
-                                      _d_clique_star_coeffs, d_singleton_gap_coeffs, -1),
-    DifferenceIdentity.D_BLOCKS: (_d_blocks_coeffs, _d_clique_star_coeffs, d_block_gap_coeffs, +1),
-}
-
-
 def eval_poly(coeffs: Sequence, x):
     """Horner evaluation, exact when coefficients and x are integers or Polys."""
     acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def identity_check(identity: DifferenceIdentity) -> bool:
-    """Whether a difference-factorization identity holds for all (n, s, delta):
-    the family cubic minus the extremal cubic equals (s - delta), or its
-    negation, times the gap quadratic, coefficient for coefficient as Polys."""
-    family, extremal, gap, sign = _IDENTITY_TABLE[identity]
-    difference = tuple(a - b for a, b in zip(family(N, S, DELTA), extremal(N, DELTA)))
-    return difference == tuple(sign * (S - DELTA) * c for c in gap(N, S, DELTA))
 
 
 # -- root finding ------------------------------------------------------------
@@ -409,19 +328,17 @@ def largest_root(cubic: Cubic) -> float:
     The trigonometric form of the depressed cubic gives a float estimate;
     one Newton step in exact rational arithmetic refines it, rounded to a
     float x. Exact signs then certify x: with a = x - ROOT_TOL and
-    b = x + ROOT_TOL, f(a) < 0 < f(b), f'(b) > 0 and f''(b) > 0 under a
-    positive leading coefficient make f rise on [b, inf), so the largest
-    real root lies in (a, b). A simple largest root, such as a Perron root,
-    always passes; a multiple one raises BracketingError.
+    b = x + ROOT_TOL, f(a) < 0 < f(b), f'(b) > 0 and f''(b) > 0 make the
+    monic f rise on [b, inf), so the largest real root lies in (a, b). A
+    simple largest root, such as a Perron root, always passes; a multiple
+    one raises BracketingError.
     """
-    f = Cubic(*(Fraction(c) for c in cubic.coefficients))
-    c3, c2, c1, c0 = f.coefficients
-    if not c3 > 0:
-        raise BracketingError(f"leading coefficient {c3} is not positive")
-    # x = t - s turns f / c3 into the depressed cubic t^3 + p t + q
-    s = c2 / (3 * c3)
-    p = c1 / c3 - 3 * s * s
-    q = 2 * s**3 - s * c1 / c3 + c0 / c3
+    f = Cubic(Fraction(cubic.c2), Fraction(cubic.c1), Fraction(cubic.c0))
+    c2, c1, c0 = f.c2, f.c1, f.c0
+    # x = t - s turns f into the depressed cubic t^3 + p t + q
+    s = c2 / 3
+    p = c1 - 3 * s * s
+    q = 2 * s**3 - s * c1 + c0
     if p == 0 or 4 * p**3 + 27 * q**2 > 0:
         raise BracketingError("the cubic has a complex pair or a triple root")
     r = math.sqrt(float(-p) / 3)
@@ -433,28 +350,32 @@ def largest_root(cubic: Cubic) -> float:
     x = float(x0 - f(x0) / slope)
     a = Fraction(x) - Fraction(ROOT_TOL)
     b = Fraction(x) + Fraction(ROOT_TOL)
-    if f(a) < 0 < f(b) and f.derivative(b) > 0 and 3 * c3 * b + c2 > 0:
+    if f(a) < 0 < f(b) and f.derivative(b) > 0 and 3 * b + c2 > 0:
         return x
     raise BracketingError(f"no certified simple largest root near {x!r}")
 
 
+def _fourier_signs(cubic: Cubic, a, b) -> tuple:
+    """b c''(a/b) / 2, b^2 c'(a/b) and b^3 c(a/b), signed as c'', c' and c
+    at a/b when b > 0: integers, or Polys when a, b or a coefficient is."""
+    c2, c1, c0 = cubic.c2, cubic.c1, cubic.c0
+    return (3 * a + c2 * b,
+            (3 * a + 2 * c2 * b) * a + c1 * b * b,
+            ((a + c2 * b) * a + c1 * b * b) * a + c0 * b**3)
+
+
 def above_largest_root(cubic: Cubic, r) -> bool:
     """Whether the rational r lies strictly above the largest real root of
-    a cubic with positive leading coefficient and three real roots, such
-    as every family cubic (its roots are eigenvalues of a symmetric matrix).
+    a monic cubic with three real roots, such as every family cubic (its
+    roots are eigenvalues of a symmetric matrix).
 
-    The test is c''(r) > 0, c'(r) > 0 and c(r) > 0, in exact arithmetic
-    (r is read exactly, a float included). Proof: if all three hold, the
-    signs of c, c', c'', c''' at r show no change, so by Fourier-Budan c has
-    no root in [r, inf). Conversely, if r is above the roots
-    l3 <= l2 <= l1, every factor r - li is positive, and by Rolle the roots
-    of c' and c'' lie in [l3, l1], so c'(r) and c''(r) are positive too.
+    The test is c''(r) > 0, c'(r) > 0 and c(r) > 0, in exact integer
+    arithmetic on r's numerator and denominator (``_fourier_signs``; r is
+    read exactly, a float included). Proof: if all three hold, the signs of
+    c, c', c'', c''' at r show no change, so by Fourier-Budan c has no root
+    in [r, inf). Conversely, if r is above the roots l3 <= l2 <= l1, every
+    factor r - li is positive, and by Rolle the roots of c' and c'' lie in
+    [l3, l1], so c'(r) and c''(r) are positive too.
     """
     r = Fraction(r)
-    a, b = r.numerator, r.denominator
-    c3, c2, c1, c0 = cubic.coefficients
-    # b c''(r) / 2, b^2 c'(r) and b^3 c(r): with b > 0 they have the signs
-    # of c'', c' and c at r, and they are integers when the coefficients are
-    return (3 * c3 * a + c2 * b > 0
-            and (3 * c3 * a + 2 * c2 * b) * a + c1 * b * b > 0
-            and ((c3 * a + c2 * b) * a + c1 * b * b) * a + c0 * b**3 > 0)
+    return all(v > 0 for v in _fourier_signs(cubic, r.numerator, r.denominator))

@@ -11,7 +11,7 @@ K_delta v (K_{n-2delta+1} u (delta-1)K_1):
     exception (order bound n >= max(8*delta - 7, delta^2/3 + 3)).
 
 Each threshold is the certified largest root of the extremal graph's
-closed-form quotient cubic (``family_cubic``), which is that graph's
+closed-form quotient cubic (``extremal_cubic``), which is that graph's
 spectral radius: the quotient is equitable and the cubic is its exact
 characteristic polynomial (tests/test_quotient.py proves the identity; the
 ``quotient-root-matches-matrix`` lemma compares roots with the matrix). Order
@@ -28,7 +28,7 @@ rho_D >= 2W/n >= 2(n(n-1) - m)/n (the all-ones Rayleigh quotient, with
 every non-adjacent pair at distance at least 2). When that bound lies at
 least COMPARISON_EPSILON past the threshold on the side where the
 condition fails, which ``above_largest_root`` decides exactly on the
-family cubic, rho lies there too: the verdict is ``inconclusive`` and not
+extremal cubic, rho lies there too: the verdict is ``inconclusive`` and not
 borderline, with no eigen-solve, and it carries the bound in place of the
 spectral value.
 """
@@ -45,7 +45,8 @@ from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, clique_join
 from .oracle import CertificateStatus, EvenFactorCertificate, find_even_factor
-from .quotient import CubicFamily, above_largest_root, family_cubic, largest_root
+from .quotient import (Cubic, _d_clique_star_coeffs, _q_clique_star_coeffs,
+                       above_largest_root, largest_root)
 from .spectral import rho_d_many, rho_q_many
 
 COMPARISON_EPSILON = 1e-8
@@ -98,19 +99,34 @@ def extremal_wiener(p: ExtremalParams) -> int:
 # -- thresholds ----------------------------------------------------------------
 
 
+class TheoremKind(Enum):
+    SIGNLESS_LAPLACIAN = "signless-laplacian"
+    DISTANCE = "distance"
+
+
+def extremal_cubic(kind: TheoremKind, n: int, delta: int) -> Cubic:
+    """The characteristic cubic of the extremal graph's equitable quotient of
+    Q(G) or D(G) under kind; its largest root is that graph's rho_Q or rho_D."""
+    if delta < 2 or n < 2 * delta:
+        raise ValueError(f"need delta >= 2 and n >= 2*delta, got n={n}, delta={delta}")
+    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
+        return Cubic(*_q_clique_star_coeffs(n, delta))
+    return Cubic(*_d_clique_star_coeffs(n, delta))
+
+
 @lru_cache(maxsize=None)
-def _threshold(family: CubicFamily, n: int, delta: int) -> float:
-    return largest_root(family_cubic(family, n, delta=delta))
+def _threshold(kind: TheoremKind, n: int, delta: int) -> float:
+    return largest_root(extremal_cubic(kind, n, delta))
 
 
 def threshold_rho_q(p: ExtremalParams) -> float:
     """rho_Q of the extremal graph: the certified largest root of its cubic."""
-    return _threshold(CubicFamily.Q_EXTREMAL, p.n, p.delta)
+    return _threshold(TheoremKind.SIGNLESS_LAPLACIAN, p.n, p.delta)
 
 
 def threshold_rho_d(p: ExtremalParams) -> float:
     """rho_D of the extremal graph: the certified largest root of its cubic."""
-    return _threshold(CubicFamily.D_EXTREMAL, p.n, p.delta)
+    return _threshold(TheoremKind.DISTANCE, p.n, p.delta)
 
 
 # -- recognizing the extremal graph -------------------------------------------
@@ -146,11 +162,6 @@ def recognize_extremal(g: Graph, delta: int) -> bool:
 
 
 # -- theorem order bounds (exact rational arithmetic) --------------------------
-
-
-class TheoremKind(Enum):
-    SIGNLESS_LAPLACIAN = "signless-laplacian"
-    DISTANCE = "distance"
 
 
 @lru_cache(maxsize=None)
@@ -256,13 +267,12 @@ def _settling_bound(kind: TheoremKind, n: int, delta: int, twice: int) -> Option
     ``twice`` is 2 Delta for rho_Q <= 2 Delta, and 2(n(n-1) - m) for
     rho_D >= 2(n(n-1) - m)/n.
     """
+    cubic = extremal_cubic(kind, n, delta)
     if kind is TheoremKind.SIGNLESS_LAPLACIAN:
         bound = Fraction(twice)
-        cubic = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=delta)
         settles = not above_largest_root(cubic, bound + _EPSILON)
     else:
         bound = Fraction(twice, n)
-        cubic = family_cubic(CubicFamily.D_EXTREMAL, n, delta=delta)
         settles = above_largest_root(cubic, bound - _EPSILON)
     return bound if settles else None
 

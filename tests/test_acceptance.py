@@ -9,19 +9,13 @@ from random import Random
 
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import to_graph6
-from evenfactor.lemmas import perron_abc, run_property_suite
+from evenfactor.lemmas import SUITE_CHECK_NAMES, perron_abc, run_property_suite
 from evenfactor.oracle import (
     CertificateStatus,
     find_even_factor,
     odd_component_condition,
 )
-from evenfactor.quotient import (
-    CubicFamily,
-    DifferenceIdentity,
-    family_cubic,
-    identity_check,
-    largest_root,
-)
+from evenfactor.quotient import largest_root
 from evenfactor.sampling import sample_connected_graphs
 from evenfactor.spectral import rho_d, rho_q
 from evenfactor.theorems import (
@@ -29,6 +23,7 @@ from evenfactor.theorems import (
     ExtremalParams,
     TheoremKind,
     check_even_factor_many,
+    extremal_cubic,
     extremal_graph,
     extremal_table,
     order_bound_grid,
@@ -59,7 +54,7 @@ def test_criterion_1_q_threshold_consistency_and_bracket():
     ok = True
     for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 6), 60):
         n, d = p.n, p.delta
-        cubic = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=d)
+        cubic = extremal_cubic(TheoremKind.SIGNLESS_LAPLACIAN, n, d)
         root = largest_root(cubic)
         direct = rho_q(extremal_graph(p))
         gap = abs(root - direct)
@@ -84,7 +79,7 @@ def test_criterion_2_d_threshold_consistency_and_floor():
     ok = True
     for p in order_bound_grid(TheoremKind.DISTANCE, (2, 6), 60):
         n, d = p.n, p.delta
-        cubic = family_cubic(CubicFamily.D_EXTREMAL, n, delta=d)
+        cubic = extremal_cubic(TheoremKind.DISTANCE, n, d)
         root = largest_root(cubic)
         direct = rho_d(extremal_graph(p))
         gap = abs(root - direct)
@@ -175,9 +170,12 @@ def test_criterion_5_d_condition_sampled_n10():
 
 def test_criterion_6_identity_suite():
     """Difference-factorization identities, exact, for all (n, s, delta)."""
-    failed = [identity.value for identity in DifferenceIdentity if not identity_check(identity)]
+    names = {name for name in SUITE_CHECK_NAMES if name.startswith("difference-identity-")}
+    outcomes = run_property_suite(checks=names)
+    failed = [o.check for o in outcomes if not o.passed]
     _report("criterion 6: identity suite, each identity proved once for all (n, s, delta), "
-            "coefficient for coefficient", not failed, f"failed = {failed}")
+            "coefficient for coefficient", len(outcomes) == len(names) == 4 and not failed,
+            f"failed = {failed}")
 
 
 def test_criterion_7_perron_positivity_and_ratio():

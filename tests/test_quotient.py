@@ -1,4 +1,4 @@
-"""Quotient matrices, family cubics, root finding, and Poly proofs of identities."""
+"""Quotient matrices, family cubics, root finding, and Poly arithmetic."""
 
 import random
 from fractions import Fraction
@@ -6,34 +6,32 @@ from fractions import Fraction
 import pytest
 
 from evenfactor.graphs import adjacency_stack, clique_join
-from evenfactor import quotient
+from evenfactor import lemmas
 from evenfactor.quotient import (
     DELTA,
     N,
     S,
     BracketingError,
     Cubic,
-    CubicFamily,
-    DifferenceIdentity,
     InvalidPartitionError,
     ROOT_TOL,
+    _d_blocks_coeffs,
+    _d_clique_star_coeffs,
+    _q_blocks_coeffs,
+    _q_clique_star_coeffs,
     above_largest_root,
-    blocks_family_big_clique,
     charpoly3,
-    d_block_gap_at_wiener_floor,
     d_block_gap_coeffs,
     d_singleton_gap_coeffs,
     eval_poly,
-    family_cubic,
-    identity_check,
     largest_root,
     q_block_gap_at_bracket_floor,
     q_block_gap_coeffs,
-    q_block_gap_s2_coeffs,
     q_singleton_gap_coeffs,
     quotient_matrix,
 )
 from evenfactor.spectral import distance_matrix, signless_laplacian
+from evenfactor.theorems import TheoremKind, extremal_cubic
 from small_graphs import path
 
 
@@ -95,56 +93,59 @@ def test_extremal_quotient_templates_at_8_2():
 
 def test_charpoly3_known_cases():
     qm = extremal_q_quotient(8, 2)
-    assert charpoly3(qm).coefficients == (1, -20, 104, -120)
+    assert charpoly3(qm) == Cubic(-20, 104, -120)
     dm = extremal_d_quotient(8, 2)
-    assert charpoly3(dm).coefficients == (1, -5, -28, -12)
+    assert charpoly3(dm) == Cubic(-5, -28, -12)
     ident = quotient_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], blocks_of([1, 1, 1]))
-    assert charpoly3(ident).coefficients == (1, -3, 3, -1)
+    assert charpoly3(ident) == Cubic(-3, 3, -1)
     with pytest.raises(ValueError):
         charpoly3(quotient_matrix([[1, 0], [0, 1]], blocks_of([1, 1])))
 
 
+Q, D = TheoremKind.SIGNLESS_LAPLACIAN, TheoremKind.DISTANCE
+
+
 def test_family_cubic_matches_spec_values():
-    assert family_cubic(CubicFamily.Q_EXTREMAL, 8, delta=2).coefficients == (1, -20, 104, -120)
-    assert family_cubic(CubicFamily.D_EXTREMAL, 8, delta=2).coefficients == (1, -5, -28, -12)
+    assert extremal_cubic(Q, 8, 2) == Cubic(-20, 104, -120)
+    assert extremal_cubic(D, 8, 2) == Cubic(-5, -28, -12)
 
 
 def test_singletons_at_s_delta_equals_extremal():
+    # at s = delta the singleton-family graph is the extremal graph
     for n, d in [(8, 2), (12, 3), (20, 4), (30, 5)]:
-        a = family_cubic(CubicFamily.Q_SINGLETONS, n, s=d)
-        b = family_cubic(CubicFamily.Q_EXTREMAL, n, delta=d)
-        assert a.coefficients == b.coefficients
-        a = family_cubic(CubicFamily.D_SINGLETONS, n, s=d)
-        b = family_cubic(CubicFamily.D_EXTREMAL, n, delta=d)
-        assert a.coefficients == b.coefficients
+        assert quotient_cubic_of_family("q-singletons", n, d, None) == extremal_cubic(Q, n, d)
+        assert quotient_cubic_of_family("d-singletons", n, d, None) == extremal_cubic(D, n, d)
 
 
 def test_family_cubic_parameter_validation():
-    with pytest.raises(ValueError):
-        family_cubic(CubicFamily.Q_EXTREMAL, 8)
-    with pytest.raises(ValueError):
-        family_cubic(CubicFamily.Q_EXTREMAL, 3, delta=2)
-    with pytest.raises(ValueError):
-        family_cubic(CubicFamily.Q_BLOCKS, 30, s=1, delta=4)
-    with pytest.raises(ValueError):
-        family_cubic(CubicFamily.Q_BLOCKS, 30, s=4, delta=4)
-    with pytest.raises(ValueError):
-        family_cubic(CubicFamily.D_BLOCKS, 7, s=3, delta=5)  # big clique empty
+    for kind, n, d in ((Q, 3, 2), (D, 3, 2), (Q, 8, 1), (D, 8, 1)):  # n < 2*delta, delta < 2
+        with pytest.raises(ValueError):
+            extremal_cubic(kind, n, d)
+
+
+# the closed-form cubic of each family at (n, s, delta)
+CLOSED_FORM = {
+    "q-extremal": lambda n, s, d: extremal_cubic(Q, n, d),
+    "d-extremal": lambda n, s, d: extremal_cubic(D, n, d),
+    "q-singletons": lambda n, s, d: Cubic(*_q_clique_star_coeffs(n, s)),
+    "d-singletons": lambda n, s, d: Cubic(*_d_clique_star_coeffs(n, s)),
+    "q-blocks": lambda n, s, d: Cubic(*_q_blocks_coeffs(n, s, d)),
+    "d-blocks": lambda n, s, d: Cubic(*_d_blocks_coeffs(n, s, d)),
+}
 
 
 def quotient_cubic_of_family(family, n, s, delta):
     """Independent route: build the graph, partition it, expand the charpoly."""
-    if family in (CubicFamily.Q_EXTREMAL, CubicFamily.D_EXTREMAL):
+    if family.endswith("extremal"):
         s = delta
         parts = (n - 2 * delta + 1,) + (1,) * (delta - 1)
-    elif family in (CubicFamily.Q_SINGLETONS, CubicFamily.D_SINGLETONS):
+    elif family.endswith("singletons"):
         parts = (n - 2 * s + 1,) + (1,) * (s - 1)
     else:
-        q = blocks_family_big_clique(n, s, delta)
-        parts = (q,) + (delta + 1 - s,) * (s - 1)
+        parts = (n - s - (delta + 1 - s) * (s - 1),) + (delta + 1 - s,) * (s - 1)
     g = clique_join(s, parts)
     join_b, big_b, tail_b = blocks_of([s, parts[0], sum(parts[1:])])
-    if family in (CubicFamily.Q_EXTREMAL, CubicFamily.Q_SINGLETONS, CubicFamily.Q_BLOCKS):
+    if family.startswith("q"):
         qm = quotient_matrix(signless_laplacian(g), [join_b, big_b, tail_b])
     else:
         qm = quotient_matrix(distance_matrix(g), [big_b, join_b, tail_b])
@@ -156,30 +157,30 @@ def quotient_cubic_of_family(family, n, s, delta):
 # graph has diameter <= 2, so its (join, big clique, singletons) partition is
 # equitable for Q and D alike, and every quotient entry is affine in
 # (n, delta) on the whole domain delta >= 2, n >= 2*delta. The coefficients
-# of charpoly3 of that quotient, like those of family_cubic, are therefore
+# of charpoly3 of that quotient, like those of extremal_cubic, are therefore
 # polynomials of degree <= 3 in each of n and delta. At each delta of the
 # grid, agreement at 4 distinct n makes the two polynomials in n identical;
 # each of their n-coefficients is then a polynomial of degree <= 3 in delta
-# that agrees at 4 distinct deltas. So the family cubic is the quotient's
+# that agrees at 4 distinct deltas. So the extremal cubic is the quotient's
 # characteristic polynomial at every cell, and its largest root, the Perron
 # root of an equitable quotient of a nonnegative irreducible matrix, is the
 # extremal graph's spectral radius: the thresholds need no matrix.
 GRID = [
-    (CubicFamily.Q_EXTREMAL, [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
-    (CubicFamily.D_EXTREMAL, [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
-    (CubicFamily.Q_SINGLETONS, [(n, s, None) for s in (2, 3, 5) for n in range(2 * s + 1, 41, 6)]),
-    (CubicFamily.D_SINGLETONS, [(n, s, None) for s in (2, 3, 5) for n in range(2 * s + 1, 41, 6)]),
-    (CubicFamily.Q_BLOCKS, [(n, s, d) for d in (3, 4, 6) for s in range(2, d)
-                            for n in range(s + (d + 1 - s) * (s - 1) + 1, 41, 5)]),
-    (CubicFamily.D_BLOCKS, [(n, s, d) for d in (3, 4, 6) for s in range(2, d)
-                            for n in range(s + (d + 1 - s) * (s - 1) + 1, 41, 5)]),
+    ("q-extremal", [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
+    ("d-extremal", [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
+    ("q-singletons", [(n, s, None) for s in (2, 3, 5) for n in range(2 * s + 1, 41, 6)]),
+    ("d-singletons", [(n, s, None) for s in (2, 3, 5) for n in range(2 * s + 1, 41, 6)]),
+    ("q-blocks", [(n, s, d) for d in (3, 4, 6) for s in range(2, d)
+                  for n in range(s + (d + 1 - s) * (s - 1) + 1, 41, 5)]),
+    ("d-blocks", [(n, s, d) for d in (3, 4, 6) for s in range(2, d)
+                  for n in range(s + (d + 1 - s) * (s - 1) + 1, 41, 5)]),
 ]
 
 
 def test_extremal_grid_determines_the_cubics():
     # the proof above needs 4 distinct deltas, each with 4 distinct orders
     for family, points in GRID:
-        if family in (CubicFamily.Q_EXTREMAL, CubicFamily.D_EXTREMAL):
+        if family.endswith("extremal"):
             orders = {}
             for n, _, d in points:
                 orders.setdefault(d, set()).add(n)
@@ -187,12 +188,13 @@ def test_extremal_grid_determines_the_cubics():
             assert all(len(ns) >= 4 for ns in orders.values()), family
 
 
-@pytest.mark.parametrize("family,points", GRID, ids=lambda v: getattr(v, "value", "grid"))
+@pytest.mark.parametrize("family,points", GRID,
+                         ids=lambda v: v if isinstance(v, str) else "grid")
 def test_family_cubics_equal_constructed_quotients_exactly(family, points):
     for n, s, d in points:
-        closed = family_cubic(family, n, s=s, delta=d)
+        closed = CLOSED_FORM[family](n, s, d)
         built = quotient_cubic_of_family(family, n, s, d)
-        assert closed.coefficients == built.coefficients, (family, n, s, d)
+        assert closed == built, (family, n, s, d)
 
 
 # -- integer polynomials and the difference identities ----------------------
@@ -218,54 +220,52 @@ def test_poly_equality_is_not_vacuous():
         hash(n)
 
 
-@pytest.mark.parametrize("identity", list(DifferenceIdentity))
-def test_identity_holds_for_all_parameters(identity):
-    assert identity_check(identity) is True
-
-
 def test_identity_exact_zero_at_s_equal_delta():
     # at s = delta each family graph is the extremal one, so its cubic is
     # the extremal cubic: the block ones too, though they need s < delta
     d = DELTA
-    assert quotient._q_blocks_coeffs(N, d, d) == quotient._q_clique_star_coeffs(N, d)
-    assert quotient._d_blocks_coeffs(N, d, d) == quotient._d_clique_star_coeffs(N, d)
+    assert _q_blocks_coeffs(N, d, d) == _q_clique_star_coeffs(N, d)
+    assert _d_blocks_coeffs(N, d, d) == _d_clique_star_coeffs(N, d)
+
+
+GAPS = (q_singleton_gap_coeffs, q_block_gap_coeffs, d_singleton_gap_coeffs, d_block_gap_coeffs)
 
 
 def test_identity_check_rejects_a_wrong_gap(monkeypatch):
-    family, extremal, gap, sign = quotient._IDENTITY_TABLE[DifferenceIdentity.Q_BLOCKS]
-    off_by_one = lambda n, s, d: gap(n, s, d)[:2] + (gap(n, s, d)[2] + 1,)
-    monkeypatch.setitem(quotient._IDENTITY_TABLE, DifferenceIdentity.Q_BLOCKS,
-                        (family, extremal, off_by_one, sign))
-    assert identity_check(DifferenceIdentity.Q_BLOCKS) is False
+    # each identity, proved once for all (n, s, delta), fails alone when its
+    # gap quadratic, as lemmas imports it, is off by one in its constant
+    assert [o.passed for o in lemmas.check_difference_identities()] == [True] * 4
+    for i, gap in enumerate(GAPS):
+        with monkeypatch.context() as m:
+            m.setattr(lemmas, gap.__name__, lambda *a: gap(*a)[:2] + (gap(*a)[2] + 1,))
+            passed = [o.passed for o in lemmas.check_difference_identities()]
+        assert passed == [j != i for j in range(4)]
 
 
-def test_gap_expansions_match_direct_evaluation():
-    n, s, d = N, S, DELTA
-    assert (eval_poly(q_block_gap_coeffs(n, s, d), 2 * n - 2 * d)
-            == q_block_gap_at_bracket_floor(n, s, d))
-    assert (eval_poly(d_block_gap_coeffs(n, s, d), n + d - 3)
-            == d_block_gap_at_wiener_floor(n, s, d))
-    assert q_block_gap_s2_coeffs(n, d) == q_block_gap_coeffs(n, 2, d)
+def test_gap_expansions_match_direct_evaluation(monkeypatch):
+    assert lemmas.check_gap_polynomial_expansions()[0].passed
+    # an expanded polynomial off by one no longer equals the gap at its floor
+    monkeypatch.setattr(lemmas, "q_block_gap_at_bracket_floor",
+                        lambda n, s, d: q_block_gap_at_bracket_floor(n, s, d) + 1)
+    assert not lemmas.check_gap_polynomial_expansions()[0].passed
 
 
 def test_gap_factor_degrees():
     # leading coefficients as displayed: 1, 2s-5, 1, s-3
-    gaps = (q_singleton_gap_coeffs, q_block_gap_coeffs, d_singleton_gap_coeffs, d_block_gap_coeffs)
-    assert [gap(N, S, DELTA)[0] for gap in gaps] == [1, 2 * S - 5, 1, S - 3]
+    assert [gap(N, S, DELTA)[0] for gap in GAPS] == [1, 2 * S - 5, 1, S - 3]
 
 
 # -- root finding -------------------------------------------------------------
 
 
 def test_largest_root_known_roots():
-    c = Cubic(1, -20, 104, -120)
+    c = Cubic(-20, 104, -120)
     root = largest_root(c)
     assert 12 < root < 13
     assert abs(c(root)) < 1e-7
-    assert largest_root(Cubic(1, -5, -28, -12)) == pytest.approx(4 + 20**0.5, abs=ROOT_TOL)
+    assert largest_root(Cubic(-5, -28, -12)) == pytest.approx(4 + 20**0.5, abs=ROOT_TOL)
     # (x + 1)^2 (x - 2): a double root below a simple largest root
-    assert largest_root(Cubic(1, 0, -3, -2)) == 2
-    assert largest_root(Cubic(2, -12, 22, -12)) == pytest.approx(3, abs=ROOT_TOL)
+    assert largest_root(Cubic(0, -3, -2)) == 2
 
 
 def test_largest_root_matches_numpy():
@@ -280,7 +280,7 @@ def test_largest_root_matches_numpy():
         if roots[2] - roots[1] < 1e-3:
             continue
         biggest = max(np.roots([1, c2, c1, c0]).real)
-        assert largest_root(Cubic(1, c2, c1, c0)) == pytest.approx(biggest, abs=ROOT_TOL)
+        assert largest_root(Cubic(c2, c1, c0)) == pytest.approx(biggest, abs=ROOT_TOL)
     for _ in range(200):
         m = np.array([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
         m = m + m.T
@@ -291,14 +291,14 @@ def test_largest_root_matches_numpy():
 
 def test_largest_root_rejects_uncertifiable_cubics():
     with pytest.raises(BracketingError):
-        largest_root(Cubic(1, -3, 3, -1))  # (x - 1)^3, a triple root
+        largest_root(Cubic(-3, 3, -1))  # (x - 1)^3, a triple root
     with pytest.raises(BracketingError):
-        largest_root(Cubic(1, 0, 0, 1))  # x^3 + 1, a complex pair
+        largest_root(Cubic(0, 0, 1))  # x^3 + 1, a complex pair
     with pytest.raises(BracketingError):
-        largest_root(Cubic(1, 0, -3, 2))  # (x - 1)^2 (x + 2), a double largest root
+        largest_root(Cubic(0, -3, 2))  # (x - 1)^2 (x + 2), a double largest root
     with pytest.raises(BracketingError):
         # x (x - 1)^2: the estimate lands on the double root, where f' = 0
-        largest_root(Cubic(1, -2, 1, 0))
+        largest_root(Cubic(-2, 1, 0))
 
 
 def test_above_largest_root_brackets_every_certified_family_root():
@@ -308,17 +308,17 @@ def test_above_largest_root_brackets_every_certified_family_root():
     cells = 0
     for d in range(2, 21):
         for n in range(2 * d, 161, 2):
-            for family in (CubicFamily.Q_EXTREMAL, CubicFamily.D_EXTREMAL):
-                c = family_cubic(family, n, delta=d)
+            for kind in (Q, D):
+                c = extremal_cubic(kind, n, d)
                 root = Fraction(largest_root(c))
-                assert above_largest_root(c, root + h), (family, n, d)
-                assert not above_largest_root(c, root - h), (family, n, d)
+                assert above_largest_root(c, root + h), (kind, n, d)
+                assert not above_largest_root(c, root - h), (kind, n, d)
             cells += 1
     assert cells == 1330
 
 
 def test_above_largest_root_on_rational_roots():
-    c = Cubic(1, -6, 11, -6)  # (x - 1)(x - 2)(x - 3)
+    c = Cubic(-6, 11, -6)  # (x - 1)(x - 2)(x - 3)
     assert not above_largest_root(c, 3)  # the root itself is not above it
     assert above_largest_root(c, 3 + Fraction(1, 10**9))
     assert above_largest_root(c, 3 + 1e-9)  # a float is read exactly
@@ -329,12 +329,12 @@ def test_above_largest_root_on_rational_roots():
 
 
 def test_above_largest_root_on_double_roots():
-    c = Cubic(1, -9, 24, -20)  # (x - 2)^2 (x - 5)
+    c = Cubic(-9, 24, -20)  # (x - 2)^2 (x - 5)
     assert not above_largest_root(c, 2) and not above_largest_root(c, 5)
     assert above_largest_root(c, 5 + Fraction(1, 10**9))
     assert not above_largest_root(c, 5 - Fraction(1, 10**9))
     # (x - 1)(x - 3)^2: a double largest root, with c > 0 just below it
-    c = Cubic(1, -7, 15, -9)
+    c = Cubic(-7, 15, -9)
     below = 3 - Fraction(1, 10**9)
     assert c(below) > 0 and not above_largest_root(c, below)
     assert not above_largest_root(c, 3)

@@ -13,8 +13,9 @@ from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor.sampling import sample_connected_graphs
 from evenfactor import cli, lemmas, theorems
-from evenfactor.spectral import rho_d, rho_d_many, rho_q, rho_q_many
+from evenfactor.spectral import _distance_stack, rho_d, rho_d_many, rho_q, rho_q_many, wiener_index
 from evenfactor.lemmas import (
+    check_d_threshold_below_bridged,
     check_q_threshold_above_bridged,
     check_quotient_matches_matrix,
     perron_abc,
@@ -38,7 +39,7 @@ from evenfactor.theorems import (
     threshold_rho_d,
     threshold_rho_q,
 )
-from small_graphs import cycle
+from small_graphs import cycle, path
 
 
 def test_extremal_params_validation():
@@ -312,7 +313,7 @@ def test_property_suite_all_pass():
     assert [o for o in outcomes if not o.passed] == []
     names = {o.check for o in outcomes}
     assert "q-threshold-bracket" in names and "d-blocks-rayleigh-gap" in names
-    assert "q-threshold-above-2n-2delta" in names
+    assert {"q-threshold-above-2n-2delta", "d-threshold-below-bridged"} <= names
     assert {"wiener-lower-bound", "q-max-degree-bound"} <= names
 
 
@@ -324,12 +325,12 @@ def test_bound_checks_cover_both_links_of_the_bound_chain(monkeypatch):
     # regular graphs meet rho_Q = 2 Delta: K_4, C_5 and K_6 among them
     tight = [o for o in lemmas.check_q_max_degree_bound(graphs) if abs(o.margin) < 1e-9]
     assert len(tight) >= 3
-    # a Wiener index below n(n - 1) - m fails the exact link, though it only
-    # widens the float slack of rho_D >= 2W/n
-    monkeypatch.setattr(lemmas, "wiener_index", lambda g: g.n * (g.n - 1) - g.edge_count - 1)
-    (bad,) = lemmas.check_wiener_bound([cycle(6)])
+    # distances one short: W < n(n - 1) - m fails, rho_D >= 2W/n still holds
+    monkeypatch.setattr(lemmas, "_distance_stack",
+                        lambda graphs: np.maximum(_distance_stack(graphs) - 1, 0))
+    (bad,) = lemmas.check_wiener_bound([path(4)])
     assert not bad.passed and bad.margin > 0
-    assert bad.note == "W=23 < n(n-1)-m=24"
+    assert bad.note == "W=4 < n(n-1)-m=9"
 
 
 def last_coefficient_shifted(coeffs, by=1):
@@ -346,6 +347,28 @@ def test_q_threshold_above_bridged_graphs(monkeypatch):
     monkeypatch.setattr(lemmas, "_q_clique_star_coeffs",
                         last_coefficient_shifted(lemmas._q_clique_star_coeffs, -1))
     assert check_q_threshold_above_bridged()[0].passed is False
+
+
+def test_bridged_graphs_lie_above_the_d_threshold():
+    # K_{delta+1} -xy- K_{n-delta-1}, the bridged graph of least 2W/n, whose
+    # 2W/n is the U of the d-threshold-below-bridged proof
+    for n, d in ((8, 3), (20, 5), (62, 10)):
+        bridged = Graph(n, clique_join(0, (d + 1, n - d - 1)).edges() + [(d, d + 1)])
+        w = wiener_index(bridged)
+        assert bridged.min_degree() == d and 2 * w == n * n + 4 * d * n + n - 4 * d * d - 8 * d - 4
+        assert rho_d(bridged) >= 2 * w / n > threshold_rho_d(ExtremalParams(n, d))
+
+
+def test_d_threshold_below_bridged_graphs(monkeypatch):
+    (outcome,) = check_d_threshold_below_bridged()
+    assert outcome.passed and outcome.point == "all delta >= 3, n >= 2delta + 2"
+    # c_D(x) - 6x^2 is negative at U = 13 at (8, 3), so its largest root
+    # lies above U there and the claim fails
+    coeffs = lemmas._d_clique_star_coeffs
+    perturbed = lambda n, t: (coeffs(n, t)[0] - 6,) + coeffs(n, t)[1:]
+    assert np.polyval((1,) + perturbed(8, 3), 13) < 0
+    monkeypatch.setattr(lemmas, "_d_clique_star_coeffs", perturbed)
+    assert check_d_threshold_below_bridged()[0].passed is False
 
 
 def test_symbolic_lemmas_fail_on_perturbed_inputs(monkeypatch):
@@ -550,6 +573,6 @@ def test_property_suite_draw_order_digest():
     digest = hashlib.sha256()
     for o in outcomes:
         digest.update(f"{o.check}|{o.point}|{o.passed}\n".encode())
-    assert len(outcomes) == 990
+    assert len(outcomes) == 995
     assert digest.hexdigest() == \
-        "bed99d8addfb4b149c2a0ef5991da32ec5725d84e9942192cc7ee12133796194"
+        "a32c9f6dac94db1d45bfdb7684df4073f0e008ed4d281d06b2ff663b89566933"
