@@ -3,8 +3,9 @@
 Library layout:
   graphs    immutable graphs, the clique-join constructor, graph6 I/O, and
             the one codec between neighbour bitmasks and adjacency stacks
-  spectral  Q(G), distance matrix, Wiener index, and ``perron``, the one
-            eigensolver, on stacks of same-order matrices
+  spectral  Q(G), distance matrix, Wiener index, ``perron``, the one
+            eigensolver, and ``perron_brackets``, exact integer bounds on
+            the same radii, on stacks of same-order matrices
   quotient  partitions, quotient matrices, family cubics on ints or Polys,
             root bracketing and the exact test of a rational against a root
   oracle    exact even-factor search and the odd-component condition
@@ -45,6 +46,7 @@ from .spectral import (
     DisconnectedGraphError,
     distance_matrix,
     perron,
+    perron_brackets,
     rho_d,
     rho_d_many,
     rho_q,

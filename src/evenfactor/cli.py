@@ -45,7 +45,7 @@ from .theorems import (
     order_bound_grid,
 )
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
@@ -211,6 +211,11 @@ def _judge(items: Iterable[tuple[int, Optional[str], Graph]], kind: TheoremKind
         yield line_no, text, g, v
 
 
+def _spectral_bound(v: TheoremVerdict) -> Optional[float]:
+    """The exact bound that settled v, correctly rounded to a float."""
+    return v.bound[0] / v.bound[1] if v.bound is not None else None
+
+
 def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
     return {
         "line": line_no,
@@ -218,7 +223,7 @@ def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
         "n": v.n,
         "min_degree": v.min_degree,
         "spectral_value": v.spectral_value,
-        "spectral_bound": float(v.bound) if v.bound is not None else None,
+        "spectral_bound": _spectral_bound(v),
         "threshold": v.threshold,
         "borderline": v.borderline,
         "conclusion": v.conclusion.value,
@@ -233,6 +238,7 @@ def _contradiction(line_no: int, text: str, v: TheoremVerdict) -> dict:
         "line": line_no,
         "graph6": text,
         "spectral_value": v.spectral_value,
+        "spectral_bound": _spectral_bound(v),
         "threshold": v.threshold,
         "oracle_status": v.oracle_status.value,
         "reason": "guaranteed conclusion contradicted by the oracle",

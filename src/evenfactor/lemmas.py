@@ -340,19 +340,27 @@ def check_q_threshold_above_bridged() -> list[CheckOutcome]:
     return [CheckOutcome("q-threshold-above-2n-2delta", "all n > delta >= 2", ok, float(ok))]
 
 
+def bridged_wiener_twice(n, a):
+    """2W(K_a -xy- K_{n-a}) = n(n - 3) + 4a(n - a), for the bridge xy from
+    K_a to K_{n-a}: the pairs across it lie at distance 1, 2 or 3, those
+    inside a clique at 1. On ints, or on Polys."""
+    return n * (n - 3) + 4 * a * (n - a)
+
+
 def check_d_threshold_below_bridged() -> list[CheckOutcome]:
     """rho_D(extremal) < U <= rho_D of every bridged graph, at delta >= 3.
 
     A bridge of a graph G with minimum degree delta has a, b >= delta + 1
     vertices on its sides, so G spans B = K_a -xy- K_b and, by the all-ones
     Rayleigh quotient, rho_D(G) >= rho_D(B) >= 2W(B)/n = n - 3 + 4ab/n >= U,
-    its value at a = delta + 1. At delta = 3 + j and n = 2delta + 2 + k, the
-    signs ``above_largest_root`` reads off the extremal D cubic at U are
-    Polys in j, k >= 0 with positive coefficients: U is above the threshold.
+    its value at a = delta + 1 (``bridged_wiener_twice``). At delta = 3 + j
+    and n = 2delta + 2 + k, the signs ``above_largest_root`` reads off the
+    extremal D cubic at U are Polys in j, k >= 0 with positive
+    coefficients: U is above the threshold.
     """
     j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
     d, n = 3 + j, 2 * j + 8 + k
-    nu = n**2 + 4 * d * n + n - 4 * d**2 - 8 * d - 4  # n U
+    nu = bridged_wiener_twice(n, d + 1)  # n U
     ok = all(map(_positive, _fourier_signs(Cubic(*_d_clique_star_coeffs(n, d)), nu, n)))
     return [CheckOutcome("d-threshold-below-bridged", "all delta >= 3, n >= 2delta + 2",
                          ok, float(ok))]

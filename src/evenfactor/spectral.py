@@ -13,12 +13,13 @@ largest eigenvalue, its eigenvector signed to a nonnegative sum, and the
 residual max|Mx - lambda x|, which it checks against
 RESIDUAL_TOL * (1 + ||M||_inf). ``rho_q_many`` and ``rho_d_many`` give the
 spectral radii of a same-order stack in one call, and ``rho_q`` and
-``rho_d`` are stacks of one.
+``rho_d`` are stacks of one. ``perron_brackets`` bounds the same radii
+exactly, from integer matrix-vector products alone.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,10 +32,17 @@ class DisconnectedGraphError(ValueError):
 
 # eigen residual bound, scaled by 1 + ||M||_inf
 RESIDUAL_TOL = 1e-10
+# perron_brackets starts from x = M^BRACKET_POWER 1
+BRACKET_POWER = 3
+# every integer perron_brackets computes in int64 stays below this
+_INT64_CEILING = 2**62
+# an exact rational (numerator, denominator), denominator positive
+Ratio = tuple[int, int]
 
 
 def _signless_laplacian_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    q = adjacency_stack(graphs).astype(float)
+    """Q(G) of same-order graphs as one int64 stack."""
+    q = adjacency_stack(graphs).astype(np.int64)
     diag = np.arange(q.shape[1])
     q[:, diag, diag] = q.sum(axis=2)
     return q
@@ -45,13 +53,13 @@ def _distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
 
     Row u of ``reached`` holds the vertices within distance t-1 of u; the
     product with A adds their neighbours, and each newly reached entry gets
-    distance t. Entries are exact small integers.
+    distance t. The stack is int64.
     """
     a = adjacency_stack(graphs).astype(float)
     if a.shape[1] == 0:
         raise ValueError("distance matrix undefined for the 0-vertex graph")
     reached = np.broadcast_to(np.eye(a.shape[1], dtype=bool), a.shape).copy()
-    dist = np.zeros_like(a)
+    dist = np.zeros(a.shape, np.int64)
     level = 0
     while True:
         level += 1
@@ -114,6 +122,47 @@ def perron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"eigen residual {np.max(residuals):.3e} above bound {np.min(bounds):.3e}"
         )
     return values, vectors, residuals
+
+
+def perron_brackets(m: np.ndarray) -> list[Optional[tuple[Ratio, Ratio]]]:
+    """Exact bounds (lower, upper) on rho of each matrix of a (k, n, n) int64
+    stack of symmetric nonnegative matrices with no zero row, each bound a
+    (numerator, denominator) pair of ints; None for a matrix whose bounds
+    int64 cannot hold.
+
+    Let x = M^p 1 and y = Mx; x > 0, as M has no zero row. The Rayleigh
+    quotient x'y / x'x is at most the largest eigenvalue of the symmetric
+    M, which is rho as M is nonnegative. By Collatz-Wielandt, y <= c x
+    entrywise gives rho <= c for nonnegative M and x > 0, so the largest
+    ratio y_i / x_i is an upper bound; row i holds it iff
+    y_i x_j >= y_j x_i for every j. With R the matrix's largest row sum,
+    the entries of M^j 1 are at most R^j, so no product, partial sum or
+    dot product here exceeds n R^(2p+1). Each matrix's p is BRACKET_POWER,
+    lowered until that lies below 2^62, so a matrix's bounds do not depend
+    on the rest of the stack; when not even p = 1 fits, its entry is None,
+    and no bound is ever read from a wrapped int64.
+    """
+    n = m.shape[1]
+    tops = m.sum(axis=2).max(axis=1).tolist()
+    power_of = {top: next((p for p in range(BRACKET_POWER, 0, -1)
+                           if n * top ** (2 * p + 1) < _INT64_CEILING), 0) for top in set(tops)}
+    powers = np.array([power_of[top] for top in tops])
+    brackets: list[Optional[tuple[Ratio, Ratio]]] = [None] * len(m)
+    for power in set(powers.tolist()) - {0}:
+        (which,) = np.nonzero(powers == power)
+        sub = m if len(which) == len(m) else m[which]
+        x = np.ones(sub.shape[:2], np.int64)
+        for _ in range(power):
+            x = np.einsum("kij,kj->ki", sub, x)
+        y = np.einsum("kij,kj->ki", sub, x)
+        cross = y[:, :, None] * x[:, None, :]
+        best = (cross >= cross.swapaxes(1, 2)).all(axis=2).argmax(axis=1)
+        rows = np.arange(len(sub))
+        lower = zip(np.einsum("ki,ki->k", x, y).tolist(), np.einsum("ki,ki->k", x, x).tolist())
+        upper = zip(y[rows, best].tolist(), x[rows, best].tolist())
+        for i, bracket in zip(which.tolist(), zip(lower, upper)):
+            brackets[i] = bracket
+    return brackets
 
 
 def rho_q(g: Graph) -> float:

@@ -22,15 +22,37 @@ which a float comparison cannot place a graph; a verdict there is
 ``borderline``. The exact oracle checks every guarantee, the extremal
 exception and every borderline verdict.
 
-Most graphs that meet the hypotheses are settled before any matrix is
-built, by one exact bound on rho: rho_Q <= 2 Delta (row sums), and
-rho_D >= 2W/n >= 2(n(n-1) - m)/n (the all-ones Rayleigh quotient, with
-every non-adjacent pair at distance at least 2). When that bound lies at
-least COMPARISON_EPSILON past the threshold on the side where the
-condition fails, which ``above_largest_root`` decides exactly on the
-extremal cubic, rho lies there too: the verdict is ``inconclusive`` and not
-borderline, with no eigen-solve, and it carries the bound in place of the
-spectral value.
+Most graphs that meet the hypotheses are settled with no eigen-solve, by
+exact rational bounds on rho, in two rungs:
+
+  * x = 1, before any matrix is built: rho_Q <= 2 Delta (row sums), and
+    rho_D >= 2W/n >= 2(n(n-1) - m)/n (the all-ones Rayleigh quotient, with
+    every non-adjacent pair at distance at least 2);
+  * x = M^3 1, on the graphs the first rung leaves open, from one int64
+    stack of Q or D per order (``spectral.perron_brackets``): the Rayleigh
+    quotient x'Mx / x'x <= rho, as M is symmetric and nonnegative, and the
+    Collatz-Wielandt bound rho <= max_i (Mx)_i / x_i, as M is nonnegative
+    and x > 0 (M has no zero row). Entries of M^j 1 are at most R^j, for R
+    the graph's largest row sum, so every integer formed is at most
+    n R^(2k+1) for x = M^k 1; k is lowered from 3, per graph, until that
+    lies below 2^62, and when not even k = 1 fits the graph goes to the
+    eigen-solve. No bound is read from a wrapped int64, and a graph's
+    bounds do not depend on the graphs batched with it.
+
+A bound settles a verdict when it lies at least COMPARISON_EPSILON past
+the threshold theta: a lower bound above it puts rho above it (a Q
+guarantee, a D "not met"), an upper bound below it puts rho below it (a D
+guarantee, a Q "not met"). The comparison is exact. ``largest_root``
+certifies theta in (x - ROOT_TOL, x + ROOT_TOL) for its float x, so with
+the rationals lo = x - (ROOT_TOL + COMPARISON_EPSILON) and
+hi = x + (ROOT_TOL + COMPARISON_EPSILON), cached per (kind, n, delta), a
+bound at most lo lies at least COMPARISON_EPSILON below theta and a bound
+at least hi lies at least that far above it; each bound is compared with
+them by integer cross-multiplication. A settled verdict is not borderline,
+carries the bound in place of the spectral value, and a guarantee settled
+this way is checked by the oracle like every guarantee. The extremal graph
+is never settled, since its rho is theta itself: it reaches recognition
+through the eigen-solve.
 """
 
 from __future__ import annotations
@@ -45,16 +67,16 @@ from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, clique_join
 from .oracle import CertificateStatus, EvenFactorCertificate, find_even_factor
-from .quotient import (Cubic, _d_clique_star_coeffs, _q_clique_star_coeffs,
-                       above_largest_root, largest_root)
-from .spectral import rho_d_many, rho_q_many
+from .quotient import ROOT_TOL, Cubic, _d_clique_star_coeffs, _q_clique_star_coeffs, largest_root
+from .spectral import Ratio, _distance_stack, _signless_laplacian_stack, perron, perron_brackets
 
 COMPARISON_EPSILON = 1e-8
 # graphs per chunk of check_even_factor_many; chunks of 512 raised the
 # peak memory of the benchmark sweeps by 11-14%, chunks of 64 by under 8%
 VERDICT_CHUNK = 64
-# the exact binary value of COMPARISON_EPSILON, for the exact bound tests
-_EPSILON = Fraction(COMPARISON_EPSILON)
+# how far past the certified root the cutoffs lie: the exact binary values
+# of ROOT_TOL and COMPARISON_EPSILON
+_MARGIN = Fraction(ROOT_TOL) + Fraction(COMPARISON_EPSILON)
 
 
 # -- extremal family ---------------------------------------------------------
@@ -234,8 +256,10 @@ class TheoremVerdict:
     borderline: bool
     conclusion: Conclusion
     oracle_status: Optional[CertificateStatus] = None
-    # the exact bound on rho that settled the verdict with no eigen-solve
-    bound: Optional[Fraction] = None
+    # the exact bound on rho that settled the verdict with no eigen-solve,
+    # as (numerator, denominator); it lies at least COMPARISON_EPSILON past
+    # the threshold, on the side the conclusion puts rho
+    bound: Optional[Ratio] = None
 
     @property
     def oracle_agrees(self) -> Optional[bool]:
@@ -260,28 +284,35 @@ def _hypotheses(g: Graph, kind: TheoremKind) -> tuple[int, HypothesisReport]:
 
 
 @lru_cache(maxsize=None)
-def _settling_bound(kind: TheoremKind, n: int, delta: int, twice: int) -> Optional[Fraction]:
-    """The exact bound on rho, when it lies at least COMPARISON_EPSILON past
-    the threshold on the side where the condition fails; None otherwise.
+def _cutoffs(kind: TheoremKind, n: int, delta: int) -> tuple[Ratio, Ratio]:
+    """Rationals lo < theta - COMPARISON_EPSILON and hi > theta + COMPARISON_EPSILON,
+    as (numerator, denominator): x -+ (ROOT_TOL + COMPARISON_EPSILON), for the
+    float x that ``largest_root`` certifies within ROOT_TOL of theta."""
+    x = Fraction(_threshold(kind, n, delta))
+    lo, hi = x - _MARGIN, x + _MARGIN
+    return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
-    ``twice`` is 2 Delta for rho_Q <= 2 Delta, and 2(n(n-1) - m) for
-    rho_D >= 2(n(n-1) - m)/n.
-    """
-    cubic = extremal_cubic(kind, n, delta)
-    if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-        bound = Fraction(twice)
-        settles = not above_largest_root(cubic, bound + _EPSILON)
-    else:
-        bound = Fraction(twice, n)
-        settles = above_largest_root(cubic, bound - _EPSILON)
-    return bound if settles else None
+
+def _settle(q_side: bool, cutoffs: tuple[Ratio, Ratio], lower: Optional[Ratio] = None,
+            upper: Optional[Ratio] = None) -> Optional[tuple[Ratio, bool]]:
+    """(bound, whether the condition holds) when the exact lower bound on rho
+    reaches hi or the exact upper bound stays at or below lo; None otherwise.
+    Bounds and cutoffs are (numerator, denominator) pairs, compared by
+    integer cross-multiplication."""
+    (lo_num, lo_den), (hi_num, hi_den) = cutoffs
+    if lower is not None and lower[0] * hi_den >= hi_num * lower[1]:
+        return lower, q_side
+    if upper is not None and upper[0] * lo_den <= lo_num * upper[1]:
+        return upper, not q_side
+    return None
 
 
 def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
               spectral: Optional[float],
-              bound: Optional[Fraction] = None) -> TheoremVerdict:
+              settled: Optional[tuple[Ratio, bool]] = None) -> TheoremVerdict:
     """The verdict on g from its hypotheses and, when they are met, its rho
-    or the exact bound on rho that settles it."""
+    or the exact bound on rho that settles it, with whether the condition
+    holds."""
     n = g.n
     if not hyp.met:
         return TheoremVerdict(kind, n, delta, hyp, None, None, False, Conclusion.NOT_APPLICABLE)
@@ -289,9 +320,13 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
     params = ExtremalParams(n, delta)
     q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
     threshold = threshold_rho_q(params) if q_side else threshold_rho_d(params)
-    if bound is not None:
+    if settled is not None:
+        bound, holds = settled
+        if not holds:
+            return TheoremVerdict(kind, n, delta, hyp, None, threshold, False,
+                                  Conclusion.INCONCLUSIVE, bound=bound)
         return TheoremVerdict(kind, n, delta, hyp, None, threshold, False,
-                              Conclusion.INCONCLUSIVE, bound=bound)
+                              Conclusion.EVEN_FACTOR_GUARANTEED, find_even_factor(g).status, bound)
     assert spectral is not None
     margin = spectral - threshold if q_side else threshold - spectral
     borderline = abs(margin) < COMPARISON_EPSILON
@@ -320,11 +355,13 @@ def check_even_factor_many(graphs: Iterable[Graph],
 
     The hypotheses are settled first: a ``not-applicable`` verdict carries
     ``spectral_value`` and ``threshold`` as None. A graph that meets them
-    is next held to its exact bound on rho (the module docstring); when the
-    bound settles it, the verdict is ``inconclusive``, not borderline, with
-    ``bound`` set and ``spectral_value`` None. Only the other graphs have
-    their rho_Q or rho_D computed, and their ``bound`` is None. The
-    extremal graph is never settled by the bound, since its rho is the
+    is next held to its exact bounds on rho, the x = 1 bound and then the
+    Collatz-Wielandt bracket (the module docstring). When a bound settles
+    it, the verdict is not borderline, with ``bound`` set and
+    ``spectral_value`` None: ``inconclusive``, or ``even-factor-guaranteed``
+    when the bound lies on the theorem's side of the threshold. Only the
+    other graphs are eigen-solved, and their ``bound`` is None. The
+    extremal graph is never settled by a bound, since its rho is the
     threshold itself. The minimum degree used in
     thresholds is always min_degree(g). The extremal graph is recognized
     by its degrees, with no float comparison, and is ``extremal-exception``.
@@ -336,30 +373,42 @@ def check_even_factor_many(graphs: Iterable[Graph],
     on the extremal exception and on every borderline verdict, and
     ``oracle_status`` holds its answer; it is None on the other verdicts.
 
-    Graphs are read VERDICT_CHUNK at a time. Within a chunk, the spectral
-    values of the same-order graphs left to eigen-solve come from one
-    stacked eigen-solve.
+    Graphs are read VERDICT_CHUNK at a time. Within a chunk, the graphs of
+    one order that the x = 1 bound leaves open share one integer matrix
+    stack, which gives their brackets, and those the brackets leave open
+    are eigen-solved together, from a float copy of their slice.
     """
     q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
-    radii = rho_q_many if q_side else rho_d_many
+    build = _signless_laplacian_stack if q_side else _distance_stack
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
         checked = [_hypotheses(g, kind) for g in chunk]
-        bounds: list[Optional[Fraction]] = [None] * len(chunk)
+        settled: list[Optional[tuple[Ratio, bool]]] = [None] * len(chunk)
+        cutoffs: dict[int, tuple[Ratio, Ratio]] = {}
         by_order: dict[int, list[int]] = {}
         for i, (g, (delta, hyp)) in enumerate(zip(chunk, checked)):
             if hyp.met:
                 n = g.n
-                twice = 2 * g.max_degree() if q_side else 2 * (n * (n - 1) - g.edge_count)
-                bounds[i] = _settling_bound(kind, n, delta, twice)
-                if bounds[i] is None:
-                    by_order.setdefault(g.n, []).append(i)
+                cutoffs[i] = _cutoffs(kind, n, delta)
+                if q_side:
+                    settled[i] = _settle(q_side, cutoffs[i], upper=(2 * g.max_degree(), 1))
+                else:
+                    settled[i] = _settle(q_side, cutoffs[i],
+                                         lower=(2 * (n * (n - 1) - g.edge_count), n))
+                if settled[i] is None:
+                    by_order.setdefault(n, []).append(i)
         values: list[Optional[float]] = [None] * len(chunk)
         for members in by_order.values():
-            for i, value in zip(members, radii([chunk[i] for i in members])):
-                values[i] = float(value)
-        for g, (delta, hyp), value, bound in zip(chunk, checked, values, bounds):
-            yield _conclude(g, kind, delta, hyp, value, bound)
+            stack = build([chunk[i] for i in members])
+            for i, bracket in zip(members, perron_brackets(stack)):
+                if bracket is not None:
+                    settled[i] = _settle(q_side, cutoffs[i], *bracket)
+            left = [j for j, i in enumerate(members) if settled[i] is None]
+            if left:
+                for j, value in zip(left, perron(stack[left])[0]):
+                    values[members[j]] = float(value)
+        for g, (delta, hyp), value, done in zip(chunk, checked, values, settled):
+            yield _conclude(g, kind, delta, hyp, value, done)
 
 
 # -- even factor of the extremal graph ------------------------------------------

@@ -18,7 +18,9 @@ from evenfactor.corpus import bundled_corpus_lines
 from evenfactor.graphs import from_graph6, to_graph6
 from evenfactor.oracle import NODE_CAP, find_even_factor
 from evenfactor.sampling import sample_connected_graphs, sample_graph
+from evenfactor.spectral import rho_q
 from evenfactor.theorems import (
+    COMPARISON_EPSILON,
     ExtremalParams,
     TheoremKind,
     check_even_factor,
@@ -49,7 +51,7 @@ def test_spectra_via_subprocess(tmp_path):
     proc = run_cli(["spectra", "--json", str(report_path)], stdin="C~\nCh\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    assert report["schema_version"] == "6"
+    assert report["schema_version"] == "7"
     rows = report["rows"]
     assert rows[0]["n"] == 4 and rows[0]["rho_q"] == pytest.approx(6, abs=1e-9)
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)
@@ -122,9 +124,10 @@ def test_certify_extremal_row(tmp_path):
 def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys):
     # the extremal graph at (16, 2) plus the edge (2, 15) has delta = 3 and
     # rho_Q 28.24 against the threshold 26.55: a guarantee, which the oracle
-    # confirms with no flag given; C_8 misses its threshold by far, so no
-    # oracle runs on it, and its bound rho_Q <= 2 Delta = 4 shows that with
-    # no eigen-solve
+    # confirms with no flag given, and which its Collatz-Wielandt bracket
+    # settles with no eigen-solve, by a lower bound a hair below rho_Q; C_8
+    # misses its threshold by far, so no oracle runs on it, and its bound
+    # rho_Q <= 2 Delta = 4 shows that with no eigen-solve
     report_path = tmp_path / "c.json"
     proc = run_cli(["certify", "--json", str(report_path), "--no-timing"],
                    stdin="O~~~~~~~~~~~~~~~~~~??\nGhCGKC\n")
@@ -137,8 +140,10 @@ def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys)
         "inconclusive", None, None)
     assert (cycle["spectral_value"], cycle["spectral_bound"], cycle["borderline"]) == (
         None, 4, False)
-    assert guaranteed["spectral_bound"] is None
-    assert guaranteed["spectral_value"] == pytest.approx(28.2377392, abs=1e-6)
+    assert guaranteed["spectral_value"] is None
+    assert (guaranteed["threshold"] + COMPARISON_EPSILON <= guaranteed["spectral_bound"]
+            <= rho_q(from_graph6("O~~~~~~~~~~~~~~~~~~??")))
+    assert guaranteed["spectral_bound"] == pytest.approx(28.2377381, abs=1e-6)
     config = report["config"]
     assert "oracle" not in config and config["oracle_cap"] == NODE_CAP
     assert sorted(config["tolerances"]) == ["comparison_epsilon", "eigen_residual_tol", "root_tol"]
@@ -601,4 +606,8 @@ def test_certify_and_scan_report_a_refuted_guarantee_alike(tmp_path, monkeypatch
     (row,) = found[0]
     assert found[1] == found[0]
     assert (row["line"], row["graph6"], row["oracle_status"]) == (2, line, "none-exists")
+    # the bracket settled the guarantee, so the violation keeps its bound
+    assert row["spectral_value"] is None
+    assert (row["threshold"] + COMPARISON_EPSILON <= row["spectral_bound"]
+            <= rho_q(clique_join(3, (10, 1))))
     assert row["reason"] == "guaranteed conclusion contradicted by the oracle"

@@ -1,15 +1,18 @@
 """Spectral matrices, Perron values, Wiener index, and monotonicity facts."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join
 from evenfactor.spectral import (
     DisconnectedGraphError,
     distance_matrix,
     perron,
+    perron_brackets,
     rho_d,
     rho_d_many,
     rho_q,
@@ -231,3 +234,48 @@ def test_rho_d_strictly_monotone_under_edge_deletion():
                 assert rho_d(smaller) > rho_d(g) + 1e-8
                 checked += 1
                 break
+
+
+def _brackets_in_python_ints(m, power):
+    """perron_brackets' bounds at the given power, in Python ints that
+    cannot wrap: (x'y / x'x, max y_i / x_i) as Fractions."""
+    m = m.tolist()
+    x = [1] * len(m)
+    for _ in range(power):
+        x = [sum(a * b for a, b in zip(row, x)) for row in m]
+    y = [sum(a * b for a, b in zip(row, x)) for row in m]
+    return (Fraction(sum(a * b for a, b in zip(x, y)), sum(a * a for a in x)),
+            max(Fraction(b, a) for a, b in zip(x, y)))
+
+
+def test_perron_brackets_hold_on_every_connected_graph_to_order_7():
+    # lower <= rho <= upper for Q and D of all 995 connected graphs on 2..7
+    # vertices, and they are the bounds exact integers give at power 3
+    for n in range(2, 8):
+        graphs = load_bundled_corpus(n)
+        for build, radii in ((_signless_laplacian_stack, rho_q_many),
+                             (_distance_stack, rho_d_many)):
+            stack = build(graphs)
+            brackets = perron_brackets(stack)
+            for m, rho, (lower, upper) in zip(stack, radii(graphs), brackets):
+                assert lower[0] / lower[1] <= rho + 1e-9 <= upper[0] / upper[1] + 2e-9
+                assert (Fraction(*lower), Fraction(*upper)) == _brackets_in_python_ints(m, 3)
+
+
+def test_perron_brackets_lower_the_power_per_matrix_before_int64_wraps():
+    # the extremal graph at (160, 3) plus the edge (3, 158), with largest Q
+    # row sum 318: n 318^7 passes 2^62 and n 318^5 does not, so its bounds
+    # come from power 2, while C_160 (row sums 4) in the same stack keeps
+    # power 3; a largest row sum of 2^31 leaves not even power 1
+    g = Graph(160, clique_join(3, (155, 1, 1)).edges() + [(3, 158)])
+    stack = _signless_laplacian_stack([g, cycle(160)])
+    assert stack.sum(axis=2).max(axis=1).tolist() == [318, 4]
+    brackets = perron_brackets(stack)
+    for m, power, (lower, upper) in zip(stack, (2, 3), brackets):
+        assert (Fraction(*lower), Fraction(*upper)) == _brackets_in_python_ints(m, power)
+    assert brackets == perron_brackets(stack[:1]) + perron_brackets(stack[1:])
+    lower, upper = brackets[0]
+    assert lower[0] / lower[1] <= rho_q(g) <= upper[0] / upper[1]
+    huge = np.full((2, 2, 2), 2**30, np.int64)
+    huge[1] = 1
+    assert perron_brackets(huge) == [None, ((256, 128), (16, 8))]  # rho = 2, at power 3

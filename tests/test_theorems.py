@@ -13,7 +13,8 @@ from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, is_even_factor
 from evenfactor.sampling import sample_connected_graphs
 from evenfactor import cli, lemmas, theorems
-from evenfactor.spectral import _distance_stack, rho_d, rho_d_many, rho_q, rho_q_many, wiener_index
+from evenfactor.spectral import (_distance_stack, distance_matrix, perron, rho_d, rho_d_many,
+                                 rho_q, rho_q_many, signless_laplacian, wiener_index)
 from evenfactor.lemmas import (
     check_d_threshold_below_bridged,
     check_q_threshold_above_bridged,
@@ -40,6 +41,9 @@ from evenfactor.theorems import (
     threshold_rho_q,
 )
 from small_graphs import cycle, path
+
+# the exact binary value of COMPARISON_EPSILON
+_EPS = Fraction(COMPARISON_EPSILON)
 
 
 def test_extremal_params_validation():
@@ -180,16 +184,18 @@ def test_check_q_on_extremal_and_simple_graphs():
     # settles it with no eigen-solve
     v2 = check_even_factor(cycle(8), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v2.hypotheses.met
-    assert v2.spectral_value is None and v2.bound == 4
+    assert v2.spectral_value is None and v2.bound == (4, 1)
     assert v2.threshold == threshold_rho_q(p)
     assert v2.conclusion is Conclusion.INCONCLUSIVE
     assert not v2.borderline and v2.oracle_status is None
     # the extremal graph less a big-clique edge keeps Delta = 7, and
-    # 2 Delta = 14 lies above the threshold, so it is eigen-solved
-    v5 = check_even_factor(_less_edge(extremal_graph(p), (2, 3)),
-                           TheoremKind.SIGNLESS_LAPLACIAN)
-    assert v5.bound is None
-    assert v5.spectral_value == pytest.approx(11.97025771667926, abs=1e-9)
+    # 2 Delta = 14 lies above the threshold, but the Collatz-Wielandt upper
+    # bound lies below it, and above rho_Q = 11.970
+    less = _less_edge(extremal_graph(p), (2, 3))
+    v5 = check_even_factor(less, TheoremKind.SIGNLESS_LAPLACIAN)
+    assert v5.spectral_value is None
+    assert rho_q(less) == pytest.approx(11.97025771667926, abs=1e-9)
+    assert rho_q(less) <= Fraction(*v5.bound) <= Fraction(v5.threshold) - _EPS
     assert v5.conclusion is Conclusion.INCONCLUSIVE and not v5.borderline
 
     v3 = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
@@ -209,14 +215,16 @@ def test_check_d_direction():
     # rho_D >= 2(n(n - 1) - m)/n = 16 already lies above the threshold
     v2 = check_even_factor(cycle(10), TheoremKind.DISTANCE)
     assert v2.conclusion is Conclusion.INCONCLUSIVE
-    assert v2.spectral_value is None and v2.bound == 16 > v2.threshold
+    assert v2.spectral_value is None and Fraction(*v2.bound) == 16 > v2.threshold
     assert not v2.borderline
     # the extremal graph less a big-clique edge: the bound 2(90 - 37)/10
-    # does not clear the threshold, so it is eigen-solved
-    v4 = check_even_factor(_less_edge(extremal_graph(p), (2, 3)), TheoremKind.DISTANCE)
-    assert v4.bound is None and v4.conclusion is Conclusion.INCONCLUSIVE
-    assert v4.spectral_value > v4.threshold + COMPARISON_EPSILON
-    assert v4.spectral_value == pytest.approx(rho_d(_less_edge(extremal_graph(p), (2, 3))))
+    # does not clear the threshold, but its bracket's lower bound does, and
+    # lies below its rho_D
+    less = _less_edge(extremal_graph(p), (2, 3))
+    v4 = check_even_factor(less, TheoremKind.DISTANCE)
+    assert v4.spectral_value is None and v4.conclusion is Conclusion.INCONCLUSIVE
+    assert Fraction(v4.threshold) + _EPS <= Fraction(*v4.bound) <= rho_d(less)
+    assert not v4.borderline and v4.oracle_status is None
     # complete graph of even order: delta = n-1 fails the order bound
     v3 = check_even_factor(clique_join(10, ()), TheoremKind.DISTANCE)
     assert v3.conclusion is Conclusion.NOT_APPLICABLE
@@ -355,7 +363,7 @@ def test_bridged_graphs_lie_above_the_d_threshold():
     for n, d in ((8, 3), (20, 5), (62, 10)):
         bridged = Graph(n, clique_join(0, (d + 1, n - d - 1)).edges() + [(d, d + 1)])
         w = wiener_index(bridged)
-        assert bridged.min_degree() == d and 2 * w == n * n + 4 * d * n + n - 4 * d * d - 8 * d - 4
+        assert bridged.min_degree() == d and 2 * w == lemmas.bridged_wiener_twice(n, d + 1)
         assert rho_d(bridged) >= 2 * w / n > threshold_rho_d(ExtremalParams(n, d))
 
 
@@ -417,64 +425,138 @@ def test_check_even_factor_many_matches_per_graph_verdicts():
 def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
     solved = []
 
-    def recording(radii):
-        def wrapper(graphs):
-            solved.extend(graphs)
-            return radii(graphs)
-        return wrapper
+    def recording(m):
+        solved.extend(m.tolist())
+        return perron(m)
 
-    monkeypatch.setattr(theorems, "rho_q_many", recording(rho_q_many))
-    monkeypatch.setattr(theorems, "rho_d_many", recording(rho_d_many))
+    monkeypatch.setattr(theorems, "perron", recording)
     two_c4 = Graph(8, [(i + j, i + (j + 1) % 4) for i in (0, 4) for j in range(4)])
     refused = [clique_join(8, ()), cycle(7), two_c4, Graph(0)]
     # the order bound at delta = 2 is 8 for rho_Q and 9 for rho_D; the
-    # cycle is settled by its bound, and the extremal graph and its
-    # one-edge deletion are left to the eigen-solve
+    # cycle is settled by its x = 1 bound, the extremal graph's one-edge
+    # deletion by its bracket, and the extremal graph is left to the
+    # eigen-solve; with no bracket, the deletion is eigen-solved too
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
+        matrix = signless_laplacian if kind is TheoremKind.SIGNLESS_LAPLACIAN else distance_matrix
         star = extremal_graph(ExtremalParams(n, 2))
-        open_ = [_less_edge(star, (2, 3)), star]
+        graphs = refused + [cycle(n), _less_edge(star, (2, 3)), star]
         solved.clear()
-        verdicts = list(check_even_factor_many(refused + [cycle(n)] + open_, kind))
-        assert solved == open_
-        assert [v.spectral_value is None for v in verdicts] == [True] * 5 + [False] * 2
-        assert [v.bound is not None for v in verdicts] == [False] * 4 + [True] + [False] * 2
+        verdicts = list(check_even_factor_many(graphs, kind))
+        assert solved == [matrix(star).tolist()]
+        assert [v.spectral_value is None for v in verdicts] == [True] * 6 + [False]
+        assert [v.bound is not None for v in verdicts] == [False] * 4 + [True] * 2 + [False]
+        radius = rho_q if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d
+        for g, v in zip(graphs[4:6], verdicts[4:6]):
+            _assert_bound_side(v, radius(g))
+        with monkeypatch.context() as m:
+            m.setattr(theorems, "perron_brackets", lambda stack: [None] * len(stack))
+            solved.clear()
+            unbracketed = list(check_even_factor_many(graphs, kind))
+        assert solved == [matrix(g).tolist() for g in graphs[-2:]]
+        assert [v.conclusion for v in unbracketed] == [v.conclusion for v in verdicts]
+        assert unbracketed[:5] == verdicts[:5] and unbracketed[-1] == verdicts[-1]
     v = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.conclusion is Conclusion.NOT_APPLICABLE
     assert v.spectral_value is None and v.threshold is None
+
+
+def _assert_bound_side(v, rho):
+    """A bound-settled verdict's bound lies on the side of the threshold its
+    conclusion names, at least COMPARISON_EPSILON past it, and on the same
+    side of rho: a lower bound where rho lies above the threshold."""
+    bound, threshold = Fraction(*v.bound), Fraction(v.threshold)
+    assert v.spectral_value is None and not v.borderline
+    above = ((v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED)
+             == (v.kind is TheoremKind.SIGNLESS_LAPLACIAN))
+    if above:
+        assert threshold + _EPS <= bound and bound <= rho + 1e-9
+    else:
+        assert bound <= threshold - _EPS and rho <= bound + 1e-9
+
+
+def _assert_eigen_path_verdicts(graphs, kind, verdicts):
+    """Each verdict equals the one g's own eigen-solve gives (conclusion,
+    band and oracle status), and a bound-settled one has its bound on the
+    right side; returns the number of bound-settled verdicts."""
+    radii = rho_q_many if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d_many
+    settled = 0
+    for g, v in zip(graphs, verdicts):
+        rho = float(radii([g])[0])
+        e = theorems._conclude(g, kind, v.min_degree, v.hypotheses, rho)
+        assert (v.conclusion, v.borderline, v.oracle_status) == (
+            e.conclusion, e.borderline, e.oracle_status)
+        if v.bound is None:
+            assert v.spectral_value == rho
+        else:
+            _assert_bound_side(v, rho)
+            settled += 1
+    return settled
 
 
 @pytest.mark.parametrize("kind", list(TheoremKind))
 def test_bound_path_gives_the_eigen_path_verdicts(kind):
     # every graph of the criterion 4 sweep (all 4,853 n = 8 graphs with
     # delta = 2) and of the benchmark's distance sweep (3,000 seed-1 n = 10
-    # samples), judged with the bound and again from its own eigen-solve
+    # samples), judged with the bounds and again from its own eigen-solve;
+    # at n = 8 the x = 1 bound settles 4,475 and the bracket all but the
+    # extremal graph, at n = 10 the x = 1 bound settles all
     if kind is TheoremKind.SIGNLESS_LAPLACIAN:
         graphs = [g for g in load_bundled_corpus(8) if g.min_degree() == 2]
-        radii, applicable, settled = rho_q_many, 4853, 4475
+        applicable, settled = 4853, 4852
     else:
         graphs = list(sample_connected_graphs(Random(1), 10, 3000))
-        radii, applicable, settled = rho_d_many, 984, 984
+        applicable, settled = 984, 984
     verdicts = list(check_even_factor_many(graphs, kind))
     met = [(g, v) for g, v in zip(graphs, verdicts) if v.hypotheses.met]
     assert len(met) == applicable
-    assert sum(v.bound is not None for _, v in met) == settled
-    values = radii([g for g, _ in met])
-    eigen = [theorems._conclude(g, kind, v.min_degree, v.hypotheses, float(rho))
-             for (g, v), rho in zip(met, values)]
-    for (g, v), rho, e in zip(met, values, eigen):
-        assert (v.conclusion, v.borderline) == (e.conclusion, e.borderline)
-        if v.bound is None:
-            assert v.spectral_value == float(rho)
-            continue
-        assert v.spectral_value is None and v.conclusion is Conclusion.INCONCLUSIVE
-        if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-            assert v.bound == 2 * g.max_degree() and rho <= v.bound + 1e-9
-            assert v.threshold - rho >= COMPARISON_EPSILON
-        else:
-            assert v.bound == Fraction(2 * (90 - g.edge_count), 10) and rho >= v.bound - 1e-9
-            assert rho - v.threshold >= COMPARISON_EPSILON
-    assert (Counter((v.conclusion, v.borderline) for _, v in met)
-            == Counter((e.conclusion, e.borderline) for e in eigen))
+    assert _assert_eigen_path_verdicts([g for g, _ in met], kind, [v for _, v in met]) == settled
+    assert all(v.conclusion is Conclusion.INCONCLUSIVE for _, v in met if v.bound is not None)
+
+
+def _near_extremal(rng, n, delta):
+    """The extremal graph at (n, delta) with a random nonempty set of edges
+    added from the big clique to the singletons other than the last and
+    among those singletons, and half the time one big-clique edge deleted:
+    minimum degree delta, on both sides of the threshold."""
+    big, singles = range(delta, n - delta + 1), range(n - delta + 1, n - 1)
+    movable = ([(u, s) for s in singles for u in big]
+               + [(s, t) for s in singles for t in singles if s < t])
+    edges = set(extremal_graph(ExtremalParams(n, delta)).edges())
+    edges |= set(rng.sample(movable, rng.randint(1, len(movable))))
+    if rng.random() < 0.5:
+        edges.discard(rng.choice([(u, v) for u in big for v in big if u < v]))
+    return Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize("kind,n", [(TheoremKind.SIGNLESS_LAPLACIAN, 14),
+                                    (TheoremKind.DISTANCE, 18)])
+def test_bracket_settles_near_extremal_guarantees(kind, n):
+    # graphs just past the extremal graph at the order bounds for delta = 3:
+    # the bracket settles guarantees, each confirmed by the oracle, with the
+    # verdicts of the eigen path
+    rng = Random(f"near-extremal:{kind.value}")
+    graphs = [_near_extremal(rng, n, 3) for _ in range(80)]
+    verdicts = list(check_even_factor_many(graphs, kind))
+    assert _assert_eigen_path_verdicts(graphs, kind, verdicts) >= 70
+    guaranteed = [v for v in verdicts
+                  if v.bound is not None and v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED]
+    assert len(guaranteed) >= 50
+    assert all(v.oracle_status is CertificateStatus.FOUND for v in guaranteed)
+
+
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_bracket_guard_keeps_the_eigen_path_verdict_at_order_160(kind):
+    # the extremal graph at (160, 3) plus the edge (3, 158): Q's largest row
+    # sum is 2 Delta = 318 and n 318^7 passes 2^62, so the bracket starts
+    # from a lower power; either way the verdict is the eigen path's
+    star = extremal_graph(ExtremalParams(160, 3))
+    g = Graph(160, star.edges() + [(3, 158)])
+    assert g.min_degree() == 3 and 160 * 318**7 >= 2**62 > 160 * 318**5
+    [v] = check_even_factor_many([g], kind)
+    assert v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED
+    # the lower power still settles the Q guarantee
+    assert (v.bound is not None) == (kind is TheoremKind.SIGNLESS_LAPLACIAN)
+    _assert_eigen_path_verdicts([g], kind, [v])
 
 
 def test_conclude_keeps_the_slack_on_the_safe_side():
