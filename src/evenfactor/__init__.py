@@ -8,7 +8,8 @@ Library layout:
             the same radii, on stacks of same-order matrices
   quotient  partitions, quotient matrices, family cubics on ints or Polys,
             root bracketing and the exact test of a rational against a root
-  oracle    exact even-factor search and the odd-component condition
+  oracle    exact even-factor search and the odd-component condition, one
+            graph or a batch at a time
   theorems  extremal cubics, thresholds, verdicts, recognition, the extremal table
   lemmas    the property checks and proofs behind the theorems, in one registry
   cli       command-line front end (spectra/certify/scan/lemmas/extremal/oracle)
@@ -30,6 +31,7 @@ from .oracle import (
     find_even_factor,
     is_even_factor,
     odd_component_condition,
+    odd_component_conditions,
 )
 from .quotient import (
     BracketingError,

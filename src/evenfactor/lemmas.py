@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional
 
 from .corpus import load_bundled_corpus
 from .graphs import Graph, clique_join
-from .oracle import CertificateStatus, find_even_factor, odd_component_condition
+from .oracle import CertificateStatus, find_even_factor, odd_component_conditions
 from .quotient import (
     DELTA,
     N,
@@ -377,12 +377,10 @@ def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcom
     vacuously (the only subset of size >= 2 is all of V) but has no even
     factor, so it is excluded.
     """
+    graphs = list(graphs)
     out = []
-    for i, g in enumerate(graphs):
-        if g.n % 2 or g.n < 4:
-            continue
-        report = odd_component_condition(g)
-        if not report.holds:
+    for i, (g, report) in enumerate(zip(graphs, odd_component_conditions(graphs))):
+        if g.n % 2 or g.n < 4 or not report.holds:
             continue
         cert = find_even_factor(g)
         out.append(CheckOutcome(
@@ -404,10 +402,9 @@ def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     ``odd_component_condition``).
     """
     satisfied = with_factor = without = 0
-    for g in graphs:
-        if g.n % 2 == 0 or g.n < 3:
-            continue
-        if not odd_component_condition(g).holds:
+    graphs = list(graphs)
+    for g, report in zip(graphs, odd_component_conditions(graphs)):
+        if g.n % 2 == 0 or g.n < 3 or not report.holds:
             continue
         satisfied += 1
         status = find_even_factor(g).status

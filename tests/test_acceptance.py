@@ -13,7 +13,7 @@ from evenfactor.lemmas import SUITE_CHECK_NAMES, perron_abc, run_property_suite
 from evenfactor.oracle import (
     CertificateStatus,
     find_even_factor,
-    odd_component_condition,
+    odd_component_conditions,
 )
 from evenfactor.quotient import largest_root
 from evenfactor.sampling import sample_connected_graphs
@@ -100,18 +100,16 @@ def test_criterion_3_odd_component_implication_exhaustive():
     """All connected graphs, n in {4, 6, 8}: condition holds => factor found."""
     violations = []
     satisfied = 0
-    total = 0
-    for n in (4, 6, 8):
-        for g in load_bundled_corpus(n):
-            total += 1
-            if not odd_component_condition(g).holds:
-                continue
-            satisfied += 1
-            if find_even_factor(g).status is not CertificateStatus.FOUND:
-                violations.append(to_graph6(g))
+    graphs = [g for n in (4, 6, 8) for g in load_bundled_corpus(n)]
+    for g, report in zip(graphs, odd_component_conditions(graphs)):
+        if not report.holds:
+            continue
+        satisfied += 1
+        if find_even_factor(g).status is not CertificateStatus.FOUND:
+            violations.append(to_graph6(g))
     _report(
         "criterion 3: odd-component condition implies even factor, "
-        f"exhaustive n in {{4,6,8}} ({total} graphs, {satisfied} satisfy)",
+        f"exhaustive n in {{4,6,8}} ({len(graphs)} graphs, {satisfied} satisfy)",
         not violations,
         f"violations = {violations[:5]}",
     )

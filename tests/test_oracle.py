@@ -8,9 +8,12 @@ from math import comb
 
 import pytest
 
+from evenfactor import oracle
 from evenfactor.corpus import BUNDLED_ORDERS, load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join, from_graph6
 from evenfactor.oracle import (
+    TABLE_CHUNK,
+    TABLE_MAX_ORDER,
     CertificateStatus,
     EvenFactorCertificate,
     OddComponentReport,
@@ -20,6 +23,7 @@ from evenfactor.oracle import (
     find_even_factor,
     is_even_factor,
     odd_component_condition,
+    odd_component_conditions,
 )
 from small_graphs import complete_bipartite, components, cycle, path
 
@@ -457,8 +461,8 @@ def _odd_component_graphs():
 def test_odd_component_reports_match_golden_digest():
     digest = hashlib.sha256()
     dense = Counter()
-    for g in _odd_component_graphs():
-        rep = odd_component_condition(g)
+    graphs = list(_odd_component_graphs())
+    for g, rep in zip(graphs, odd_component_conditions(graphs)):
         digest.update(f"{rep.holds}\n".encode())
         if g.n % 2 == 0 and g.min_degree() >= 3:
             dense[rep.holds] += 1
@@ -520,3 +524,36 @@ def test_odd_component_on_dense_even_orders_matches_unpruned_enumeration():
         verdicts[n, holds] += 1
     assert all(verdicts[n, True] for n in (4, 6, 8, 10))
     assert sum(verdicts[n, False] for n in (4, 6, 8, 10)) >= 10
+
+
+def test_odd_component_batch_matches_unpruned_enumeration(monkeypatch):
+    # one shuffled batch of orders 2..12, both parities on both sides of the
+    # subset table's cap, with more order-6 graphs than one table holds
+    tables = []
+
+    def recorded(n, masks):
+        tables.append((n, len(masks)))
+        return table_reports(n, masks)
+
+    table_reports = oracle._table_reports
+    monkeypatch.setattr(oracle, "_table_reports", recorded)
+    rng = random.Random(47)
+    orders = [6] * (TABLE_CHUNK + 100) + [n for n in range(2, 13) for _ in range(15)]
+    rng.shuffle(orders)
+    graphs = []
+    for n in orders:
+        p = rng.uniform(0.4, 1.0)
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    reports = odd_component_conditions(graphs)
+    assert len(reports) == len(graphs)
+    verdicts = Counter()
+    for g, rep in zip(graphs, reports):
+        holds, pairs = brute_force_odd_component_condition(g)
+        degree_rule = g.n % 2 == 0 and g.n >= 4 and g.min_degree() <= 2
+        assert rep == OddComponentReport(holds, 0 if degree_rule else pairs), g
+        verdicts[g.n + g.n % 2 > TABLE_MAX_ORDER, g.n % 2, holds] += 1
+    assert len(verdicts) == 8, verdicts
+    # no table above the cap; the order-6 graphs fill one whole table and part of another
+    assert max(n + n % 2 for n, _ in tables) == TABLE_MAX_ORDER
+    assert sorted(k for n, k in tables if n == 6) == [orders.count(6) - TABLE_CHUNK, TABLE_CHUNK]
