@@ -7,7 +7,7 @@ Library layout:
             eigensolver, and ``perron_brackets``, exact integer bounds on
             the same radii, on stacks of same-order matrices
   quotient  partitions, quotient matrices, family cubics on ints or Polys,
-            root bracketing and the exact test of a rational against a root
+            and root bracketing
   oracle    exact even-factor search and the odd-component condition, one
             graph or a batch at a time
   theorems  extremal cubics, thresholds, verdicts, recognition, the extremal table
@@ -38,7 +38,6 @@ from .quotient import (
     Cubic,
     InvalidPartitionError,
     QuotientMatrix,
-    above_largest_root,
     charpoly3,
     largest_root,
     quotient_matrix,

@@ -8,8 +8,11 @@ when byte-identical output is needed. Exit status is 1 iff any violation
 was found or any input line was malformed, and 2 for an argument error.
 
 There is one verdict mode: certify and scan run the exact oracle on every
-guarantee, extremal exception and borderline verdict, and every report's
-config names the oracle's node cap and the tolerances.
+guarantee and every borderline verdict (one that no exact bound settles,
+the extremal exception among them), and every report's config names the
+oracle's node cap and the tolerances. A verdict rests on an exact bound,
+never on a float: a row's ``spectral_bound`` is that bound, and its
+``spectral_value`` the eigen-solve's rho when one ran.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from typing import Iterable, Iterator, Optional
 from . import __version__
 from .corpus import BUNDLED_COUNTS, iter_bundled_corpus
 from .graphs import Graph, Graph6Error, read_graph6, to_graph6
-from .lemmas import SUITE_CHECK_NAMES, run_property_suite
+from .lemmas import COMPARISON_EPSILON, SUITE_CHECK_NAMES, run_property_suite
 from .oracle import NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
 from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graphs
 from .spectral import RESIDUAL_TOL, rho_d, rho_q, wiener_index
 from .theorems import (
-    COMPARISON_EPSILON,
     EXTREMAL_TABLE_NOTE,
     Conclusion,
     TheoremKind,
@@ -45,7 +47,7 @@ from .theorems import (
     order_bound_grid,
 )
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
@@ -295,7 +297,7 @@ def cmd_scan(args) -> Report:
         total += 1
         counts[v.conclusion.value] += 1
         borderline += v.borderline
-        bound_decided += v.bound is not None
+        bound_decided += v.bound is not None and v.spectral_value is None
         if v.oracle_status is not None:
             oracle_runs += 1
             if v.oracle_status is CertificateStatus.SEARCH_CAP_EXCEEDED:

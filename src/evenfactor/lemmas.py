@@ -11,9 +11,11 @@ extremal rho_Q above and rho_D below those of bridged graphs, the s = 2
 block cubic, the gap expansions and four difference identities.
 
 CHECKS is the registry: it fixes which checks exist, the order they run in,
-and the input each one reads. The equitable-quotient check accepts a cell
-by the verdicts' one band, COMPARISON_EPSILON; ``lemmas`` runs the oracle
-(``find_even_factor``) on the bundled corpora for the odd-component checks.
+and the input each one reads. COMPARISON_EPSILON is the one tolerance of
+the checks that compare floats, such as the equitable-quotient check's
+distance between a root and the full-matrix rho; no verdict reads it.
+``lemmas`` runs the oracle (``find_even_factor``) on the bundled corpora
+for the odd-component checks.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .spectral import (
     wiener_index,
 )
 from .theorems import (
-    COMPARISON_EPSILON,
     ExtremalParams,
     TheoremKind,
     extremal_cubic,
@@ -70,6 +71,8 @@ from .theorems import (
     threshold_rho_d,
     threshold_rho_q,
 )
+
+COMPARISON_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -231,10 +234,9 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
     """Equitable-quotient cubic roots equal full-matrix Perron values, and
     the quotient cubics are the extremal cubics the thresholds are roots of.
 
-    A cell passes when both matrix rho lie in the verdicts' band around
-    the roots, less than COMPARISON_EPSILON away. The margin is
-    COMPARISON_EPSILON less the cell's larger root error, so the smallest
-    margin is the worst cell."""
+    A cell passes when both matrix rho lie less than COMPARISON_EPSILON
+    from the roots. The margin is COMPARISON_EPSILON less the cell's larger
+    root error, so the smallest margin is the worst cell."""
     out = []
     for p in grid:
         g = extremal_graph(p)
@@ -354,9 +356,10 @@ def check_d_threshold_below_bridged() -> list[CheckOutcome]:
     vertices on its sides, so G spans B = K_a -xy- K_b and, by the all-ones
     Rayleigh quotient, rho_D(G) >= rho_D(B) >= 2W(B)/n = n - 3 + 4ab/n >= U,
     its value at a = delta + 1 (``bridged_wiener_twice``). At delta = 3 + j
-    and n = 2delta + 2 + k, the signs ``above_largest_root`` reads off the
-    extremal D cubic at U are Polys in j, k >= 0 with positive
-    coefficients: U is above the threshold.
+    and n = 2delta + 2 + k, the values of c'', c' and c at U, for c the
+    extremal D cubic, are positive multiples of Polys in j, k >= 0 with
+    positive coefficients (``quotient._fourier_signs``), so U lies above
+    c's largest root: the threshold.
     """
     j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
     d, n = 3 + j, 2 * j + 8 + k

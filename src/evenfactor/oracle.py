@@ -435,7 +435,10 @@ def _table_reports(n: int, masks: np.ndarray) -> list[OddComponentReport]:
         decided = np.zeros(k, bool)
     else:
         decided = (_POPCOUNT[masks].min(1, initial=n) <= 2) & (n >= 4)
+    out = [OddComponentReport(False, 0)] * k
     live = masks[~decided]
+    if not len(live):
+        return out
     updates, queries = _table_plan(n)
     table = np.zeros((1 << masks.shape[1], len(live)), bool)
     table[0] = True
@@ -443,7 +446,6 @@ def _table_reports(n: int, masks: np.ndarray) -> list[OddComponentReport]:
         table[rows] |= table[rest] & (live[:, v] >> w & 1).astype(bool)
     # index of the first pair whose G - u - v fails, len(queries) if none
     first = np.argmin(np.vstack((table[queries], np.zeros(len(live), bool))), 0)
-    out = [OddComponentReport(False, 0)] * k
     for i, f in zip(np.flatnonzero(~decided).tolist(), first.tolist()):
         out[i] = OddComponentReport(f == len(queries), min(f + 1, len(queries)))
     return out

@@ -6,8 +6,7 @@ The coefficients of the join families' monic cubics (extremal, singleton
 tail, uniform-block tail; Q and D) and of their gap quadratics run on ints
 or on ``Poly``, an integer polynomial in (n, s, delta), on which ``lemmas``
 proves their identities once for all parameters. ``largest_root``
-certifies a cubic's largest real root to ROOT_TOL by exact signs, and
-``above_largest_root`` places a rational against that root exactly.
+certifies a cubic's largest real root to ROOT_TOL by exact signs.
 """
 
 from __future__ import annotations
@@ -357,25 +356,16 @@ def largest_root(cubic: Cubic) -> float:
 
 def _fourier_signs(cubic: Cubic, a, b) -> tuple:
     """b c''(a/b) / 2, b^2 c'(a/b) and b^3 c(a/b), signed as c'', c' and c
-    at a/b when b > 0: integers, or Polys when a, b or a coefficient is."""
+    at a/b when b > 0: integers, or Polys when a, b or a coefficient is.
+
+    For a monic cubic c with three real roots l3 <= l2 <= l1 and b > 0, all
+    three are positive iff a/b > l1. If all three are, the signs of c, c',
+    c'', c''' at a/b show no change, so by Fourier-Budan c has no root in
+    [a/b, inf). Conversely, if a/b > l1, every factor a/b - li is positive,
+    and by Rolle the roots of c' and c'' lie in [l3, l1], so c'(a/b) and
+    c''(a/b) are positive too.
+    """
     c2, c1, c0 = cubic.c2, cubic.c1, cubic.c0
     return (3 * a + c2 * b,
             (3 * a + 2 * c2 * b) * a + c1 * b * b,
             ((a + c2 * b) * a + c1 * b * b) * a + c0 * b**3)
-
-
-def above_largest_root(cubic: Cubic, r) -> bool:
-    """Whether the rational r lies strictly above the largest real root of
-    a monic cubic with three real roots, such as every family cubic (its
-    roots are eigenvalues of a symmetric matrix).
-
-    The test is c''(r) > 0, c'(r) > 0 and c(r) > 0, in exact integer
-    arithmetic on r's numerator and denominator (``_fourier_signs``; r is
-    read exactly, a float included). Proof: if all three hold, the signs of
-    c, c', c'', c''' at r show no change, so by Fourier-Budan c has no root
-    in [r, inf). Conversely, if r is above the roots l3 <= l2 <= l1, every
-    factor r - li is positive, and by Rolle the roots of c' and c'' lie in
-    [l3, l1], so c'(r) and c''(r) are positive too.
-    """
-    r = Fraction(r)
-    return all(v > 0 for v in _fourier_signs(cubic, r.numerator, r.denominator))

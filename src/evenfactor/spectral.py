@@ -14,7 +14,8 @@ residual max|Mx - lambda x|, which it checks against
 RESIDUAL_TOL * (1 + ||M||_inf). ``rho_q_many`` and ``rho_d_many`` give the
 spectral radii of a same-order stack in one call, and ``rho_q`` and
 ``rho_d`` are stacks of one. ``perron_brackets`` bounds the same radii
-exactly, from integer matrix-vector products alone.
+exactly, from integer matrix-vector products alone, starting from M^p 1
+or from the eigenvectors ``perron`` returns.
 """
 
 from __future__ import annotations
@@ -124,24 +125,29 @@ def perron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, vectors, residuals
 
 
-def perron_brackets(m: np.ndarray) -> list[Optional[tuple[Ratio, Ratio]]]:
+def perron_brackets(m: np.ndarray, vectors: Optional[np.ndarray] = None
+                    ) -> list[Optional[tuple[Ratio, Ratio]]]:
     """Exact bounds (lower, upper) on rho of each matrix of a (k, n, n) int64
     stack of symmetric nonnegative matrices with no zero row, each bound a
     (numerator, denominator) pair of ints; None for a matrix whose bounds
     int64 cannot hold.
 
-    Let x = M^p 1 and y = Mx; x > 0, as M has no zero row. The Rayleigh
-    quotient x'y / x'x is at most the largest eigenvalue of the symmetric
-    M, which is rho as M is nonnegative. By Collatz-Wielandt, y <= c x
-    entrywise gives rho <= c for nonnegative M and x > 0, so the largest
-    ratio y_i / x_i is an upper bound; row i holds it iff
-    y_i x_j >= y_j x_i for every j. With R the matrix's largest row sum,
-    the entries of M^j 1 are at most R^j, so no product, partial sum or
-    dot product here exceeds n R^(2p+1). Each matrix's p is BRACKET_POWER,
-    lowered until that lies below 2^62, so a matrix's bounds do not depend
-    on the rest of the stack; when not even p = 1 fits, its entry is None,
-    and no bound is ever read from a wrapped int64.
+    Each bound is read off a positive integer vector x (``_readout``). By
+    default x = M^p 1, computed in int64: x > 0, as M has no zero row. With
+    R the matrix's largest row sum, the entries of M^j 1 are at most R^j, so
+    no product, partial sum or dot product here exceeds n R^(2p+1). Each
+    matrix's p is BRACKET_POWER, lowered until that lies below 2^62, so a
+    matrix's bounds do not depend on the rest of the stack; when not even
+    p = 1 fits, its entry is None, and no bound is ever read from a wrapped
+    int64. Given ``vectors``, a (k, n) stack of float eigenvectors such as
+    ``perron`` returns, x is instead each vector scaled to largest entry
+    2^52, rounded, and raised to at least 1, in Python ints, and no entry
+    is None. Any x > 0 gives valid bounds; the closer x lies to the Perron
+    vector, the closer they lie to rho.
     """
+    if vectors is not None:
+        x = np.maximum(np.rint(vectors / vectors.max(axis=1, keepdims=True) * 2.0**52), 1)
+        return _readout(m, x.astype(np.int64).astype(object))
     n = m.shape[1]
     tops = m.sum(axis=2).max(axis=1).tolist()
     power_of = {top: next((p for p in range(BRACKET_POWER, 0, -1)
@@ -154,15 +160,29 @@ def perron_brackets(m: np.ndarray) -> list[Optional[tuple[Ratio, Ratio]]]:
         x = np.ones(sub.shape[:2], np.int64)
         for _ in range(power):
             x = np.einsum("kij,kj->ki", sub, x)
-        y = np.einsum("kij,kj->ki", sub, x)
-        cross = y[:, :, None] * x[:, None, :]
-        best = (cross >= cross.swapaxes(1, 2)).all(axis=2).argmax(axis=1)
-        rows = np.arange(len(sub))
-        lower = zip(np.einsum("ki,ki->k", x, y).tolist(), np.einsum("ki,ki->k", x, x).tolist())
-        upper = zip(y[rows, best].tolist(), x[rows, best].tolist())
-        for i, bracket in zip(which.tolist(), zip(lower, upper)):
+        for i, bracket in zip(which.tolist(), _readout(sub, x)):
             brackets[i] = bracket
     return brackets
+
+
+def _readout(m: np.ndarray, x: np.ndarray) -> list[tuple[Ratio, Ratio]]:
+    """(lower, upper) on rho of each matrix of a stack of symmetric
+    nonnegative matrices, from a (k, n) stack of positive integer vectors,
+    int64 or Python ints.
+
+    With y = Mx, the Rayleigh quotient x'y / x'x is at most the largest
+    eigenvalue of the symmetric M, which is rho as M is nonnegative. By
+    Collatz-Wielandt, y <= c x entrywise gives rho <= c for nonnegative M
+    and x > 0, so the largest ratio y_i / x_i is an upper bound; row i
+    holds it iff y_i x_j >= y_j x_i for every j.
+    """
+    y = (m @ x[:, :, None])[:, :, 0]
+    cross = y[:, :, None] * x[:, None, :]
+    best = (cross >= cross.swapaxes(1, 2)).all(axis=2).argmax(axis=1)
+    rows = np.arange(len(m))
+    lower = zip((x * y).sum(axis=1).tolist(), (x * x).sum(axis=1).tolist())
+    upper = zip(y[rows, best].tolist(), x[rows, best].tolist())
+    return list(zip(lower, upper))
 
 
 def rho_q(g: Graph) -> float:

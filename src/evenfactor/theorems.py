@@ -17,42 +17,37 @@ characteristic polynomial (tests/test_quotient.py proves the identity; the
 ``quotient-root-matches-matrix`` lemma compares roots with the matrix). Order
 bounds are exact rationals; a graph's order is compared with their ceiling.
 
-One tolerance, COMPARISON_EPSILON, marks the band around a threshold in
-which a float comparison cannot place a graph; a verdict there is
-``borderline``. The exact oracle checks every guarantee, the extremal
-exception and every borderline verdict.
-
-Most graphs that meet the hypotheses are settled with no eigen-solve, by
-exact rational bounds on rho, in two rungs:
+Every verdict on a graph that meets the hypotheses rests on an exact
+rational bound on rho, compared with theta exactly. ``largest_root``
+certifies theta in (x - ROOT_TOL, x + ROOT_TOL) for its float x, and the
+cutoffs lo = x - ROOT_TOL and hi = x + ROOT_TOL are cached per (kind, n,
+delta) as rationals. A lower bound at least hi puts rho above theta (a Q
+guarantee, a D "not met"), and an upper bound at most lo puts rho below it
+(a D guarantee, a Q "not met"); each bound is compared with them by
+integer cross-multiplication. The bounds come in three rungs, each run on
+the graphs the one before leaves open:
 
   * x = 1, before any matrix is built: rho_Q <= 2 Delta (row sums), and
     rho_D >= 2W/n >= 2(n(n-1) - m)/n (the all-ones Rayleigh quotient, with
     every non-adjacent pair at distance at least 2);
-  * x = M^3 1, on the graphs the first rung leaves open, from one int64
-    stack of Q or D per order (``spectral.perron_brackets``): the Rayleigh
-    quotient x'Mx / x'x <= rho, as M is symmetric and nonnegative, and the
-    Collatz-Wielandt bound rho <= max_i (Mx)_i / x_i, as M is nonnegative
-    and x > 0 (M has no zero row). Entries of M^j 1 are at most R^j, for R
-    the graph's largest row sum, so every integer formed is at most
-    n R^(2k+1) for x = M^k 1; k is lowered from 3, per graph, until that
-    lies below 2^62, and when not even k = 1 fits the graph goes to the
-    eigen-solve. No bound is read from a wrapped int64, and a graph's
-    bounds do not depend on the graphs batched with it.
+  * x = M^3 1, from one int64 stack of Q or D per order
+    (``spectral.perron_brackets``): the Rayleigh quotient x'Mx / x'x <= rho,
+    as M is symmetric and nonnegative, and the Collatz-Wielandt bound
+    rho <= max_i (Mx)_i / x_i, as M is nonnegative and x > 0 (M has no zero
+    row). Entries of M^j 1 are at most R^j, for R the graph's largest row
+    sum, so every integer formed is at most n R^(2k+1) for x = M^k 1; k is
+    lowered from 3, per graph, until that lies below 2^62, and when not
+    even k = 1 fits the graph has no bracket here. No bound is read from a
+    wrapped int64, and a graph's bounds do not depend on the graphs batched
+    with it;
+  * x = the eigenvector of the eigen-solve, rounded to positive integers
+    with largest entry 2^52, in Python ints: the same two bounds, within
+    about 1e-13 of rho.
 
-A bound settles a verdict when it lies at least COMPARISON_EPSILON past
-the threshold theta: a lower bound above it puts rho above it (a Q
-guarantee, a D "not met"), an upper bound below it puts rho below it (a D
-guarantee, a Q "not met"). The comparison is exact. ``largest_root``
-certifies theta in (x - ROOT_TOL, x + ROOT_TOL) for its float x, so with
-the rationals lo = x - (ROOT_TOL + COMPARISON_EPSILON) and
-hi = x + (ROOT_TOL + COMPARISON_EPSILON), cached per (kind, n, delta), a
-bound at most lo lies at least COMPARISON_EPSILON below theta and a bound
-at least hi lies at least that far above it; each bound is compared with
-them by integer cross-multiplication. A settled verdict is not borderline,
-carries the bound in place of the spectral value, and a guarantee settled
-this way is checked by the oracle like every guarantee. The extremal graph
-is never settled, since its rho is theta itself: it reaches recognition
-through the eigen-solve.
+A graph no bound settles is ``borderline``: the extremal graph, whose rho
+is theta itself, and any other graph whose rho lies too near theta for its
+bounds to clear the cutoffs. It is the extremal exception when recognized and inconclusive
+otherwise, and the exact oracle checks it, as it checks every guarantee.
 """
 
 from __future__ import annotations
@@ -70,13 +65,9 @@ from .oracle import CertificateStatus, EvenFactorCertificate, find_even_factor
 from .quotient import ROOT_TOL, Cubic, _d_clique_star_coeffs, _q_clique_star_coeffs, largest_root
 from .spectral import Ratio, _distance_stack, _signless_laplacian_stack, perron, perron_brackets
 
-COMPARISON_EPSILON = 1e-8
 # graphs per chunk of check_even_factor_many; chunks of 512 raised the
 # peak memory of the benchmark sweeps by 11-14%, chunks of 64 by under 8%
 VERDICT_CHUNK = 64
-# how far past the certified root the cutoffs lie: the exact binary values
-# of ROOT_TOL and COMPARISON_EPSILON
-_MARGIN = Fraction(ROOT_TOL) + Fraction(COMPARISON_EPSILON)
 
 
 # -- extremal family ---------------------------------------------------------
@@ -253,13 +244,18 @@ class TheoremVerdict:
     hypotheses: HypothesisReport
     spectral_value: Optional[float]
     threshold: Optional[float]
-    borderline: bool
     conclusion: Conclusion
     oracle_status: Optional[CertificateStatus] = None
-    # the exact bound on rho that settled the verdict with no eigen-solve,
-    # as (numerator, denominator); it lies at least COMPARISON_EPSILON past
-    # the threshold, on the side the conclusion puts rho
+    # the exact bound on rho that settled the verdict, as (numerator,
+    # denominator); it lies past the certified interval around the
+    # threshold, on the side the conclusion puts rho
     bound: Optional[Ratio] = None
+
+    @property
+    def borderline(self) -> bool:
+        """Whether the hypotheses hold and no exact bound separates rho from
+        the threshold."""
+        return self.hypotheses.met and self.bound is None
 
     @property
     def oracle_agrees(self) -> Optional[bool]:
@@ -285,11 +281,10 @@ def _hypotheses(g: Graph, kind: TheoremKind) -> tuple[int, HypothesisReport]:
 
 @lru_cache(maxsize=None)
 def _cutoffs(kind: TheoremKind, n: int, delta: int) -> tuple[Ratio, Ratio]:
-    """Rationals lo < theta - COMPARISON_EPSILON and hi > theta + COMPARISON_EPSILON,
-    as (numerator, denominator): x -+ (ROOT_TOL + COMPARISON_EPSILON), for the
-    float x that ``largest_root`` certifies within ROOT_TOL of theta."""
-    x = Fraction(_threshold(kind, n, delta))
-    lo, hi = x - _MARGIN, x + _MARGIN
+    """Rationals lo < theta < hi, as (numerator, denominator): x -+ ROOT_TOL,
+    for the float x that ``largest_root`` certifies within ROOT_TOL of theta."""
+    x, tol = Fraction(_threshold(kind, n, delta)), Fraction(ROOT_TOL)
+    lo, hi = x - tol, x + tol
     return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
 
@@ -311,37 +306,25 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
               spectral: Optional[float],
               settled: Optional[tuple[Ratio, bool]] = None) -> TheoremVerdict:
     """The verdict on g from its hypotheses and, when they are met, its rho
-    or the exact bound on rho that settles it, with whether the condition
-    holds."""
+    (None when no eigen-solve ran) and the exact bound on rho that settles
+    it, with whether the condition holds (None when no bound does)."""
     n = g.n
     if not hyp.met:
-        return TheoremVerdict(kind, n, delta, hyp, None, None, False, Conclusion.NOT_APPLICABLE)
-
+        return TheoremVerdict(kind, n, delta, hyp, None, None, Conclusion.NOT_APPLICABLE)
     params = ExtremalParams(n, delta)
-    q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
-    threshold = threshold_rho_q(params) if q_side else threshold_rho_d(params)
-    if settled is not None:
-        bound, holds = settled
-        if not holds:
-            return TheoremVerdict(kind, n, delta, hyp, None, threshold, False,
-                                  Conclusion.INCONCLUSIVE, bound=bound)
-        return TheoremVerdict(kind, n, delta, hyp, None, threshold, False,
-                              Conclusion.EVEN_FACTOR_GUARANTEED, find_even_factor(g).status, bound)
-    assert spectral is not None
-    margin = spectral - threshold if q_side else threshold - spectral
-    borderline = abs(margin) < COMPARISON_EPSILON
-    # the extremal graph's rho is the threshold itself, which no float
-    # comparison can place, so it is recognized first
-    if recognize_extremal(g, delta):
-        conclusion = Conclusion.EXTREMAL_EXCEPTION
-    elif margin >= COMPARISON_EPSILON:
+    threshold = (threshold_rho_q(params) if kind is TheoremKind.SIGNLESS_LAPLACIAN
+                 else threshold_rho_d(params))
+    bound, holds = settled if settled is not None else (None, False)
+    if holds:
         conclusion = Conclusion.EVEN_FACTOR_GUARANTEED
+    elif bound is None and recognize_extremal(g, delta):
+        conclusion = Conclusion.EXTREMAL_EXCEPTION
     else:
         conclusion = Conclusion.INCONCLUSIVE
-    if conclusion is Conclusion.INCONCLUSIVE and not borderline:
-        return TheoremVerdict(kind, n, delta, hyp, spectral, threshold, False, conclusion)
-    return TheoremVerdict(kind, n, delta, hyp, spectral, threshold, borderline, conclusion,
-                          find_even_factor(g).status)
+    # the oracle checks every guarantee and every borderline verdict
+    searched = holds or bound is None
+    return TheoremVerdict(kind, n, delta, hyp, spectral, threshold, conclusion,
+                          find_even_factor(g).status if searched else None, bound)
 
 
 def check_even_factor(g: Graph, kind: TheoremKind) -> TheoremVerdict:
@@ -355,28 +338,22 @@ def check_even_factor_many(graphs: Iterable[Graph],
 
     The hypotheses are settled first: a ``not-applicable`` verdict carries
     ``spectral_value`` and ``threshold`` as None. A graph that meets them
-    is next held to its exact bounds on rho, the x = 1 bound and then the
-    Collatz-Wielandt bracket (the module docstring). When a bound settles
-    it, the verdict is not borderline, with ``bound`` set and
-    ``spectral_value`` None: ``inconclusive``, or ``even-factor-guaranteed``
-    when the bound lies on the theorem's side of the threshold. Only the
-    other graphs are eigen-solved, and their ``bound`` is None. The
-    extremal graph is never settled by a bound, since its rho is the
-    threshold itself. The minimum degree used in
-    thresholds is always min_degree(g). The extremal graph is recognized
-    by its degrees, with no float comparison, and is ``extremal-exception``.
-    A spectral value less than COMPARISON_EPSILON from the threshold is
-    ``borderline``. Any other graph is ``even-factor-guaranteed`` when it
-    lies outside that band on the theorem's side (rho_Q above the
-    threshold, rho_D below it), and ``inconclusive`` otherwise, so the band
-    never grants a guarantee. The exact search runs on every guarantee,
-    on the extremal exception and on every borderline verdict, and
-    ``oracle_status`` holds its answer; it is None on the other verdicts.
+    is next held to its exact bounds on rho, rung by rung (the module
+    docstring): the x = 1 bound, the M^3 1 bracket, and the bracket from
+    its eigenvector. A bound on the theorem's side of the threshold (rho_Q
+    above it, rho_D below it) makes the verdict ``even-factor-guaranteed``,
+    one on the other side ``inconclusive``; either way it is in ``bound``.
+    A graph no bound settles is ``borderline``: ``extremal-exception`` if
+    recognized by its degrees, ``inconclusive`` otherwise. ``spectral_value``
+    is rho from the eigen-solve, None on a graph a bound settled before it.
+    The exact search runs on every guarantee and every borderline verdict,
+    and ``oracle_status`` holds its answer; it is None on the other
+    verdicts. The minimum degree used in thresholds is always min_degree(g).
 
     Graphs are read VERDICT_CHUNK at a time. Within a chunk, the graphs of
     one order that the x = 1 bound leaves open share one integer matrix
     stack, which gives their brackets, and those the brackets leave open
-    are eigen-solved together, from a float copy of their slice.
+    are eigen-solved together, from their slice of it.
     """
     q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
     build = _signless_laplacian_stack if q_side else _distance_stack
@@ -405,8 +382,11 @@ def check_even_factor_many(graphs: Iterable[Graph],
                     settled[i] = _settle(q_side, cutoffs[i], *bracket)
             left = [j for j, i in enumerate(members) if settled[i] is None]
             if left:
-                for j, value in zip(left, perron(stack[left])[0]):
-                    values[members[j]] = float(value)
+                sub = stack[left]
+                radii, vectors, _ = perron(sub)
+                for j, rho, bracket in zip(left, radii.tolist(), perron_brackets(sub, vectors)):
+                    i = members[j]
+                    values[i], settled[i] = rho, _settle(q_side, cutoffs[i], *bracket)
         for g, (delta, hyp), value, done in zip(chunk, checked, values, settled):
             yield _conclude(g, kind, delta, hyp, value, done)
 

@@ -20,7 +20,6 @@ from evenfactor.oracle import NODE_CAP, find_even_factor
 from evenfactor.sampling import sample_connected_graphs, sample_graph
 from evenfactor.spectral import rho_q
 from evenfactor.theorems import (
-    COMPARISON_EPSILON,
     ExtremalParams,
     TheoremKind,
     check_even_factor,
@@ -51,7 +50,7 @@ def test_spectra_via_subprocess(tmp_path):
     proc = run_cli(["spectra", "--json", str(report_path)], stdin="C~\nCh\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    assert report["schema_version"] == "7"
+    assert report["schema_version"] == "8"
     rows = report["rows"]
     assert rows[0]["n"] == 4 and rows[0]["rho_q"] == pytest.approx(6, abs=1e-9)
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)
@@ -141,7 +140,7 @@ def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys)
     assert (cycle["spectral_value"], cycle["spectral_bound"], cycle["borderline"]) == (
         None, 4, False)
     assert guaranteed["spectral_value"] is None
-    assert (guaranteed["threshold"] + COMPARISON_EPSILON <= guaranteed["spectral_bound"]
+    assert (guaranteed["threshold"] < guaranteed["spectral_bound"]
             <= rho_q(from_graph6("O~~~~~~~~~~~~~~~~~~??")))
     assert guaranteed["spectral_bound"] == pytest.approx(28.2377381, abs=1e-6)
     config = report["config"]
@@ -153,6 +152,31 @@ def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys)
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_certify_row_settled_by_the_eigenvector_bracket(tmp_path):
+    # the extremal graph at (14, 3) with the edges (7, 12) and (10, 12) added
+    # from the big clique to a singleton and the big-clique edge (8, 11)
+    # deleted: rho_Q lies 0.00089 below
+    # the threshold, too near for the M^3 1 bracket, so the eigen-solve
+    # runs, and the bracket from its eigenvector settles the verdict
+    line = "M~~~~~~~~~~zwQw??"
+    path = tmp_path / "c.json"
+    proc = run_cli(["certify", "--theorem", "1", "--json", str(path), "--no-timing"],
+                   stdin=line + "\n")
+    assert proc.returncode == 0
+    [row] = json.loads(path.read_text())["rows"]
+    assert (row["min_degree"], row["conclusion"], row["borderline"], row["oracle_status"]) == (
+        3, "inconclusive", False, None)
+    assert row["spectral_value"] is not None and row["spectral_bound"] is not None
+    assert row["spectral_value"] <= row["spectral_bound"] < row["threshold"]
+    # bound_decided counts only the verdicts settled with no eigen-solve
+    corpus = tmp_path / "in.g6"
+    corpus.write_text(line + "\n")
+    assert main(["scan", "--corpus", str(corpus), "--theorem", "1",
+                 "--json", str(path), "--no-timing"]) == 0
+    [row] = json.loads(path.read_text())["rows"]
+    assert (row["inconclusive"], row["borderline"], row["bound_decided"]) == (1, 0, 0)
 
 
 def test_certify_inconclusive_and_not_applicable():
@@ -608,6 +632,5 @@ def test_certify_and_scan_report_a_refuted_guarantee_alike(tmp_path, monkeypatch
     assert (row["line"], row["graph6"], row["oracle_status"]) == (2, line, "none-exists")
     # the bracket settled the guarantee, so the violation keeps its bound
     assert row["spectral_value"] is None
-    assert (row["threshold"] + COMPARISON_EPSILON <= row["spectral_bound"]
-            <= rho_q(clique_join(3, (10, 1))))
+    assert row["threshold"] < row["spectral_bound"] <= rho_q(clique_join(3, (10, 1)))
     assert row["reason"] == "guaranteed conclusion contradicted by the oracle"

@@ -557,3 +557,16 @@ def test_odd_component_batch_matches_unpruned_enumeration(monkeypatch):
     # no table above the cap; the order-6 graphs fill one whole table and part of another
     assert max(n + n % 2 for n, _ in tables) == TABLE_MAX_ORDER
     assert sorted(k for n, k in tables if n == 6) == [orders.count(6) - TABLE_CHUNK, TABLE_CHUNK]
+
+
+def test_odd_component_batch_with_every_graph_decided_builds_no_table(monkeypatch):
+    # even orders 4..8 with a vertex of degree <= 2: the degree rule decides
+    # each graph, so no subset table is planned or filled
+    planned = []
+    table_plan = oracle._table_plan
+    monkeypatch.setattr(oracle, "_table_plan", lambda n: planned.append(n) or table_plan(n))
+    graphs = [g for n in (4, 6, 8) for g in load_bundled_corpus(n)[:50] if g.min_degree() <= 2]
+    assert {g.n for g in graphs} == {4, 6, 8}
+    assert odd_component_conditions(graphs) == [OddComponentReport(False, 0)] * len(graphs)
+    assert odd_component_condition(graphs[-1]) == OddComponentReport(False, 0)
+    assert planned == []

@@ -17,9 +17,9 @@ from evenfactor.quotient import (
     ROOT_TOL,
     _d_blocks_coeffs,
     _d_clique_star_coeffs,
+    _fourier_signs,
     _q_blocks_coeffs,
     _q_clique_star_coeffs,
-    above_largest_root,
     charpoly3,
     d_block_gap_coeffs,
     d_singleton_gap_coeffs,
@@ -299,6 +299,13 @@ def test_largest_root_rejects_uncertifiable_cubics():
     with pytest.raises(BracketingError):
         # x (x - 1)^2: the estimate lands on the double root, where f' = 0
         largest_root(Cubic(-2, 1, 0))
+
+
+def above_largest_root(cubic, r):
+    """The sign criterion of ``_fourier_signs``: c'', c' and c all positive
+    at the rational r, read exactly (a float included)."""
+    r = Fraction(r)
+    return all(v > 0 for v in _fourier_signs(cubic, r.numerator, r.denominator))
 
 
 def test_above_largest_root_brackets_every_certified_family_root():

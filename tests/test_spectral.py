@@ -236,11 +236,12 @@ def test_rho_d_strictly_monotone_under_edge_deletion():
                 break
 
 
-def _brackets_in_python_ints(m, power):
-    """perron_brackets' bounds at the given power, in Python ints that
-    cannot wrap: (x'y / x'x, max y_i / x_i) as Fractions."""
+def _brackets_in_python_ints(m, power, start=None):
+    """perron_brackets' bounds from x = M^power start, start the all-ones
+    vector by default, in Python ints that cannot wrap: (x'y / x'x,
+    max y_i / x_i) as Fractions."""
     m = m.tolist()
-    x = [1] * len(m)
+    x = start or [1] * len(m)
     for _ in range(power):
         x = [sum(a * b for a, b in zip(row, x)) for row in m]
     y = [sum(a * b for a, b in zip(row, x)) for row in m]
@@ -250,7 +251,9 @@ def _brackets_in_python_ints(m, power):
 
 def test_perron_brackets_hold_on_every_connected_graph_to_order_7():
     # lower <= rho <= upper for Q and D of all 995 connected graphs on 2..7
-    # vertices, and they are the bounds exact integers give at power 3
+    # vertices, and they are the bounds exact integers give at power 3, or
+    # from the eigenvector scaled to largest entry 2^52 and rounded, which
+    # brackets rho within 1e-9
     for n in range(2, 8):
         graphs = load_bundled_corpus(n)
         for build, radii in ((_signless_laplacian_stack, rho_q_many),
@@ -260,6 +263,13 @@ def test_perron_brackets_hold_on_every_connected_graph_to_order_7():
             for m, rho, (lower, upper) in zip(stack, radii(graphs), brackets):
                 assert lower[0] / lower[1] <= rho + 1e-9 <= upper[0] / upper[1] + 2e-9
                 assert (Fraction(*lower), Fraction(*upper)) == _brackets_in_python_ints(m, 3)
+            values, vectors, _ = perron(stack)
+            for m, rho, v, (lower, upper) in zip(stack, values, vectors,
+                                                 perron_brackets(stack, vectors)):
+                x = [max(1, round(e / max(v) * 2.0**52)) for e in v.tolist()]
+                assert max(x) == 2**52
+                assert (Fraction(*lower), Fraction(*upper)) == _brackets_in_python_ints(m, 0, x)
+                assert rho - 1e-9 <= Fraction(*lower) <= Fraction(*upper) <= rho + 1e-9
 
 
 def test_perron_brackets_lower_the_power_per_matrix_before_int64_wraps():

@@ -10,12 +10,14 @@ import pytest
 
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
-from evenfactor.oracle import CertificateStatus, is_even_factor
+from evenfactor.oracle import CertificateStatus, find_even_factor, is_even_factor
+from evenfactor.quotient import ROOT_TOL
 from evenfactor.sampling import sample_connected_graphs
 from evenfactor import cli, lemmas, theorems
 from evenfactor.spectral import (_distance_stack, distance_matrix, perron, rho_d, rho_d_many,
                                  rho_q, rho_q_many, signless_laplacian, wiener_index)
 from evenfactor.lemmas import (
+    COMPARISON_EPSILON,
     check_d_threshold_below_bridged,
     check_q_threshold_above_bridged,
     check_quotient_matches_matrix,
@@ -23,7 +25,6 @@ from evenfactor.lemmas import (
     run_property_suite,
 )
 from evenfactor.theorems import (
-    COMPARISON_EPSILON,
     Conclusion,
     ExtremalParams,
     VERDICT_CHUNK,
@@ -42,8 +43,13 @@ from evenfactor.theorems import (
 )
 from small_graphs import cycle, path
 
-# the exact binary value of COMPARISON_EPSILON
-_EPS = Fraction(COMPARISON_EPSILON)
+# the exact binary value of ROOT_TOL: a settling bound lies at least this
+# far past the threshold's float
+_TOL = Fraction(ROOT_TOL)
+# the reference float rule (_float_rule): a guarantee needs rho this far
+# past the threshold's float, and rho closer to it than this is borderline;
+# the exact verdicts must agree with it wherever it places a graph
+_FLOAT_BAND = 1e-8
 
 
 def test_extremal_params_validation():
@@ -195,7 +201,7 @@ def test_check_q_on_extremal_and_simple_graphs():
     v5 = check_even_factor(less, TheoremKind.SIGNLESS_LAPLACIAN)
     assert v5.spectral_value is None
     assert rho_q(less) == pytest.approx(11.97025771667926, abs=1e-9)
-    assert rho_q(less) <= Fraction(*v5.bound) <= Fraction(v5.threshold) - _EPS
+    assert rho_q(less) <= Fraction(*v5.bound) <= Fraction(v5.threshold) - _TOL
     assert v5.conclusion is Conclusion.INCONCLUSIVE and not v5.borderline
 
     v3 = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
@@ -223,7 +229,7 @@ def test_check_d_direction():
     less = _less_edge(extremal_graph(p), (2, 3))
     v4 = check_even_factor(less, TheoremKind.DISTANCE)
     assert v4.spectral_value is None and v4.conclusion is Conclusion.INCONCLUSIVE
-    assert Fraction(v4.threshold) + _EPS <= Fraction(*v4.bound) <= rho_d(less)
+    assert Fraction(v4.threshold) + _TOL <= Fraction(*v4.bound) <= rho_d(less)
     assert not v4.borderline and v4.oracle_status is None
     # complete graph of even order: delta = n-1 fails the order bound
     v3 = check_even_factor(clique_join(10, ()), TheoremKind.DISTANCE)
@@ -434,8 +440,11 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
     refused = [clique_join(8, ()), cycle(7), two_c4, Graph(0)]
     # the order bound at delta = 2 is 8 for rho_Q and 9 for rho_D; the
     # cycle is settled by its x = 1 bound, the extremal graph's one-edge
-    # deletion by its bracket, and the extremal graph is left to the
-    # eigen-solve; with no bracket, the deletion is eigen-solved too
+    # deletion by its M^3 1 bracket, and the extremal graph is left to the
+    # eigen-solve, whose eigenvector bracket cannot settle it either; with
+    # no M^3 1 bracket, the deletion is eigen-solved too, and its
+    # eigenvector bracket settles it with the same verdict
+    brackets = theorems.perron_brackets
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
         matrix = signless_laplacian if kind is TheoremKind.SIGNLESS_LAPLACIAN else distance_matrix
         star = extremal_graph(ExtremalParams(n, 2))
@@ -449,12 +458,16 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
         for g, v in zip(graphs[4:6], verdicts[4:6]):
             _assert_bound_side(v, radius(g))
         with monkeypatch.context() as m:
-            m.setattr(theorems, "perron_brackets", lambda stack: [None] * len(stack))
+            m.setattr(theorems, "perron_brackets", lambda stack, vectors=None: (
+                [None] * len(stack) if vectors is None else brackets(stack, vectors)))
             solved.clear()
             unbracketed = list(check_even_factor_many(graphs, kind))
         assert solved == [matrix(g).tolist() for g in graphs[-2:]]
         assert [v.conclusion for v in unbracketed] == [v.conclusion for v in verdicts]
         assert unbracketed[:5] == verdicts[:5] and unbracketed[-1] == verdicts[-1]
+        deletion = unbracketed[-2]
+        assert deletion.spectral_value == radius(graphs[-2]) and deletion.bound is not None
+        _assert_bound_side(deletion, deletion.spectral_value)
     v = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.conclusion is Conclusion.NOT_APPLICABLE
     assert v.spectral_value is None and v.threshold is None
@@ -462,34 +475,55 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
 
 def _assert_bound_side(v, rho):
     """A bound-settled verdict's bound lies on the side of the threshold its
-    conclusion names, at least COMPARISON_EPSILON past it, and on the same
-    side of rho: a lower bound where rho lies above the threshold."""
+    conclusion names, at least ROOT_TOL past the threshold's float, and on
+    the same side of rho: a lower bound where rho lies above the threshold."""
     bound, threshold = Fraction(*v.bound), Fraction(v.threshold)
-    assert v.spectral_value is None and not v.borderline
+    assert not v.borderline
     above = ((v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED)
              == (v.kind is TheoremKind.SIGNLESS_LAPLACIAN))
     if above:
-        assert threshold + _EPS <= bound and bound <= rho + 1e-9
+        assert threshold + _TOL <= bound and bound <= rho + 1e-9
     else:
-        assert bound <= threshold - _EPS and rho <= bound + 1e-9
+        assert bound <= threshold - _TOL and rho <= bound + 1e-9
+
+
+def _float_rule(g, v, rho):
+    """(conclusion, borderline, oracle status) that the float rule gives g
+    from its rho: the extremal graph by recognition, a guarantee when rho
+    lies at least _FLOAT_BAND past the threshold on the theorem's side,
+    inconclusive otherwise, borderline within _FLOAT_BAND of it, and the
+    oracle run on every verdict but a non-borderline inconclusive one."""
+    margin = rho - v.threshold if v.kind is TheoremKind.SIGNLESS_LAPLACIAN else v.threshold - rho
+    borderline = abs(margin) < _FLOAT_BAND
+    if recognize_extremal(g, v.min_degree):
+        conclusion = Conclusion.EXTREMAL_EXCEPTION
+    elif margin >= _FLOAT_BAND:
+        conclusion = Conclusion.EVEN_FACTOR_GUARANTEED
+    else:
+        conclusion = Conclusion.INCONCLUSIVE
+    checked = conclusion is not Conclusion.INCONCLUSIVE or borderline
+    return conclusion, borderline, find_even_factor(g).status if checked else None
 
 
 def _assert_eigen_path_verdicts(graphs, kind, verdicts):
-    """Each verdict equals the one g's own eigen-solve gives (conclusion,
-    band and oracle status), and a bound-settled one has its bound on the
-    right side; returns the number of bound-settled verdicts."""
+    """Each verdict is the float rule's on g's own eigen-solve (conclusion,
+    borderline flag and oracle status) wherever that rule can place g: rho
+    at least _FLOAT_BAND from the threshold, or g the extremal graph. A
+    bound-settled verdict has its bound on the right side, an eigen-solved
+    one carries rho, and one no bound settles is borderline; returns the
+    number of verdicts settled with no eigen-solve."""
     radii = rho_q_many if kind is TheoremKind.SIGNLESS_LAPLACIAN else rho_d_many
     settled = 0
     for g, v in zip(graphs, verdicts):
         rho = float(radii([g])[0])
-        e = theorems._conclude(g, kind, v.min_degree, v.hypotheses, rho)
-        assert (v.conclusion, v.borderline, v.oracle_status) == (
-            e.conclusion, e.borderline, e.oracle_status)
+        if abs(rho - v.threshold) >= _FLOAT_BAND or recognize_extremal(g, v.min_degree):
+            assert (v.conclusion, v.borderline, v.oracle_status) == _float_rule(g, v, rho)
+        assert v.spectral_value in (None, rho)
         if v.bound is None:
-            assert v.spectral_value == rho
+            assert v.borderline and v.spectral_value == rho and v.oracle_status is not None
         else:
             _assert_bound_side(v, rho)
-            settled += 1
+            settled += v.spectral_value is None
     return settled
 
 
@@ -548,42 +582,44 @@ def test_bracket_settles_near_extremal_guarantees(kind, n):
 def test_bracket_guard_keeps_the_eigen_path_verdict_at_order_160(kind):
     # the extremal graph at (160, 3) plus the edge (3, 158): Q's largest row
     # sum is 2 Delta = 318 and n 318^7 passes 2^62, so the bracket starts
-    # from a lower power; either way the verdict is the eigen path's
+    # from a lower power; either way the verdict is the float rule's, and it
+    # carries an exact bound
     star = extremal_graph(ExtremalParams(160, 3))
     g = Graph(160, star.edges() + [(3, 158)])
     assert g.min_degree() == 3 and 160 * 318**7 >= 2**62 > 160 * 318**5
     [v] = check_even_factor_many([g], kind)
-    assert v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED
-    # the lower power still settles the Q guarantee
-    assert (v.bound is not None) == (kind is TheoremKind.SIGNLESS_LAPLACIAN)
+    assert v.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED and v.bound is not None
+    # the lower power still settles the Q guarantee; the D bracket from
+    # M^2 1 stays above the threshold, so the eigenvector's bracket settles it
+    assert (v.spectral_value is None) == (kind is TheoremKind.SIGNLESS_LAPLACIAN)
     _assert_eigen_path_verdicts([g], kind, [v])
 
 
-def test_conclude_keeps_the_slack_on_the_safe_side():
-    # spectral values placed by hand around the threshold: a guarantee needs
-    # the full epsilon past it, the band within epsilon of it is borderline
-    # and oracle-checked, and the extremal graph needs no comparison
-    eps = theorems.COMPARISON_EPSILON
-    for kind, n, toward in ((TheoremKind.SIGNLESS_LAPLACIAN, 8, 1),
-                            (TheoremKind.DISTANCE, 10, -1)):
+def test_a_bound_inside_the_certified_interval_never_settles():
+    # theta lies in (x - ROOT_TOL, x + ROOT_TOL) for the threshold's float
+    # x, and those ends are the cutoffs: a bound strictly between them
+    # settles nothing, one at or past an end settles on its side, and a
+    # graph no bound settles is borderline and oracle-checked
+    for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
+        q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
         p = ExtremalParams(n, 2)
-        theta = threshold_rho_q(p) if kind is TheoremKind.SIGNLESS_LAPLACIAN else threshold_rho_d(p)
-
-        def verdict(g, value):
+        x = Fraction(threshold_rho_q(p) if q_side else threshold_rho_d(p))
+        lo, hi = (x - _TOL).as_integer_ratio(), (x + _TOL).as_integer_ratio()
+        cutoffs = theorems._cutoffs(kind, n, 2)
+        assert cutoffs == (lo, hi)
+        hair = Fraction(1, 10**40)
+        for inside in (x - _TOL + hair, x - _TOL / 2, x, x + _TOL / 2, x + _TOL - hair):
+            bound = inside.as_integer_ratio()
+            assert theorems._settle(q_side, cutoffs, lower=bound, upper=bound) is None
+        assert theorems._settle(q_side, cutoffs, lower=hi) == (hi, q_side)
+        assert theorems._settle(q_side, cutoffs, upper=lo) == (lo, not q_side)
+        for g, conclusion in ((cycle(n), Conclusion.INCONCLUSIVE),
+                              (extremal_graph(p), Conclusion.EXTREMAL_EXCEPTION)):
             delta, hyp = theorems._hypotheses(g, kind)
             assert hyp.met and delta == 2
-            v = theorems._conclude(g, kind, delta, hyp, value)
-            return v.conclusion, v.borderline, v.oracle_status is not None
-
-        other, star = cycle(n), extremal_graph(p)
-        assert verdict(other, theta + toward * 2 * eps) == (
-            Conclusion.EVEN_FACTOR_GUARANTEED, False, True)
-        for value in (theta + toward * eps / 2, theta, theta - toward * eps / 2):
-            assert verdict(other, value) == (Conclusion.INCONCLUSIVE, True, True)
-        assert verdict(other, theta - toward * 2 * eps) == (Conclusion.INCONCLUSIVE, False, False)
-        for value in (theta - toward * 2 * eps, theta, theta + toward * 2 * eps):
-            assert verdict(star, value) == (
-                Conclusion.EXTREMAL_EXCEPTION, value == theta, True)
+            v = theorems._conclude(g, kind, delta, hyp, None)
+            assert (v.conclusion, v.borderline, v.bound, v.oracle_status) == (
+                conclusion, True, None, CertificateStatus.FOUND)
 
 
 def test_quotient_check_margin_is_the_worst_cell():
