@@ -8,8 +8,8 @@ Library layout:
             the same radii, on stacks of same-order matrices
   quotient  partitions, quotient matrices, family cubics on ints or Polys,
             and root bracketing
-  oracle    exact even-factor search and the odd-component condition, one
-            graph or a batch at a time
+  oracle    exact even-factor search, and the odd-component condition on a
+            batch of graphs
   theorems  extremal cubics, thresholds, verdicts, recognition, the extremal table
   lemmas    the property checks and proofs behind the theorems, in one registry
   cli       command-line front end (spectra/certify/scan/lemmas/extremal/oracle)
@@ -27,10 +27,8 @@ from .graphs import (
 from .oracle import (
     CertificateStatus,
     EvenFactorCertificate,
-    OddComponentReport,
     find_even_factor,
     is_even_factor,
-    odd_component_condition,
     odd_component_conditions,
 )
 from .quotient import (

@@ -3,10 +3,11 @@
 Each check tests one supporting fact and returns one CheckOutcome per point
 of its input (seeded samples, a grid of extremal-family cells, or a bundled
 corpus): spectral monotonicity, join-family dominance, equitable-quotient
-roots, the Wiener lower bound, rho_Q <= 2 Delta, the rho_Q bracket, the
-odd-component implication, the extremal Wiener closed form, the
-block-family Rayleigh gap and Perron-component positivity. Eight facts read
-no input and are proved once for all parameters on quotient.Poly: the
+roots, the Wiener lower bound, rho_Q <= 2 Delta, the odd-component
+implication, the extremal Wiener closed form, the block-family Rayleigh gap
+and Perron-component positivity. Nine facts read no input and are proved
+once for all parameters on quotient.Poly: the rho_Q bracket
+2n - 2delta < rho_Q(extremal) < 2n - delta from the Q order bound on, the
 extremal rho_Q above and rho_D below those of bridged graphs, the s = 2
 block cubic, the gap expansions and four difference identities.
 
@@ -69,7 +70,6 @@ from .theorems import (
     extremal_wiener,
     order_bound_grid,
     threshold_rho_d,
-    threshold_rho_q,
 )
 
 COMPARISON_EPSILON = 1e-8
@@ -305,20 +305,6 @@ def check_q_max_degree_bound(graphs: list[Graph]) -> list[CheckOutcome]:
     return out
 
 
-def check_q_threshold_bracket(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
-    """Strict bracket 2n-2delta < rho_Q(extremal) < 2n-delta."""
-    out = []
-    for p in grid:
-        thr = threshold_rho_q(p)
-        lo_margin = thr - (2 * p.n - 2 * p.delta)
-        hi_margin = (2 * p.n - p.delta) - thr
-        out.append(CheckOutcome(
-            "q-threshold-bracket", f"n={p.n},delta={p.delta}",
-            lo_margin > 0 and hi_margin > 0, min(lo_margin, hi_margin),
-        ))
-    return out
-
-
 def _positive(p) -> bool:
     """Whether the Poly p has a positive constant and no negative coefficient."""
     return p.terms.get((0, 0, 0), 0) > 0 and min(p.terms.values()) > 0
@@ -340,6 +326,24 @@ def check_q_threshold_above_bridged() -> list[CheckOutcome]:
     shifted = -eval_poly((1,) + _q_clique_star_coeffs(3 + j + k, 2 + j), 2 * k + 2)
     ok = value == -2 * DELTA * (DELTA - 1) * (N - DELTA) and _positive(shifted)
     return [CheckOutcome("q-threshold-above-2n-2delta", "all n > delta >= 2", ok, float(ok))]
+
+
+def check_q_threshold_bracket() -> list[CheckOutcome]:
+    """Strict bracket 2n - 2delta < rho_Q(extremal) < 2n - delta from the
+    Q order bound on: every delta >= 2 and n >= 7delta - 7.
+
+    The lower half holds at every n > delta >= 2
+    (``check_q_threshold_above_bridged``). For the upper half, with
+    delta = 2 + j and n = 7delta - 7 + k, the values of c'', c' and c at
+    2n - delta, for c the extremal Q cubic, are Polys in j, k >= 0 with
+    positive coefficients and constant (``quotient._fourier_signs``), so
+    2n - delta lies above c's largest root: the threshold.
+    """
+    j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
+    d, n = 2 + j, 7 + 7 * j + k  # n = 7d - 7 + k
+    upper = all(map(_positive, _fourier_signs(Cubic(*_q_clique_star_coeffs(n, d)), 2 * n - d, 1)))
+    ok = check_q_threshold_above_bridged()[0].passed and upper
+    return [CheckOutcome("q-threshold-bracket", "all delta >= 2, n >= 7delta - 7", ok, float(ok))]
 
 
 def bridged_wiener_twice(n, a):
@@ -374,7 +378,7 @@ def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcom
 
     By the Tutte-Berge formula the condition says, on even orders, that G
     is bicritical: every G - u - v has a perfect matching (see
-    ``odd_component_condition``). So this tests "bicritical => even factor".
+    ``odd_component_conditions``). So this tests "bicritical => even factor".
 
     n = 2 is a genuine degenerate boundary: K_2 satisfies the condition
     vacuously (the only subset of size >= 2 is all of V) but has no even
@@ -382,8 +386,8 @@ def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcom
     """
     graphs = list(graphs)
     out = []
-    for i, (g, report) in enumerate(zip(graphs, odd_component_conditions(graphs))):
-        if g.n % 2 or g.n < 4 or not report.holds:
+    for i, (g, holds) in enumerate(zip(graphs, odd_component_conditions(graphs))):
+        if g.n % 2 or g.n < 4 or not holds:
             continue
         cert = find_even_factor(g)
         out.append(CheckOutcome(
@@ -402,12 +406,12 @@ def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     what happens on odd-order inputs as a single always-passing observation.
     On odd orders the condition says, by the Tutte-Berge formula, that every
     G - u - v has a matching missing just one vertex (see
-    ``odd_component_condition``).
+    ``odd_component_conditions``).
     """
     satisfied = with_factor = without = 0
     graphs = list(graphs)
-    for g, report in zip(graphs, odd_component_conditions(graphs)):
-        if g.n % 2 == 0 or g.n < 3 or not report.holds:
+    for g, holds in zip(graphs, odd_component_conditions(graphs)):
+        if g.n % 2 == 0 or g.n < 3 or not holds:
             continue
         satisfied += 1
         status = find_even_factor(g).status
@@ -544,7 +548,7 @@ CHECKS = (
     (("quotient-root-matches-matrix",), check_quotient_matches_matrix, "q-grid"),
     (("wiener-lower-bound",), check_wiener_bound, "bound-corpus"),
     (("q-max-degree-bound",), check_q_max_degree_bound, "bound-corpus"),
-    (("q-threshold-bracket",), check_q_threshold_bracket, "q-grid"),
+    (("q-threshold-bracket",), check_q_threshold_bracket, "none"),
     (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "none"),
     (("d-threshold-below-bridged",), check_d_threshold_below_bridged, "none"),
     (("odd-component-implication",), check_odd_component_implication, "even-corpus"),

@@ -21,10 +21,10 @@ fixed NODE_CAP decisions; no caller sets a cap of its own.
 Also provides the odd-component counting condition o(G - S) < |S| for
 all |S| >= 2, which is sufficient on even orders. By the Tutte-Berge
 formula it holds iff every G - u - v has a maximum matching that misses
-at most n mod 2 vertices (on even orders: G is bicritical). On orders up
-to 8 one table of the vertex subsets that have a perfect matching decides
-a whole batch of graphs at once; above that a memoised matching search
-over vertex bitmasks decides one graph at a time.
+at most n mod 2 vertices (on even orders: G is bicritical). One table of
+the vertex subsets that have a perfect matching decides a whole batch of
+graphs of one order at once, on orders up to 8, every bundled order; a
+larger order raises ValueError.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .graphs import Graph
 
 # include/exclude decisions after which the backtracking search gives up
 NODE_CAP = 100_000_000
-# the largest padded order (n rounded up to even) that a subset table decides;
-# the table reads uint8 neighbour bitmasks, so it cannot exceed 8
+# the largest order whose odd-component condition is decided; the subset
+# table reads uint8 neighbour bitmasks of the graph padded to even order,
+# so it cannot exceed 8
 TABLE_MAX_ORDER = 8
 # graphs per subset table: 2^8 rows of at most this many bools
 TABLE_CHUNK = 1024
@@ -59,19 +60,6 @@ class EvenFactorCertificate:
     status: CertificateStatus
     edges: Optional[tuple[tuple[int, int], ...]]
     nodes_explored: int
-
-
-@dataclass(frozen=True)
-class OddComponentReport:
-    """Outcome of checking o(G - S) < |S| over all S with |S| >= 2.
-
-    ``subsets_checked`` is the number of vertex pairs {u, v} whose G - u - v
-    was tested for a matching (see ``odd_component_condition``); 0 when
-    the degree rule decided.
-    """
-
-    holds: bool
-    subsets_checked: int
 
 
 def is_even_factor(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
@@ -348,8 +336,8 @@ def _search(bits: list[int]) -> EvenFactorCertificate:
             ok = r > 1 or k and (r or not k & 1)
 
 
-def odd_component_condition(g: Graph) -> OddComponentReport:
-    """Check o(G - S) < |S| for every S with |S| >= 2.
+def odd_component_conditions(graphs: Iterable[Graph]) -> list[bool]:
+    """Whether o(G - S) < |S| for every S with |S| >= 2, per graph, in input order.
 
     By the Tutte-Berge formula, a maximum matching of H misses exactly
     max_T (o(H - T) - |T|) vertices. With H = G - u - v and S = T + {u, v}
@@ -357,103 +345,65 @@ def odd_component_condition(g: Graph) -> OddComponentReport:
     Since o(G - S) has the parity of n - |S|, o(G - S) < |S| says
     o(G - S) - |S| <= (n mod 2) - 2. Every S with |S| >= 2 holds a pair,
     so the condition holds iff every G - u - v has a maximum matching
-    missing at most n mod 2 vertices: a perfect matching on even n, one
-    missing a single vertex on odd n.
+    missing at most n mod 2 vertices. On even n >= 4 a vertex x of degree
+    <= 2 fails it at once: deleting a two-vertex S that holds N(x) but not
+    x leaves {x} as an odd component, and n - 2 is even, so another odd
+    component remains. On odd n a vertex added adjacent to every other
+    vertex takes the one vertex a matching of G - u - v may miss, so the
+    padded graph, of even order N = n + (n mod 2), less u and v must have
+    a perfect matching.
 
-    The pairs u < v run in lexicographic order, the test stops at the
-    first pair that fails, and ``subsets_checked`` counts the pairs
-    tested. Exact early exit: on even n >= 4 a vertex x of degree <= 2
-    fails the condition with no pair tested, because deleting a two-vertex
-    S that holds N(x) but not x leaves {x} as an odd component, and n - 2
-    is even, so another odd component remains.
-
-    A batch of one for ``odd_component_conditions``, which decides orders
-    up to 8 with one subset table per chunk of graphs of one order. Above
-    that one memoised search over alive-vertex bitmasks serves every pair:
-    the lowest alive vertex is matched to each alive neighbour in turn,
-    and on odd n it may instead be left unmatched, at most once; the memo
-    key carries that one-vertex budget as bit n. The recursion is about
-    n/2 calls deep.
-
-    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 9): the
-    11235 bundled graphs of even order 4..8, 8626 of them settled by the
-    degree rule, take 0.012 s in one ``odd_component_conditions`` batch
-    and 0.095 s by the memoised search one graph at a time. A batch of one
-    pays a whole table's numpy calls, about 0.4 ms at order 8, so many
-    graphs are best decided in one batch. By the search (best of 15) K_16
-    takes 0.2 ms, K_21 0.4 ms and K_{10,10} 1.2 ms. The memo is keyed by
-    alive sets, so on large sparse graphs it can still grow exponentially
-    in n.
-    """
-    (report,) = odd_component_conditions([g])
-    return report
-
-
-def odd_component_conditions(graphs: Iterable[Graph]) -> list[OddComponentReport]:
-    """``odd_component_condition`` of each graph, in input order.
-
-    The graphs are grouped by order n. Pad n to the even order N = n +
-    (n mod 2): on odd n an added vertex adjacent to every other vertex
-    takes the one vertex a matching of G - u - v may miss, so G - u - v
-    has a matching missing at most one vertex iff the padded graph less u
-    and v has a perfect matching. For N <= TABLE_MAX_ORDER each chunk of
-    TABLE_CHUNK graphs is decided with one table of 2^N rows, one column
-    per graph: the row of S is True when the padded G[S] has a perfect
-    matching (``_table_reports``). Larger orders run the memoised search,
-    one graph at a time, and never build a table.
+    Each chunk of TABLE_CHUNK graphs of one order is decided by one table
+    of 2^N rows, one column per graph, whose row of S is True when the
+    padded G[S] has a perfect matching (``_table_conditions``). A batch
+    holding an order above TABLE_MAX_ORDER raises ValueError before any
+    graph is decided. Measured on one core of a 2-vCPU Xeon (Python 3.11,
+    best of 9): the 11235 bundled graphs of even order 4..8 take 0.016 s
+    in one batch, and a batch of one graph of order 8 about 0.4 ms.
     """
     graphs = list(graphs)
-    reports = [None] * len(graphs)
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    for n, indices in by_order.items():
-        if n + (n & 1) > TABLE_MAX_ORDER:
-            for i in indices:
-                reports[i] = _odd_component_search(graphs[i])
-            continue
+    orders = [g.n for g in graphs]
+    if max(orders, default=0) > TABLE_MAX_ORDER:
+        raise ValueError(f"the odd-component condition is decided on orders up to "
+                         f"{TABLE_MAX_ORDER}, got order {max(orders)}")
+    holds = np.zeros(len(graphs), bool)
+    for n in set(orders):
+        indices = [i for i, order in enumerate(orders) if order == n]
         for start in range(0, len(indices), TABLE_CHUNK):
             chunk = indices[start:start + TABLE_CHUNK]
             masks = np.fromiter(chain.from_iterable(graphs[i]._bits for i in chunk), np.uint8,
                                 len(chunk) * n).reshape(len(chunk), n)
-            for i, report in zip(chunk, _table_reports(n, masks)):
-                reports[i] = report
-    return reports
+            holds[chunk] = _table_conditions(n, masks)
+    return holds.tolist()
 
 
 # popcounts of the bytes: degrees read off neighbour bitmasks of <= 8 vertices
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], np.uint8)
 
 
-def _table_reports(n: int, masks: np.ndarray) -> list[OddComponentReport]:
-    """Reports of k graphs of order n, n + (n mod 2) <= TABLE_MAX_ORDER,
+def _table_conditions(n: int, masks: np.ndarray) -> np.ndarray:
+    """The condition on k graphs of order n <= TABLE_MAX_ORDER, as k bools,
     from their (k, n) uint8 neighbour bitmasks."""
-    k = len(masks)
     if n % 2:
         # the added vertex n, adjacent to every other vertex
-        masks = np.hstack((masks | np.uint8(1 << n), np.full((k, 1), (1 << n) - 1, np.uint8)))
-        decided = np.zeros(k, bool)
+        masks = np.hstack((masks | np.uint8(1 << n),
+                           np.full((len(masks), 1), (1 << n) - 1, np.uint8)))
+        holds = np.ones(len(masks), bool)
     else:
-        decided = (_POPCOUNT[masks].min(1, initial=n) <= 2) & (n >= 4)
-    out = [OddComponentReport(False, 0)] * k
-    live = masks[~decided]
-    if not len(live):
-        return out
+        holds = (_POPCOUNT[masks].min(1, initial=n) > 2) | (n < 4)
+    live = masks[holds]
     updates, queries = _table_plan(n)
     table = np.zeros((1 << masks.shape[1], len(live)), bool)
     table[0] = True
     for v, w, rest, rows in updates:
         table[rows] |= table[rest] & (live[:, v] >> w & 1).astype(bool)
-    # index of the first pair whose G - u - v fails, len(queries) if none
-    first = np.argmin(np.vstack((table[queries], np.zeros(len(live), bool))), 0)
-    for i, f in zip(np.flatnonzero(~decided).tolist(), first.tolist()):
-        out[i] = OddComponentReport(f == len(queries), min(f + 1, len(queries)))
-    return out
+    holds[holds] = table[queries].all(0)
+    return holds
 
 
 @lru_cache(maxsize=None)
 def _table_plan(n: int) -> tuple[list[tuple[int, int, np.ndarray, np.ndarray]], list[int]]:
-    """How ``_table_reports`` fills and reads the subset table at order n.
+    """How ``_table_conditions`` fills and reads the subset table at order n.
 
     With N = n + (n mod 2), the updates are one (v, w, T rows, S rows) per
     pair v < w of the N vertices, highest v first: S = {v, w} + T for each
@@ -461,7 +411,7 @@ def _table_plan(n: int) -> tuple[list[tuple[int, int, np.ndarray, np.ndarray]], 
     of T, already final, when vw is an edge. Every nonempty S with a
     perfect matching gains it from its lowest vertex v and v's partner w:
     28 updates at N = 8. The queries are the rows of V - u - v for the
-    pairs u < v of the n vertices, in lexicographic order.
+    pairs u < v of the n vertices.
     """
     size = n + (n & 1)
     updates = []
@@ -472,36 +422,3 @@ def _table_plan(n: int) -> tuple[list[tuple[int, int, np.ndarray, np.ndarray]], 
             updates.append((v, w, rest, rest | 1 << v | 1 << w))
     full = (1 << size) - 1
     return updates, [full ^ 1 << u ^ 1 << v for u, v in combinations(range(n), 2)]
-
-
-def _odd_component_search(g: Graph) -> OddComponentReport:
-    """``odd_component_condition`` by one memoised matching search."""
-    n = g.n
-    if n % 2 == 0 and n >= 4 and g.min_degree() <= 2:
-        return OddComponentReport(False, 0)
-    bits = g._bits
-    full = (1 << n) - 1
-    spare = (n & 1) << n
-    memo = {0: True, spare: True}
-
-    def matchable(key: int) -> bool:
-        known = memo.get(key)
-        if known is None:
-            low = key & -key
-            rest = key ^ low
-            known = key > full and matchable(rest ^ spare)
-            partners = bits[low.bit_length() - 1] & rest
-            while partners and not known:
-                w = partners & -partners
-                partners ^= w
-                known = matchable(rest ^ w)
-            memo[key] = known
-        return known
-
-    checked = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            checked += 1
-            if not matchable(spare | full ^ (1 << u) ^ (1 << v)):
-                return OddComponentReport(False, checked)
-    return OddComponentReport(True, checked)

@@ -101,8 +101,8 @@ def test_criterion_3_odd_component_implication_exhaustive():
     violations = []
     satisfied = 0
     graphs = [g for n in (4, 6, 8) for g in load_bundled_corpus(n)]
-    for g, report in zip(graphs, odd_component_conditions(graphs)):
-        if not report.holds:
+    for g, holds in zip(graphs, odd_component_conditions(graphs)):
+        if not holds:
             continue
         satisfied += 1
         if find_even_factor(g).status is not CertificateStatus.FOUND:

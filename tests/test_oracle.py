@@ -4,7 +4,6 @@ import hashlib
 import random
 from collections import Counter
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -16,13 +15,11 @@ from evenfactor.oracle import (
     TABLE_MAX_ORDER,
     CertificateStatus,
     EvenFactorCertificate,
-    OddComponentReport,
     _delete_bridges,
     _parity_repair,
     _search,
     find_even_factor,
     is_even_factor,
-    odd_component_condition,
     odd_component_conditions,
 )
 from small_graphs import complete_bipartite, components, cycle, path
@@ -417,31 +414,24 @@ def test_repair_on_disconnected_and_large_graphs():
 
 
 def brute_force_odd_component_condition(g):
-    """(holds, pairs) from o(G-S) < |S| over every subset of size >= 2.
-
-    No pruning and no matching: ``pairs`` counts the pairs u < v in
-    lexicographic order up to the first one inside a violating S, or all
-    of them when the condition holds.
-    """
-    first = None
-    for size in range(2, g.n + 1):
-        for subset in combinations(range(g.n), size):
-            if components(g, subset).odd_count >= size:
-                first = min(first or subset[:2], subset[:2])
-    pairs = list(combinations(range(g.n), 2))
-    return first is None, len(pairs) if first is None else pairs.index(first) + 1
+    """Whether o(G-S) < |S| for every subset S of size >= 2, by
+    enumeration: no pruning and no matching."""
+    return all(components(g, subset).odd_count < size
+               for size in range(2, g.n + 1) for subset in combinations(range(g.n), size))
 
 
-# SHA-256 of holds over _odd_component_graphs(), recorded from the subset
-# enumeration that named a witness before one matching test decided both
-# parities; the two must agree on every graph
-ODD_COMPONENT_DIGEST = "fdcb4318dde4071416fe4ccf1298a948ecacb49e7c3c1f45901203cbffcebef1"
+# SHA-256 of the condition over _odd_component_graphs(), recorded from
+# brute_force_odd_component_condition; the subset table must agree on
+# every graph
+ODD_COMPONENT_DIGEST = "93392361fed6e5ab481717fc92dad2d7ab0394363843823b01548e94c5f8088f"
 
 
 def _odd_component_graphs():
-    """The bundled corpora n = 3..8, then 600 seeded graphs on 4..12
-    vertices: in turn sparse to dense, dense, and near-bipartite (dense
-    between two random sides, sparse within them)."""
+    """The bundled corpora n = 3..8, then the graphs of order <= 8 among
+    600 seeded graphs on 4..12 vertices: in turn sparse to dense, dense,
+    and near-bipartite (dense between two random sides, sparse within
+    them). The larger orders are still drawn, so the random stream, and
+    each graph kept, is the one drawn when they were decided too."""
     for n in range(3, 9):
         yield from load_bundled_corpus(n)
     rng = random.Random(8)
@@ -450,123 +440,125 @@ def _odd_component_graphs():
         if i % 3 == 2:
             side = [rng.random() < 0.5 for _ in range(n)]
             p = rng.uniform(0.6, 1.0)
-            yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                            if rng.random() < (p if side[u] != side[v] else 0.1)])
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < (p if side[u] != side[v] else 0.1)])
         else:
             p = rng.uniform(0.7, 1.0) if i % 3 else rng.uniform(0.2, 0.9)
-            yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                            if rng.random() < p])
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+        if n <= TABLE_MAX_ORDER:
+            yield g
 
 
 def test_odd_component_reports_match_golden_digest():
     digest = hashlib.sha256()
     dense = Counter()
     graphs = list(_odd_component_graphs())
-    for g, rep in zip(graphs, odd_component_conditions(graphs)):
-        digest.update(f"{rep.holds}\n".encode())
+    for g, holds in zip(graphs, odd_component_conditions(graphs)):
+        digest.update(f"{holds}\n".encode())
         if g.n % 2 == 0 and g.min_degree() >= 3:
-            dense[rep.holds] += 1
+            dense[holds] += 1
     assert digest.hexdigest() == ODD_COMPONENT_DIGEST
     # even orders with minimum degree >= 3, both bicritical and not
-    assert dense == {True: 2366, False: 419}
+    assert dense == {True: 2280, False: 408}
 
 
 def test_odd_component_examples():
-    assert odd_component_condition(clique_join(6, ())).holds
-    # deleting the side of two leaves three isolated vertices
-    assert odd_component_condition(complete_bipartite(2, 3)) == OddComponentReport(False, 1)
-    # a degree-2 vertex on even order: decided before any pair
-    assert odd_component_condition(clique_join(2, (7, 1))) == OddComponentReport(False, 0)
-    for n in (16, 20, 21):
-        assert odd_component_condition(clique_join(n, ())) == OddComponentReport(True, comb(n, 2))
-    # minimum degree 4 and 10 but not bicritical: deleting two vertices of
-    # one side leaves unequal sides
-    for k in (4, 10):
-        assert odd_component_condition(complete_bipartite(k, k)).holds is False
-    for n in (0, 1, 2, 3):
-        assert odd_component_condition(clique_join(n, ())) == OddComponentReport(True, comb(n, 2))
+    graphs = [
+        clique_join(6, ()), clique_join(7, ()), clique_join(8, ()),
+        # deleting the side of two leaves three isolated vertices
+        complete_bipartite(2, 3),
+        # a degree-2 vertex on even order: decided before any pair
+        clique_join(2, (5, 1)),
+        # minimum degree 4 but not bicritical: deleting two vertices of
+        # one side leaves unequal sides
+        complete_bipartite(4, 4),
+        *(clique_join(n, ()) for n in (0, 1, 2, 3)),
+    ]
+    assert odd_component_conditions(graphs) == [True] * 3 + [False] * 3 + [True] * 4
 
 
 def test_odd_component_matches_unpruned_enumeration():
-    # both parities, n = 2..10; odd orders have no degree rule, so every
-    # one of them runs the matching search with its one-vertex budget
+    # both parities, n = 2..8; odd orders have no degree rule, so every one
+    # of them reaches the table with its added vertex
     rng = random.Random(44)
-    verdicts = Counter()
+    graphs = []
     for _ in range(150):
         n = rng.randrange(2, 11)
         p = rng.uniform(0.3, 1.0)
         g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-        holds, pairs = brute_force_odd_component_condition(g)
-        rep = odd_component_condition(g)
-        # even n >= 4 with a vertex of degree <= 2 is decided before any pair
-        degree_rule = g.n % 2 == 0 and g.n >= 4 and g.min_degree() <= 2
-        assert rep == OddComponentReport(holds, 0 if degree_rule else pairs), g
-        verdicts[n % 2, holds] += 1
+        if n <= TABLE_MAX_ORDER:
+            graphs.append(g)
+    verdicts = Counter()
+    for g, holds in zip(graphs, odd_component_conditions(graphs)):
+        assert holds is brute_force_odd_component_condition(g), g
+        verdicts[g.n % 2, holds] += 1
     assert all(verdicts[parity, holds] >= 5 for parity in (0, 1) for holds in (True, False)), verdicts
 
 
 def test_odd_component_on_dense_even_orders_matches_unpruned_enumeration():
-    # even n with minimum degree >= 3, the graphs the matching search decides;
-    # every third one near-bipartite, so that many are not bicritical
+    # even n with minimum degree >= 3, the graphs the degree rule leaves to
+    # the table; every third one near-bipartite, so that many are not
+    # bicritical
     rng = random.Random(46)
-    verdicts = Counter()
-    for i in range(200):
-        n = rng.randrange(4, 11, 2)
+    graphs = []
+    for i in range(600):
+        n = rng.randrange(4, 9, 2)
         side = [rng.random() < 0.5 for _ in range(n)]
         p = rng.uniform(0.5, 1.0)
         within = 0.1 if i % 3 == 2 else p
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                       if rng.random() < (p if side[u] != side[v] else within)])
-        if g.min_degree() < 3:
-            continue
-        holds, pairs = brute_force_odd_component_condition(g)
-        assert odd_component_condition(g) == OddComponentReport(holds, pairs)
-        verdicts[n, holds] += 1
-    assert all(verdicts[n, True] for n in (4, 6, 8, 10))
-    assert sum(verdicts[n, False] for n in (4, 6, 8, 10)) >= 10
+        if g.min_degree() >= 3:
+            graphs.append(g)
+    verdicts = Counter()
+    for g, holds in zip(graphs, odd_component_conditions(graphs)):
+        assert holds is brute_force_odd_component_condition(g), g
+        verdicts[g.n, holds] += 1
+    assert all(verdicts[n, True] for n in (4, 6, 8))
+    assert sum(verdicts[n, False] for n in (4, 6, 8)) >= 10
 
 
 def test_odd_component_batch_matches_unpruned_enumeration(monkeypatch):
-    # one shuffled batch of orders 2..12, both parities on both sides of the
-    # subset table's cap, with more order-6 graphs than one table holds
+    # one shuffled batch of orders 2..8, both parities, with more order-6
+    # graphs than one table holds
     tables = []
 
     def recorded(n, masks):
         tables.append((n, len(masks)))
-        return table_reports(n, masks)
+        return table_conditions(n, masks)
 
-    table_reports = oracle._table_reports
-    monkeypatch.setattr(oracle, "_table_reports", recorded)
+    table_conditions = oracle._table_conditions
+    monkeypatch.setattr(oracle, "_table_conditions", recorded)
     rng = random.Random(47)
-    orders = [6] * (TABLE_CHUNK + 100) + [n for n in range(2, 13) for _ in range(15)]
+    orders = [6] * (TABLE_CHUNK + 100) + [n for n in range(2, 9) for _ in range(15)]
     rng.shuffle(orders)
     graphs = []
     for n in orders:
         p = rng.uniform(0.4, 1.0)
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                 if rng.random() < p]))
-    reports = odd_component_conditions(graphs)
-    assert len(reports) == len(graphs)
+    conditions = odd_component_conditions(graphs)
+    assert len(conditions) == len(graphs)
     verdicts = Counter()
-    for g, rep in zip(graphs, reports):
-        holds, pairs = brute_force_odd_component_condition(g)
-        degree_rule = g.n % 2 == 0 and g.n >= 4 and g.min_degree() <= 2
-        assert rep == OddComponentReport(holds, 0 if degree_rule else pairs), g
-        verdicts[g.n + g.n % 2 > TABLE_MAX_ORDER, g.n % 2, holds] += 1
-    assert len(verdicts) == 8, verdicts
-    # no table above the cap; the order-6 graphs fill one whole table and part of another
-    assert max(n + n % 2 for n, _ in tables) == TABLE_MAX_ORDER
+    for g, holds in zip(graphs, conditions):
+        assert holds is brute_force_odd_component_condition(g), g
+        verdicts[g.n % 2, holds] += 1
+    assert len(verdicts) == 4, verdicts
+    # the order-6 graphs fill one whole table and part of another
     assert sorted(k for n, k in tables if n == 6) == [orders.count(6) - TABLE_CHUNK, TABLE_CHUNK]
 
 
-def test_odd_component_batch_with_every_graph_decided_builds_no_table(monkeypatch):
-    # even orders 4..8 with a vertex of degree <= 2: the degree rule decides
-    # each graph, so no subset table is planned or filled
-    planned = []
-    table_plan = oracle._table_plan
-    monkeypatch.setattr(oracle, "_table_plan", lambda n: planned.append(n) or table_plan(n))
-    graphs = [g for n in (4, 6, 8) for g in load_bundled_corpus(n)[:50] if g.min_degree() <= 2]
-    assert {g.n for g in graphs} == {4, 6, 8}
-    assert odd_component_conditions(graphs) == [OddComponentReport(False, 0)] * len(graphs)
-    assert odd_component_condition(graphs[-1]) == OddComponentReport(False, 0)
-    assert planned == []
+def test_odd_component_domain_is_the_bundled_orders(monkeypatch):
+    # every order that lemmas reads from the bundled corpora is decided by
+    # the table, so --oracle-max-n never reaches the error below
+    assert TABLE_MAX_ORDER >= max(BUNDLED_ORDERS)
+    firsts = [load_bundled_corpus(n)[0] for n in BUNDLED_ORDERS]
+    conditions = odd_component_conditions(firsts)
+    assert len(conditions) == len(firsts) and all(type(h) is bool for h in conditions)
+    # one order-9 graph makes the batch raise before any graph is decided
+    decided = []
+    monkeypatch.setattr(oracle, "_table_conditions", lambda n, masks: decided.append(n))
+    with pytest.raises(ValueError, match=f"up to {TABLE_MAX_ORDER}, got order 9"):
+        odd_component_conditions([cycle(6), clique_join(9, ()), cycle(7)])
+    assert decided == []

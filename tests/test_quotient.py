@@ -110,13 +110,6 @@ def test_family_cubic_matches_spec_values():
     assert extremal_cubic(D, 8, 2) == Cubic(-5, -28, -12)
 
 
-def test_singletons_at_s_delta_equals_extremal():
-    # at s = delta the singleton-family graph is the extremal graph
-    for n, d in [(8, 2), (12, 3), (20, 4), (30, 5)]:
-        assert quotient_cubic_of_family("q-singletons", n, d, None) == extremal_cubic(Q, n, d)
-        assert quotient_cubic_of_family("d-singletons", n, d, None) == extremal_cubic(D, n, d)
-
-
 def test_family_cubic_parameter_validation():
     for kind, n, d in ((Q, 3, 2), (D, 3, 2), (Q, 8, 1), (D, 8, 1)):  # n < 2*delta, delta < 2
         with pytest.raises(ValueError):
@@ -164,10 +157,13 @@ def quotient_cubic_of_family(family, n, s, delta):
 # that agrees at 4 distinct deltas. So the extremal cubic is the quotient's
 # characteristic polynomial at every cell, and its largest root, the Perron
 # root of an equitable quotient of a nonnegative irreducible matrix, is the
-# extremal graph's spectral radius: the thresholds need no matrix.
+# extremal graph's spectral radius: the thresholds need no matrix. The
+# extremal rows also hold (8, 2), (12, 3), (20, 4) and (30, 5).
+EXTREMAL_CELLS = [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)] + [
+    (8, None, 2), (12, None, 3), (20, None, 4), (30, None, 5)]
 GRID = [
-    ("q-extremal", [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
-    ("d-extremal", [(n, None, d) for d in (2, 3, 4, 5) for n in range(2 * d + 2, 41, 7)]),
+    ("q-extremal", EXTREMAL_CELLS),
+    ("d-extremal", EXTREMAL_CELLS),
     ("q-singletons", [(n, s, None) for s in (2, 3, 5) for n in range(2 * s + 1, 41, 6)]),
     ("d-singletons", [(n, s, None) for s in (2, 3, 5) for n in range(2 * s + 1, 41, 6)]),
     ("q-blocks", [(n, s, d) for d in (3, 4, 6) for s in range(2, d)

@@ -18,8 +18,10 @@ from evenfactor.spectral import (_distance_stack, distance_matrix, perron, rho_d
                                  rho_q, rho_q_many, signless_laplacian, wiener_index)
 from evenfactor.lemmas import (
     COMPARISON_EPSILON,
+    CheckOutcome,
     check_d_threshold_below_bridged,
     check_q_threshold_above_bridged,
+    check_q_threshold_bracket,
     check_quotient_matches_matrix,
     perron_abc,
     run_property_suite,
@@ -363,6 +365,29 @@ def test_q_threshold_above_bridged_graphs(monkeypatch):
     assert check_q_threshold_above_bridged()[0].passed is False
 
 
+def test_q_threshold_bracket_is_proved_from_the_order_bound(monkeypatch):
+    # 2n - 2delta < rho_Q(extremal) < 2n - delta, proved once for every
+    # delta >= 2 and n >= 7delta - 7, whatever the grid
+    (outcome,) = check_q_threshold_bracket()
+    assert outcome.passed and outcome.point == "all delta >= 2, n >= 7delta - 7"
+    assert run_property_suite(delta_range=(3, 3), n_max=12,
+                              checks={"q-threshold-bracket"}) == [outcome]
+    # the lower half is the bridged proof's: the bracket fails with it
+    (lower,) = check_q_threshold_above_bridged()
+    with monkeypatch.context() as m:
+        m.setattr(lemmas, "check_q_threshold_above_bridged",
+                  lambda: [CheckOutcome(lower.check, lower.point, False, 0.0)])
+        assert check_q_threshold_bracket()[0].passed is False
+    # the upper half fails alone: c_Q(x) - 6x^2 has its largest root above
+    # 2n - delta = 14 at (8, 2)
+    coeffs = lemmas._q_clique_star_coeffs
+    perturbed = lambda n, t: (coeffs(n, t)[0] - 6,) + coeffs(n, t)[1:]
+    assert max(np.roots((1,) + perturbed(8, 2)).real) > 14
+    monkeypatch.setattr(lemmas, "check_q_threshold_above_bridged", lambda: [lower])
+    monkeypatch.setattr(lemmas, "_q_clique_star_coeffs", perturbed)
+    assert check_q_threshold_bracket()[0].passed is False
+
+
 def test_bridged_graphs_lie_above_the_d_threshold():
     # K_{delta+1} -xy- K_{n-delta-1}, the bridged graph of least 2W/n, whose
     # 2W/n is the U of the d-threshold-below-bridged proof
@@ -691,6 +716,6 @@ def test_property_suite_draw_order_digest():
     digest = hashlib.sha256()
     for o in outcomes:
         digest.update(f"{o.check}|{o.point}|{o.passed}\n".encode())
-    assert len(outcomes) == 995
+    assert len(outcomes) == 948
     assert digest.hexdigest() == \
-        "a32c9f6dac94db1d45bfdb7684df4073f0e008ed4d281d06b2ff663b89566933"
+        "018227ebfd0465ef6d25891cabc25303b042e382e6404cbb17bed7f579c1cd4b"
