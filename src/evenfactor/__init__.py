@@ -61,13 +61,11 @@ from .theorems import (
     check_even_factor,
     check_even_factor_many,
     extremal_cubic,
-    extremal_even_factor,
     extremal_graph,
     extremal_table,
     order_bound,
     recognize_extremal,
-    threshold_rho_d,
-    threshold_rho_q,
+    threshold,
 )
 
 __version__ = "0.1.0"

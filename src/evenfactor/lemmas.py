@@ -5,9 +5,10 @@ of its input (seeded samples, a grid of extremal-family cells, or a bundled
 corpus): spectral monotonicity, join-family dominance, equitable-quotient
 roots, the Wiener lower bound, rho_Q <= 2 Delta, the odd-component
 implication, the extremal Wiener closed form, the block-family Rayleigh gap
-and Perron-component positivity. Nine facts read no input and are proved
+and Perron-component positivity. Ten facts read no input and are proved
 once for all parameters on quotient.Poly: the rho_Q bracket
 2n - 2delta < rho_Q(extremal) < 2n - delta from the Q order bound on, the
+rho_D floor rho_D(extremal) > n + delta - 3 from the D order bound on, the
 extremal rho_Q above and rho_D below those of bridged graphs, the s = 2
 block cubic, the gap expansions and four difference identities.
 
@@ -69,7 +70,7 @@ from .theorems import (
     extremal_graph,
     extremal_wiener,
     order_bound_grid,
-    threshold_rho_d,
+    threshold,
 )
 
 COMPARISON_EPSILON = 1e-8
@@ -117,7 +118,7 @@ class PerronABC:
 def perron_abc(p: ExtremalParams) -> PerronABC:
     """Solve the 3-block distance quotient eigen-system with a = 1."""
     n, d = p.n, p.delta
-    rho = threshold_rho_d(p)
+    rho = threshold(TheoremKind.DISTANCE, n, d)
     # rows of the quotient (blocks: big clique, join, singletons):
     #   rho a = (n-2d) a   + d b     + 2(d-1) c
     #   rho b = (n-2d+1) a + (d-1) b + (d-1) c
@@ -373,6 +374,21 @@ def check_d_threshold_below_bridged() -> list[CheckOutcome]:
                          ok, float(ok))]
 
 
+def check_d_threshold_floor() -> list[CheckOutcome]:
+    """rho_D(extremal) > n + delta - 3 from the D order bound on: every
+    delta >= 2 and n >= 8delta - 7.
+
+    With delta = 2 + j and n = 8delta - 7 + k, the extremal D cubic at
+    n + delta - 3 is a Poly in j, k >= 0 whose coefficients and constant
+    are all negative. A monic cubic is positive beyond its largest root, so
+    n + delta - 3 lies below it: the threshold.
+    """
+    j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
+    d, n = 2 + j, 9 + 8 * j + k  # n = 8d - 7 + k
+    ok = _positive(-eval_poly((1,) + _d_clique_star_coeffs(n, d), n + d - 3))
+    return [CheckOutcome("d-threshold-floor", "all delta >= 2, n >= 8delta - 7", ok, float(ok))]
+
+
 def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
 
@@ -551,6 +567,7 @@ CHECKS = (
     (("q-threshold-bracket",), check_q_threshold_bracket, "none"),
     (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "none"),
     (("d-threshold-below-bridged",), check_d_threshold_below_bridged, "none"),
+    (("d-threshold-floor",), check_d_threshold_floor, "none"),
     (("odd-component-implication",), check_odd_component_implication, "even-corpus"),
     (("odd-order-observation",), observe_odd_order_condition, "odd-corpus"),
     (("extremal-wiener-closed-form",), check_extremal_wiener_closed_form, "d-grid"),

@@ -46,8 +46,9 @@ the graphs the one before leaves open:
 
 A graph no bound settles is ``borderline``: the extremal graph, whose rho
 is theta itself, and any other graph whose rho lies too near theta for its
-bounds to clear the cutoffs. It is the extremal exception when recognized and inconclusive
-otherwise, and the exact oracle checks it, as it checks every guarantee.
+bounds to clear the cutoffs. It is the extremal exception when recognized
+and inconclusive otherwise, and the exact oracle checks it, as it checks
+every guarantee.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, clique_join
-from .oracle import CertificateStatus, EvenFactorCertificate, find_even_factor
+from .oracle import CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL, Cubic, _d_clique_star_coeffs, _q_clique_star_coeffs, largest_root
 from .spectral import Ratio, _distance_stack, _signless_laplacian_stack, perron, perron_brackets
 
@@ -128,18 +129,10 @@ def extremal_cubic(kind: TheoremKind, n: int, delta: int) -> Cubic:
 
 
 @lru_cache(maxsize=None)
-def _threshold(kind: TheoremKind, n: int, delta: int) -> float:
+def threshold(kind: TheoremKind, n: int, delta: int) -> float:
+    """rho_Q or rho_D, under kind, of the extremal graph at (n, delta): the
+    certified largest root of its cubic."""
     return largest_root(extremal_cubic(kind, n, delta))
-
-
-def threshold_rho_q(p: ExtremalParams) -> float:
-    """rho_Q of the extremal graph: the certified largest root of its cubic."""
-    return _threshold(TheoremKind.SIGNLESS_LAPLACIAN, p.n, p.delta)
-
-
-def threshold_rho_d(p: ExtremalParams) -> float:
-    """rho_D of the extremal graph: the certified largest root of its cubic."""
-    return _threshold(TheoremKind.DISTANCE, p.n, p.delta)
 
 
 # -- recognizing the extremal graph -------------------------------------------
@@ -220,28 +213,10 @@ class Conclusion(Enum):
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    connected: bool
-    even_order: bool
-    min_degree_ok: bool
-    order_bound_ok: bool
-
-    @property
-    def met(self) -> bool:
-        return (
-            self.connected
-            and self.even_order
-            and self.min_degree_ok
-            and self.order_bound_ok
-        )
-
-
-@dataclass(frozen=True)
 class TheoremVerdict:
     kind: TheoremKind
     n: int
     min_degree: int
-    hypotheses: HypothesisReport
     spectral_value: Optional[float]
     threshold: Optional[float]
     conclusion: Conclusion
@@ -253,9 +228,9 @@ class TheoremVerdict:
 
     @property
     def borderline(self) -> bool:
-        """Whether the hypotheses hold and no exact bound separates rho from
-        the threshold."""
-        return self.hypotheses.met and self.bound is None
+        """Whether the graph is applicable and no exact bound separates rho
+        from the threshold."""
+        return self.conclusion is not Conclusion.NOT_APPLICABLE and self.bound is None
 
     @property
     def oracle_agrees(self) -> Optional[bool]:
@@ -267,23 +242,20 @@ class TheoremVerdict:
         return self.oracle_status is CertificateStatus.FOUND
 
 
-def _hypotheses(g: Graph, kind: TheoremKind) -> tuple[int, HypothesisReport]:
-    """(min_degree(g), the report on g's hypotheses under kind)."""
+def _applicable(g: Graph, kind: TheoremKind, delta: int) -> bool:
+    """Whether g, of minimum degree delta, meets the hypotheses under kind:
+    even order, delta >= 2, the order bound (so n > 0), and, last, since it
+    alone floods g, connectivity."""
     n = g.n
-    delta = g.min_degree()
-    return delta, HypothesisReport(
-        connected=n >= 1 and g.is_connected(),
-        even_order=n % 2 == 0 and n > 0,
-        min_degree_ok=delta >= 2,
-        order_bound_ok=delta >= 2 and n >= min_order(kind, delta),
-    )
+    return (n % 2 == 0 and delta >= 2 and n >= min_order(kind, delta)
+            and g.is_connected())
 
 
 @lru_cache(maxsize=None)
 def _cutoffs(kind: TheoremKind, n: int, delta: int) -> tuple[Ratio, Ratio]:
     """Rationals lo < theta < hi, as (numerator, denominator): x -+ ROOT_TOL,
     for the float x that ``largest_root`` certifies within ROOT_TOL of theta."""
-    x, tol = Fraction(_threshold(kind, n, delta)), Fraction(ROOT_TOL)
+    x, tol = Fraction(threshold(kind, n, delta)), Fraction(ROOT_TOL)
     lo, hi = x - tol, x + tol
     return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
@@ -302,18 +274,11 @@ def _settle(q_side: bool, cutoffs: tuple[Ratio, Ratio], lower: Optional[Ratio] =
     return None
 
 
-def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
-              spectral: Optional[float],
-              settled: Optional[tuple[Ratio, bool]] = None) -> TheoremVerdict:
-    """The verdict on g from its hypotheses and, when they are met, its rho
-    (None when no eigen-solve ran) and the exact bound on rho that settles
-    it, with whether the condition holds (None when no bound does)."""
-    n = g.n
-    if not hyp.met:
-        return TheoremVerdict(kind, n, delta, hyp, None, None, Conclusion.NOT_APPLICABLE)
-    params = ExtremalParams(n, delta)
-    threshold = (threshold_rho_q(params) if kind is TheoremKind.SIGNLESS_LAPLACIAN
-                 else threshold_rho_d(params))
+def _conclude(g: Graph, kind: TheoremKind, delta: int, spectral: Optional[float],
+              settled: Optional[tuple[Ratio, bool]]) -> TheoremVerdict:
+    """The verdict on g, which is applicable, from its rho (None when no
+    eigen-solve ran) and the exact bound on rho that settles it, with
+    whether the condition holds (None when no bound does)."""
     bound, holds = settled if settled is not None else (None, False)
     if holds:
         conclusion = Conclusion.EVEN_FACTOR_GUARANTEED
@@ -323,7 +288,8 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, hyp: HypothesisReport,
         conclusion = Conclusion.INCONCLUSIVE
     # the oracle checks every guarantee and every borderline verdict
     searched = holds or bound is None
-    return TheoremVerdict(kind, n, delta, hyp, spectral, threshold, conclusion,
+    n = g.n
+    return TheoremVerdict(kind, n, delta, spectral, threshold(kind, n, delta), conclusion,
                           find_even_factor(g).status if searched else None, bound)
 
 
@@ -336,9 +302,11 @@ def check_even_factor_many(graphs: Iterable[Graph],
                            kind: TheoremKind) -> Iterator[TheoremVerdict]:
     """Evaluate one spectral sufficient condition on each graph, in input order.
 
-    The hypotheses are settled first: a ``not-applicable`` verdict carries
-    ``spectral_value`` and ``threshold`` as None. A graph that meets them
-    is next held to its exact bounds on rho, rung by rung (the module
+    The hypotheses are tested first, cheapest first: even order, minimum
+    degree at least 2, the order bound, and only then connectivity, the one
+    test that floods the graph. A graph that fails one is ``not-applicable``
+    and carries ``spectral_value`` and ``threshold`` as None. An applicable
+    graph is next held to its exact bounds on rho, rung by rung (the module
     docstring): the x = 1 bound, the M^3 1 bracket, and the bracket from
     its eigenvector. A bound on the theorem's side of the threshold (rho_Q
     above it, rho_D below it) makes the verdict ``even-factor-guaranteed``,
@@ -359,12 +327,12 @@ def check_even_factor_many(graphs: Iterable[Graph],
     build = _signless_laplacian_stack if q_side else _distance_stack
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
-        checked = [_hypotheses(g, kind) for g in chunk]
+        degrees = [g.min_degree() for g in chunk]
         settled: list[Optional[tuple[Ratio, bool]]] = [None] * len(chunk)
         cutoffs: dict[int, tuple[Ratio, Ratio]] = {}
         by_order: dict[int, list[int]] = {}
-        for i, (g, (delta, hyp)) in enumerate(zip(chunk, checked)):
-            if hyp.met:
+        for i, (g, delta) in enumerate(zip(chunk, degrees)):
+            if _applicable(g, kind, delta):
                 n = g.n
                 cutoffs[i] = _cutoffs(kind, n, delta)
                 if q_side:
@@ -387,20 +355,11 @@ def check_even_factor_many(graphs: Iterable[Graph],
                 for j, rho, bracket in zip(left, radii.tolist(), perron_brackets(sub, vectors)):
                     i = members[j]
                     values[i], settled[i] = rho, _settle(q_side, cutoffs[i], *bracket)
-        for g, (delta, hyp), value, done in zip(chunk, checked, values, settled):
-            yield _conclude(g, kind, delta, hyp, value, done)
-
-
-# -- even factor of the extremal graph ------------------------------------------
-
-
-def extremal_even_factor(p: ExtremalParams) -> EvenFactorCertificate:
-    """Settle the extremal graph's even-factor status by the exact search.
-
-    FOUND at every cell with delta = 2..20 and even n = 2*delta..160, each
-    by the oracle's parity repair with no search node.
-    """
-    return find_even_factor(extremal_graph(p))
+        for i, (g, delta) in enumerate(zip(chunk, degrees)):
+            if i in cutoffs:
+                yield _conclude(g, kind, delta, values[i], settled[i])
+            else:
+                yield TheoremVerdict(kind, g.n, delta, None, None, Conclusion.NOT_APPLICABLE)
 
 
 # -- extremal status table -------------------------------------------------------
@@ -432,19 +391,22 @@ def extremal_table(
 
     The cells are ``order_bound_grid`` under the signless-Laplacian bound.
     ``bracket_ok`` records whether 2n - 2delta < rho_Q(extremal) < 2n - delta,
-    which the paper claims only from that order bound on.
+    which the paper claims only from that order bound on. ``even_factor``
+    is the exact search's status on the extremal graph: FOUND at every cell
+    with delta = 2..20 and even n = 2*delta..160, each by the oracle's
+    parity repair with no search node.
     """
     rows = []
     for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max, n_min):
         n, delta = p.n, p.delta
-        thr_q = threshold_rho_q(p)
-        thr_d = threshold_rho_d(p)
+        thr_q = threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, delta)
+        thr_d = threshold(TheoremKind.DISTANCE, n, delta)
         lo_m = thr_q - (2 * n - 2 * delta)
         hi_m = (2 * n - delta) - thr_q
         rows.append(ExtremalRow(
             n, delta, thr_q, thr_d,
             lo_m > 0 and hi_m > 0, min(lo_m, hi_m),
-            extremal_even_factor(p).status,
+            find_even_factor(extremal_graph(p)).status,
         ))
     return rows
 

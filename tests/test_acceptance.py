@@ -28,7 +28,7 @@ from evenfactor.theorems import (
     extremal_table,
     order_bound_grid,
     recognize_extremal,
-    threshold_rho_q,
+    threshold,
     EXTREMAL_TABLE_NOTE,
 )
 
@@ -119,7 +119,7 @@ def test_criterion_4_q_condition_exhaustive_n8():
     """All 11117 connected graphs on 8 vertices, delta = 2 rows."""
     graphs = load_bundled_corpus(8)
     assert len(graphs) == 11117
-    threshold = threshold_rho_q(ExtremalParams(8, 2))
+    theta = threshold(TheoremKind.SIGNLESS_LAPLACIAN, 8, 2)
     met = 0
     violations = []
     delta2 = 0
@@ -127,7 +127,7 @@ def test_criterion_4_q_condition_exhaustive_n8():
         if g.min_degree() != 2:
             continue
         delta2 += 1
-        if rho_q(g) < threshold - COMPARISON_EPS:
+        if rho_q(g) < theta - COMPARISON_EPS:
             continue
         met += 1
         if recognize_extremal(g, 2):
@@ -152,7 +152,7 @@ def test_criterion_5_d_condition_sampled_n10():
     graphs, judged = tee(sample_connected_graphs(rng, 10, samples))
     verdicts = check_even_factor_many(judged, TheoremKind.DISTANCE)
     for g, verdict in zip(graphs, verdicts):
-        if verdict.hypotheses.met:
+        if verdict.conclusion is not Conclusion.NOT_APPLICABLE:
             applicable += 1
         if verdict.conclusion is Conclusion.EVEN_FACTOR_GUARANTEED:
             guaranteed += 1

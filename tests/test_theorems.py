@@ -11,7 +11,7 @@ import pytest
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, find_even_factor, is_even_factor
-from evenfactor.quotient import ROOT_TOL
+from evenfactor.quotient import N, ROOT_TOL, S, eval_poly
 from evenfactor.sampling import sample_connected_graphs
 from evenfactor import cli, lemmas, theorems
 from evenfactor.spectral import (_distance_stack, distance_matrix, perron, rho_d, rho_d_many,
@@ -20,6 +20,7 @@ from evenfactor.lemmas import (
     COMPARISON_EPSILON,
     CheckOutcome,
     check_d_threshold_below_bridged,
+    check_d_threshold_floor,
     check_q_threshold_above_bridged,
     check_q_threshold_bracket,
     check_quotient_matches_matrix,
@@ -33,15 +34,13 @@ from evenfactor.theorems import (
     TheoremKind,
     check_even_factor,
     check_even_factor_many,
-    extremal_even_factor,
     extremal_graph,
     extremal_table,
     extremal_wiener,
     order_bound,
     order_bound_grid,
     recognize_extremal,
-    threshold_rho_d,
-    threshold_rho_q,
+    threshold,
 )
 from small_graphs import cycle, path
 
@@ -77,10 +76,10 @@ def test_extremal_graph_shape():
 
 def test_thresholds_at_8_2():
     p = ExtremalParams(8, 2)
-    thr_q = threshold_rho_q(p)
+    thr_q = threshold(TheoremKind.SIGNLESS_LAPLACIAN, 8, 2)
     assert 12 < thr_q < 13
     assert thr_q == pytest.approx(rho_q(extremal_graph(p)), abs=1e-8)
-    thr_d = threshold_rho_d(p)
+    thr_d = threshold(TheoremKind.DISTANCE, 8, 2)
     assert 8 < thr_d < 9
     assert thr_d >= 8 + 2 - 3  # n + delta - 3
     assert thr_d == pytest.approx(rho_d(extremal_graph(p)), abs=1e-8)
@@ -89,8 +88,7 @@ def test_thresholds_at_8_2():
 def test_threshold_brackets_on_grid():
     for d in range(2, 7):
         for n in range(max(2 * d + 2, 7 * d - 7 + (7 * d - 7) % 2), 41, 6):
-            p = ExtremalParams(n, d)
-            thr = threshold_rho_q(p)
+            thr = threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d)
             assert 2 * n - 2 * d < thr < 2 * n - d
 
 
@@ -99,21 +97,21 @@ def test_thresholds_from_the_smallest_order():
     # fell short; both thresholds are compared with the matrix
     for d in range(2, 13):
         for n in range(2 * d, 8 * d + 9, 2):
-            p = ExtremalParams(n, d)
-            assert threshold_rho_q(p) > threshold_rho_d(p) > 0
-            g = extremal_graph(p)
-            assert abs(threshold_rho_q(p) - rho_q(g)) < COMPARISON_EPSILON, (n, d)
-            assert abs(threshold_rho_d(p) - rho_d(g)) < COMPARISON_EPSILON, (n, d)
+            thr_q = threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d)
+            thr_d = threshold(TheoremKind.DISTANCE, n, d)
+            assert thr_q > thr_d > 0
+            g = extremal_graph(ExtremalParams(n, d))
+            assert abs(thr_q - rho_q(g)) < COMPARISON_EPSILON, (n, d)
+            assert abs(thr_d - rho_d(g)) < COMPARISON_EPSILON, (n, d)
 
 
 @pytest.mark.parametrize("n,d", [(200, 12), (400, 5), (162, 20)])
 def test_thresholds_match_the_matrix_beyond_the_acceptance_grid(n, d):
     # the certified cubic roots are the extremal graph's spectral radii at
     # orders and degrees past the n <= 60 grid of the acceptance criteria
-    p = ExtremalParams(n, d)
-    g = extremal_graph(p)
-    assert abs(threshold_rho_q(p) - rho_q(g)) < COMPARISON_EPSILON
-    assert abs(threshold_rho_d(p) - rho_d(g)) < COMPARISON_EPSILON
+    g = extremal_graph(ExtremalParams(n, d))
+    assert abs(threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d) - rho_q(g)) < COMPARISON_EPSILON
+    assert abs(threshold(TheoremKind.DISTANCE, n, d) - rho_d(g)) < COMPARISON_EPSILON
 
 
 def test_order_bounds_exact_rational():
@@ -150,7 +148,7 @@ def test_recognize_extremal_finds_one_bundled_graph_per_cell():
             found = [g for g in corpus if recognize_extremal(g, d)]
             assert len(found) == 1, (n, d)
             if n % 2 == 0:
-                thr = threshold_rho_q(ExtremalParams(n, d))
+                thr = threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d)
                 assert abs(rho_q(found[0]) - thr) < COMPARISON_EPSILON, (n, d)
 
 
@@ -183,7 +181,6 @@ def _less_edge(g, edge):
 def test_check_q_on_extremal_and_simple_graphs():
     p = ExtremalParams(8, 2)
     v = check_even_factor(extremal_graph(p), TheoremKind.SIGNLESS_LAPLACIAN)
-    assert v.hypotheses.met
     assert v.conclusion is Conclusion.EXTREMAL_EXCEPTION
     assert v.borderline  # sits exactly on the threshold
     assert v.oracle_status is CertificateStatus.FOUND
@@ -191,9 +188,8 @@ def test_check_q_on_extremal_and_simple_graphs():
     # C_8: rho_Q <= 2 Delta = 4 lies far below the threshold, so the bound
     # settles it with no eigen-solve
     v2 = check_even_factor(cycle(8), TheoremKind.SIGNLESS_LAPLACIAN)
-    assert v2.hypotheses.met
     assert v2.spectral_value is None and v2.bound == (4, 1)
-    assert v2.threshold == threshold_rho_q(p)
+    assert v2.threshold == threshold(TheoremKind.SIGNLESS_LAPLACIAN, 8, 2)
     assert v2.conclusion is Conclusion.INCONCLUSIVE
     assert not v2.borderline and v2.oracle_status is None
     # the extremal graph less a big-clique edge keeps Delta = 7, and
@@ -208,11 +204,11 @@ def test_check_q_on_extremal_and_simple_graphs():
 
     v3 = check_even_factor(clique_join(8, ()), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v3.conclusion is Conclusion.NOT_APPLICABLE  # delta=7 needs n >= 42
-    assert not v3.hypotheses.order_bound_ok
+    assert v3.min_degree == 7 and theorems.min_order(TheoremKind.SIGNLESS_LAPLACIAN, 7) == 42
 
     v4 = check_even_factor(cycle(7), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v4.conclusion is Conclusion.NOT_APPLICABLE  # odd order
-    assert not v4.hypotheses.even_order
+    assert (v4.n, v4.min_degree, v4.threshold, v4.borderline) == (7, 2, None, False)
 
 
 def test_check_d_direction():
@@ -292,13 +288,13 @@ def test_extremal_wiener_closed_form():
         assert wiener_index(extremal_graph(p)) == extremal_wiener(p)
 
 
-def test_extremal_even_factor_certificates():
+def test_extremal_graph_even_factor_certificates():
     # every cell with delta = 2..11 and even n = 2*delta..60, n = 2*delta
     # included, where the big clique is K_1
     for d in range(2, 12):
         for n in range(2 * d, 61, 2):
             p = ExtremalParams(n, d)
-            cert = extremal_even_factor(p)
+            cert = find_even_factor(extremal_graph(p))
             assert cert.status is CertificateStatus.FOUND, (n, d)
             assert is_even_factor(extremal_graph(p), cert.edges), (n, d)
 
@@ -395,7 +391,7 @@ def test_bridged_graphs_lie_above_the_d_threshold():
         bridged = Graph(n, clique_join(0, (d + 1, n - d - 1)).edges() + [(d, d + 1)])
         w = wiener_index(bridged)
         assert bridged.min_degree() == d and 2 * w == lemmas.bridged_wiener_twice(n, d + 1)
-        assert rho_d(bridged) >= 2 * w / n > threshold_rho_d(ExtremalParams(n, d))
+        assert rho_d(bridged) >= 2 * w / n > threshold(TheoremKind.DISTANCE, n, d)
 
 
 def test_d_threshold_below_bridged_graphs(monkeypatch):
@@ -408,6 +404,29 @@ def test_d_threshold_below_bridged_graphs(monkeypatch):
     assert np.polyval((1,) + perturbed(8, 3), 13) < 0
     monkeypatch.setattr(lemmas, "_d_clique_star_coeffs", perturbed)
     assert check_d_threshold_below_bridged()[0].passed is False
+
+
+def test_d_threshold_floor_is_proved_from_the_order_bound(monkeypatch):
+    # rho_D(extremal) > n + delta - 3, proved once for every delta >= 2 and
+    # n >= 8delta - 7, whatever the grid
+    (outcome,) = check_d_threshold_floor()
+    assert outcome.passed and outcome.point == "all delta >= 2, n >= 8delta - 7"
+    assert run_property_suite(delta_range=(3, 3), n_max=12,
+                              checks={"d-threshold-floor"}) == [outcome]
+    # the proof needs the order bound: from n = 2delta + k the cubic's value
+    # at n + delta - 3 has positive terms in j = delta - 2, and the floor is
+    # false at (8, 4) and (16, 7)
+    j, k = S, N
+    d, n = 2 + j, 4 + 2 * j + k  # n = 2d + k
+    below = eval_poly((1,) + lemmas._d_clique_star_coeffs(n, d), n + d - 3)
+    assert below.terms[(0, 2, 0)] == 5 and below.terms[(0, 3, 0)] == 3
+    for n, d in ((8, 4), (16, 7)):
+        assert threshold(TheoremKind.DISTANCE, n, d) < n + d - 3
+    # a cubic whose constant is 151 larger is positive at n + delta - 3 = 8
+    # at (9, 2), and the check fails
+    monkeypatch.setattr(lemmas, "_d_clique_star_coeffs",
+                        last_coefficient_shifted(lemmas._d_clique_star_coeffs, 151))
+    assert check_d_threshold_floor()[0].passed is False
 
 
 def test_symbolic_lemmas_fail_on_perturbed_inputs(monkeypatch):
@@ -498,6 +517,42 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
     assert v.spectral_value is None and v.threshold is None
 
 
+def test_connectivity_is_tested_after_the_constant_time_tests(monkeypatch):
+    # even order, delta >= 2 and the order bound come before the flood: of
+    # the 11,117 connected 8-vertex graphs, the Q bound (8 at delta = 2, 14
+    # at delta = 3) admits the 4,853 with delta = 2 and the D bound (9 at
+    # delta = 2) none; of the 3,000 seed-1 n = 10 samples it admits the 984
+    # with delta = 2
+    q, d = TheoremKind.SIGNLESS_LAPLACIAN, TheoremKind.DISTANCE
+    corpus = load_bundled_corpus(8)
+    samples = list(sample_connected_graphs(Random(1), 10, 3000))
+    floods, searches = [], []
+    is_connected = Graph.is_connected
+
+    def counting(g):
+        floods.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(Graph, "is_connected", counting)
+    for graphs, kind, flooded in ((corpus, q, 4853), (corpus, d, 0), (samples, d, 984)):
+        floods.clear()
+        assert len(list(check_even_factor_many(graphs, kind))) == len(graphs)
+        assert len(floods) == flooded
+    # a disconnected graph that passes every O(1) test is still
+    # not-applicable, with no threshold, no bound and no oracle run
+    monkeypatch.setattr(theorems, "find_even_factor", searches.append)
+    for k, kind in ((4, q), (5, d)):
+        two_cycles = Graph(2 * k, [(i + j, i + (j + 1) % k) for i in (0, k) for j in range(k)])
+        assert two_cycles.min_degree() == 2 and 2 * k >= theorems.min_order(kind, 2)
+        floods.clear()
+        [v] = check_even_factor_many([two_cycles], kind)
+        assert floods == [two_cycles]
+        assert (v.conclusion, v.threshold, v.bound, v.spectral_value, v.oracle_status) == (
+            Conclusion.NOT_APPLICABLE, None, None, None, None)
+        assert not v.borderline
+    assert searches == []
+
+
 def _assert_bound_side(v, rho):
     """A bound-settled verdict's bound lies on the side of the threshold its
     conclusion names, at least ROOT_TOL past the threshold's float, and on
@@ -566,7 +621,8 @@ def test_bound_path_gives_the_eigen_path_verdicts(kind):
         graphs = list(sample_connected_graphs(Random(1), 10, 3000))
         applicable, settled = 984, 984
     verdicts = list(check_even_factor_many(graphs, kind))
-    met = [(g, v) for g, v in zip(graphs, verdicts) if v.hypotheses.met]
+    met = [(g, v) for g, v in zip(graphs, verdicts)
+           if v.conclusion is not Conclusion.NOT_APPLICABLE]
     assert len(met) == applicable
     assert _assert_eigen_path_verdicts([g for g, _ in met], kind, [v for _, v in met]) == settled
     assert all(v.conclusion is Conclusion.INCONCLUSIVE for _, v in met if v.bound is not None)
@@ -628,7 +684,7 @@ def test_a_bound_inside_the_certified_interval_never_settles():
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
         q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
         p = ExtremalParams(n, 2)
-        x = Fraction(threshold_rho_q(p) if q_side else threshold_rho_d(p))
+        x = Fraction(threshold(kind, n, 2))
         lo, hi = (x - _TOL).as_integer_ratio(), (x + _TOL).as_integer_ratio()
         cutoffs = theorems._cutoffs(kind, n, 2)
         assert cutoffs == (lo, hi)
@@ -640,9 +696,8 @@ def test_a_bound_inside_the_certified_interval_never_settles():
         assert theorems._settle(q_side, cutoffs, upper=lo) == (lo, not q_side)
         for g, conclusion in ((cycle(n), Conclusion.INCONCLUSIVE),
                               (extremal_graph(p), Conclusion.EXTREMAL_EXCEPTION)):
-            delta, hyp = theorems._hypotheses(g, kind)
-            assert hyp.met and delta == 2
-            v = theorems._conclude(g, kind, delta, hyp, None)
+            assert g.min_degree() == 2 and theorems._applicable(g, kind, 2)
+            v = theorems._conclude(g, kind, 2, None, None)
             assert (v.conclusion, v.borderline, v.bound, v.oracle_status) == (
                 conclusion, True, None, CertificateStatus.FOUND)
 
@@ -650,8 +705,10 @@ def test_a_bound_inside_the_certified_interval_never_settles():
 def test_quotient_check_margin_is_the_worst_cell():
     grid = list(order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 5), 40))
     outcomes = check_quotient_matches_matrix(grid)
-    errors = [max(abs(threshold_rho_q(p) - rho_q(extremal_graph(p))),
-                  abs(threshold_rho_d(p) - rho_d(extremal_graph(p)))) for p in grid]
+    errors = [max(abs(threshold(TheoremKind.SIGNLESS_LAPLACIAN, p.n, p.delta)
+                      - rho_q(extremal_graph(p))),
+                  abs(threshold(TheoremKind.DISTANCE, p.n, p.delta) - rho_d(extremal_graph(p))))
+              for p in grid]
     assert [o.margin for o in outcomes] == [COMPARISON_EPSILON - e for e in errors]
     worst = min(outcomes, key=lambda o: o.margin)
     assert worst.margin == COMPARISON_EPSILON - max(errors) < COMPARISON_EPSILON
@@ -716,6 +773,6 @@ def test_property_suite_draw_order_digest():
     digest = hashlib.sha256()
     for o in outcomes:
         digest.update(f"{o.check}|{o.point}|{o.passed}\n".encode())
-    assert len(outcomes) == 948
+    assert len(outcomes) == 949
     assert digest.hexdigest() == \
-        "018227ebfd0465ef6d25891cabc25303b042e382e6404cbb17bed7f579c1cd4b"
+        "60ade59f61edf8964cf91d5d0033a358755278d772a0af90e9a9c6b888ac12b4"
