@@ -6,8 +6,8 @@ Library layout:
   spectral  Q(G), distance matrix, Wiener index, ``perron``, the one
             eigensolver, and ``perron_brackets``, exact integer bounds on
             the same radii, on stacks of same-order matrices
-  quotient  partitions, quotient matrices, family cubics on ints or Polys,
-            and root bracketing
+  quotient  partitions, quotient matrices, family cubics as (c2, c1, c0) on
+            ints or Polys, and the Fourier-Budan sign test that certifies roots
   oracle    exact even-factor search, and the odd-component condition on a
             batch of graphs
   theorems  extremal cubics, thresholds, verdicts, recognition, the extremal table
@@ -33,7 +33,6 @@ from .oracle import (
 )
 from .quotient import (
     BracketingError,
-    Cubic,
     InvalidPartitionError,
     QuotientMatrix,
     charpoly3,

@@ -368,7 +368,7 @@ def cmd_lemmas(args) -> Report:
 
 
 def cmd_extremal(args) -> Report:
-    table = extremal_table((args.delta_min, args.delta_max), args.n_min, args.n_max)
+    table = extremal_table((args.delta_min, args.delta_max), n_min=args.n_min, n_max=args.n_max)
     rows = [{
         "n": r.n,
         "delta": r.delta,

@@ -34,7 +34,6 @@ from .quotient import (
     DELTA,
     N,
     S,
-    Cubic,
     _d_blocks_coeffs,
     _d_clique_star_coeffs,
     _fourier_signs,
@@ -342,7 +341,7 @@ def check_q_threshold_bracket() -> list[CheckOutcome]:
     """
     j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
     d, n = 2 + j, 7 + 7 * j + k  # n = 7d - 7 + k
-    upper = all(map(_positive, _fourier_signs(Cubic(*_q_clique_star_coeffs(n, d)), 2 * n - d, 1)))
+    upper = all(map(_positive, _fourier_signs(_q_clique_star_coeffs(n, d), 2 * n - d, 1)))
     ok = check_q_threshold_above_bridged()[0].passed and upper
     return [CheckOutcome("q-threshold-bracket", "all delta >= 2, n >= 7delta - 7", ok, float(ok))]
 
@@ -369,7 +368,7 @@ def check_d_threshold_below_bridged() -> list[CheckOutcome]:
     j, k = S, N  # two free variables >= 0, in the s and n places of a Poly
     d, n = 3 + j, 2 * j + 8 + k
     nu = bridged_wiener_twice(n, d + 1)  # n U
-    ok = all(map(_positive, _fourier_signs(Cubic(*_d_clique_star_coeffs(n, d)), nu, n)))
+    ok = all(map(_positive, _fourier_signs(_d_clique_star_coeffs(n, d), nu, n)))
     return [CheckOutcome("d-threshold-below-bridged", "all delta >= 3, n >= 2delta + 2",
                          ok, float(ok))]
 
@@ -611,8 +610,9 @@ def run_property_suite(
 
     inputs = {
         "rng": lambda: (rng, trials),
-        "q-grid": lambda: (order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max),),
-        "d-grid": lambda: (order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max),),
+        "q-grid": lambda: (order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range,
+                                            n_max=n_max),),
+        "d-grid": lambda: (order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max=n_max),),
         "none": lambda: (),
         "bound-corpus": lambda: (corpus(range(1, corpus_max_n + 1)),),
         "even-corpus": lambda: (corpus(range(4, oracle_max_n + 1, 2)),),

@@ -6,7 +6,9 @@ The coefficients of the join families' monic cubics (extremal, singleton
 tail, uniform-block tail; Q and D) and of their gap quadratics run on ints
 or on ``Poly``, an integer polynomial in (n, s, delta), on which ``lemmas``
 proves their identities once for all parameters. ``largest_root``
-certifies a cubic's largest real root to ROOT_TOL by exact signs.
+certifies a cubic's largest real root to ROOT_TOL by the Fourier-Budan
+test of ``_fourier_signs``, the exact sign test the lemmas' proofs use. A
+cubic is the triple (c2, c1, c0) of the monic x^3 + c2 x^2 + c1 x + c0.
 """
 
 from __future__ import annotations
@@ -89,23 +91,8 @@ def quotient_matrix(m, blocks: Sequence[Sequence[int]]) -> QuotientMatrix:
     return QuotientMatrix(tuple(entries), equitable)
 
 
-@dataclass(frozen=True)
-class Cubic:
-    """The monic cubic x^3 + c2*x^2 + c1*x + c0, with exact coefficients."""
-
-    c2: Fraction | int
-    c1: Fraction | int
-    c0: Fraction | int
-
-    def __call__(self, x):
-        return ((x + self.c2) * x + self.c1) * x + self.c0
-
-    def derivative(self, x):
-        return (3 * x + 2 * self.c2) * x + self.c1
-
-
-def charpoly3(q: QuotientMatrix) -> Cubic:
-    """Monic characteristic polynomial det(xI - Q) of a 3x3 quotient matrix."""
+def charpoly3(q: QuotientMatrix) -> tuple[Fraction, Fraction, Fraction]:
+    """(c2, c1, c0) of the monic det(xI - Q) of a 3x3 quotient matrix Q."""
     if q.order != 3:
         raise ValueError(f"charpoly3 needs order 3, got {q.order}")
     a = q.entries
@@ -120,7 +107,7 @@ def charpoly3(q: QuotientMatrix) -> Cubic:
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
         + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
     )
-    return Cubic(-trace, minors, -det)
+    return -trace, minors, -det
 
 
 # -- closed-form cubics for the three-block join families -------------------
@@ -321,19 +308,19 @@ def eval_poly(coeffs: Sequence, x):
 # -- root finding ------------------------------------------------------------
 
 
-def largest_root(cubic: Cubic) -> float:
-    """Largest real root of a cubic with three real roots, to ROOT_TOL.
+def largest_root(cubic: tuple) -> float:
+    """Largest real root, to ROOT_TOL, of a cubic (c2, c1, c0) with three real roots.
 
-    The trigonometric form of the depressed cubic gives a float estimate;
-    one Newton step in exact rational arithmetic refines it, rounded to a
-    float x. Exact signs then certify x: with a = x - ROOT_TOL and
-    b = x + ROOT_TOL, f(a) < 0 < f(b), f'(b) > 0 and f''(b) > 0 make the
-    monic f rise on [b, inf), so the largest real root lies in (a, b). A
-    simple largest root, such as a Perron root, always passes; a multiple
-    one raises BracketingError.
+    The trigonometric form of the depressed cubic gives a float estimate
+    x0; one exact Newton step, with f(x0) and f'(x0) from ``_fourier_signs``,
+    refines it, rounded to a float x. The Fourier-Budan test certifies x:
+    f(a) < 0 at a = x - ROOT_TOL, and all three signs at b = x + ROOT_TOL
+    are positive, so the largest real root lies in (a, b). A simple largest
+    root, such as a Perron root, always passes; a multiple one raises
+    BracketingError.
     """
-    f = Cubic(Fraction(cubic.c2), Fraction(cubic.c1), Fraction(cubic.c0))
-    c2, c1, c0 = f.c2, f.c1, f.c0
+    f = tuple(map(Fraction, cubic))
+    c2, c1, c0 = f
     # x = t - s turns f into the depressed cubic t^3 + p t + q
     s = c2 / 3
     p = c1 - 3 * s * s
@@ -343,20 +330,23 @@ def largest_root(cubic: Cubic) -> float:
     r = math.sqrt(float(-p) / 3)
     cos3 = max(-1.0, min(1.0, float(-q) / (2 * r**3)))
     x0 = Fraction(2 * r * math.cos(math.acos(cos3) / 3) - float(s))
-    slope = f.derivative(x0)
+    # d^2 f'(x0) and d^3 f(x0), for d the denominator of x0
+    _, slope, value = _fourier_signs(f, x0.numerator, x0.denominator)
     if slope == 0:
         raise BracketingError(f"the derivative vanishes at the estimate {float(x0)!r}")
-    x = float(x0 - f(x0) / slope)
-    a = Fraction(x) - Fraction(ROOT_TOL)
-    b = Fraction(x) + Fraction(ROOT_TOL)
-    if f(a) < 0 < f(b) and f.derivative(b) > 0 and 3 * b + c2 > 0:
+    x = float(x0 - value / (slope * x0.denominator))
+    a, b = Fraction(x) - Fraction(ROOT_TOL), Fraction(x) + Fraction(ROOT_TOL)
+    if (_fourier_signs(f, a.numerator, a.denominator)[2] < 0
+            and all(v > 0 for v in _fourier_signs(f, b.numerator, b.denominator))):
         return x
     raise BracketingError(f"no certified simple largest root near {x!r}")
 
 
-def _fourier_signs(cubic: Cubic, a, b) -> tuple:
+def _fourier_signs(cubic: tuple, a, b) -> tuple:
     """b c''(a/b) / 2, b^2 c'(a/b) and b^3 c(a/b), signed as c'', c' and c
-    at a/b when b > 0: integers, or Polys when a, b or a coefficient is.
+    at a/b when b > 0, for the monic cubic c with coefficients (c2, c1, c0):
+    integers, Fractions when a coefficient is one (as ``charpoly3``'s are),
+    or Polys when a, b or a coefficient is.
 
     For a monic cubic c with three real roots l3 <= l2 <= l1 and b > 0, all
     three are positive iff a/b > l1. If all three are, the signs of c, c',
@@ -365,7 +355,7 @@ def _fourier_signs(cubic: Cubic, a, b) -> tuple:
     and by Rolle the roots of c' and c'' lie in [l3, l1], so c'(a/b) and
     c''(a/b) are positive too.
     """
-    c2, c1, c0 = cubic.c2, cubic.c1, cubic.c0
+    c2, c1, c0 = cubic
     return (3 * a + c2 * b,
             (3 * a + 2 * c2 * b) * a + c1 * b * b,
             ((a + c2 * b) * a + c1 * b * b) * a + c0 * b**3)

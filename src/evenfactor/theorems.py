@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, clique_join
 from .oracle import CertificateStatus, find_even_factor
-from .quotient import ROOT_TOL, Cubic, _d_clique_star_coeffs, _q_clique_star_coeffs, largest_root
+from .quotient import ROOT_TOL, _d_clique_star_coeffs, _q_clique_star_coeffs, largest_root
 from .spectral import Ratio, _distance_stack, _signless_laplacian_stack, perron, perron_brackets
 
 # graphs per chunk of check_even_factor_many; chunks of 512 raised the
@@ -118,14 +118,14 @@ class TheoremKind(Enum):
     DISTANCE = "distance"
 
 
-def extremal_cubic(kind: TheoremKind, n: int, delta: int) -> Cubic:
-    """The characteristic cubic of the extremal graph's equitable quotient of
-    Q(G) or D(G) under kind; its largest root is that graph's rho_Q or rho_D."""
+def extremal_cubic(kind: TheoremKind, n: int, delta: int) -> tuple[int, int, int]:
+    """(c2, c1, c0) of the cubic det(xI - q), for q the extremal graph's equitable
+    quotient of Q(G) or D(G) under kind; its largest root is that rho_Q or rho_D."""
     if delta < 2 or n < 2 * delta:
         raise ValueError(f"need delta >= 2 and n >= 2*delta, got n={n}, delta={delta}")
     if kind is TheoremKind.SIGNLESS_LAPLACIAN:
-        return Cubic(*_q_clique_star_coeffs(n, delta))
-    return Cubic(*_d_clique_star_coeffs(n, delta))
+        return _q_clique_star_coeffs(n, delta)
+    return _d_clique_star_coeffs(n, delta)
 
 
 @lru_cache(maxsize=None)
@@ -185,9 +185,9 @@ def min_order(kind: TheoremKind, delta: int) -> int:
     return math.ceil(order_bound(kind, delta))
 
 
-def order_bound_grid(kind: TheoremKind, delta_range: tuple[int, int],
-                     n_max: Optional[int] = None,
-                     n_min: Optional[int] = None) -> Iterator[ExtremalParams]:
+def order_bound_grid(kind: TheoremKind, delta_range: tuple[int, int], *,
+                     n_min: Optional[int] = None,
+                     n_max: Optional[int] = None) -> Iterator[ExtremalParams]:
     """Extremal-family cells (n, delta): delta over delta_range, n even.
 
     Each delta's orders start at its order bound under ``kind``, or at
@@ -382,11 +382,8 @@ class ExtremalRow:
     even_factor: CertificateStatus
 
 
-def extremal_table(
-    delta_range: tuple[int, int],
-    n_min: Optional[int] = None,
-    n_max: Optional[int] = None,
-) -> list[ExtremalRow]:
+def extremal_table(delta_range: tuple[int, int], *, n_min: Optional[int] = None,
+                   n_max: Optional[int] = None) -> list[ExtremalRow]:
     """Per-(n, delta) thresholds, the Q bracket, and even-factor status.
 
     The cells are ``order_bound_grid`` under the signless-Laplacian bound.
@@ -397,7 +394,8 @@ def extremal_table(
     parity repair with no search node.
     """
     rows = []
-    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range, n_max, n_min):
+    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range,
+                              n_min=n_min, n_max=n_max):
         n, delta = p.n, p.delta
         thr_q = threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, delta)
         thr_d = threshold(TheoremKind.DISTANCE, n, delta)

@@ -47,12 +47,12 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_q_threshold_consistency_and_bracket():
-    """Cubic threshold equals extremal rho_Q within 1e-8; strict bracket."""
+    """The cubic threshold equals extremal rho_Q within 1e-8; strict bracket."""
     worst_gap = 0.0
     worst_margin = float("inf")
     points = 0
     ok = True
-    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 6), 60):
+    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 6), n_max=60):
         n, d = p.n, p.delta
         cubic = extremal_cubic(TheoremKind.SIGNLESS_LAPLACIAN, n, d)
         root = largest_root(cubic)
@@ -77,7 +77,7 @@ def test_criterion_2_d_threshold_consistency_and_floor():
     worst_floor = float("inf")
     points = 0
     ok = True
-    for p in order_bound_grid(TheoremKind.DISTANCE, (2, 6), 60):
+    for p in order_bound_grid(TheoremKind.DISTANCE, (2, 6), n_max=60):
         n, d = p.n, p.delta
         cubic = extremal_cubic(TheoremKind.DISTANCE, n, d)
         root = largest_root(cubic)

@@ -105,6 +105,18 @@ def test_thresholds_from_the_smallest_order():
             assert abs(thr_d - rho_d(g)) < COMPARISON_EPSILON, (n, d)
 
 
+def test_thresholds_match_golden_digest():
+    # every threshold float, bit for bit, at delta = 2..20 and n = 2*delta..160,
+    # odd n included: 2,641 cells, both kinds
+    digest = hashlib.sha256()
+    for d in range(2, 21):
+        for n in range(2 * d, 161):
+            for kind in TheoremKind:
+                digest.update(f"{kind.value} {n} {d} {threshold(kind, n, d).hex()}\n".encode())
+    assert digest.hexdigest() == \
+        "1058bffa06e90f765d4db4c7dc66721e6487c5dcd3a83fbacf5b5c3ec79029a8"
+
+
 @pytest.mark.parametrize("n,d", [(200, 12), (400, 5), (162, 20)])
 def test_thresholds_match_the_matrix_beyond_the_acceptance_grid(n, d):
     # the certified cubic roots are the extremal graph's spectral radii at
@@ -703,7 +715,7 @@ def test_a_bound_inside_the_certified_interval_never_settles():
 
 
 def test_quotient_check_margin_is_the_worst_cell():
-    grid = list(order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 5), 40))
+    grid = list(order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 5), n_max=40))
     outcomes = check_quotient_matches_matrix(grid)
     errors = [max(abs(threshold(TheoremKind.SIGNLESS_LAPLACIAN, p.n, p.delta)
                       - rho_q(extremal_graph(p))),
@@ -740,10 +752,11 @@ def test_order_bound_grid():
 
     q, d = TheoremKind.SIGNLESS_LAPLACIAN, TheoremKind.DISTANCE
     # bounds 8, 14 (Q) and 9, 17 (D), rounded up to even
-    assert cells(q, (2, 3), 16) == [(8, 2), (10, 2), (12, 2), (14, 2), (16, 2), (14, 3), (16, 3)]
-    assert cells(d, (2, 3), 18) == [(10, 2), (12, 2), (14, 2), (16, 2), (18, 2), (18, 3)]
+    assert cells(q, (2, 3), n_max=16) == [
+        (8, 2), (10, 2), (12, 2), (14, 2), (16, 2), (14, 3), (16, 3)]
+    assert cells(d, (2, 3), n_max=18) == [(10, 2), (12, 2), (14, 2), (16, 2), (18, 2), (18, 3)]
     # n_min replaces the bound but never goes below 2*delta
-    assert cells(q, (3, 4), 9, n_min=3) == [(6, 3), (8, 3), (8, 4)]
+    assert cells(q, (3, 4), n_min=3, n_max=9) == [(6, 3), (8, 3), (8, 4)]
     # without n_max: up to 40, or the first order where the bound lies above
     # 40 (49 at delta = 8)
     assert cells(q, (7, 8)) == [(42, 7), (50, 8)]
