@@ -54,7 +54,6 @@ from .spectral import (
 )
 from .theorems import (
     Conclusion,
-    ExtremalParams,
     TheoremKind,
     TheoremVerdict,
     check_even_factor,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -35,7 +36,7 @@ from .lemmas import COMPARISON_EPSILON, SUITE_CHECK_NAMES, run_property_suite
 from .oracle import NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
 from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graphs
-from .spectral import RESIDUAL_TOL, rho_d, rho_q, wiener_index
+from .spectral import RESIDUAL_TOL, distance_matrix, perron, rho_q
 from .theorems import (
     EXTREMAL_TABLE_NOTE,
     Conclusion,
@@ -187,7 +188,8 @@ def cmd_spectra(args) -> Report:
     bad: list[dict] = []
     rows = []
     for line_no, text, g in _parse_graphs(args.input, bad):
-        connected = g.is_connected() and g.n >= 1
+        # one distance matrix gives both W and rho_D
+        dist = distance_matrix(g) if g.n >= 1 and g.is_connected() else None
         rows.append({
             "line": line_no,
             "graph6": text,
@@ -195,8 +197,8 @@ def cmd_spectra(args) -> Report:
             "m": g.edge_count,
             "min_degree": g.min_degree(),
             "rho_q": rho_q(g) if g.n >= 1 else None,
-            "wiener": wiener_index(g) if connected else None,
-            "rho_d": rho_d(g) if connected else None,
+            "wiener": int(dist.sum()) // 2 if dist is not None else None,
+            "rho_d": float(perron(dist)[0]) if dist is not None else None,
         })
     return {"input": args.input or "-"}, rows, bad
 
@@ -369,15 +371,7 @@ def cmd_lemmas(args) -> Report:
 
 def cmd_extremal(args) -> Report:
     table = extremal_table((args.delta_min, args.delta_max), n_min=args.n_min, n_max=args.n_max)
-    rows = [{
-        "n": r.n,
-        "delta": r.delta,
-        "threshold_q": r.threshold_q,
-        "threshold_d": r.threshold_d,
-        "bracket_ok": r.bracket_ok,
-        "bracket_margin": r.bracket_margin,
-        "even_factor": r.even_factor.value,
-    } for r in table]
+    rows = [{**dataclasses.asdict(r), "even_factor": r.even_factor.value} for r in table]
     # the paper claims the bracket only from the order bound on; below it
     # bracket_ok is data
     violations = [
@@ -557,7 +551,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                                    (args.delta_min, args.delta_max), args.n_min)
         lost = []
         for delta in range(deltas[0], deltas[1] + 1):
-            first = next(order_bound_grid(kind, (delta, delta), n_min=n_min)).n
+            first, _ = next(order_bound_grid(kind, (delta, delta), n_min=n_min))
             if first > args.n_max:
                 lost.append(f"{delta} (first order {first})")
         if lost:

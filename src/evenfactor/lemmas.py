@@ -1,12 +1,15 @@
 """Property checks of the facts behind the two even-factor conditions.
 
 Each check tests one supporting fact and returns one CheckOutcome per point
-of its input (seeded samples, a grid of extremal-family cells, or a bundled
-corpus): spectral monotonicity, join-family dominance, equitable-quotient
-roots, the Wiener lower bound, rho_Q <= 2 Delta, the odd-component
-implication, the extremal Wiener closed form, the block-family Rayleigh gap
-and Perron-component positivity. Ten facts read no input and are proved
-once for all parameters on quotient.Poly: the rho_Q bracket
+of its input (seeded samples, the (n, delta) cells ``order_bound_grid``
+yields, or a bundled corpus): spectral monotonicity, join-family dominance,
+equitable-quotient roots, the Wiener lower bound, rho_Q <= 2 Delta, the
+odd-component implication, the extremal Wiener closed form, the
+block-family Rayleigh gap and Perron-component positivity. The grid checks
+build the extremal graph with ``theorems.extremal_graph`` and read its
+blocks from ``theorems.extremal_blocks``, the one module that knows its
+labeling. Ten facts read no input and are proved once for all parameters
+on quotient.Poly: the rho_Q bracket
 2n - 2delta < rho_Q(extremal) < 2n - delta from the Q order bound on, the
 rho_D floor rho_D(extremal) > n + delta - 3 from the D order bound on, the
 extremal rho_Q above and rho_D below those of bridged graphs, the s = 2
@@ -63,8 +66,8 @@ from .spectral import (
     wiener_index,
 )
 from .theorems import (
-    ExtremalParams,
     TheoremKind,
+    extremal_blocks,
     extremal_cubic,
     extremal_graph,
     extremal_wiener,
@@ -82,16 +85,6 @@ class CheckOutcome:
     passed: bool
     margin: float
     note: str = ""
-
-
-def extremal_blocks(p: ExtremalParams) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(join, big clique, singletons) vertex blocks of extremal_graph."""
-    d, q = p.delta, p.big_clique
-    return (
-        tuple(range(d)),
-        tuple(range(d, d + q)),
-        tuple(range(d + q, p.n)),
-    )
 
 
 # -- Perron block components of the extremal distance quotient -----------------
@@ -114,9 +107,10 @@ class PerronABC:
     ratio_residual: float
 
 
-def perron_abc(p: ExtremalParams) -> PerronABC:
-    """Solve the 3-block distance quotient eigen-system with a = 1."""
-    n, d = p.n, p.delta
+def perron_abc(n: int, delta: int) -> PerronABC:
+    """Solve the 3-block distance quotient eigen-system of the extremal graph
+    at the cell (n, delta) with a = 1."""
+    d = delta
     rho = threshold(TheoremKind.DISTANCE, n, d)
     # rows of the quotient (blocks: big clique, join, singletons):
     #   rho a = (n-2d) a   + d b     + 2(d-1) c
@@ -230,7 +224,7 @@ def check_family_dominance(rng: Random, trials: int) -> list[CheckOutcome]:
     return out
 
 
-def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+def check_quotient_matches_matrix(grid: Iterable[tuple[int, int]]) -> list[CheckOutcome]:
     """Equitable-quotient cubic roots equal full-matrix Perron values, and
     the quotient cubics are the extremal cubics the thresholds are roots of.
 
@@ -238,10 +232,9 @@ def check_quotient_matches_matrix(grid: Iterable[ExtremalParams]) -> list[CheckO
     from the roots. The margin is COMPARISON_EPSILON less the cell's larger
     root error, so the smallest margin is the worst cell."""
     out = []
-    for p in grid:
-        g = extremal_graph(p)
-        joins, bigs, singles = extremal_blocks(p)
-        n, d = p.n, p.delta
+    for n, d in grid:
+        g = extremal_graph(n, d)
+        joins, bigs, singles = extremal_blocks(n, d)
         qm = quotient_matrix(signless_laplacian(g), (joins, bigs, singles))
         cubic_q = charpoly3(qm)
         err_q = abs(largest_root(cubic_q) - rho_q(g))
@@ -442,20 +435,20 @@ def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
     )]
 
 
-def check_extremal_wiener_closed_form(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+def check_extremal_wiener_closed_form(grid: Iterable[tuple[int, int]]) -> list[CheckOutcome]:
     """BFS Wiener index equals the closed form on the extremal family."""
     out = []
-    for p in grid:
-        direct = wiener_index(extremal_graph(p))
-        closed = extremal_wiener(p)
+    for n, d in grid:
+        direct = wiener_index(extremal_graph(n, d))
+        closed = extremal_wiener(n, d)
         out.append(CheckOutcome(
-            "extremal-wiener-closed-form", f"n={p.n},delta={p.delta}",
+            "extremal-wiener-closed-form", f"n={n},delta={d}",
             direct == closed, float(direct - closed),
         ))
     return out
 
 
-def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+def check_blocks_rayleigh_gap(grid: Iterable[tuple[int, int]]) -> list[CheckOutcome]:
     """rho_D(blocks s=2) - rho_D(extremal) >= (d-1)(d-2) x_iso (2 x_join - x_iso).
 
     The s=2 uniform-blocks graph is K_2 v (K_{n-delta-1} u K_{delta-1}).
@@ -464,43 +457,43 @@ def check_blocks_rayleigh_gap(grid: Iterable[ExtremalParams]) -> list[CheckOutco
     block values are read off the exact labeling.
     """
     out = []
-    for p in grid:
-        if p.delta < 3:
+    for n, d in grid:
+        if d < 3:
             continue
-        star = extremal_graph(p)
+        star = extremal_graph(n, d)
         value, vector, _ = perron(distance_matrix(star))
-        joins, _, singles = extremal_blocks(p)
+        joins, _, singles = extremal_blocks(n, d)
         x_join = float(vector[joins[0]])
         x_iso = float(vector[singles[0]])
-        bound = (p.delta - 1) * (p.delta - 2) * x_iso * (2 * x_join - x_iso)
-        blocks = clique_join(2, (p.n - p.delta - 1, p.delta - 1))
+        bound = (d - 1) * (d - 2) * x_iso * (2 * x_join - x_iso)
+        blocks = clique_join(2, (n - d - 1, d - 1))
         gap = rho_d(blocks) - float(value)
         margin = gap - bound
         out.append(CheckOutcome(
-            "d-blocks-rayleigh-gap", f"n={p.n},delta={p.delta}",
+            "d-blocks-rayleigh-gap", f"n={n},delta={d}",
             margin >= -COMPARISON_EPSILON and bound > 0, margin,
             f"gap={gap:.6g},bound={bound:.6g}",
         ))
     return out
 
 
-def check_perron_ratio(grid: Iterable[ExtremalParams]) -> list[CheckOutcome]:
+def check_perron_ratio(grid: Iterable[tuple[int, int]]) -> list[CheckOutcome]:
     """2b - a > 0 and the closed-form ratio for b, at 1e-10.
 
     Checked at the cells with delta >= 3 and n >= 8*delta - 7.
     """
     out = []
-    for p in grid:
-        if p.delta < 3 or p.n < 8 * p.delta - 7:
+    for n, d in grid:
+        if d < 3 or n < 8 * d - 7:
             continue
-        res = perron_abc(p)
+        res = perron_abc(n, d)
         ok = (
             2 * res.b - res.a > 0
             and res.ratio_residual <= 1e-10
             and res.system_residual <= 1e-8
         )
         out.append(CheckOutcome(
-            "perron-ratio-positivity", f"n={p.n},delta={p.delta}",
+            "perron-ratio-positivity", f"n={n},delta={d}",
             ok, 2 * res.b - res.a,
             f"ratio_residual={res.ratio_residual:.3e}",
         ))

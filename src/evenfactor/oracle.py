@@ -99,7 +99,8 @@ def find_even_factor(g: Graph) -> EvenFactorCertificate:
     graphs with about 63 edges take 0.021 ms with a factor (191 of 200
     repaired) and 0.021 ms without one (all 200 settled by the bridges,
     with no search node). The repair settles every extremal graph with
-    delta = 2..20 and even n = 2*delta..160, and 1941 of the 2206 bundled
+    delta = 2..20 and even n = 2*delta..160, every one with delta = 2..15
+    and odd n = 2*delta + 1..8*delta + 9, and 1941 of the 2206 bundled
     graphs that meet the odd-component condition.
     """
     found, order, parent = _parity_repair(g._bits)
@@ -239,8 +240,8 @@ def _search(bits: list[int]) -> EvenFactorCertificate:
     Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 15), the
     search alone on bridge-free bitmasks: 15-vertex graphs with about 63
     edges and a factor take 0.054 ms (median 54 nodes); near-extremal
-    graphs on 14 to 26 vertices with about 170 edges take 0.10 ms (median
-    90 nodes), of which ordering the edges is about half; K_30 takes
+    graphs on 14 to 26 vertices with about 170 edges take 0.12 ms (median
+    90 nodes), of which ordering the edges is about two thirds; K_30 takes
     0.25 ms. In front of it ``find_even_factor`` settles
     most graphs with a factor by the parity repair, so the search's FOUND
     path is the fallback. Search stays exponential where parity is forced
@@ -255,28 +256,20 @@ def _search(bits: list[int]) -> EvenFactorCertificate:
     if min(und, default=2) < 2:
         return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
 
-    # edge order (min degree, max degree, u, v): one int per edge packing
-    # the four as w-bit fields, most significant first; lo[x] and hi[x]
-    # hold x's degree in the first and second field
-    w = n.bit_length()
-    mask = (1 << w) - 1
-    lo = [d << 3 * w for d in und]
-    hi = [d << 2 * w for d in und]
-    keys = []
+    edges = []             # (min degree, max degree, u, v) per edge u < v
     for u in range(n):
         du = und[u]
-        lu = lo[u] | u << w
-        hu = hi[u] | u << w
         rest = bits[u] >> (u + 1)     # neighbours above u
         while rest:
             low = rest & -rest
             rest ^= low
             v = u + low.bit_length()
-            keys.append((lu | hi[v] if du <= und[v] else lo[v] | hu) | v)
-    keys.sort()
-    eu = [k >> w & mask for k in keys]
-    ev = [k & mask for k in keys]
-    m = len(keys)
+            dv = und[v]
+            edges.append((du, dv, u, v) if du <= dv else (dv, du, u, v))
+    edges.sort()
+    eu = [e[2] for e in edges]
+    ev = [e[3] for e in edges]
+    m = len(edges)
 
     inc = [0] * n          # decided-included degree
     # step[k]: change in the count of unsettled vertices (inc not yet even

@@ -17,6 +17,14 @@ characteristic polynomial (tests/test_quotient.py proves the identity; the
 ``quotient-root-matches-matrix`` lemma compares roots with the matrix). Order
 bounds are exact rationals; a graph's order is compared with their ceiling.
 
+A cell of the extremal family is a pair (n, delta) with delta >= 2 and
+n >= 2*delta, of either parity; one predicate decides it. ``extremal_cubic``
+(and so ``threshold``), ``extremal_graph`` and ``extremal_wiener`` take a
+cell and raise ValueError on any other pair, and ``recognize_extremal`` is
+False there. ``extremal_blocks`` gives the graph's labeling.
+``order_bound_grid`` yields the paper's cells, of even order from an order
+bound on, as (n, delta) pairs.
+
 Every verdict on a graph that meets the hypotheses rests on an exact
 rational bound on rho, compared with theta exactly. ``largest_root``
 certifies theta in (x - ROOT_TOL, x + ROOT_TOL) for its float x, and the
@@ -74,40 +82,35 @@ VERDICT_CHUNK = 64
 # -- extremal family ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
-    """Even order n and minimum degree delta of the extremal family."""
-
-    n: int
-    delta: int
-
-    def __post_init__(self):
-        if self.delta < 2:
-            raise ValueError(f"delta must be >= 2, got {self.delta}")
-        if self.n % 2 != 0:
-            raise ValueError(f"n must be even, got {self.n}")
-        if self.n - 2 * self.delta + 1 < 1:
-            raise ValueError(
-                f"need n - 2*delta + 1 >= 1, got n={self.n}, delta={self.delta}"
-            )
-
-    @property
-    def big_clique(self) -> int:
-        return self.n - 2 * self.delta + 1
+def _is_cell(n: int, delta: int) -> bool:
+    """Whether (n, delta) names an extremal graph: delta >= 2 and n >= 2*delta,
+    of either parity, so that the big clique K_{n-2delta+1} is not empty."""
+    return delta >= 2 and n >= 2 * delta
 
 
-def extremal_graph(p: ExtremalParams) -> Graph:
-    """K_delta v (K_{n-2delta+1} u (delta-1)K_1).
-
-    Labels: join clique 0..delta-1, big clique next, singletons last.
-    """
-    return clique_join(p.delta, (p.big_clique,) + (1,) * (p.delta - 1))
+def _require_cell(n: int, delta: int) -> None:
+    if not _is_cell(n, delta):
+        raise ValueError(f"need delta >= 2 and n >= 2*delta, got n={n}, delta={delta}")
 
 
-def extremal_wiener(p: ExtremalParams) -> int:
+def extremal_graph(n: int, delta: int) -> Graph:
+    """K_delta v (K_{n-2delta+1} u (delta-1)K_1), labeled as ``extremal_blocks``."""
+    _require_cell(n, delta)
+    return clique_join(delta, (n - 2 * delta + 1,) + (1,) * (delta - 1))
+
+
+def extremal_blocks(n: int, delta: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                                 tuple[int, ...]]:
+    """(join, big clique, singletons) vertex blocks of extremal_graph(n, delta):
+    join clique 0..delta-1, big clique next, singletons last."""
+    big_end = n - delta + 1
+    return tuple(range(delta)), tuple(range(delta, big_end)), tuple(range(big_end, n))
+
+
+def extremal_wiener(n: int, delta: int) -> int:
     """Closed-form Wiener index (n^2 + (2delta-3)n - 3delta^2 + 3delta) / 2."""
-    n, d = p.n, p.delta
-    return (n * n + (2 * d - 3) * n - 3 * d * d + 3 * d) // 2
+    _require_cell(n, delta)
+    return (n * n + (2 * delta - 3) * n - 3 * delta * delta + 3 * delta) // 2
 
 
 # -- thresholds ----------------------------------------------------------------
@@ -121,8 +124,7 @@ class TheoremKind(Enum):
 def extremal_cubic(kind: TheoremKind, n: int, delta: int) -> tuple[int, int, int]:
     """(c2, c1, c0) of the cubic det(xI - q), for q the extremal graph's equitable
     quotient of Q(G) or D(G) under kind; its largest root is that rho_Q or rho_D."""
-    if delta < 2 or n < 2 * delta:
-        raise ValueError(f"need delta >= 2 and n >= 2*delta, got n={n}, delta={delta}")
+    _require_cell(n, delta)
     if kind is TheoremKind.SIGNLESS_LAPLACIAN:
         return _q_clique_star_coeffs(n, delta)
     return _d_clique_star_coeffs(n, delta)
@@ -155,7 +157,7 @@ def recognize_extremal(g: Graph, delta: int) -> bool:
     as a fast reject.
     """
     n = g.n
-    if delta < 2 or n < 2 * delta:
+    if not _is_cell(n, delta):
         return False
     q = n - 2 * delta + 1
     expected_edges = (
@@ -187,8 +189,8 @@ def min_order(kind: TheoremKind, delta: int) -> int:
 
 def order_bound_grid(kind: TheoremKind, delta_range: tuple[int, int], *,
                      n_min: Optional[int] = None,
-                     n_max: Optional[int] = None) -> Iterator[ExtremalParams]:
-    """Extremal-family cells (n, delta): delta over delta_range, n even.
+                     n_max: Optional[int] = None) -> Iterator[tuple[int, int]]:
+    """The paper's extremal-family cells (n, delta): delta over delta_range, n even.
 
     Each delta's orders start at its order bound under ``kind``, or at
     ``n_min`` when given, and never below 2*delta. They end at ``n_max``;
@@ -199,7 +201,7 @@ def order_bound_grid(kind: TheoremKind, delta_range: tuple[int, int], *,
         lo = max(lo + lo % 2, 2 * delta)
         hi = max(lo, 40) if n_max is None else n_max
         for n in range(lo, hi + 1, 2):
-            yield ExtremalParams(n, delta)
+            yield n, delta
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -394,9 +396,8 @@ def extremal_table(delta_range: tuple[int, int], *, n_min: Optional[int] = None,
     parity repair with no search node.
     """
     rows = []
-    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range,
-                              n_min=n_min, n_max=n_max):
-        n, delta = p.n, p.delta
+    for n, delta in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range,
+                                     n_min=n_min, n_max=n_max):
         thr_q = threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, delta)
         thr_d = threshold(TheoremKind.DISTANCE, n, delta)
         lo_m = thr_q - (2 * n - 2 * delta)
@@ -404,7 +405,7 @@ def extremal_table(delta_range: tuple[int, int], *, n_min: Optional[int] = None,
         rows.append(ExtremalRow(
             n, delta, thr_q, thr_d,
             lo_m > 0 and hi_m > 0, min(lo_m, hi_m),
-            find_even_factor(extremal_graph(p)).status,
+            find_even_factor(extremal_graph(n, delta)).status,
         ))
     return rows
 

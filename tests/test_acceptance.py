@@ -20,7 +20,6 @@ from evenfactor.sampling import sample_connected_graphs
 from evenfactor.spectral import rho_d, rho_q
 from evenfactor.theorems import (
     Conclusion,
-    ExtremalParams,
     TheoremKind,
     check_even_factor_many,
     extremal_cubic,
@@ -52,11 +51,10 @@ def test_criterion_1_q_threshold_consistency_and_bracket():
     worst_margin = float("inf")
     points = 0
     ok = True
-    for p in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 6), n_max=60):
-        n, d = p.n, p.delta
+    for n, d in order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 6), n_max=60):
         cubic = extremal_cubic(TheoremKind.SIGNLESS_LAPLACIAN, n, d)
         root = largest_root(cubic)
-        direct = rho_q(extremal_graph(p))
+        direct = rho_q(extremal_graph(n, d))
         gap = abs(root - direct)
         margin = min(root - (2 * n - 2 * d), (2 * n - d) - root)
         worst_gap = max(worst_gap, gap)
@@ -77,11 +75,10 @@ def test_criterion_2_d_threshold_consistency_and_floor():
     worst_floor = float("inf")
     points = 0
     ok = True
-    for p in order_bound_grid(TheoremKind.DISTANCE, (2, 6), n_max=60):
-        n, d = p.n, p.delta
+    for n, d in order_bound_grid(TheoremKind.DISTANCE, (2, 6), n_max=60):
         cubic = extremal_cubic(TheoremKind.DISTANCE, n, d)
         root = largest_root(cubic)
-        direct = rho_d(extremal_graph(p))
+        direct = rho_d(extremal_graph(n, d))
         gap = abs(root - direct)
         floor_margin = root - (n + d - 3)
         worst_gap = max(worst_gap, gap)
@@ -186,7 +183,7 @@ def test_criterion_7_perron_positivity_and_ratio():
         n0 = 8 * delta - 7
         n0 += n0 % 2
         for n in range(n0, 61, 2):
-            res = perron_abc(ExtremalParams(n, delta))
+            res = perron_abc(n, delta)
             margin = 2 * res.b - res.a
             worst_ratio = max(worst_ratio, res.ratio_residual)
             min_margin = min(min_margin, margin)

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from evenfactor import cli
+from evenfactor import cli, spectral
 from evenfactor.cli import build_parser, main
 from evenfactor.corpus import bundled_corpus_lines
 from evenfactor.graphs import from_graph6, to_graph6
@@ -20,7 +20,6 @@ from evenfactor.oracle import NODE_CAP, find_even_factor
 from evenfactor.sampling import sample_connected_graphs, sample_graph
 from evenfactor.spectral import rho_q
 from evenfactor.theorems import (
-    ExtremalParams,
     TheoremKind,
     check_even_factor,
     extremal_graph,
@@ -42,7 +41,7 @@ def run_cli(args, stdin=""):
 
 
 def extremal_line(n=8, delta=2):
-    return to_graph6(extremal_graph(ExtremalParams(n, delta)))
+    return to_graph6(extremal_graph(n, delta))
 
 
 def test_spectra_via_subprocess(tmp_path):
@@ -56,6 +55,22 @@ def test_spectra_via_subprocess(tmp_path):
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)
     assert rows[1]["wiener"] == 10
     assert report["violations"] == []
+
+
+def test_spectra_builds_one_distance_matrix_per_connected_graph(tmp_path, monkeypatch):
+    build = spectral._distance_stack
+    builds = []
+
+    def counting(graphs):
+        builds.append(len(graphs))
+        return build(graphs)
+
+    monkeypatch.setattr(spectral, "_distance_stack", counting)
+    source = tmp_path / "graphs.g6"
+    source.write_text("C~\nCh\nA?\nD~{\nGhCGKC\n")  # A? has two isolated vertices
+    _, rows, _ = cli.cmd_spectra(build_parser().parse_args(["spectra", str(source)]))
+    assert [r["wiener"] for r in rows] == [6, 10, None, 10, 64]
+    assert builds == [1] * 4
 
 
 def test_spectra_disconnected_emits_null():

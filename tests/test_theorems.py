@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import numpy as np
@@ -29,7 +30,6 @@ from evenfactor.lemmas import (
 )
 from evenfactor.theorems import (
     Conclusion,
-    ExtremalParams,
     VERDICT_CHUNK,
     TheoremKind,
     check_even_factor,
@@ -53,36 +53,41 @@ _TOL = Fraction(ROOT_TOL)
 _FLOAT_BAND = 1e-8
 
 
-def test_extremal_params_validation():
-    with pytest.raises(ValueError):
-        ExtremalParams(9, 2)  # odd order
-    with pytest.raises(ValueError):
-        ExtremalParams(8, 1)
-    with pytest.raises(ValueError):
-        ExtremalParams(4, 3)  # big clique would be empty
+def test_extremal_cell_rule():
+    # a cell is delta >= 2 and n >= 2*delta, of either parity: (8, 1) has
+    # delta 1 and (5, 3) an empty big clique, and every family function
+    # applies that one rule
+    for n, d in ((8, 1), (5, 3)):
+        for build in (extremal_graph, extremal_wiener,
+                      *(partial(theorems.extremal_cubic, kind) for kind in TheoremKind)):
+            with pytest.raises(ValueError, match="need delta >= 2 and n >= 2\\*delta"):
+                build(n, d)
+        assert not recognize_extremal(Graph(n), d)
+    assert extremal_graph(9, 2) == clique_join(2, (6, 1))
+    assert extremal_graph(7, 3) == clique_join(3, (2, 1, 1))  # n = 2*delta + 1
+    assert extremal_wiener(9, 2) == wiener_index(clique_join(2, (6, 1)))
 
 
 def test_extremal_graph_shape():
-    g = extremal_graph(ExtremalParams(8, 2))
+    g = extremal_graph(8, 2)
     assert (g.n, g.edge_count) == (8, 23)
     assert sorted(g.degree(v) for v in range(8)) == [2, 6, 6, 6, 6, 6, 7, 7]
     assert g.min_degree() == 2 and g.is_connected()
-    boundary = extremal_graph(ExtremalParams(6, 3))  # n = 2*delta
+    boundary = extremal_graph(6, 3)  # n = 2*delta
     assert boundary == clique_join(3, (1, 1, 1))
     assert boundary.min_degree() == 3
-    g14 = extremal_graph(ExtremalParams(14, 3))
+    g14 = extremal_graph(14, 3)
     assert g14 == clique_join(3, (9, 1, 1))
 
 
 def test_thresholds_at_8_2():
-    p = ExtremalParams(8, 2)
     thr_q = threshold(TheoremKind.SIGNLESS_LAPLACIAN, 8, 2)
     assert 12 < thr_q < 13
-    assert thr_q == pytest.approx(rho_q(extremal_graph(p)), abs=1e-8)
+    assert thr_q == pytest.approx(rho_q(extremal_graph(8, 2)), abs=1e-8)
     thr_d = threshold(TheoremKind.DISTANCE, 8, 2)
     assert 8 < thr_d < 9
     assert thr_d >= 8 + 2 - 3  # n + delta - 3
-    assert thr_d == pytest.approx(rho_d(extremal_graph(p)), abs=1e-8)
+    assert thr_d == pytest.approx(rho_d(extremal_graph(8, 2)), abs=1e-8)
 
 
 def test_threshold_brackets_on_grid():
@@ -100,7 +105,7 @@ def test_thresholds_from_the_smallest_order():
             thr_q = threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d)
             thr_d = threshold(TheoremKind.DISTANCE, n, d)
             assert thr_q > thr_d > 0
-            g = extremal_graph(ExtremalParams(n, d))
+            g = extremal_graph(n, d)
             assert abs(thr_q - rho_q(g)) < COMPARISON_EPSILON, (n, d)
             assert abs(thr_d - rho_d(g)) < COMPARISON_EPSILON, (n, d)
 
@@ -121,7 +126,7 @@ def test_thresholds_match_golden_digest():
 def test_thresholds_match_the_matrix_beyond_the_acceptance_grid(n, d):
     # the certified cubic roots are the extremal graph's spectral radii at
     # orders and degrees past the n <= 60 grid of the acceptance criteria
-    g = extremal_graph(ExtremalParams(n, d))
+    g = extremal_graph(n, d)
     assert abs(threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d) - rho_q(g)) < COMPARISON_EPSILON
     assert abs(threshold(TheoremKind.DISTANCE, n, d) - rho_d(g)) < COMPARISON_EPSILON
 
@@ -144,11 +149,11 @@ def test_order_bounds_exact_rational():
 
 def test_recognize_extremal():
     for n, d in [(8, 2), (12, 3), (14, 3), (6, 3), (4, 2)]:
-        g = extremal_graph(ExtremalParams(n, d))
+        g = extremal_graph(n, d)
         assert recognize_extremal(g, d), (n, d)
     assert not recognize_extremal(clique_join(8, ()), 2)
     assert not recognize_extremal(cycle(8), 2)
-    assert not recognize_extremal(extremal_graph(ExtremalParams(8, 2)), 3)
+    assert not recognize_extremal(extremal_graph(8, 2), 3)
 
 
 def test_recognize_extremal_finds_one_bundled_graph_per_cell():
@@ -168,8 +173,7 @@ def test_recognize_extremal_rejects_nearby_rewirings():
     # No degree-preserving 2-swap exists on this family (the join vertices
     # are degree-maxed and a swap inside a clique is a no-op), so the
     # rejected perturbations necessarily move the degree sequence slightly.
-    p = ExtremalParams(10, 3)
-    g = extremal_graph(p)
+    g = extremal_graph(10, 3)
     edges = g.edges()
     joins, bigs, singles = (0, 1, 2), (3, 4, 5, 6, 7), (8, 9)
     # trade a big-clique edge for a big-singleton edge (same edge count)
@@ -191,8 +195,8 @@ def _less_edge(g, edge):
 
 
 def test_check_q_on_extremal_and_simple_graphs():
-    p = ExtremalParams(8, 2)
-    v = check_even_factor(extremal_graph(p), TheoremKind.SIGNLESS_LAPLACIAN)
+    star = extremal_graph(8, 2)
+    v = check_even_factor(star, TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.conclusion is Conclusion.EXTREMAL_EXCEPTION
     assert v.borderline  # sits exactly on the threshold
     assert v.oracle_status is CertificateStatus.FOUND
@@ -207,7 +211,7 @@ def test_check_q_on_extremal_and_simple_graphs():
     # the extremal graph less a big-clique edge keeps Delta = 7, and
     # 2 Delta = 14 lies above the threshold, but the Collatz-Wielandt upper
     # bound lies below it, and above rho_Q = 11.970
-    less = _less_edge(extremal_graph(p), (2, 3))
+    less = _less_edge(star, (2, 3))
     v5 = check_even_factor(less, TheoremKind.SIGNLESS_LAPLACIAN)
     assert v5.spectral_value is None
     assert rho_q(less) == pytest.approx(11.97025771667926, abs=1e-9)
@@ -224,8 +228,8 @@ def test_check_q_on_extremal_and_simple_graphs():
 
 
 def test_check_d_direction():
-    p = ExtremalParams(10, 2)
-    v = check_even_factor(extremal_graph(p), TheoremKind.DISTANCE)
+    star = extremal_graph(10, 2)
+    v = check_even_factor(star, TheoremKind.DISTANCE)
     assert v.conclusion is Conclusion.EXTREMAL_EXCEPTION
     # sparser graph: rho_D grows, condition fails. For C_10 the bound
     # rho_D >= 2(n(n - 1) - m)/n = 16 already lies above the threshold
@@ -236,7 +240,7 @@ def test_check_d_direction():
     # the extremal graph less a big-clique edge: the bound 2(90 - 37)/10
     # does not clear the threshold, but its bracket's lower bound does, and
     # lies below its rho_D
-    less = _less_edge(extremal_graph(p), (2, 3))
+    less = _less_edge(star, (2, 3))
     v4 = check_even_factor(less, TheoremKind.DISTANCE)
     assert v4.spectral_value is None and v4.conclusion is Conclusion.INCONCLUSIVE
     assert Fraction(v4.threshold) + _TOL <= Fraction(*v4.bound) <= rho_d(less)
@@ -251,7 +255,7 @@ def test_guaranteed_conclusion_exists_and_oracle_agrees():
     # vertex 2 to the singleton 15: delta rises to 3, and rho_Q = 28.24
     # clears the (16, 3) threshold 26.55, so the Q condition guarantees a
     # factor
-    base = extremal_graph(ExtremalParams(16, 2))
+    base = extremal_graph(16, 2)
     g = Graph(base.n, base.edges() + [(2, base.n - 1)])
     v = check_even_factor(g, TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.min_degree == 3
@@ -262,7 +266,7 @@ def test_guaranteed_conclusion_exists_and_oracle_agrees():
 
 def test_perron_abc_matches_general_eigensolver():
     for n, d in [(8, 2), (14, 3), (30, 4), (26, 3)]:
-        res = perron_abc(ExtremalParams(n, d))
+        res = perron_abc(n, d)
         quotient = np.array([
             [n - 2 * d, d, 2 * (d - 1)],
             [n - 2 * d + 1, d - 1, d - 1],
@@ -280,13 +284,13 @@ def test_perron_abc_matches_general_eigensolver():
 
 
 def test_perron_positivity_and_spec_points():
-    res = perron_abc(ExtremalParams(8, 2))
+    res = perron_abc(8, 2)
     assert 2 * res.b - res.a > 0
-    res2 = perron_abc(ExtremalParams(14, 3))
+    res2 = perron_abc(14, 3)
     assert res2.ratio_residual <= 1e-10
     # closed form for the margin: (2n - 3 delta + 2) / (2 rho - delta + 2)
     for n, d in [(18, 3), (26, 4), (34, 5)]:
-        r = perron_abc(ExtremalParams(n, d))
+        r = perron_abc(n, d)
         expected = (2 * n - 3 * d + 2) / (2 * r.rho - d + 2)
         assert 2 * r.b - r.a == pytest.approx(expected, abs=1e-9)
         assert 2 * r.b - r.a > 0
@@ -296,8 +300,24 @@ def test_extremal_wiener_closed_form():
     from evenfactor.spectral import wiener_index
 
     for n, d in [(8, 2), (12, 3), (20, 4), (30, 5)]:
-        p = ExtremalParams(n, d)
-        assert wiener_index(extremal_graph(p)) == extremal_wiener(p)
+        assert wiener_index(extremal_graph(n, d)) == extremal_wiener(n, d)
+
+
+def test_extremal_graph_at_odd_orders():
+    # every odd-order cell with delta = 2..15 and n = 2*delta + 1..8*delta + 9:
+    # the graph is recognized, its Wiener index is the closed form, both
+    # thresholds are its spectral radii, and the parity repair finds an even
+    # factor with no search node
+    cells = [(n, d) for d in range(2, 16) for n in range(2 * d + 1, 8 * d + 10, 2)]
+    assert len(cells) == 427
+    for n, d in cells:
+        g = extremal_graph(n, d)
+        assert recognize_extremal(g, d), (n, d)
+        assert wiener_index(g) == extremal_wiener(n, d), (n, d)
+        assert abs(rho_q(g) - threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d)) < 1e-8, (n, d)
+        assert abs(rho_d(g) - threshold(TheoremKind.DISTANCE, n, d)) < 1e-8, (n, d)
+        cert = find_even_factor(g)
+        assert (cert.status, cert.nodes_explored) == (CertificateStatus.FOUND, 0), (n, d)
 
 
 def test_extremal_graph_even_factor_certificates():
@@ -305,10 +325,10 @@ def test_extremal_graph_even_factor_certificates():
     # included, where the big clique is K_1
     for d in range(2, 12):
         for n in range(2 * d, 61, 2):
-            p = ExtremalParams(n, d)
-            cert = find_even_factor(extremal_graph(p))
+            g = extremal_graph(n, d)
+            cert = find_even_factor(g)
             assert cert.status is CertificateStatus.FOUND, (n, d)
-            assert is_even_factor(extremal_graph(p), cert.edges), (n, d)
+            assert is_even_factor(g, cert.edges), (n, d)
 
 
 def test_join_family_dominance_spec_instance():
@@ -469,7 +489,7 @@ def test_check_even_factor_many_matches_per_graph_verdicts():
     # orders 6, 7 and 8 interleaved, so every chunk stacks several orders
     corpora = [load_bundled_corpus(n)[:120] for n in (6, 7, 8)]
     graphs = [g for triple in zip(*corpora) for g in triple]
-    graphs += [extremal_graph(ExtremalParams(8, 2)), Graph(0),
+    graphs += [extremal_graph(8, 2), Graph(0),
                clique_join(0, (3, 3))]
     assert len(graphs) > 3 * VERDICT_CHUNK
     for kind, rho in ((TheoremKind.SIGNLESS_LAPLACIAN, rho_q),
@@ -503,7 +523,7 @@ def test_check_even_factor_many_eigen_solves_only_admitted_graphs(monkeypatch):
     brackets = theorems.perron_brackets
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
         matrix = signless_laplacian if kind is TheoremKind.SIGNLESS_LAPLACIAN else distance_matrix
-        star = extremal_graph(ExtremalParams(n, 2))
+        star = extremal_graph(n, 2)
         graphs = refused + [cycle(n), _less_edge(star, (2, 3)), star]
         solved.clear()
         verdicts = list(check_even_factor_many(graphs, kind))
@@ -648,7 +668,7 @@ def _near_extremal(rng, n, delta):
     big, singles = range(delta, n - delta + 1), range(n - delta + 1, n - 1)
     movable = ([(u, s) for s in singles for u in big]
                + [(s, t) for s in singles for t in singles if s < t])
-    edges = set(extremal_graph(ExtremalParams(n, delta)).edges())
+    edges = set(extremal_graph(n, delta).edges())
     edges |= set(rng.sample(movable, rng.randint(1, len(movable))))
     if rng.random() < 0.5:
         edges.discard(rng.choice([(u, v) for u in big for v in big if u < v]))
@@ -677,7 +697,7 @@ def test_bracket_guard_keeps_the_eigen_path_verdict_at_order_160(kind):
     # sum is 2 Delta = 318 and n 318^7 passes 2^62, so the bracket starts
     # from a lower power; either way the verdict is the float rule's, and it
     # carries an exact bound
-    star = extremal_graph(ExtremalParams(160, 3))
+    star = extremal_graph(160, 3)
     g = Graph(160, star.edges() + [(3, 158)])
     assert g.min_degree() == 3 and 160 * 318**7 >= 2**62 > 160 * 318**5
     [v] = check_even_factor_many([g], kind)
@@ -695,7 +715,6 @@ def test_a_bound_inside_the_certified_interval_never_settles():
     # graph no bound settles is borderline and oracle-checked
     for kind, n in ((TheoremKind.SIGNLESS_LAPLACIAN, 8), (TheoremKind.DISTANCE, 10)):
         q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
-        p = ExtremalParams(n, 2)
         x = Fraction(threshold(kind, n, 2))
         lo, hi = (x - _TOL).as_integer_ratio(), (x + _TOL).as_integer_ratio()
         cutoffs = theorems._cutoffs(kind, n, 2)
@@ -707,7 +726,7 @@ def test_a_bound_inside_the_certified_interval_never_settles():
         assert theorems._settle(q_side, cutoffs, lower=hi) == (hi, q_side)
         assert theorems._settle(q_side, cutoffs, upper=lo) == (lo, not q_side)
         for g, conclusion in ((cycle(n), Conclusion.INCONCLUSIVE),
-                              (extremal_graph(p), Conclusion.EXTREMAL_EXCEPTION)):
+                              (extremal_graph(n, 2), Conclusion.EXTREMAL_EXCEPTION)):
             assert g.min_degree() == 2 and theorems._applicable(g, kind, 2)
             v = theorems._conclude(g, kind, 2, None, None)
             assert (v.conclusion, v.borderline, v.bound, v.oracle_status) == (
@@ -717,10 +736,9 @@ def test_a_bound_inside_the_certified_interval_never_settles():
 def test_quotient_check_margin_is_the_worst_cell():
     grid = list(order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, (2, 5), n_max=40))
     outcomes = check_quotient_matches_matrix(grid)
-    errors = [max(abs(threshold(TheoremKind.SIGNLESS_LAPLACIAN, p.n, p.delta)
-                      - rho_q(extremal_graph(p))),
-                  abs(threshold(TheoremKind.DISTANCE, p.n, p.delta) - rho_d(extremal_graph(p))))
-              for p in grid]
+    errors = [max(abs(threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, d) - rho_q(extremal_graph(n, d))),
+                  abs(threshold(TheoremKind.DISTANCE, n, d) - rho_d(extremal_graph(n, d))))
+              for n, d in grid]
     assert [o.margin for o in outcomes] == [COMPARISON_EPSILON - e for e in errors]
     worst = min(outcomes, key=lambda o: o.margin)
     assert worst.margin == COMPARISON_EPSILON - max(errors) < COMPARISON_EPSILON
@@ -748,7 +766,7 @@ def test_extremal_table():
 
 def test_order_bound_grid():
     def cells(*args, **kw):
-        return [(p.n, p.delta) for p in order_bound_grid(*args, **kw)]
+        return list(order_bound_grid(*args, **kw))
 
     q, d = TheoremKind.SIGNLESS_LAPLACIAN, TheoremKind.DISTANCE
     # bounds 8, 14 (Q) and 9, 17 (D), rounded up to even
@@ -767,13 +785,12 @@ def test_quotient_check_below_the_order_bound():
     # n + delta - 3 lies above rho_D of the extremal graph at these cells, so
     # no lower bound of that form can bracket rho_D there; the certified root
     # needs none
-    cells = [ExtremalParams(n, d) for n, d in ((8, 4), (16, 7), (26, 11))]
+    cells = [(8, 4), (16, 7), (26, 11)]
     assert all(o.passed for o in check_quotient_matches_matrix(cells))
 
 
 def test_verdict_graph6_round_trip_stability():
-    p = ExtremalParams(8, 2)
-    line = to_graph6(extremal_graph(p))
+    line = to_graph6(extremal_graph(8, 2))
     v = check_even_factor(from_graph6(line), TheoremKind.SIGNLESS_LAPLACIAN)
     assert v.conclusion is Conclusion.EXTREMAL_EXCEPTION
 
