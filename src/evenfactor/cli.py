@@ -8,11 +8,14 @@ when byte-identical output is needed. Exit status is 1 iff any violation
 was found or any input line was malformed, and 2 for an argument error.
 
 There is one verdict mode: certify and scan run the exact oracle on every
-guarantee and every borderline verdict (one that no exact bound settles,
-the extremal exception among them), and every report's config names the
-oracle's node cap and the tolerances. A verdict rests on an exact bound,
-never on a float: a row's ``spectral_bound`` is that bound, and its
-``spectral_value`` the eigen-solve's rho when one ran.
+guarantee and every borderline verdict (one that no rung settles, the
+extremal exception among them), and every report's config names the
+oracle's node cap and the verdicts' tolerances. No verdict rests on a
+float. A row's ``rung`` names what settled it: ``sandwich``, the lemma that
+at delta = 2 only the extremal graph meets either condition, with no bound
+at all; or an exact bound on rho (``row-sums``, ``power``, ``eigenvector``),
+which is the row's ``spectral_bound``. Its ``spectral_value`` is the
+eigen-solve's rho when one ran.
 """
 
 from __future__ import annotations
@@ -48,12 +51,13 @@ from .theorems import (
     order_bound_grid,
 )
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 _THEOREM_KINDS = {"1": TheoremKind.SIGNLESS_LAPLACIAN, "2": TheoremKind.DISTANCE}
 
+# the tolerances the verdicts read; lemmas reports also name its own
+# comparison_epsilon
 TOLERANCES = {
-    "comparison_epsilon": COMPARISON_EPSILON,
     "eigen_residual_tol": RESIDUAL_TOL,
     "root_tol": ROOT_TOL,
 }
@@ -133,10 +137,10 @@ def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
                  started: float) -> int:
     """Print the table and violations, write --json/--csv; the exit status.
 
-    Every report's config carries the oracle's node cap and the tolerances
-    next to the command's own settings. The JSON report has one top-level
-    key per line, in sorted order, and one row or violation per line, each
-    written as it is encoded. ``json.dumps`` without ``indent`` runs the C
+    Every report's config carries the oracle's node cap and the verdicts'
+    tolerances next to the command's own settings. The JSON report has one
+    top-level key per line, in sorted order, and one row or violation per
+    line, each written as it is encoded. ``json.dumps`` without ``indent`` runs the C
     encoder; with ``indent`` (or through ``json.dump``) CPython falls back
     to its pure-Python encoder, which cost more than the oracle itself on
     per-graph reports.
@@ -230,6 +234,7 @@ def _verdict_row(line_no: int, text: str, v: TheoremVerdict) -> dict:
         "spectral_bound": _spectral_bound(v),
         "threshold": v.threshold,
         "borderline": v.borderline,
+        "rung": v.rung,
         "conclusion": v.conclusion.value,
         "oracle_status": v.oracle_status.value if v.oracle_status else None,
         "oracle_agrees": v.oracle_agrees,
@@ -291,6 +296,7 @@ def cmd_scan(args) -> Report:
     counts = {c.value: 0 for c in Conclusion}
     total = 0
     borderline = 0
+    sandwich = 0
     bound_decided = 0
     oracle_runs = 0
     cap_exceeded = 0
@@ -299,7 +305,8 @@ def cmd_scan(args) -> Report:
         total += 1
         counts[v.conclusion.value] += 1
         borderline += v.borderline
-        bound_decided += v.bound is not None and v.spectral_value is None
+        sandwich += v.rung == "sandwich"
+        bound_decided += v.rung in ("row-sums", "power")
         if v.oracle_status is not None:
             oracle_runs += 1
             if v.oracle_status is CertificateStatus.SEARCH_CAP_EXCEEDED:
@@ -313,6 +320,7 @@ def cmd_scan(args) -> Report:
         "inputs": total,
         **counts,
         "borderline": borderline,
+        "sandwich": sandwich,
         "bound_decided": bound_decided,
         "oracle_runs": oracle_runs,
         "oracle_cap_exceeded": cap_exceeded,
@@ -362,6 +370,7 @@ def cmd_lemmas(args) -> Report:
         "corpus_max_n": args.corpus_max_n,
         "oracle_max_n": args.oracle_max_n,
         "checks": sorted(set(args.check)) if args.check else "all",
+        "comparison_epsilon": COMPARISON_EPSILON,
     }
     return config, rows, violations
 
@@ -458,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--corpus-max-n", type=int, default=7,
                    help="bundled corpora up to this order (at most 8) feed "
-                        "the Wiener lower-bound and rho_Q <= 2 Delta checks")
+                        "the Wiener lower-bound, rho_Q <= 2 Delta and "
+                        "delta = 2 sandwich checks")
     p.add_argument("--oracle-max-n", type=int, default=6,
                    help="bundled corpora up to this order (at most 8) feed "
                         "the odd-component implication (even orders) and "

@@ -4,16 +4,27 @@ Each check tests one supporting fact and returns one CheckOutcome per point
 of its input (seeded samples, the (n, delta) cells ``order_bound_grid``
 yields, or a bundled corpus): spectral monotonicity, join-family dominance,
 equitable-quotient roots, the Wiener lower bound, rho_Q <= 2 Delta, the
-odd-component implication, the extremal Wiener closed form, the
-block-family Rayleigh gap and Perron-component positivity. The grid checks
-build the extremal graph with ``theorems.extremal_graph`` and read its
-blocks from ``theorems.extremal_blocks``, the one module that knows its
-labeling. Ten facts read no input and are proved once for all parameters
-on quotient.Poly: the rho_Q bracket
-2n - 2delta < rho_Q(extremal) < 2n - delta from the Q order bound on, the
-rho_D floor rho_D(extremal) > n + delta - 3 from the D order bound on, the
-extremal rho_Q above and rho_D below those of bridged graphs, the s = 2
-block cubic, the gap expansions and four difference identities.
+odd-component implication, the delta = 2 sandwich lemma, the extremal
+Wiener closed form, the block-family Rayleigh gap and Perron-component
+positivity. The grid checks build the extremal graph with
+``theorems.extremal_graph`` and read its blocks from
+``theorems.extremal_blocks``, the one module that knows its labeling. Ten
+facts read no input and are proved once for all parameters on
+quotient.Poly: the rho_Q bracket 2n - 2delta < rho_Q(extremal) < 2n - delta
+from the Q order bound on, the rho_D floor rho_D(extremal) > n + delta - 3
+from the D order bound on, the extremal rho_Q above and rho_D below those
+of bridged graphs, the s = 2 block cubic, the gap expansions and four
+difference identities.
+
+The sandwich lemma (``delta2-sandwich``) is why the verdicts settle every
+delta = 2 graph with no bound. Let G be connected with minimum degree 2 and
+x a vertex of degree 2 with neighbours a and b. Sending a and b to the hubs
+of the extremal graph at (n, 2), x to its singleton and the rest to its big
+clique makes G a spanning subgraph of it, the whole graph iff G has its
+C(n - 1, 2) + 2 edges. Adding an edge to a connected graph strictly raises
+rho_Q and strictly lowers rho_D (Perron-Frobenius), so no other G meets
+either condition. The check re-derives this on the bundled corpora from
+exact brackets.
 
 CHECKS is the registry: it fixes which checks exist, the order they run in,
 and the input each one reads. COMPARISON_EPSILON is the one tolerance of
@@ -56,6 +67,7 @@ from .quotient import (
 )
 from .sampling import sample_graph
 from .spectral import (
+    Ratio,
     _distance_stack,
     _signless_laplacian_stack,
     distance_matrix,
@@ -67,11 +79,14 @@ from .spectral import (
 )
 from .theorems import (
     TheoremKind,
+    _bracket_rungs,
+    _cutoffs,
     extremal_blocks,
     extremal_cubic,
     extremal_graph,
     extremal_wiener,
     order_bound_grid,
+    recognize_extremal,
     threshold,
 )
 
@@ -295,6 +310,56 @@ def check_q_max_degree_bound(graphs: list[Graph]) -> list[CheckOutcome]:
             "q-max-degree-bound", f"graph#{i},n={g.n},m={g.edge_count}",
             margin >= -COMPARISON_EPSILON, margin,
         ))
+    return out
+
+
+def _sandwich_bounds(kind: TheoremKind, graphs: list[Graph]
+                     ) -> Iterator[Optional[tuple[Ratio, bool]]]:
+    """Per graph, the exact bound on rho under kind that clears the cutoffs
+    of its cell (n, 2), with whether the condition holds, or None: the
+    verdicts' ``power`` and ``eigenvector`` rungs. One stack per run of
+    equal orders."""
+    q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
+    build = _signless_laplacian_stack if q_side else _distance_stack
+    for n, run in groupby(graphs, key=lambda g: g.n):
+        stack = build(list(run))
+        found = _bracket_rungs(q_side, stack, [_cutoffs(kind, n, 2)] * len(stack))
+        yield from (settled for settled, _, _ in found)
+
+
+def check_delta2_sandwich(graphs: list[Graph]) -> list[CheckOutcome]:
+    """At delta = 2 only the extremal graph meets either condition (the
+    sandwich lemma; its proof is in the module docstring).
+
+    One outcome per connected graph of order >= 4 with minimum degree 2, at
+    its own cell (n, 2), odd orders included. It passes when
+    ``recognize_extremal`` holds exactly when m = C(n - 1, 2) + 2, and, for
+    a graph it rejects, the exact brackets put rho_Q at or below the Q
+    cutoff lo and rho_D at or above the D cutoff hi. The margin is the
+    smaller of theta_Q - bound and bound - theta_D, or 1.0 on the extremal
+    graph, whose rho is theta.
+    """
+    graphs = [g for g in graphs if g.n >= 4 and g.min_degree() == 2 and g.is_connected()]
+    q_bounds, d_bounds = (list(_sandwich_bounds(kind, graphs)) for kind in TheoremKind)
+    out = []
+    for i, (g, q, d) in enumerate(zip(graphs, q_bounds, d_bounds)):
+        n, m = g.n, g.edge_count
+        extremal = recognize_extremal(g, 2)
+        notes = []
+        if extremal != (m == (n - 1) * (n - 2) // 2 + 2):
+            notes.append(f"recognize_extremal is {extremal} at m={m}")
+        if extremal:
+            margin = 1.0
+        elif q is None or d is None:
+            margin = 0.0
+            notes.append("no bracket separates rho from theta")
+        else:
+            margin = min(threshold(TheoremKind.SIGNLESS_LAPLACIAN, n, 2) - q[0][0] / q[0][1],
+                         d[0][0] / d[0][1] - threshold(TheoremKind.DISTANCE, n, 2))
+            if q[1] or d[1]:
+                notes.append("a bracket puts rho on the condition's side")
+        out.append(CheckOutcome("delta2-sandwich", f"graph#{i},n={n},m={m}",
+                                not notes, margin, "; ".join(notes)))
     return out
 
 
@@ -556,6 +621,7 @@ CHECKS = (
     (("quotient-root-matches-matrix",), check_quotient_matches_matrix, "q-grid"),
     (("wiener-lower-bound",), check_wiener_bound, "bound-corpus"),
     (("q-max-degree-bound",), check_q_max_degree_bound, "bound-corpus"),
+    (("delta2-sandwich",), check_delta2_sandwich, "bound-corpus"),
     (("q-threshold-bracket",), check_q_threshold_bracket, "none"),
     (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "none"),
     (("d-threshold-below-bridged",), check_d_threshold_below_bridged, "none"),
@@ -588,8 +654,9 @@ def run_property_suite(
     """Outcomes of the named checks (all by default), in registry order.
 
     The bundled corpora of orders 1..corpus_max_n feed the Wiener lower
-    bound and rho_Q <= 2 Delta; those of orders 3..oracle_max_n feed the odd-component
-    implication (even orders) and the odd-order observation (odd orders).
+    bound, rho_Q <= 2 Delta and the delta = 2 sandwich lemma; those of
+    orders 3..oracle_max_n feed the odd-component implication (even orders)
+    and the odd-order observation (odd orders).
     A corpus is decoded only when a selected check reads it.
     """
     selected = set(SUITE_CHECK_NAMES if checks is None else checks)

@@ -25,20 +25,35 @@ False there. ``extremal_blocks`` gives the graph's labeling.
 ``order_bound_grid`` yields the paper's cells, of even order from an order
 bound on, as (n, delta) pairs.
 
-Every verdict on a graph that meets the hypotheses rests on an exact
-rational bound on rho, compared with theta exactly. ``largest_root``
-certifies theta in (x - ROOT_TOL, x + ROOT_TOL) for its float x, and the
-cutoffs lo = x - ROOT_TOL and hi = x + ROOT_TOL are cached per (kind, n,
-delta) as rationals. A lower bound at least hi puts rho above theta (a Q
-guarantee, a D "not met"), and an upper bound at most lo puts rho below it
-(a D guarantee, a Q "not met"); each bound is compared with them by
-integer cross-multiplication. The bounds come in three rungs, each run on
-the graphs the one before leaves open:
+Every verdict on a graph that meets the hypotheses is settled on one rung,
+which the verdict records. The first needs no bound. At delta = 2 only the
+extremal graph meets either condition, by the sandwich lemma: let x be a
+vertex of degree 2 with neighbours a and b. Mapping a and b to the hubs, x
+to the singleton and every other vertex to the big clique embeds G in the
+extremal graph at (n, 2) as a spanning subgraph, since every edge of G not
+at x joins two vertices that are adjacent there. Adding an edge to a
+connected graph strictly raises rho_Q and strictly lowers rho_D
+(Perron-Frobenius), so a proper spanning subgraph has rho_Q below theta_Q
+and rho_D above theta_D. G is the whole extremal graph iff it has as many
+edges, C(n - 1, 2) + 2; ``recognize_extremal`` checks that count first.
+So a connected delta = 2 graph is ``inconclusive`` on the ``sandwich``
+rung with no matrix built, unless it is the extremal graph (the lemma
+``delta2-sandwich`` re-checks this on the bundled corpora).
 
-  * x = 1, before any matrix is built: rho_Q <= 2 Delta (row sums), and
-    rho_D >= 2W/n >= 2(n(n-1) - m)/n (the all-ones Rayleigh quotient, with
-    every non-adjacent pair at distance at least 2);
-  * x = M^3 1, from one int64 stack of Q or D per order
+At delta >= 3, a verdict rests on an exact rational bound on rho, compared
+with theta exactly. ``largest_root`` certifies theta in (x - ROOT_TOL,
+x + ROOT_TOL) for its float x, and the cutoffs lo = x - ROOT_TOL and
+hi = x + ROOT_TOL are cached per (kind, n, delta) as rationals. A lower
+bound at least hi puts rho above theta (a Q guarantee, a D "not met"), and
+an upper bound at most lo puts rho below it (a D guarantee, a Q "not
+met"); each bound is compared with them by integer cross-multiplication.
+The bounds come in three rungs, each run on the graphs the one before
+leaves open:
+
+  * ``row-sums``, x = 1, before any matrix is built: rho_Q <= 2 Delta (row
+    sums), and rho_D >= 2W/n >= 2(n(n-1) - m)/n (the all-ones Rayleigh
+    quotient, with every non-adjacent pair at distance at least 2);
+  * ``power``, x = M^3 1, from one int64 stack of Q or D per order
     (``spectral.perron_brackets``): the Rayleigh quotient x'Mx / x'x <= rho,
     as M is symmetric and nonnegative, and the Collatz-Wielandt bound
     rho <= max_i (Mx)_i / x_i, as M is nonnegative and x > 0 (M has no zero
@@ -48,15 +63,15 @@ the graphs the one before leaves open:
     even k = 1 fits the graph has no bracket here. No bound is read from a
     wrapped int64, and a graph's bounds do not depend on the graphs batched
     with it;
-  * x = the eigenvector of the eigen-solve, rounded to positive integers
-    with largest entry 2^52, in Python ints: the same two bounds, within
-    about 1e-13 of rho.
+  * ``eigenvector``, x = the eigenvector of the eigen-solve, rounded to
+    positive integers with largest entry 2^52, in Python ints: the same two
+    bounds, within about 1e-13 of rho.
 
-A graph no bound settles is ``borderline``: the extremal graph, whose rho
-is theta itself, and any other graph whose rho lies too near theta for its
-bounds to clear the cutoffs. It is the extremal exception when recognized
-and inconclusive otherwise, and the exact oracle checks it, as it checks
-every guarantee.
+A graph no rung settles is ``borderline`` and has no rung: the extremal
+graph, whose rho is theta itself, and any other graph whose rho lies too
+near theta for its bounds to clear the cutoffs. It is the extremal
+exception when recognized and inconclusive otherwise, and the exact oracle
+checks it, as it checks every guarantee.
 """
 
 from __future__ import annotations
@@ -68,6 +83,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .graphs import Graph, clique_join
 from .oracle import CertificateStatus, find_even_factor
@@ -227,12 +244,14 @@ class TheoremVerdict:
     # denominator); it lies past the certified interval around the
     # threshold, on the side the conclusion puts rho
     bound: Optional[Ratio] = None
+    # the rung that settled an applicable verdict (module docstring):
+    # "sandwich", "row-sums", "power" or "eigenvector"; None when none did
+    rung: Optional[str] = None
 
     @property
     def borderline(self) -> bool:
-        """Whether the graph is applicable and no exact bound separates rho
-        from the threshold."""
-        return self.conclusion is not Conclusion.NOT_APPLICABLE and self.bound is None
+        """Whether the graph is applicable and no rung settled its verdict."""
+        return self.conclusion is not Conclusion.NOT_APPLICABLE and self.rung is None
 
     @property
     def oracle_agrees(self) -> Optional[bool]:
@@ -276,12 +295,32 @@ def _settle(q_side: bool, cutoffs: tuple[Ratio, Ratio], lower: Optional[Ratio] =
     return None
 
 
+def _bracket_rungs(q_side: bool, stack: np.ndarray, cutoffs: list[tuple[Ratio, Ratio]]
+                   ) -> list[tuple[Optional[tuple[Ratio, bool]], str, Optional[float]]]:
+    """(what ``_settle`` gives, the last rung tried, rho or None) per matrix of
+    a same-order int64 stack of Q or D, each against its own cutoffs: the
+    ``power`` rung's M^3 1 bracket, then, on the matrices it leaves open,
+    one eigen-solve and the ``eigenvector`` rung's bracket."""
+    out = [(None if bracket is None else _settle(q_side, c, *bracket), "power", None)
+           for bracket, c in zip(perron_brackets(stack), cutoffs)]
+    left = [i for i, (settled, _, _) in enumerate(out) if settled is None]
+    if left:
+        sub = stack[left]
+        radii, vectors, _ = perron(sub)
+        for i, rho, bracket in zip(left, radii.tolist(), perron_brackets(sub, vectors)):
+            out[i] = _settle(q_side, cutoffs[i], *bracket), "eigenvector", rho
+    return out
+
+
 def _conclude(g: Graph, kind: TheoremKind, delta: int, spectral: Optional[float],
-              settled: Optional[tuple[Ratio, bool]]) -> TheoremVerdict:
+              settled: Optional[tuple[Ratio, bool]], rung: Optional[str] = None
+              ) -> TheoremVerdict:
     """The verdict on g, which is applicable, from its rho (None when no
-    eigen-solve ran) and the exact bound on rho that settles it, with
-    whether the condition holds (None when no bound does)."""
+    eigen-solve ran), the exact bound on rho that settles it, with whether
+    the condition holds (None when no bound does), and the last rung tried,
+    which is the verdict's rung when a bound settles it."""
     bound, holds = settled if settled is not None else (None, False)
+    rung = rung if settled is not None else None
     if holds:
         conclusion = Conclusion.EVEN_FACTOR_GUARANTEED
     elif bound is None and recognize_extremal(g, delta):
@@ -292,7 +331,17 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, spectral: Optional[float]
     searched = holds or bound is None
     n = g.n
     return TheoremVerdict(kind, n, delta, spectral, threshold(kind, n, delta), conclusion,
-                          find_even_factor(g).status if searched else None, bound)
+                          find_even_factor(g).status if searched else None, bound, rung)
+
+
+def _cell_verdict(kind: TheoremKind, n: int, delta: int, applicable: bool) -> TheoremVerdict:
+    """The verdict that (n, delta) alone determines: the sandwich lemma's
+    ``inconclusive`` on an applicable graph, which has delta = 2 and is not
+    the extremal graph, and ``not-applicable`` otherwise."""
+    if applicable:
+        return TheoremVerdict(kind, n, delta, None, threshold(kind, n, delta),
+                              Conclusion.INCONCLUSIVE, rung="sandwich")
+    return TheoremVerdict(kind, n, delta, None, None, Conclusion.NOT_APPLICABLE)
 
 
 def check_even_factor(g: Graph, kind: TheoremKind) -> TheoremVerdict:
@@ -308,60 +357,71 @@ def check_even_factor_many(graphs: Iterable[Graph],
     degree at least 2, the order bound, and only then connectivity, the one
     test that floods the graph. A graph that fails one is ``not-applicable``
     and carries ``spectral_value`` and ``threshold`` as None. An applicable
-    graph is next held to its exact bounds on rho, rung by rung (the module
-    docstring): the x = 1 bound, the M^3 1 bracket, and the bracket from
-    its eigenvector. A bound on the theorem's side of the threshold (rho_Q
-    above it, rho_D below it) makes the verdict ``even-factor-guaranteed``,
-    one on the other side ``inconclusive``; either way it is in ``bound``.
-    A graph no bound settles is ``borderline``: ``extremal-exception`` if
-    recognized by its degrees, ``inconclusive`` otherwise. ``spectral_value``
-    is rho from the eigen-solve, None on a graph a bound settled before it.
-    The exact search runs on every guarantee and every borderline verdict,
-    and ``oracle_status`` holds its answer; it is None on the other
-    verdicts. The minimum degree used in thresholds is always min_degree(g).
+    graph with delta = 2 is settled by the sandwich lemma (module
+    docstring), with no matrix, bound or eigen-solve: ``inconclusive`` on
+    the ``sandwich`` rung, or, for the extremal graph, ``extremal-exception``
+    and borderline. Any other applicable graph is held to its exact bounds
+    on rho, rung by rung: the x = 1 bound, the M^3 1 bracket, and the
+    bracket from its eigenvector. A bound on the theorem's side of the
+    threshold (rho_Q above it, rho_D below it) makes the verdict
+    ``even-factor-guaranteed``, one on the other side ``inconclusive``;
+    either way it is in ``bound`` and its rung in ``rung``. A graph no bound
+    settles is ``borderline``: ``extremal-exception`` if recognized by its
+    degrees, ``inconclusive`` otherwise. ``spectral_value`` is rho from the
+    eigen-solve, None on a graph settled before it. The exact search runs
+    on every guarantee and every borderline verdict, and ``oracle_status``
+    holds its answer; it is None on the other verdicts. The minimum degree
+    used in thresholds is always min_degree(g).
 
-    Graphs are read VERDICT_CHUNK at a time. Within a chunk, the graphs of
-    one order that the x = 1 bound leaves open share one integer matrix
-    stack, which gives their brackets, and those the brackets leave open
-    are eigen-solved together, from their slice of it.
+    The verdicts that (kind, n, delta) alone determines, the not-applicable
+    and the sandwich ones, are built once per call and shared; verdicts are
+    frozen. Graphs are read VERDICT_CHUNK at a time. Within a chunk, the
+    graphs of one order that the x = 1 bound leaves open share one integer
+    matrix stack, which gives their brackets, and those the brackets leave
+    open are eigen-solved together, from their slice of it.
     """
     q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
     build = _signless_laplacian_stack if q_side else _distance_stack
+    shared: dict[tuple[int, int, bool], TheoremVerdict] = {}
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
-        degrees = [g.min_degree() for g in chunk]
-        settled: list[Optional[tuple[Ratio, bool]]] = [None] * len(chunk)
-        cutoffs: dict[int, tuple[Ratio, Ratio]] = {}
+        verdicts: list[Optional[TheoremVerdict]] = [None] * len(chunk)
+        # the graphs left to the bounds: index -> (delta, cutoffs), and what
+        # the rungs found on each, as _bracket_rungs gives it
+        bounded: dict[int, tuple[int, tuple[Ratio, Ratio]]] = {}
+        found: dict[int, tuple[Optional[tuple[Ratio, bool]], str, Optional[float]]] = {}
         by_order: dict[int, list[int]] = {}
-        for i, (g, delta) in enumerate(zip(chunk, degrees)):
-            if _applicable(g, kind, delta):
-                n = g.n
-                cutoffs[i] = _cutoffs(kind, n, delta)
+        for i, g in enumerate(chunk):
+            n, delta = g.n, g.min_degree()
+            applicable = _applicable(g, kind, delta)
+            if not applicable or delta == 2 and not recognize_extremal(g, 2):
+                verdict = shared.get((n, delta, applicable))
+                if verdict is None:
+                    verdict = shared[n, delta, applicable] = _cell_verdict(
+                        kind, n, delta, applicable)
+                verdicts[i] = verdict
+            elif delta == 2:
+                verdicts[i] = _conclude(g, kind, delta, None, None)
+            else:
+                cutoffs = _cutoffs(kind, n, delta)
+                bounded[i] = delta, cutoffs
                 if q_side:
-                    settled[i] = _settle(q_side, cutoffs[i], upper=(2 * g.max_degree(), 1))
+                    settled = _settle(q_side, cutoffs, upper=(2 * g.max_degree(), 1))
                 else:
-                    settled[i] = _settle(q_side, cutoffs[i],
-                                         lower=(2 * (n * (n - 1) - g.edge_count), n))
-                if settled[i] is None:
+                    settled = _settle(q_side, cutoffs,
+                                      lower=(2 * (n * (n - 1) - g.edge_count), n))
+                if settled is None:
                     by_order.setdefault(n, []).append(i)
-        values: list[Optional[float]] = [None] * len(chunk)
+                else:
+                    found[i] = settled, "row-sums", None
         for members in by_order.values():
             stack = build([chunk[i] for i in members])
-            for i, bracket in zip(members, perron_brackets(stack)):
-                if bracket is not None:
-                    settled[i] = _settle(q_side, cutoffs[i], *bracket)
-            left = [j for j, i in enumerate(members) if settled[i] is None]
-            if left:
-                sub = stack[left]
-                radii, vectors, _ = perron(sub)
-                for j, rho, bracket in zip(left, radii.tolist(), perron_brackets(sub, vectors)):
-                    i = members[j]
-                    values[i], settled[i] = rho, _settle(q_side, cutoffs[i], *bracket)
-        for i, (g, delta) in enumerate(zip(chunk, degrees)):
-            if i in cutoffs:
-                yield _conclude(g, kind, delta, values[i], settled[i])
-            else:
-                yield TheoremVerdict(kind, g.n, delta, None, None, Conclusion.NOT_APPLICABLE)
+            found.update(zip(members, _bracket_rungs(q_side, stack,
+                                                     [bounded[i][1] for i in members])))
+        for i, (delta, _) in bounded.items():
+            settled, rung, rho = found[i]
+            verdicts[i] = _conclude(chunk[i], kind, delta, rho, settled, rung)
+        yield from verdicts
 
 
 # -- extremal status table -------------------------------------------------------

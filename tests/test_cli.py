@@ -49,7 +49,7 @@ def test_spectra_via_subprocess(tmp_path):
     proc = run_cli(["spectra", "--json", str(report_path)], stdin="C~\nCh\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    assert report["schema_version"] == "8"
+    assert report["schema_version"] == "9"
     rows = report["rows"]
     assert rows[0]["n"] == 4 and rows[0]["rho_q"] == pytest.approx(6, abs=1e-9)
     assert rows[0]["rho_d"] == pytest.approx(3, abs=1e-9)
@@ -124,15 +124,19 @@ def test_certify_extremal_row(tmp_path):
     report_path = tmp_path / "c.json"
     proc = run_cli(
         ["certify", "--theorem", "1", "--json", str(report_path)],
-        stdin=extremal_line() + "\n",
+        stdin=extremal_line() + "\n" + extremal_line(14, 3) + "\n",
     )
     assert proc.returncode == 0
-    row = json.loads(report_path.read_text())["rows"][0]
-    assert row["conclusion"] == "extremal-exception"
-    assert row["oracle_status"] == "found"
-    assert row["borderline"] is True
-    # no bound separates the extremal graph from its own threshold
-    assert row["spectral_bound"] is None and row["spectral_value"] is not None
+    for row in json.loads(report_path.read_text())["rows"]:
+        assert row["conclusion"] == "extremal-exception"
+        assert row["oracle_status"] == "found"
+        assert row["borderline"] is True and row["rung"] is None
+    # no bound separates the extremal graph from its own threshold; at
+    # delta = 2 the sandwich lemma recognizes it with no eigen-solve, at
+    # delta = 3 every rung runs, the eigen-solve last
+    delta2, delta3 = json.loads(report_path.read_text())["rows"]
+    assert delta2["spectral_bound"] is None and delta2["spectral_value"] is None
+    assert delta3["spectral_bound"] is None and delta3["spectral_value"] is not None
 
 
 def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys):
@@ -140,27 +144,35 @@ def test_certify_checks_every_claim_with_the_oracle_by_default(tmp_path, capsys)
     # rho_Q 28.24 against the threshold 26.55: a guarantee, which the oracle
     # confirms with no flag given, and which its Collatz-Wielandt bracket
     # settles with no eigen-solve, by a lower bound a hair below rho_Q; C_8
-    # misses its threshold by far, so no oracle runs on it, and its bound
-    # rho_Q <= 2 Delta = 4 shows that with no eigen-solve
+    # misses its threshold, as the sandwich lemma shows with no bound, and
+    # the 7-prism misses the (14, 3) one by far, as its bound
+    # rho_Q <= 2 Delta = 6 shows with no eigen-solve; no oracle runs on
+    # either
     report_path = tmp_path / "c.json"
     proc = run_cli(["certify", "--json", str(report_path), "--no-timing"],
-                   stdin="O~~~~~~~~~~~~~~~~~~??\nGhCGKC\n")
+                   stdin="O~~~~~~~~~~~~~~~~~~??\nGhCGKC\nMhCKK@@GG_`@@@?o_\n")
     assert proc.returncode == 0
     report = json.loads(report_path.read_text())
-    guaranteed, cycle = report["rows"]
+    guaranteed, cycle, prism = report["rows"]
     assert (guaranteed["min_degree"], guaranteed["conclusion"], guaranteed["oracle_status"],
-            guaranteed["oracle_agrees"]) == (3, "even-factor-guaranteed", "found", True)
-    assert (cycle["conclusion"], cycle["oracle_status"], cycle["oracle_agrees"]) == (
-        "inconclusive", None, None)
-    assert (cycle["spectral_value"], cycle["spectral_bound"], cycle["borderline"]) == (
-        None, 4, False)
+            guaranteed["oracle_agrees"], guaranteed["rung"]) == (
+        3, "even-factor-guaranteed", "found", True, "power")
+    for row in (cycle, prism):
+        assert (row["conclusion"], row["oracle_status"], row["oracle_agrees"]) == (
+            "inconclusive", None, None)
+    assert (cycle["spectral_value"], cycle["spectral_bound"], cycle["borderline"],
+            cycle["rung"]) == (None, None, False, "sandwich")
+    assert (prism["min_degree"], prism["spectral_value"], prism["spectral_bound"],
+            prism["borderline"], prism["rung"]) == (3, None, 6, False, "row-sums")
     assert guaranteed["spectral_value"] is None
     assert (guaranteed["threshold"] < guaranteed["spectral_bound"]
             <= rho_q(from_graph6("O~~~~~~~~~~~~~~~~~~??")))
     assert guaranteed["spectral_bound"] == pytest.approx(28.2377381, abs=1e-6)
     config = report["config"]
     assert "oracle" not in config and config["oracle_cap"] == NODE_CAP
-    assert sorted(config["tolerances"]) == ["comparison_epsilon", "eigen_residual_tol", "root_tol"]
+    # no verdict reads the lemmas' comparison_epsilon, so only lemmas names it
+    assert sorted(config["tolerances"]) == ["eigen_residual_tol", "root_tol"]
+    assert "comparison_epsilon" not in config
     # there is no switch to turn the oracle off
     for argv in (["certify", "--oracle", "on"], ["scan", "-n", "6", "--oracle", "off"]):
         with pytest.raises(SystemExit) as exc:
@@ -181,8 +193,8 @@ def test_certify_row_settled_by_the_eigenvector_bracket(tmp_path):
                    stdin=line + "\n")
     assert proc.returncode == 0
     [row] = json.loads(path.read_text())["rows"]
-    assert (row["min_degree"], row["conclusion"], row["borderline"], row["oracle_status"]) == (
-        3, "inconclusive", False, None)
+    assert (row["min_degree"], row["conclusion"], row["borderline"], row["oracle_status"],
+            row["rung"]) == (3, "inconclusive", False, None, "eigenvector")
     assert row["spectral_value"] is not None and row["spectral_bound"] is not None
     assert row["spectral_value"] <= row["spectral_bound"] < row["threshold"]
     # bound_decided counts only the verdicts settled with no eigen-solve
@@ -216,19 +228,23 @@ def test_scan_bundled_corpus_small(tmp_path):
 
 
 def test_scan_counts_the_verdicts_the_bound_decided(tmp_path, capsys):
-    # every applicable seed-1 sample at n = 10 is settled by
-    # rho_D >= 2(n(n - 1) - m)/n, and the extremal graph by no bound
+    # every applicable seed-1 sample at n = 10 has delta = 2, so the
+    # sandwich lemma settles it with no bound; the 9-prism, at delta = 3, is
+    # settled by rho_D >= 2(n(n - 1) - m)/n, and the extremal graph by
+    # neither
     path = tmp_path / "s.json"
     assert main(["scan", "-n", "10", "--sample-size", "3000", "--seed", "1",
                  "--theorem", "2", "--json", str(path), "--no-timing"]) == 0
     [row] = json.loads(path.read_text())["rows"]
-    assert (row["inconclusive"], row["not-applicable"], row["bound_decided"]) == (984, 2016, 984)
+    assert (row["inconclusive"], row["not-applicable"], row["sandwich"],
+            row["bound_decided"], row["borderline"]) == (984, 2016, 984, 0, 0)
     corpus = tmp_path / "in.g6"
-    corpus.write_text(extremal_line(10, 2) + "\n")
+    corpus.write_text(extremal_line(10, 2) + "\nQhCGGE@_A?c@C@A?__GC@?OC?oG\n")
     assert main(["scan", "--corpus", str(corpus), "--theorem", "2",
                  "--json", str(path), "--no-timing"]) == 0
     [row] = json.loads(path.read_text())["rows"]
-    assert (row["extremal-exception"], row["bound_decided"]) == (1, 0)
+    assert (row["extremal-exception"], row["inconclusive"], row["sandwich"],
+            row["bound_decided"], row["borderline"]) == (1, 1, 0, 1, 1)
     capsys.readouterr()
 
 
@@ -332,6 +348,8 @@ def test_lemmas_command(tmp_path):
     checks = {r["check"] for r in report["rows"]}
     assert checks == {"q-monotone-edge-add", "q-threshold-bracket"}
     assert report["violations"] == []
+    # the float tolerance of the checks, which only lemmas reports name
+    assert report["config"]["comparison_epsilon"] == 1e-8
 
 
 def test_extremal_command(tmp_path):
