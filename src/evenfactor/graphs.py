@@ -5,12 +5,18 @@ Vertices are dense integer labels. Adjacency is one bitmask per vertex
 it: degrees are popcounts, membership is one shift, and the component
 flood fill behind connectivity ORs whole neighbourhoods at a time. All
 constructors document their labeling.
+
+A graph keeps its minimum degree and its connectivity once computed, as
+both theorems' hypotheses read them. A batch builder that has them already
+hands them to ``Graph._from_bits``: the sampler both, from its numpy block
+pass, and the graph6 reader the minimum degree, from its bool stack, so
+neither is derived again from the bitmasks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +31,9 @@ GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "edge_count", "_bits")
+    # _min_degree and _connected hold min_degree() and is_connected() once
+    # known, None before
+    __slots__ = ("n", "edge_count", "_bits", "_min_degree", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -45,15 +53,22 @@ class Graph:
             count += 1
         self._bits = tuple(bits)
         self.edge_count = count
+        self._min_degree = self._connected = None
 
     @classmethod
-    def _from_bits(cls, bits: tuple[int, ...], edge_count: int) -> Graph:
+    def _from_bits(cls, bits: tuple[int, ...], edge_count: int, *,
+                   min_degree: Optional[int] = None,
+                   connected: Optional[bool] = None) -> Graph:
         """Graph on len(bits) vertices with edge_count edges from symmetric,
-        loop-free bitmasks, all taken on trust: callers build them that way."""
+        loop-free bitmasks, all taken on trust: callers build them that way.
+        So are min_degree and connected, when given: they are what
+        min_degree() and is_connected() then return."""
         g = object.__new__(cls)
         g.n = len(bits)
         g._bits = bits
         g.edge_count = edge_count
+        g._min_degree = min_degree
+        g._connected = connected
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -79,7 +94,9 @@ class Graph:
 
     def min_degree(self) -> int:
         """delta(G); 0 for the empty graph."""
-        return min(map(int.bit_count, self._bits), default=0)
+        if self._min_degree is None:
+            self._min_degree = min(map(int.bit_count, self._bits), default=0)
+        return self._min_degree
 
     def max_degree(self) -> int:
         """Delta(G); 0 for the empty graph."""
@@ -87,8 +104,10 @@ class Graph:
 
     def is_connected(self) -> bool:
         """BFS connectivity; the 0-vertex graph counts as connected."""
-        full = (1 << self.n) - 1
-        return self.n <= 1 or _component(self._bits, 1, full) == full
+        if self._connected is None:
+            full = (1 << self.n) - 1
+            self._connected = self.n <= 1 or _component(self._bits, 1, full) == full
+        return self._connected
 
     # -- equality is labeled equality, not isomorphism --------------------
 
@@ -310,18 +329,21 @@ def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Er
     stack = np.zeros((k, n * width), bool)
     stack[:, upper_at] = upper
     stack[:, lower_at] = upper
-    masks = adjacency_masks(stack.reshape(k, n, width))
+    stack = stack.reshape(k, n, width)
+    masks = adjacency_masks(stack)
+    # each graph's minimum degree, handed to it; 0 for the empty graph
+    deltas = stack.sum(axis=2).min(axis=1).tolist() if n else [0] * k
     # the padding bits are the low bits of the last character
     padding = (1 << 6 * (length - start) - len(read)) - 1
     out: list[Graph | Graph6Error] = []
-    for line, mask, m in zip(lines, masks, upper.sum(axis=1).tolist()):
+    for line, mask, m, delta in zip(lines, masks, upper.sum(axis=1).tolist(), deltas):
         error = None if clean else _char_error(line[start:], "data")
         if error is not None:
             out.append(error)
         elif ord(line[-1]) - 63 & padding:
             out.append(Graph6Error("nonzero padding bits"))
         else:
-            out.append(Graph._from_bits(tuple(mask), m))
+            out.append(Graph._from_bits(tuple(mask), m, min_degree=delta))
     return out
 
 

@@ -20,6 +20,11 @@ block never holds more attempts than graphs still owed, and each attempt
 yields at most one graph, so no attempt is drawn that the one-at-a-time
 sampler would not draw.
 
+The block pass tests the minimum degree of every attempt and then floods,
+in numpy, only the attempts that pass it. Each graph yielded is handed both
+facts, its minimum degree and that it is connected (``Graph._from_bits``),
+so the verdicts read them without deriving them again from the bitmasks.
+
 A block holds at most _BLOCK_PAIRS vertex pairs, or one attempt where an
 attempt has more (n >= 92), so memory does not grow with the count: a
 block and its graphs peak at about 200 KB at n = 10.
@@ -94,17 +99,21 @@ def sample_connected_graphs(rng: Random, n: int, count: int) -> Iterator[Graph]:
         adj[:, upper] = hits
         adj[:, lower] = hits
         adj = adj.reshape(k, n, n)
-        keep = adj.sum(axis=2).min(axis=1) >= MIN_DEGREE
-        # connectivity: grow the set reached from vertex 0 by the
-        # neighbours of what it holds until it stops growing
-        reached = adj[:, :1, :] | (np.arange(n) == 0)
+        deltas = adj.sum(axis=2).min(axis=1)
+        keep = np.flatnonzero(deltas >= MIN_DEGREE)
+        # connectivity of the attempts that pass the degree test: grow the
+        # set reached from vertex 0 by the neighbours of what it holds until
+        # it stops growing
+        sub = adj[keep]
+        reached = sub[:, :1, :] | (np.arange(n) == 0)
         while True:
-            grown = reached | (reached @ adj)
+            grown = reached | (reached @ sub)
             if np.array_equal(grown, reached):
                 break
             reached = grown
-        keep &= reached.all(axis=(1, 2))
+        keep = keep[reached.all(axis=(1, 2))]
         masks = adjacency_masks(adj[keep])
-        for mask, m in zip(masks, hits[keep].sum(axis=1).tolist()):
-            yield Graph._from_bits(tuple(mask), m)
+        for mask, m, delta in zip(masks, hits[keep].sum(axis=1).tolist(),
+                                  deltas[keep].tolist()):
+            yield Graph._from_bits(tuple(mask), m, min_degree=delta, connected=True)
         count -= len(masks)

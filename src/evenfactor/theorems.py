@@ -263,13 +263,14 @@ class TheoremVerdict:
         return self.oracle_status is CertificateStatus.FOUND
 
 
-def _applicable(g: Graph, kind: TheoremKind, delta: int) -> bool:
-    """Whether g, of minimum degree delta, meets the hypotheses under kind:
-    even order, delta >= 2, the order bound (so n > 0), and, last, since it
-    alone floods g, connectivity."""
+def _applicable(g: Graph, delta: int, least_order: int) -> bool:
+    """Whether g, of minimum degree delta, meets the hypotheses of a theorem
+    whose order bound at delta is least_order (its ``min_order``): even
+    order, delta >= 2, the order bound (so n > 0), and, last, connectivity,
+    the one test that may flood g. A graph whose builder handed it its
+    connectivity answers from memory (graphs module docstring)."""
     n = g.n
-    return (n % 2 == 0 and delta >= 2 and n >= min_order(kind, delta)
-            and g.is_connected())
+    return n % 2 == 0 and delta >= 2 and n >= least_order and g.is_connected()
 
 
 @lru_cache(maxsize=None)
@@ -355,8 +356,11 @@ def check_even_factor_many(graphs: Iterable[Graph],
 
     The hypotheses are tested first, cheapest first: even order, minimum
     degree at least 2, the order bound, and only then connectivity, the one
-    test that floods the graph. A graph that fails one is ``not-applicable``
-    and carries ``spectral_value`` and ``threshold`` as None. An applicable
+    test that may flood the graph. The sampler hands each graph its minimum
+    degree and connectivity, and the graph6 reader its minimum degree, so
+    neither is derived again here for their graphs. A graph that fails one
+    is ``not-applicable`` and carries ``spectral_value`` and ``threshold``
+    as None. An applicable
     graph with delta = 2 is settled by the sandwich lemma (module
     docstring), with no matrix, bound or eigen-solve: ``inconclusive`` on
     the ``sandwich`` rung, or, for the extremal graph, ``extremal-exception``
@@ -375,14 +379,16 @@ def check_even_factor_many(graphs: Iterable[Graph],
 
     The verdicts that (kind, n, delta) alone determines, the not-applicable
     and the sandwich ones, are built once per call and shared; verdicts are
-    frozen. Graphs are read VERDICT_CHUNK at a time. Within a chunk, the
-    graphs of one order that the x = 1 bound leaves open share one integer
-    matrix stack, which gives their brackets, and those the brackets leave
-    open are eigen-solved together, from their slice of it.
+    frozen. Each delta's order bound is looked up once per call too. Graphs
+    are read VERDICT_CHUNK at a time. Within a chunk, the graphs of one
+    order that the x = 1 bound leaves open share one integer matrix stack,
+    which gives their brackets, and those the brackets leave open are
+    eigen-solved together, from their slice of it.
     """
     q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
     build = _signless_laplacian_stack if q_side else _distance_stack
     shared: dict[tuple[int, int, bool], TheoremVerdict] = {}
+    least_orders: dict[int, int] = {}
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
         verdicts: list[Optional[TheoremVerdict]] = [None] * len(chunk)
@@ -393,7 +399,10 @@ def check_even_factor_many(graphs: Iterable[Graph],
         by_order: dict[int, list[int]] = {}
         for i, g in enumerate(chunk):
             n, delta = g.n, g.min_degree()
-            applicable = _applicable(g, kind, delta)
+            least_order = least_orders.get(delta)
+            if least_order is None:
+                least_order = least_orders[delta] = min_order(kind, delta)
+            applicable = _applicable(g, delta, least_order)
             if not applicable or delta == 2 and not recognize_extremal(g, 2):
                 verdict = shared.get((n, delta, applicable))
                 if verdict is None:

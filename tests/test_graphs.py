@@ -345,6 +345,21 @@ def test_stack_codec_round_trip(n):
     assert adjacency_masks(padded) == adjacency_masks(stack)
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_read_graph6_hands_over_the_min_degree(n):
+    # "?" and "@" are n = 0 and n = 1; 63..65 and 130 sit at and past the
+    # one-word and whole-byte row widths
+    rng = random.Random(n)
+    expected = [Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < p]) for p in (0.0, 0.05, 0.5, 0.95, 1.0)]
+    lines = [to_graph6(g) for g in expected]
+    assert n > 1 or set(lines) == {"?@"[n]}
+    for g, h in zip(expected, read_graph6(lines)):
+        # the reader's stack gave the degree; the reference derives it
+        assert h == g and h._min_degree is not None
+        assert h.min_degree() == g.min_degree()
+
+
 def test_stack_codec_needs_one_order():
     with pytest.raises(ValueError, match="one order"):
         adjacency_stack([path(4), path(5)])

@@ -33,5 +33,9 @@ def test_block_sampler_is_the_one_at_a_time_sampler(seed, n, count):
     expected = one_at_a_time(reference, n, count)
     got = list(sample_connected_graphs(blocked, n, count))
     assert [(g, g.edge_count) for g in got] == [(g, g.edge_count) for g in expected]
+    # the minimum degree and connectivity handed to each graph are those
+    # the reference, built from its edge list, derives from its bitmasks
+    assert [(g.min_degree(), g.is_connected()) for g in got] == [
+        (g.min_degree(), g.is_connected()) for g in expected]
     # the stream is left where the reference left it, so later draws agree
     assert blocked.getstate() == reference.getstate()

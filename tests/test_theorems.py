@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from evenfactor.corpus import load_bundled_corpus
-from evenfactor.graphs import Graph, clique_join, from_graph6, to_graph6
+from evenfactor.graphs import Graph, _component, clique_join, from_graph6, to_graph6
 from evenfactor.oracle import CertificateStatus, find_even_factor, is_even_factor
 from evenfactor.quotient import N, ROOT_TOL, S, eval_poly
 from evenfactor.sampling import sample_connected_graphs
@@ -611,23 +611,28 @@ def test_connectivity_is_tested_after_the_constant_time_tests(monkeypatch):
     # even order, delta >= 2 and the order bound come before the flood: of
     # the 11,117 connected 8-vertex graphs, the Q bound (8 at delta = 2, 14
     # at delta = 3) admits the 4,853 with delta = 2 and the D bound (9 at
-    # delta = 2) none; of the 3,000 seed-1 n = 10 samples it admits the 984
-    # with delta = 2
+    # delta = 2) none; the D bound admits the 984 of the 3,000 seed-1
+    # n = 10 samples with delta = 2, but the sampler hands each graph its
+    # connectivity, so none is flooded
     q, d = TheoremKind.SIGNLESS_LAPLACIAN, TheoremKind.DISTANCE
     corpus = load_bundled_corpus(8)
     samples = list(sample_connected_graphs(Random(1), 10, 3000))
     floods, searches = [], []
-    is_connected = Graph.is_connected
 
-    def counting(g):
-        floods.append(g)
-        return is_connected(g)
+    def counting(bits, start, alive):
+        floods.append(bits)
+        return _component(bits, start, alive)
 
-    monkeypatch.setattr(Graph, "is_connected", counting)
-    for graphs, kind, flooded in ((corpus, q, 4853), (corpus, d, 0), (samples, d, 984)):
+    monkeypatch.setattr("evenfactor.graphs._component", counting)
+    for graphs, kind, flooded in ((corpus, q, 4853), (corpus, d, 0), (samples, d, 0)):
         floods.clear()
         assert len(list(check_even_factor_many(graphs, kind))) == len(graphs)
         assert len(floods) == flooded
+    # a graph floods once, however often it is asked
+    floods.clear()
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert path.is_connected() and path.is_connected()
+    assert len(floods) == 1
     # a disconnected graph that passes every O(1) test is still
     # not-applicable, with no threshold, no bound and no oracle run
     monkeypatch.setattr(theorems, "find_even_factor", searches.append)
@@ -636,7 +641,7 @@ def test_connectivity_is_tested_after_the_constant_time_tests(monkeypatch):
         assert two_cycles.min_degree() == 2 and 2 * k >= theorems.min_order(kind, 2)
         floods.clear()
         [v] = check_even_factor_many([two_cycles], kind)
-        assert floods == [two_cycles]
+        assert floods == [two_cycles._bits]
         assert (v.conclusion, v.threshold, v.bound, v.spectral_value, v.oracle_status) == (
             Conclusion.NOT_APPLICABLE, None, None, None, None)
         assert not v.borderline
@@ -835,7 +840,7 @@ def test_a_bound_inside_the_certified_interval_never_settles():
         assert theorems._settle(q_side, cutoffs, upper=lo) == (lo, not q_side)
         for g, conclusion in ((cycle(n), Conclusion.INCONCLUSIVE),
                               (extremal_graph(n, 2), Conclusion.EXTREMAL_EXCEPTION)):
-            assert g.min_degree() == 2 and theorems._applicable(g, kind, 2)
+            assert g.min_degree() == 2 and theorems._applicable(g, 2, theorems.min_order(kind, 2))
             v = theorems._conclude(g, kind, 2, None, None)
             assert (v.conclusion, v.borderline, v.bound, v.oracle_status) == (
                 conclusion, True, None, CertificateStatus.FOUND)
