@@ -162,7 +162,9 @@ def _component(bits: Sequence[int], start: int, alive: int) -> int:
 
     ``bits`` are the neighbour bitmasks of G and ``start`` a nonempty
     bitmask inside ``alive``; each BFS round ORs the neighbourhoods of the
-    whole frontier.
+    whole frontier. An alive neighbour of the component is in it, so the
+    flood returns ``alive`` as soon as the seen vertices and their
+    neighbours cover it.
     """
     seen = frontier = start
     while frontier:
@@ -171,6 +173,8 @@ def _component(bits: Sequence[int], start: int, alive: int) -> int:
             low = frontier & -frontier
             nxt |= bits[low.bit_length() - 1]
             frontier ^= low
+        if (seen | nxt) & alive == alive:
+            return alive
         frontier = nxt & alive & ~seen
         seen |= frontier
     return seen

@@ -1,13 +1,14 @@
 """Ground-truth even-factor decisions: a parity repair, then exact search.
 
 An even factor is a spanning subgraph in which every vertex has nonzero
-even degree. Vertices of degree < 2 rule one out immediately. Each call
-grows one spanning forest over the neighbour bitmasks, breadth-first.
-The parity repair tries first: the forest plus one extra edge per leaf
-gives minimum degree 2, and deleting the forest's T-join of the
-odd-degree vertices makes every degree even; when no vertex is left bare
-that is an even factor, found with no search. Otherwise an exact search
-decides. An even subgraph meets every edge cut in an even number of
+even degree. A vertex of degree < 2 rules one out before anything is
+built, since deleting bridges never raises a degree. Otherwise each call
+grows one spanning forest over the neighbour bitmasks, breadth-first,
+until every vertex is claimed. The parity repair tries first: the forest
+plus one extra edge per leaf gives minimum degree 2, and deleting the
+forest's T-join of the odd-degree vertices, folded one parent at a time,
+makes every degree even; when no vertex is left bare that is an even
+factor, found with no search. Otherwise an exact search decides. An even subgraph meets every edge cut in an even number of
 edges, so it uses no bridge: the bridges, read off the same forest, are
 deleted first, and a vertex they leave with degree < 2 rules the factor
 out with no search. The rest is a depth-first backtrack over edge
@@ -84,25 +85,30 @@ def is_even_factor(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 def find_even_factor(g: Graph) -> EvenFactorCertificate:
     """FOUND with a certificate, or NONE_EXISTS, decided exactly.
 
-    One spanning forest serves the whole call. The parity repair grows it
-    (``_parity_repair``); when the repair builds an even factor the answer
-    is FOUND with ``nodes_explored == 0``. Otherwise the bridges are read
-    off the same forest and deleted (``_delete_bridges``): a vertex they
-    leave with degree < 2 gives NONE_EXISTS with ``nodes_explored == 0``,
-    and else the backtracking search decides on the bridge-free bitmasks
-    (``_search``). Only the search can give up, with SEARCH_CAP_EXCEEDED
-    after NODE_CAP include/exclude decisions. Deterministic.
+    A vertex of degree < 2 gives NONE_EXISTS with ``nodes_explored == 0``
+    before any forest is grown: deleting bridges never raises a degree.
+    Otherwise one spanning forest serves the whole call. The parity repair
+    grows it (``_parity_repair``); when the repair builds an even factor
+    the answer is FOUND with ``nodes_explored == 0``. Otherwise the bridges
+    are read off the same forest and deleted (``_delete_bridges``): a
+    vertex they leave with degree < 2 gives NONE_EXISTS with
+    ``nodes_explored == 0``, and else the backtracking search decides on
+    the bridge-free bitmasks (``_search``). Only the search can give up,
+    with SEARCH_CAP_EXCEEDED after NODE_CAP include/exclude decisions.
+    Deterministic.
 
     Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 31):
     near-extremal graphs on 14 to 26 vertices with about 170 edges take
-    0.022 ms, every one of them repaired; K_30 takes 0.037 ms; 15-vertex
-    graphs with about 63 edges take 0.021 ms with a factor (191 of 200
-    repaired) and 0.021 ms without one (all 200 settled by the bridges,
-    with no search node). The repair settles every extremal graph with
+    0.014 ms, every one of them repaired; K_30 takes 0.019 ms; 15-vertex
+    graphs with about 63 edges take 0.014 ms with a factor (191 of 200
+    repaired) and 0.017 ms without one (all 200 settled by the bridges,
+    with no search node, 0.010 ms of it in the failed repair). The repair settles every extremal graph with
     delta = 2..20 and even n = 2*delta..160, every one with delta = 2..15
     and odd n = 2*delta + 1..8*delta + 9, and 1941 of the 2206 bundled
     graphs that meet the odd-component condition.
     """
+    if g.n and g.min_degree() < 2:
+        return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
     found, order, parent = _parity_repair(g._bits)
     if found is not None:
         return EvenFactorCertificate(CertificateStatus.FOUND, found, 0)
@@ -118,14 +124,20 @@ def _parity_repair(bits: Sequence[int]) -> tuple[Optional[tuple[tuple[int, int],
 
     ``bits`` are the neighbour bitmasks of a graph g. Grow a spanning
     forest breadth-first, each tree from an unseen vertex of largest
-    degree, lowest label first; every vertex claims all of its unseen
-    neighbours as children. Give each leaf one edge off the forest, to
-    another leaf still without one where it can, so that the subgraph H
-    has minimum degree 2. The odd-degree vertices of H are even in number
-    in each tree, so one pass from the leaves to the roots deletes a
-    forest edge set J that meets each of them an odd number of times and
-    every other vertex an even number: every degree of H - J is even. If
-    none is 0, H - J is an even factor, with edges (u, v), u < v, sorted.
+    degree, lowest label first (the vertices are sorted by degree only
+    when a second tree is needed); every vertex claims all of its unseen
+    neighbours as children, and growth stops once every vertex is
+    claimed. Give each leaf one edge off the forest, to another leaf still
+    without one where it can, so that the subgraph H has minimum degree 2.
+    The odd-degree vertices of H are even in number in each tree, so one
+    pass from the leaves to the roots deletes a forest edge set J that
+    meets each of them an odd number of times and every other vertex an
+    even number: every degree of H - J is even. The pass folds one parent
+    v at a time, in reverse breadth-first order, so that each child's
+    parity is final: the edges to v's odd children go into J, v's parity
+    flips once per such edge, and the edges to its even children stay. If
+    no degree is 0, H - J is an even factor, with edges (u, v), u < v,
+    sorted.
     It is None when g has a vertex of degree < 2 or H - J leaves a vertex
     bare; that says nothing about g. The forest comes back as ``order``
     (every vertex after its parent) and ``parent`` (-1 at a root), grown
@@ -135,34 +147,42 @@ def _parity_repair(bits: Sequence[int]) -> tuple[Optional[tuple[tuple[int, int],
     deg = [b.bit_count() for b in bits]
     parent = [-1] * n
     order = []
-    leaves = 0
+    claims = []            # (v, the children v claimed), in the order claimed
+    internal = 0           # vertices that claimed a child
     odd = 0                # odd-degree vertices of the subgraph built so far
     unseen = (1 << n) - 1
-    for root in sorted(range(n), key=deg.__getitem__, reverse=True):
-        if not unseen:
-            break
+    roots = [deg.index(max(deg))] if n else []
+    for root in roots:
         if not unseen >> root & 1:
             continue
         unseen ^= 1 << root
         tree = [root]
         for v in tree:
             kids = bits[v] & unseen
-            if not kids:       # a root only when isolated, which fails below
-                leaves |= 1 << v
+            if not kids:
                 continue
             unseen ^= kids
             odd ^= kids
             if kids.bit_count() & 1:
                 odd ^= 1 << v
+            internal |= 1 << v
+            claims.append((v, kids))
             while kids:
                 low = kids & -kids
                 kids ^= low
                 c = low.bit_length() - 1
                 parent[c] = v
                 tree.append(c)
+            if not unseen:     # every vertex is claimed: the rest are leaves
+                break
         order += tree
+        if not unseen:
+            break
+        if len(roots) == 1:    # a second tree: the other roots by degree
+            roots += sorted(range(n), key=deg.__getitem__, reverse=True)
     if min(deg, default=2) < 2:
         return None, order, parent
+    leaves = (1 << n) - 1 ^ internal
     edges = []
     covered = 0            # vertices that an edge of H - J meets
     while leaves:
@@ -176,15 +196,19 @@ def _parity_repair(bits: Sequence[int]) -> tuple[Optional[tuple[tuple[int, int],
         covered |= low | w
         u = w.bit_length() - 1
         edges.append((v, u) if v < u else (u, v))
-    for c in reversed(order):
-        p = parent[c]
-        if p < 0:
-            continue
-        if odd >> c & 1:
-            odd ^= 1 << c | 1 << p
-        else:
-            covered |= 1 << c | 1 << p
-            edges.append((c, p) if c < p else (p, c))
+    for v, kids in reversed(claims):
+        cut = kids & odd   # the odd children: their edges to v are in J
+        odd ^= cut
+        if cut.bit_count() & 1:
+            odd ^= 1 << v
+        kept = kids ^ cut
+        if kept:
+            covered |= kept | 1 << v
+            while kept:
+                low = kept & -kept
+                kept ^= low
+                c = low.bit_length() - 1
+                edges.append((c, v) if c < v else (v, c))
     if covered != (1 << n) - 1:
         return None, order, parent
     edges.sort()

@@ -89,11 +89,18 @@ def test_find_even_factor_degenerate_orders():
     assert find_even_factor(Graph(1)).status is CertificateStatus.NONE_EXISTS
 
 
-def test_min_degree_short_circuit():
-    # a vertex of degree < 2 rules the factor out before any search
-    cert = find_even_factor(path(6))
-    assert cert.status is CertificateStatus.NONE_EXISTS
-    assert cert.nodes_explored == 0
+def test_min_degree_short_circuit(monkeypatch):
+    # a vertex of degree < 2 rules the factor out before any forest is
+    # grown: deleting bridges never raises a degree
+    def no_repair(bits):
+        raise AssertionError("the parity repair ran")
+
+    monkeypatch.setattr("evenfactor.oracle._parity_repair", no_repair)
+    # a leaf, an isolated vertex beside a triangle, and a pendant K_4
+    pendant = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    for g in (path(6), Graph(4, [(0, 1), (1, 2), (0, 2)]), pendant, Graph(1)):
+        cert = find_even_factor(g)
+        assert cert == EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
 
 
 def test_soundness_found_implies_valid():
@@ -403,6 +410,16 @@ def test_repair_on_disconnected_and_large_graphs():
     apart = Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
     cert = find_even_factor(apart)
     assert cert.nodes_explored == 0 and cert.edges == tuple(apart.edges())
+    # C_4 on 0..3, a triangle on 4..6 and K_4 on 7..10: the trees are rooted
+    # by degree, lowest label first, at 7, then 0, then 4; the certificate
+    # was recorded from the repair that sorted every root up front
+    g = Graph(11, cycle(4).edges() + [(4, 5), (5, 6), (4, 6)]
+              + [(7 + i, 7 + j) for i in range(4) for j in range(i + 1, 4)])
+    _, order, parent = _parity_repair(g._bits)
+    assert [v for v in order if parent[v] < 0] == [7, 0, 4]
+    assert find_even_factor(g) == EvenFactorCertificate(
+        CertificateStatus.FOUND, ((0, 1), (0, 3), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6),
+                                  (7, 9), (7, 10), (8, 9), (8, 10)), 0)
     # the extremal graph at (160, 20): bitmasks of three 64-bit words
     g = clique_join(20, (121,) + (1,) * 19)
     cert = find_even_factor(g)

@@ -77,16 +77,24 @@ def test_distance_matrix_vs_floyd_warshall():
 
 def test_distance_stack_vs_floyd_warshall():
     rng = random.Random(11)
-    for n in (1, 2, 5, 9, 14):
-        # sparse draws give long distances, dense ones short
-        graphs = [_random_connected(rng, n, rng.choice((0.15, 0.4, 0.8)))
-                  for _ in range(12)] + [path(n)]
+    # sparse draws give long distances, dense ones short
+    stacks = [[_random_connected(rng, n, rng.choice((0.15, 0.4, 0.8))) for _ in range(12)]
+              + [path(n)] for n in (1, 2, 5, 9, 14)]
+    # complete graphs alone, which I | A fills with no product, and
+    # diameters 1 and 2 (K_5 joined to two nonadjacent vertices) beside a
+    # path of diameter 6
+    k7 = clique_join(7, ())
+    stacks += [[k7] * 3, [k7, clique_join(5, (1, 1)), path(7), k7]]
+    for graphs in stacks:
+        n = graphs[0].n
         stack = _distance_stack(graphs)
         assert stack.shape == (len(graphs), n, n)
         for g, d in zip(graphs, stack):
             assert (d == _floyd_warshall(g)).all()
     with pytest.raises(DisconnectedGraphError):
         _distance_stack([path(4), clique_join(0, (2, 2))])
+    with pytest.raises(DisconnectedGraphError):
+        _distance_stack([clique_join(4, ()), clique_join(0, (2, 2)), clique_join(4, ())])
     with pytest.raises(ValueError):
         _distance_stack([path(4), path(5)])
 
