@@ -293,27 +293,45 @@ def cmd_scan(args) -> Report:
     kind = _THEOREM_KINDS[args.theorem]
     bad: list[dict] = []
     source, graphs = _scan_source(args, bad)
-    counts = {c.value: 0 for c in Conclusion}
-    total = 0
-    borderline = 0
-    sandwich = 0
-    bound_decided = 0
-    oracle_runs = 0
-    cap_exceeded = 0
     contradicted = []
-    for line_no, text, g, v in _judge(graphs, kind):
-        total += 1
-        counts[v.conclusion.value] += 1
-        borderline += v.borderline
-        sandwich += v.rung == "sandwich"
-        bound_decided += v.rung in ("row-sums", "power")
+    # a verdict with no bound and no oracle answer holds nothing of its own
+    # graph: its cell alone determines it, and one object serves the whole
+    # cell. Those are counted by identity and their fields read once, at the
+    # end; every other verdict is one graph's own, counted as it comes and
+    # then dropped, and only those can be contradicted.
+    shared: dict[int, list] = {}
+
+    def tally() -> Iterator[tuple[TheoremVerdict, int]]:
+        """(verdict, graphs) pairs: each own verdict with 1, then each shared
+        verdict with the number of graphs given it."""
+        for line_no, text, g, v in _judge(graphs, kind):
+            if v.bound is None and v.oracle_status is None:
+                entry = shared.get(id(v))
+                if entry is None:
+                    entry = shared[id(v)] = [v, 0]
+                entry[1] += 1
+                continue
+            if v.oracle_agrees is False:
+                text = text if text is not None else to_graph6(g)
+                contradicted.append(_contradiction(line_no, text, v))
+            yield v, 1
+        yield from shared.values()
+
+    counts = {c.value: 0 for c in Conclusion}
+    total = borderline = sandwich = bound_decided = oracle_runs = cap_exceeded = 0
+    for v, k in tally():
+        total += k
+        counts[v.conclusion.value] += k
+        if v.borderline:
+            borderline += k
+        if v.rung == "sandwich":
+            sandwich += k
+        elif v.rung in ("row-sums", "power"):
+            bound_decided += k
         if v.oracle_status is not None:
-            oracle_runs += 1
+            oracle_runs += k
             if v.oracle_status is CertificateStatus.SEARCH_CAP_EXCEEDED:
-                cap_exceeded += 1
-        if v.oracle_agrees is False:
-            text = text if text is not None else to_graph6(g)
-            contradicted.append(_contradiction(line_no, text, v))
+                cap_exceeded += k
     violations = bad + contradicted
     rows = [{
         "source": source,

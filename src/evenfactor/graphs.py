@@ -9,13 +9,14 @@ constructors document their labeling.
 A graph keeps its minimum degree and its connectivity once computed, as
 both theorems' hypotheses read them. A batch builder that has them already
 hands them to ``Graph._from_bits``: the sampler both, from its numpy block
-pass, and the graph6 reader the minimum degree, from its bool stack, so
-neither is derived again from the bitmasks.
+pass, and the graph6 reader the minimum degree, from the popcounts of its
+packed rows, so neither is derived again from the bitmasks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ class Graph:
         self._min_degree = self._connected = None
 
     @classmethod
-    def _from_bits(cls, bits: tuple[int, ...], edge_count: int, *,
+    def _from_bits(cls, bits: tuple[int, ...], edge_count: int,
                    min_degree: Optional[int] = None,
                    connected: Optional[bool] = None) -> Graph:
         """Graph on len(bits) vertices with edge_count edges from symmetric,
@@ -201,9 +202,9 @@ def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     return bits.reshape(len(graphs), n, 8 * width)[:, :, :n]
 
 
-def adjacency_masks(stack: np.ndarray) -> list[list[int]]:
+def adjacency_masks(stack: np.ndarray) -> list[tuple[int, ...]]:
     """Neighbour bitmasks of a (k, n, w) bool adjacency stack, w >= n and
-    columns from n on clear: one list of n ints per graph."""
+    columns from n on clear: one tuple of n ints per graph."""
     k, n, w = stack.shape
     width = -(-w // 8)
     if w % 8:
@@ -212,15 +213,28 @@ def adjacency_masks(stack: np.ndarray) -> list[list[int]]:
         padded = np.zeros((k, n, 8 * width), bool)
         padded[:, :, :w] = stack
         stack = padded
-    packed = np.packbits(stack, bitorder="little").reshape(k, n, width)
+    return _row_masks(np.packbits(stack, bitorder="little").reshape(k, n, width))
+
+
+def _row_masks(packed: np.ndarray) -> list[tuple[int, ...]]:
+    """Neighbour bitmasks, one tuple per graph, from a (k, n, width) uint8
+    stack of packed rows."""
+    k, n, width = packed.shape
     if width <= 8:
         words = np.zeros((k, n, 8), np.uint8)
         words[:, :, :width] = packed
-        return words.view("<u8").reshape(k, n).tolist()
-    rows = packed.tobytes()
-    return [[int.from_bytes(rows[i:i + width], "little")
-             for i in range(g, g + n * width, width)]
-            for g in range(0, k * n * width, n * width)]
+        masks = words.view("<u8").ravel().tolist()
+    else:
+        rows = packed.tobytes()
+        masks = [int.from_bytes(rows[i:i + width], "little")
+                 for i in range(0, len(rows), width)]
+    # n at a time from one iterator: each graph's n masks as a tuple
+    return list(zip(*[iter(masks)] * n)) if n else [()] * k
+
+
+# popcounts of the bytes: degrees read off rows packed into bytes, and off
+# neighbour bitmasks of at most 8 vertices
+_POPCOUNT = np.array([b.bit_count() for b in range(256)], np.uint8)
 
 
 # -- graph6 codec ----------------------------------------------------------
@@ -232,15 +246,19 @@ def adjacency_masks(stack: np.ndarray) -> list[list[int]]:
 # character value = bits + 63, zero-padded to a 6-bit boundary.
 #
 # Lines are decoded a batch at a time. A batch ends with the line that
-# brings it to _BATCH_CHARS characters, and its lines are grouped by size
-# prefix and length. The lines of a group share n, so the size and length
-# checks run once per group, as does the character range check (one
-# bytes.translate; lines are searched one by one only if it finds a bad
-# character). The group's bits go through one numpy pass into a (k, n, n)
-# bool stack, its rows padded to whole bytes. A well-formed line of order
-# n is about n^2 / 12 characters long, so a batch's stacks take at most 21
-# bytes per character read (under 16 from n = 20 on): under 90 KB, plus
-# about n^2 bytes for the batch's last line.
+# brings it to _BATCH_CHARS characters. Its lines become one array of
+# character codes (a non-ASCII character as DEL, out of range like it), and
+# one stable sort of their keys, size prefix and length, groups them. The
+# lines of a group share n, so _shape checks size and length once, on the
+# first line, and padding and the character range are one numpy test each
+# on the whole group; only the lines these flag are examined one by one,
+# by _line_error. One numpy pass gathers the group's (k, n, n) bool
+# adjacency stack, rows padded to whole bytes, packs the rows and reads
+# the degrees off them by one byte-popcount table; building each Graph is
+# all that runs per line. A well-formed line of order n is about n^2 / 12
+# characters long, so a batch's stacks take at most 21 bytes per character
+# read (under 16 from n = 20 on): under 90 KB, plus about n^2 bytes for
+# the batch's last line.
 
 # largest n with a four-character size; the eight-character form is not read
 _MAX_GRAPH6_ORDER = 258047
@@ -248,7 +266,6 @@ _MAX_GRAPH6_ORDER = 258047
 _BATCH_CHARS = 1 << 12
 
 _SEXTET_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
-_GRAPH6_BYTES = bytes(range(63, 127))
 
 
 def _sextet_chars(bits: str) -> str:
@@ -300,81 +317,102 @@ def _shape(line: str) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=16)
-def _bit_index(n: int, start: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each upper-triangle bit of order n is read and written.
+def _bit_index(n: int, start: int, width: int) -> np.ndarray:
+    """Where each entry of the row-major (n, width) adjacency stack of an
+    order-n line is read once each character is unpacked to 8 bits.
 
     Bit i of the upper triangle, in graph6's column-major order, is bit
-    2 + i % 6 of character start + i // 6 once each character of the line
-    is unpacked to 8 bits, and x(row, col) lands at row * width + col and
-    at col * width + row of a row-major (n, width) stack.
+    2 + i % 6 of character start + i // 6, and x(row, col) is read at
+    (row, col) and at (col, row). Every other entry reads the top bit of
+    the first character, which is clear once the size checks pass.
     """
     # built in Python: numpy's index helpers and integer ufuncs would cost
-    # about 0.3 MB of peak memory on first use, more than these arrays
-    pairs = [(row, col) for col in range(n) for row in range(col)]
-    return (np.array([(start + i // 6) * 8 + 2 + i % 6 for i in range(len(pairs))], np.intp),
-            np.array([row * width + col for row, col in pairs], np.intp),
-            np.array([col * width + row for row, col in pairs], np.intp))
+    # about 0.3 MB of peak memory on first use, more than this array
+    index = [0] * (n * width)
+    i = 0
+    for col in range(n):
+        for row in range(col):
+            index[row * width + col] = index[col * width + row] = (start + i // 6) * 8 + 2 + i % 6
+            i += 1
+    return np.array(index, np.intp)
 
 
-def _decode_group(lines: list[str], n: int, start: int) -> list[Graph | Graph6Error]:
-    """Decode lines of order n, all of one length, in one numpy pass."""
-    k, length = len(lines), len(lines[0])
-    text = "".join(lines)
-    data = text.encode("ascii", "replace")
-    # a character outside 63..126 is in no line, or is looked for line by
-    # line; "replace" writes an in-range "?" for a non-ASCII character
-    clean = text.isascii() and not data.translate(None, _GRAPH6_BYTES)
-    # the (k, n, width) bool adjacency stack, width n rounded up to whole
-    # bytes
-    width = -(-n // 8) * 8
-    read, upper_at, lower_at = _bit_index(n, start, width)
-    codes = (np.frombuffer(data, np.uint8) - np.uint8(63)).reshape(k, length)
-    upper = np.unpackbits(codes, axis=1)[:, read]
-    stack = np.zeros((k, n * width), bool)
-    stack[:, upper_at] = upper
-    stack[:, lower_at] = upper
-    stack = stack.reshape(k, n, width)
-    masks = adjacency_masks(stack)
-    # each graph's minimum degree, handed to it; 0 for the empty graph
-    deltas = stack.sum(axis=2).min(axis=1).tolist() if n else [0] * k
+def _line_error(line: str) -> Graph6Error:
+    """The error of a line that a batch check flagged, as from_graph6 gives
+    it: size and length first, then data characters, then padding."""
+    try:
+        _, start = _shape(line)
+    except Graph6Error as exc:
+        return exc
+    return _char_error(line[start:], "data") or Graph6Error("nonzero padding bits")
+
+
+def _decode_group(rows: np.ndarray, n: int, start: int) -> tuple[list[Graph], np.ndarray]:
+    """The graphs of k lines of order n and one length, in one numpy pass
+    over their (k, length) character codes, and the positions of the lines
+    whose data characters or padding are bad (their graphs are junk)."""
+    k, length = rows.shape
+    # a character outside 63..126 wraps to a code above 63
+    codes = rows - np.uint8(63)
     # the padding bits are the low bits of the last character
-    padding = (1 << 6 * (length - start) - len(read)) - 1
-    out: list[Graph | Graph6Error] = []
-    for line, mask, m, delta in zip(lines, masks, upper.sum(axis=1).tolist(), deltas):
-        error = None if clean else _char_error(line[start:], "data")
-        if error is not None:
-            out.append(error)
-        elif ord(line[-1]) - 63 & padding:
-            out.append(Graph6Error("nonzero padding bits"))
-        else:
-            out.append(Graph._from_bits(tuple(mask), m, min_degree=delta))
-    return out
+    padding = (1 << 6 * (length - start) - n * (n - 1) // 2) - 1
+    flagged = codes[:, -1] & padding != 0
+    bad = codes[:, start:] > 63
+    if bad.any():
+        flagged |= bad.any(axis=1)
+    # the (k, n, width) adjacency stack, rows padded to whole bytes, packed
+    width = -(-n // 8) * 8
+    stack = np.unpackbits(codes, axis=1)[:, _bit_index(n, start, width)]
+    packed = np.packbits(stack, bitorder="little").reshape(k, n, width // 8)
+    # (n, k): column j holds graph j's degrees
+    degrees = _POPCOUNT.take(packed.T).sum(0)
+    graphs = list(map(Graph._from_bits, _row_masks(packed), (degrees.sum(0) // 2).tolist(),
+                      degrees.min(0, initial=n).tolist()))
+    return graphs, np.flatnonzero(flagged)
 
 
 def _decode_batch(texts: Sequence[str]) -> list[Graph | Graph6Error]:
     """Each line's graph or Graph6Error, one numpy pass per group of lines
     with the same size prefix and length."""
-    lines = []
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, text in enumerate(texts):
-        line = text.strip()
-        if line.startswith(GRAPH6_HEADER):
-            line = line[len(GRAPH6_HEADER):]
-        lines.append(line)
-        key = (line[:4] if line[:1] == "~" else line[:1], len(line))
-        groups.setdefault(key, []).append(i)
-    out: list = [None] * len(lines)
-    for idx in groups.values():
-        group = [lines[i] for i in idx]
+    if not texts:
+        return []
+    lines = list(map(str.strip, texts))
+    text = "".join(lines)
+    if GRAPH6_HEADER in text:
+        lines = list(map(str.removeprefix, lines, repeat(GRAPH6_HEADER)))
+        text = "".join(lines)
+    if not text.isascii():
+        # each non-ASCII character as DEL, which is out of range too
+        text = text.translate(dict.fromkeys([ord(c) for c in set(text) if c > "\x7f"], 127))
+    codes = np.frombuffer(text.encode("ascii") + bytes(4), np.uint8)
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    starts = lengths.cumsum() - lengths
+    # the size prefix is a line's first character, or its first four after
+    # "~"; read past the end of a shorter line, it still fails _shape
+    head = codes[starts[:, None] + np.arange(4)]
+    key = np.where(head[:, 0] == 126, head.view("<u4")[:, 0], head[:, 0]) | lengths << 32
+    # groups: the runs of one key once the lines are stably sorted by it
+    order = np.argsort(key, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(lines)]
+    decoded: list = []
+    flagged = []
+    for a, b in zip(bounds, bounds[1:]):
+        group = order[a:b]
+        first = lines[group[0]]
         try:
-            n, start = _shape(group[0])
-        except Graph6Error as exc:
-            decoded = [Graph6Error(*exc.args) for _ in idx]
-        else:
-            decoded = _decode_group(group, n, start)
-        for i, g in zip(idx, decoded):
-            out[i] = g
-    return out
+            n, start = _shape(first)
+        except Graph6Error:
+            decoded += [None] * len(group)
+            flagged += group.tolist()
+            continue
+        graphs, bad = _decode_group(codes[starts[group, None] + np.arange(len(first))], n, start)
+        decoded += graphs
+        flagged += group[bad].tolist()
+    if len(bounds) > 2:
+        decoded = list(map(decoded.__getitem__, np.argsort(order).tolist()))
+    for i in flagged:
+        decoded[i] = _line_error(lines[i])
+    return decoded
 
 
 def read_graph6(texts: Iterable[str]) -> Iterator[Graph | Graph6Error]:

@@ -8,16 +8,17 @@ until every vertex is claimed. The parity repair tries first: the forest
 plus one extra edge per leaf gives minimum degree 2, and deleting the
 forest's T-join of the odd-degree vertices, folded one parent at a time,
 makes every degree even; when no vertex is left bare that is an even
-factor, found with no search. Otherwise an exact search decides. An even subgraph meets every edge cut in an even number of
-edges, so it uses no bridge: the bridges, read off the same forest, are
-deleted first, and a vertex they leave with degree < 2 rules the factor
-out with no search. The rest is a depth-first backtrack over edge
-include/exclude decisions with parity pruning: a vertex dies as soon as
-its decided degree plus its undecided incident edges cannot reach an
-even value of at least 2, and the search accepts as soon as every vertex
-has an even chosen degree of at least 2. Only the bridge rule and the
-search answer NONE_EXISTS, and only the search can give up, after the
-fixed NODE_CAP decisions; no caller sets a cap of its own.
+factor, found with no search. Otherwise an exact search decides. An even
+subgraph meets every edge cut in an even number of edges, so it uses no
+bridge: the bridges, read off the same forest, are deleted first, and a
+vertex they leave with degree < 2 rules the factor out with no search.
+The rest is a depth-first backtrack over edge include/exclude decisions
+with parity pruning: a vertex dies as soon as its decided degree plus its
+undecided incident edges cannot reach an even value of at least 2, and
+the search accepts as soon as every vertex has an even chosen degree of
+at least 2. Only the bridge rule and the search answer NONE_EXISTS, and
+only the search can give up, after the fixed NODE_CAP decisions; no
+caller sets a cap of its own.
 
 Also provides the odd-component counting condition o(G - S) < |S| for
 all |S| >= 2, which is sufficient on even orders. By the Tutte-Berge
@@ -38,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import _POPCOUNT, Graph
 
 # include/exclude decisions after which the backtracking search gives up
 NODE_CAP = 100_000_000
@@ -102,10 +103,11 @@ def find_even_factor(g: Graph) -> EvenFactorCertificate:
     0.014 ms, every one of them repaired; K_30 takes 0.019 ms; 15-vertex
     graphs with about 63 edges take 0.014 ms with a factor (191 of 200
     repaired) and 0.017 ms without one (all 200 settled by the bridges,
-    with no search node, 0.010 ms of it in the failed repair). The repair settles every extremal graph with
-    delta = 2..20 and even n = 2*delta..160, every one with delta = 2..15
-    and odd n = 2*delta + 1..8*delta + 9, and 1941 of the 2206 bundled
-    graphs that meet the odd-component condition.
+    with no search node, 0.010 ms of it in the failed repair). The repair
+    settles every extremal graph with delta = 2..20 and even
+    n = 2*delta..160, every one with delta = 2..15 and odd
+    n = 2*delta + 1..8*delta + 9, and 1941 of the 2206 bundled graphs that
+    meet the odd-component condition.
     """
     if g.n and g.min_degree() < 2:
         return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
@@ -392,10 +394,6 @@ def odd_component_conditions(graphs: Iterable[Graph]) -> list[bool]:
                                 len(chunk) * n).reshape(len(chunk), n)
             holds[chunk] = _table_conditions(n, masks)
     return holds.tolist()
-
-
-# popcounts of the bytes: degrees read off neighbour bitmasks of <= 8 vertices
-_POPCOUNT = np.array([b.bit_count() for b in range(256)], np.uint8)
 
 
 def _table_conditions(n: int, masks: np.ndarray) -> np.ndarray:

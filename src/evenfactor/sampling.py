@@ -115,5 +115,5 @@ def sample_connected_graphs(rng: Random, n: int, count: int) -> Iterator[Graph]:
         masks = adjacency_masks(adj[keep])
         for mask, m, delta in zip(masks, hits[keep].sum(axis=1).tolist(),
                                   deltas[keep].tolist()):
-            yield Graph._from_bits(tuple(mask), m, min_degree=delta, connected=True)
+            yield Graph._from_bits(mask, m, min_degree=delta, connected=True)
         count -= len(masks)

@@ -248,6 +248,38 @@ def test_scan_counts_the_verdicts_the_bound_decided(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_scan_tally_matches_certify_rows(tmp_path):
+    # scan counts the verdicts that a cell alone determines per shared
+    # object, and every other verdict per graph; its row must be what
+    # certify's per-graph rows add up to
+    lines = [*bundled_corpus_lines(6), "O~~~~~~~~~~~~~~~~~~??", "M~~~~~~~~~~zwQw??", "A~"]
+    corpus = tmp_path / "in.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "r.json"
+    assert main(["certify", str(corpus), "--json", str(path), "--no-timing"]) == 1
+    report = json.loads(path.read_text())
+    rows = report["rows"]
+    expected = {"inputs": len(rows)}
+    for conclusion in ("even-factor-guaranteed", "extremal-exception", "inconclusive",
+                       "not-applicable"):
+        expected[conclusion] = sum(r["conclusion"] == conclusion for r in rows)
+    expected.update(
+        borderline=sum(r["borderline"] for r in rows),
+        sandwich=sum(r["rung"] == "sandwich" for r in rows),
+        bound_decided=sum(r["rung"] in ("row-sums", "power") for r in rows),
+        oracle_runs=sum(r["oracle_status"] is not None for r in rows),
+        oracle_cap_exceeded=sum(r["oracle_status"] == "cap-exceeded" for r in rows),
+        violations=len(report["violations"]),
+    )
+    assert expected["inputs"] == len(lines) - 1 and expected["violations"] == 1
+    # the oracle confirms the guarantee O~~~~~~~~~~~~~~~~~~??; the
+    # eigenvector bracket settles M~~~~~~~~~~zwQw?? as inconclusive
+    assert (expected["even-factor-guaranteed"], expected["oracle_runs"]) == (1, 1)
+    assert main(["scan", "--corpus", str(corpus), "--json", str(path), "--no-timing"]) == 1
+    [row] = json.loads(path.read_text())["rows"]
+    assert row == {"source": f"corpus:{corpus}", **expected}
+
+
 def test_scan_sampler_zero_size(tmp_path):
     report_path = tmp_path / "zero.json"
     proc = run_cli(

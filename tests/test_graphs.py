@@ -2,6 +2,8 @@
 bitmask/adjacency-stack codec, and the graph6 codec."""
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -269,6 +271,43 @@ def test_read_graph6_interleaves_orders_and_malformed_lines():
     assert _batched(lines) == [_alone(line) for line in lines]
 
 
+def test_read_graph6_malformed_lines_inside_a_full_group():
+    # one batch of 8-vertex lines, one group but for the lines below: a
+    # line with nonzero padding, one with an out-of-range data character
+    # mid-line and one behind a header stay in or beside that group, and
+    # two "~"-sized lines of one length but different sizes form two groups
+    lines = bundled_corpus_lines(8)[:graphs._BATCH_CHARS // 6]
+    padded = lines[100][:-1] + chr((ord(lines[100][-1]) - 63 | 1) + 63)
+    lines[100], lines[200] = padded, lines[200][:3] + "!" + lines[200][4:]
+    lines[300] = ">>graph6<<" + lines[300]
+    rng = random.Random(63)
+    big = to_graph6(_random_graph(rng, 63))
+    lines[400:400] = [big, "~?@?" + big[4:]]
+    # cut where the batch ends: at the line that brings it to _BATCH_CHARS
+    lines = lines[:bisect_left(list(accumulate(map(len, lines))), graphs._BATCH_CHARS) + 1]
+    assert sum(map(len, lines[:-1])) < graphs._BATCH_CHARS <= sum(map(len, lines))
+    decoded = _batched(lines)
+    assert decoded == [_alone(line) for line in lines]
+    assert (decoded[100], decoded[200]) == (
+        "nonzero padding bits", "data character '!' out of range 63..126")
+    assert decoded[300] == _alone(lines[300][len(">>graph6<<"):])
+    assert decoded[400][:2] == (63, _reference_decode(big).edge_count)
+    assert decoded[401] == "expected 336 data characters for n=64, got 326"
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 64])
+def test_read_graph6_counts_at_byte_and_word_widths(n):
+    # rows of n = 8, 16 and 64 fill whole bytes and a whole word; 7, 9 and
+    # 17 sit one vertex off a byte boundary
+    rng = random.Random(n)
+    expected = [Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < p]) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+    expected += [_random_graph(rng, n) for _ in range(20)]
+    for g, h in zip(expected, read_graph6(map(to_graph6, expected))):
+        assert (h.n, h._bits) == (g.n, g._bits)
+        assert (h.edge_count, h.min_degree()) == (g.edge_count, g.min_degree())
+
+
 def test_read_graph6_is_lazy():
     pulled = []
 
@@ -338,7 +377,7 @@ def test_stack_codec_round_trip(n):
     assert stack.dtype == bool and stack.shape == (len(graphs), n, n)
     for g, a in zip(graphs, stack):
         assert a.tolist() == [[g.has_edge(u, v) for v in range(n)] for u in range(n)]
-    assert adjacency_masks(stack) == [[g.neighbor_bits(v) for v in range(n)] for g in graphs]
+    assert adjacency_masks(stack) == [tuple(map(g.neighbor_bits, range(n))) for g in graphs]
     # padding columns past n, clear, leave the masks as they are
     padded = np.zeros((len(graphs), n, n + 11), bool)
     padded[:, :, :n] = stack
