@@ -27,6 +27,7 @@ from .graphs import (
 from .oracle import (
     CertificateStatus,
     EvenFactorCertificate,
+    even_factor_status,
     find_even_factor,
     is_even_factor,
     odd_component_conditions,

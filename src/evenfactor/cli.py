@@ -129,8 +129,9 @@ def _print_table(rows: list[dict], columns: Optional[list[str]] = None) -> None:
                     for line in (cols, *zip(*cells))))
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, default=str)
+# what json.dumps(value, sort_keys=True, default=str) builds on every call,
+# built once
+_dumps = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
@@ -140,10 +141,10 @@ def _emit_report(args, config: dict, rows: list[dict], violations: list[dict],
     Every report's config carries the oracle's node cap and the verdicts'
     tolerances next to the command's own settings. The JSON report has one
     top-level key per line, in sorted order, and one row or violation per
-    line, each written as it is encoded. ``json.dumps`` without ``indent`` runs the C
-    encoder; with ``indent`` (or through ``json.dump``) CPython falls back
-    to its pure-Python encoder, which cost more than the oracle itself on
-    per-graph reports.
+    line, each written as it is encoded by the one encoder ``_dumps``. An
+    encoder without ``indent`` runs CPython's C encoder; with ``indent`` (or
+    through ``json.dump``) CPython falls back to its pure-Python encoder,
+    which cost more than the oracle itself on per-graph reports.
     """
     timing = 0.0 if args.no_timing else time.perf_counter() - started
     _print_table(rows, _TABLE_COLUMNS.get(args.command))

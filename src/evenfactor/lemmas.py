@@ -30,7 +30,7 @@ CHECKS is the registry: it fixes which checks exist, the order they run in,
 and the input each one reads. COMPARISON_EPSILON is the one tolerance of
 the checks that compare floats, such as the equitable-quotient check's
 distance between a root and the full-matrix rho; no verdict reads it.
-``lemmas`` runs the oracle (``find_even_factor``) on the bundled corpora
+``lemmas`` runs the oracle (``even_factor_status``) on the bundled corpora
 for the odd-component checks.
 """
 
@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Optional
 
 from .corpus import load_bundled_corpus
 from .graphs import Graph, clique_join
-from .oracle import CertificateStatus, find_even_factor, odd_component_conditions
+from .oracle import CertificateStatus, even_factor_status, odd_component_conditions
 from .quotient import (
     DELTA,
     N,
@@ -462,12 +462,12 @@ def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcom
     for i, (g, holds) in enumerate(zip(graphs, odd_component_conditions(graphs))):
         if g.n % 2 or g.n < 4 or not holds:
             continue
-        cert = find_even_factor(g)
+        status = even_factor_status(g)
         out.append(CheckOutcome(
             "odd-component-implication", f"graph#{i},n={g.n},m={g.edge_count}",
-            cert.status is CertificateStatus.FOUND,
-            1.0 if cert.status is CertificateStatus.FOUND else 0.0,
-            cert.status.value,
+            status is CertificateStatus.FOUND,
+            1.0 if status is CertificateStatus.FOUND else 0.0,
+            status.value,
         ))
     return out
 
@@ -487,7 +487,7 @@ def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
         if g.n % 2 == 0 or g.n < 3 or not holds:
             continue
         satisfied += 1
-        status = find_even_factor(g).status
+        status = even_factor_status(g)
         if status is CertificateStatus.FOUND:
             with_factor += 1
         elif status is CertificateStatus.NONE_EXISTS:

@@ -1,24 +1,26 @@
 """Ground-truth even-factor decisions: a parity repair, then exact search.
 
 An even factor is a spanning subgraph in which every vertex has nonzero
-even degree. A vertex of degree < 2 rules one out before anything is
-built, since deleting bridges never raises a degree. Otherwise each call
-grows one spanning forest over the neighbour bitmasks, breadth-first,
-until every vertex is claimed. The parity repair tries first: the forest
-plus one extra edge per leaf gives minimum degree 2, and deleting the
-forest's T-join of the odd-degree vertices, folded one parent at a time,
-makes every degree even; when no vertex is left bare that is an even
-factor, found with no search. Otherwise an exact search decides. An even
-subgraph meets every edge cut in an even number of edges, so it uses no
-bridge: the bridges, read off the same forest, are deleted first, and a
-vertex they leave with degree < 2 rules the factor out with no search.
-The rest is a depth-first backtrack over edge include/exclude decisions
-with parity pruning: a vertex dies as soon as its decided degree plus its
-undecided incident edges cannot reach an even value of at least 2, and
-the search accepts as soon as every vertex has an even chosen degree of
-at least 2. Only the bridge rule and the search answer NONE_EXISTS, and
-only the search can give up, after the fixed NODE_CAP decisions; no
-caller sets a cap of its own.
+even degree. ``find_even_factor`` gives a certificate,
+``even_factor_status`` its status alone. A vertex of degree < 2 rules
+one out before anything is built, since deleting bridges never raises a
+degree. Otherwise each call grows one spanning forest over the neighbour
+bitmasks, breadth-first, until every vertex is claimed, kept as its
+claims (v, the bitmask of v's children). The parity repair tries first:
+the forest plus one extra edge per leaf gives minimum degree 2, and
+deleting the forest's T-join of the odd-degree vertices, folded one
+claim at a time, makes every degree even; when no vertex is left bare
+that is an even factor, found with no search. Otherwise an exact search
+decides. An even subgraph meets every edge cut in an even number of
+edges, so it uses no bridge: the bridges, folded over the same claims,
+are deleted first, and a vertex they leave with degree < 2 rules the
+factor out with no search. The rest is a depth-first backtrack over edge
+include/exclude decisions with parity pruning: a vertex dies as soon as
+its decided degree plus its undecided incident edges cannot reach an
+even value of at least 2, and the search accepts as soon as every vertex
+has an even chosen degree of at least 2. Only the bridge rule and the
+search answer NONE_EXISTS, and only the search can give up, after the
+fixed NODE_CAP decisions; no caller sets a cap of its own.
 
 Also provides the odd-component counting condition o(G - S) < |S| for
 all |S| >= 2, which is sufficient on even orders. By the Tutte-Berge
@@ -90,114 +92,135 @@ def find_even_factor(g: Graph) -> EvenFactorCertificate:
     before any forest is grown: deleting bridges never raises a degree.
     Otherwise one spanning forest serves the whole call. The parity repair
     grows it (``_parity_repair``); when the repair builds an even factor
-    the answer is FOUND with ``nodes_explored == 0``. Otherwise the bridges
-    are read off the same forest and deleted (``_delete_bridges``): a
-    vertex they leave with degree < 2 gives NONE_EXISTS with
-    ``nodes_explored == 0``, and else the backtracking search decides on
-    the bridge-free bitmasks (``_search``). Only the search can give up,
-    with SEARCH_CAP_EXCEEDED after NODE_CAP include/exclude decisions.
-    Deterministic.
+    the answer is FOUND with ``nodes_explored == 0``, its edges (u, v),
+    u < v, sorted. Otherwise the bridges are read off the same forest and
+    deleted (``_delete_bridges``): a vertex they leave with degree < 2
+    gives NONE_EXISTS with ``nodes_explored == 0``, and else the
+    backtracking search decides on the bridge-free bitmasks (``_search``).
+    Only the search can give up, with SEARCH_CAP_EXCEEDED after NODE_CAP
+    include/exclude decisions. Deterministic.
 
-    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 31):
-    near-extremal graphs on 14 to 26 vertices with about 170 edges take
-    0.014 ms, every one of them repaired; K_30 takes 0.019 ms; 15-vertex
-    graphs with about 63 edges take 0.014 ms with a factor (191 of 200
-    repaired) and 0.017 ms without one (all 200 settled by the bridges,
-    with no search node, 0.010 ms of it in the failed repair). The repair
-    settles every extremal graph with delta = 2..20 and even
+    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 31), per
+    call, status then certificate: the 706 near-extremal graphs on 14 to
+    26 vertices with about 180 edges that a seed-1 benchmark pass checks
+    take 0.0068 and 0.014 ms, every one repaired; K_30 0.008 and 0.018 ms;
+    15-vertex graphs with about 63 edges 0.009 and 0.015 ms with a factor
+    (191 of 200 repaired) and 0.016 ms without one (all 200 settled by the
+    bridges, with no search node, 0.009 ms of it in the failed repair).
+    The repair settles every extremal graph with delta = 2..20 and even
     n = 2*delta..160, every one with delta = 2..15 and odd
     n = 2*delta + 1..8*delta + 9, and 1941 of the 2206 bundled graphs that
     meet the odd-component condition.
     """
+    status, factor, nodes = _decide(g)
+    if factor is not None and not nodes:   # the repair's (v, mask) pairs
+        edges = []
+        for v, mask in factor:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                u = low.bit_length() - 1
+                edges.append((u, v) if u < v else (v, u))
+        edges.sort()
+        factor = tuple(edges)
+    return EvenFactorCertificate(status, factor, nodes)
+
+
+def even_factor_status(g: Graph) -> CertificateStatus:
+    """``find_even_factor(g).status``, with no certificate built."""
+    return _decide(g)[0]
+
+
+def _decide(g: Graph) -> tuple[CertificateStatus, Optional[Sequence[tuple[int, int]]], int]:
+    """(status, factor, nodes explored). A FOUND factor is the repair's
+    (v, mask) pairs when no node was explored, and else the search's edge
+    tuple: the search explores a node per edge it takes."""
     if g.n and g.min_degree() < 2:
-        return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
-    found, order, parent = _parity_repair(g._bits)
-    if found is not None:
-        return EvenFactorCertificate(CertificateStatus.FOUND, found, 0)
-    bits = _delete_bridges(g._bits, order, parent)
+        return CertificateStatus.NONE_EXISTS, None, 0
+    factor, claims = _parity_repair(g._bits)
+    if factor is not None:
+        return CertificateStatus.FOUND, factor, 0
+    bits = _delete_bridges(g._bits, claims)
     if min(map(int.bit_count, bits)) < 2:
-        return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
+        return CertificateStatus.NONE_EXISTS, None, 0
     return _search(bits)
 
 
-def _parity_repair(bits: Sequence[int]) -> tuple[Optional[tuple[tuple[int, int], ...]],
-                                                 list[int], list[int]]:
+def _parity_repair(bits: Sequence[int]) -> tuple[Optional[list[tuple[int, int]]],
+                                                 list[tuple[int, int]]]:
     """An even factor built without search, or None, and the forest grown.
 
     ``bits`` are the neighbour bitmasks of a graph g. Grow a spanning
     forest breadth-first, each tree from an unseen vertex of largest
     degree, lowest label first (the vertices are sorted by degree only
-    when a second tree is needed); every vertex claims all of its unseen
-    neighbours as children, and growth stops once every vertex is
-    claimed. Give each leaf one edge off the forest, to another leaf still
-    without one where it can, so that the subgraph H has minimum degree 2.
-    The odd-degree vertices of H are even in number in each tree, so one
-    pass from the leaves to the roots deletes a forest edge set J that
-    meets each of them an odd number of times and every other vertex an
-    even number: every degree of H - J is even. The pass folds one parent
-    v at a time, in reverse breadth-first order, so that each child's
-    parity is final: the edges to v's odd children go into J, v's parity
-    flips once per such edge, and the edges to its even children stay. If
-    no degree is 0, H - J is an even factor, with edges (u, v), u < v,
-    sorted.
+    when a second tree is needed), as claims (v, the mask of v's children)
+    in the order claimed: each vertex expanded claims all of its unseen
+    neighbours, children are expanded in that order, and growth stops once
+    every vertex is claimed. Give each leaf one edge off the forest, to
+    another leaf still without one where it can (no parent is a leaf: only
+    a leaf with no such neighbour looks its parent up), so that the
+    subgraph H has minimum degree 2. The odd-degree vertices of H are even
+    in number in each tree, so one pass from the leaves to the roots
+    deletes a forest edge set J that meets each of them an odd number of
+    times and every other vertex an even number: every degree of H - J is
+    even. The pass folds one claim (v, kids) at a time, last first, so
+    that each child's parity is final: the edges to v's odd children go
+    into J, v's parity flips once per such edge, and the edges to its even
+    children stay. If no degree is 0, H - J is an even factor, as pairs
+    (v, mask): an edge from v to each vertex of mask.
     It is None when g has a vertex of degree < 2 or H - J leaves a vertex
-    bare; that says nothing about g. The forest comes back as ``order``
-    (every vertex after its parent) and ``parent`` (-1 at a root), grown
-    in both cases.
+    bare; that says nothing about g. The claims come back in both cases.
     """
     n = len(bits)
-    deg = [b.bit_count() for b in bits]
-    parent = [-1] * n
-    order = []
+    full = (1 << n) - 1
+    deg = list(map(int.bit_count, bits))
     claims = []            # (v, the children v claimed), in the order claimed
     internal = 0           # vertices that claimed a child
     odd = 0                # odd-degree vertices of the subgraph built so far
-    unseen = (1 << n) - 1
+    unseen = full
     roots = [deg.index(max(deg))] if n else []
     for root in roots:
         if not unseen >> root & 1:
             continue
         unseen ^= 1 << root
-        tree = [root]
-        for v in tree:
-            kids = bits[v] & unseen
-            if not kids:
-                continue
-            unseen ^= kids
-            odd ^= kids
-            if kids.bit_count() & 1:
-                odd ^= 1 << v
-            internal |= 1 << v
-            claims.append((v, kids))
-            while kids:
-                low = kids & -kids
-                kids ^= low
-                c = low.bit_length() - 1
-                parent[c] = v
-                tree.append(c)
-            if not unseen:     # every vertex is claimed: the rest are leaves
-                break
-        order += tree
-        if not unseen:
+        queue = [1 << root]    # the vertices to expand, one mask per claim
+        for batch in queue:
+            while batch and unseen:
+                low = batch & -batch
+                batch ^= low
+                v = low.bit_length() - 1
+                kids = bits[v] & unseen
+                if kids:
+                    unseen ^= kids
+                    odd ^= kids
+                    if kids.bit_count() & 1:
+                        odd ^= low
+                    internal |= low
+                    claims.append((v, kids))
+                    queue.append(kids)
+        if not unseen:         # every vertex is claimed: the rest are leaves
             break
         if len(roots) == 1:    # a second tree: the other roots by degree
             roots += sorted(range(n), key=deg.__getitem__, reverse=True)
     if min(deg, default=2) < 2:
-        return None, order, parent
-    leaves = (1 << n) - 1 ^ internal
-    edges = []
-    covered = 0            # vertices that an edge of H - J meets
+        return None, claims
+    leaves = full ^ internal
+    covered = leaves       # vertices that an edge of H - J meets
+    factor = []
     while leaves:
         low = leaves & -leaves
         v = low.bit_length() - 1
-        off = bits[v] ^ 1 << parent[v]   # a leaf's edges off the forest
-        w = off & leaves or off
-        w &= -w
-        leaves &= ~(low | w)
+        w = bits[v] & leaves
+        if w:
+            w &= -w
+            leaves ^= low | w
+        else:              # no leaf neighbour left: any edge but the parent's
+            w = bits[v] ^ next(1 << p for p, kids in claims if kids & low)
+            w &= -w
+            leaves ^= low
+            covered |= w
         odd ^= low | w
-        covered |= low | w
-        u = w.bit_length() - 1
-        edges.append((v, u) if v < u else (u, v))
+        factor.append((v, w))
     for v, kids in reversed(claims):
         cut = kids & odd   # the odd children: their edges to v are in J
         odd ^= cut
@@ -206,24 +229,20 @@ def _parity_repair(bits: Sequence[int]) -> tuple[Optional[tuple[tuple[int, int],
         kept = kids ^ cut
         if kept:
             covered |= kept | 1 << v
-            while kept:
-                low = kept & -kept
-                kept ^= low
-                c = low.bit_length() - 1
-                edges.append((c, v) if c < v else (v, c))
-    if covered != (1 << n) - 1:
-        return None, order, parent
-    edges.sort()
-    return tuple(edges), order, parent
+            factor.append((v, kept))
+    if covered != full:
+        return None, claims
+    return factor, claims
 
 
-def _delete_bridges(bits: Sequence[int], order: list[int], parent: list[int]) -> list[int]:
+def _delete_bridges(bits: Sequence[int], claims: list[tuple[int, int]]) -> list[int]:
     """The neighbour bitmasks ``bits`` with every bridge deleted.
 
-    ``order`` and ``parent`` are a spanning forest of the graph in which
-    each vertex claimed all of its unseen neighbours as children, such as
-    ``_parity_repair`` grows. Children before parents, each vertex c folds
-    its subtree S and the neighbourhood N(S) into its parent p. The tree
+    ``claims`` are a spanning forest of the graph, pairs (p, the mask of
+    p's children) with each vertex's claim after its parent's, in which
+    each vertex claimed all of its unseen neighbours, such as
+    ``_parity_repair`` grows. Last claim first, each parent p folds each
+    child c's subtree S and the neighbourhood N(S) into its own. The tree
     edge pc is the only edge leaving S, so a bridge, iff N(S) - S is {p}.
     (p meets S in c alone: a neighbour of p in S would still have been
     unseen when p claimed its children, and so a child of p.) An edge off
@@ -232,20 +251,22 @@ def _delete_bridges(bits: Sequence[int], order: list[int], parent: list[int]) ->
     sub = [1 << v for v in range(len(bits))]
     reach = list(bits)
     kept = list(bits)
-    for c in reversed(order):
-        p = parent[c]
-        if p < 0:
-            continue
-        if reach[c] & ~sub[c] == 1 << p:
-            kept[p] ^= 1 << c
-            kept[c] ^= 1 << p
-        sub[p] |= sub[c]
-        reach[p] |= reach[c]
+    for p, kids in reversed(claims):
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            c = low.bit_length() - 1
+            if reach[c] & ~sub[c] == 1 << p:
+                kept[p] ^= low
+                kept[c] ^= 1 << p
+            sub[p] |= sub[c]
+            reach[p] |= reach[c]
     return kept
 
 
-def _search(bits: list[int]) -> EvenFactorCertificate:
-    """Exact backtracking search: FOUND with a certificate, or exhaustion.
+def _search(bits: list[int]) -> tuple[CertificateStatus, Optional[tuple], int]:
+    """Exact backtracking search: (status, factor, nodes explored), FOUND
+    with the factor's edges, or exhaustion.
 
     ``bits`` are neighbour bitmasks with the bridges already deleted (no
     even factor uses a bridge: an even subgraph meets every edge cut in an
@@ -268,19 +289,20 @@ def _search(bits: list[int]) -> EvenFactorCertificate:
     edges and a factor take 0.054 ms (median 54 nodes); near-extremal
     graphs on 14 to 26 vertices with about 170 edges take 0.12 ms (median
     90 nodes), of which ordering the edges is about two thirds; K_30 takes
-    0.25 ms. In front of it ``find_even_factor`` settles
-    most graphs with a factor by the parity repair, so the search's FOUND
-    path is the fallback. Search stays exponential where parity is forced
-    across a cut of three or more edges: two 7-vertex blocks joined
-    through three degree-2 vertices (17 vertices, 36 edges, no bridge)
-    take 1.2M nodes and 0.6 s, about 0.5 us a node. Beyond that NODE_CAP
-    bounds the search.
+    0.25 ms. In front of it ``_decide`` settles most graphs by the parity
+    repair or the bridges, so the search is the fallback: it decides 9 of
+    the 400 seed-1 oracle-dense graphs, all with a factor, and none of a
+    seed-1 near-extremal pass's 706 guarantees. Search stays exponential
+    where parity is forced across a cut of three or more edges: two
+    7-vertex blocks joined through three degree-2 vertices (17 vertices,
+    36 edges, no bridge) take 1.2M nodes and 0.6 s, about 0.5 us a node.
+    Beyond that NODE_CAP bounds the search.
     """
     n = len(bits)
     cap = NODE_CAP
     und = [b.bit_count() for b in bits]   # degrees, then undecided incident edges
     if min(und, default=2) < 2:
-        return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, 0)
+        return CertificateStatus.NONE_EXISTS, None, 0
 
     edges = []             # (min degree, max degree, u, v) per edge u < v
     for u in range(n):
@@ -311,7 +333,7 @@ def _search(bits: list[int]) -> EvenFactorCertificate:
         if ok:
             if unsettled == 0:
                 found = tuple((eu[i], ev[i]) for i in range(pos) if chosen[i])
-                return EvenFactorCertificate(CertificateStatus.FOUND, found, nodes)
+                return CertificateStatus.FOUND, found, nodes
             # a live state with every edge decided is settled, so pos < m
             u, v = eu[pos], ev[pos]
             take = inc[u] < 2 or inc[v] < 2
@@ -319,7 +341,7 @@ def _search(bits: list[int]) -> EvenFactorCertificate:
         else:
             while True:
                 if pos == 0:
-                    return EvenFactorCertificate(CertificateStatus.NONE_EXISTS, None, nodes)
+                    return CertificateStatus.NONE_EXISTS, None, nodes
                 pos -= 1
                 u, v = eu[pos], ev[pos]
                 und[u] += 1
@@ -333,7 +355,7 @@ def _search(bits: list[int]) -> EvenFactorCertificate:
             take = not chosen[pos]
             flipped[pos] = True
         if nodes >= cap:
-            return EvenFactorCertificate(CertificateStatus.SEARCH_CAP_EXCEEDED, None, nodes)
+            return CertificateStatus.SEARCH_CAP_EXCEEDED, None, nodes
         nodes += 1
         und[u] -= 1
         und[v] -= 1

@@ -87,7 +87,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .graphs import Graph, clique_join
-from .oracle import CertificateStatus, find_even_factor
+from .oracle import CertificateStatus, even_factor_status
 from .quotient import ROOT_TOL, _d_clique_star_coeffs, _q_clique_star_coeffs, largest_root
 from .spectral import Ratio, _distance_stack, _signless_laplacian_stack, perron, perron_brackets
 
@@ -332,7 +332,7 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, spectral: Optional[float]
     searched = holds or bound is None
     n = g.n
     return TheoremVerdict(kind, n, delta, spectral, threshold(kind, n, delta), conclusion,
-                          find_even_factor(g).status if searched else None, bound, rung)
+                          even_factor_status(g) if searched else None, bound, rung)
 
 
 def _cell_verdict(kind: TheoremKind, n: int, delta: int, applicable: bool) -> TheoremVerdict:
@@ -474,7 +474,7 @@ def extremal_table(delta_range: tuple[int, int], *, n_min: Optional[int] = None,
         rows.append(ExtremalRow(
             n, delta, thr_q, thr_d,
             lo_m > 0 and hi_m > 0, min(lo_m, hi_m),
-            find_even_factor(extremal_graph(n, delta)).status,
+            even_factor_status(extremal_graph(n, delta)),
         ))
     return rows
 

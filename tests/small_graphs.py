@@ -1,10 +1,16 @@
 """Test graphs built from their edge lists (cycles, paths, complete bipartite
-graphs), and the components of G - S that the brute-force odd-component
-reference counts."""
+graphs, the extremal graph plus an edge or two), and the components of
+G - S that the brute-force odd-component reference counts."""
 
 from dataclasses import dataclass
 
 from evenfactor.graphs import Graph, _component, _vertices
+from evenfactor.theorems import extremal_blocks, extremal_graph
+
+# per theorem, the order-bound cells (n, delta) at which the extremal graph
+# plus an edge or two is a guarantee
+FLOOR_CELLS = {"1": ((14, 3), (22, 4), (64, 10), (84, 13)),
+               "2": ((18, 3), (26, 4), (74, 10), (98, 13))}
 
 
 def cycle(k: int) -> Graph:
@@ -22,6 +28,22 @@ def path(k: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}; the a-side gets labels 0..a-1."""
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def extremal_plus_edges(theorem: str) -> list[Graph]:
+    """At each of the theorem's FLOOR_CELLS, the extremal graph plus the
+    edge from the first big-clique vertex to the first singleton, and at
+    delta >= 4 that graph plus the edge between the first two singletons
+    (``extremal_blocks`` labels): 7 graphs, with minimum degree delta."""
+    out = []
+    for n, delta in FLOOR_CELLS[theorem]:
+        _, big, singles = extremal_blocks(n, delta)
+        extra = [(big[0], singles[0])]
+        out.append(Graph(n, extremal_graph(n, delta).edges() + extra))
+        if delta >= 4:
+            out.append(Graph(n, extremal_graph(n, delta).edges() + extra
+                             + [(singles[0], singles[1])]))
+    return out
 
 
 @dataclass(frozen=True)

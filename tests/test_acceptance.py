@@ -4,9 +4,11 @@ Each test prints one `[PASS]`/`[FAIL]` line. Run with `pytest -s
 tests/test_acceptance.py` to see the lines as the criteria complete.
 """
 
+import json
 from itertools import tee
 from random import Random
 
+from evenfactor.cli import main
 from evenfactor.corpus import load_bundled_corpus
 from evenfactor.graphs import to_graph6
 from evenfactor.lemmas import SUITE_CHECK_NAMES, perron_abc, run_property_suite
@@ -30,6 +32,7 @@ from evenfactor.theorems import (
     threshold,
     EXTREMAL_TABLE_NOTE,
 )
+from small_graphs import extremal_plus_edges
 
 AGREEMENT_TOL = 1e-8
 RATIO_TOL = 1e-10
@@ -232,3 +235,29 @@ def test_criterion_9_extremal_status_table():
         ok,
         f"statuses = {statuses}; table note cross-references the exemption clause",
     )
+
+
+def test_criterion_10_guarantee_floor_next_to_the_extremal_graph(tmp_path):
+    """The extremal graph plus an edge or two, 7 graphs per theorem at
+    delta = 3, 4, 10 and 13: certify guarantees each, and the oracle
+    confirms it."""
+    for theorem in ("1", "2"):
+        corpus = tmp_path / f"floor_{theorem}.g6"
+        corpus.write_text("".join(to_graph6(g) + "\n" for g in extremal_plus_edges(theorem)))
+        report = tmp_path / f"floor_{theorem}.json"
+        code = main(["certify", str(corpus), "--theorem", theorem, "--json", str(report),
+                     "--no-timing"])
+        rep = json.loads(report.read_text())
+        confirmed = [r["min_degree"] for r in rep["rows"]
+                     if r["conclusion"] == Conclusion.EVEN_FACTOR_GUARANTEED.value
+                     and r["oracle_agrees"] is True]
+        at_3 = sum(d >= 3 for d in confirmed)
+        at_10 = sum(d >= 10 for d in confirmed)
+        # zero guarantees fail the floors, whatever the violations
+        _report(
+            f"criterion 10: theorem {theorem} guarantees oracle-confirmed next to the "
+            f"extremal graph, {len(rep['rows'])} graphs",
+            code == 0 and not rep["violations"] and at_3 >= 7 and at_10 >= 4,
+            f"{at_3} at delta >= 3, {at_10} at delta >= 10, "
+            f"{len(rep['violations'])} violations",
+        )

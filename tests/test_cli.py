@@ -680,10 +680,9 @@ def test_certify_and_scan_report_a_refuted_guarantee_alike(tmp_path, monkeypatch
     # verdict is a guarantee; an oracle that finds no even factor refutes it
     from evenfactor import theorems
     from evenfactor.graphs import clique_join
-    from evenfactor.oracle import CertificateStatus, EvenFactorCertificate
+    from evenfactor.oracle import CertificateStatus
 
-    monkeypatch.setattr(theorems, "find_even_factor", lambda g: EvenFactorCertificate(
-        CertificateStatus.NONE_EXISTS, None, 0))
+    monkeypatch.setattr(theorems, "even_factor_status", lambda g: CertificateStatus.NONE_EXISTS)
     line = to_graph6(clique_join(3, (10, 1)))
     corpus = tmp_path / "in.g6"
     corpus.write_text(f"C~\n{line}\n")

@@ -1,9 +1,11 @@
 """Exact even-factor search against brute force; odd-component condition."""
 
 import hashlib
+import importlib.util
 import random
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,18 +20,23 @@ from evenfactor.oracle import (
     _delete_bridges,
     _parity_repair,
     _search,
+    even_factor_status,
     find_even_factor,
     is_even_factor,
     odd_component_conditions,
 )
-from small_graphs import complete_bipartite, components, cycle, path
+from small_graphs import complete_bipartite, components, cycle, extremal_plus_edges, path
 
 
 def _bridge_free(g):
     """g's neighbour bitmasks less its bridges, read off the parity
-    repair's forest: what find_even_factor hands to _search."""
-    _, order, parent = _parity_repair(g._bits)
-    return _delete_bridges(g._bits, order, parent)
+    repair's claims: what find_even_factor hands to _search."""
+    return _delete_bridges(g._bits, _parity_repair(g._bits)[1])
+
+
+def _searched(g):
+    """The search alone on g's bridge-free bitmasks, as a certificate."""
+    return EvenFactorCertificate(*_search(_bridge_free(g)))
 
 
 def bowtie():
@@ -89,6 +96,30 @@ def test_find_even_factor_degenerate_orders():
     assert find_even_factor(Graph(1)).status is CertificateStatus.NONE_EXISTS
 
 
+def _oracle_dense_graphs():
+    """The benchmark's 400 seed-1 dense oracle inputs on 15 vertices, half
+    with no even factor, read from its own generator in the checkout."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [Graph(k, edges) for k, edges, _ in gen.oracle_dense_inputs(1, 400, 15)]
+
+
+def test_status_matches_the_certificate():
+    # every bundled graph, the dense inputs with and without a factor, and
+    # the extremal graph plus an edge or two, past 64 vertices too
+    graphs = [g for n in BUNDLED_ORDERS for g in load_bundled_corpus(n)]
+    graphs += _oracle_dense_graphs() + extremal_plus_edges("1") + extremal_plus_edges("2")
+    statuses = Counter()
+    for g in graphs:
+        status = even_factor_status(g)
+        assert status is find_even_factor(g).status, g.edges()
+        statuses[status] += 1
+    assert statuses[CertificateStatus.FOUND] and statuses[CertificateStatus.NONE_EXISTS]
+    assert max(g.n for g in graphs) > 64
+
+
 def test_min_degree_short_circuit(monkeypatch):
     # a vertex of degree < 2 rules the factor out before any forest is
     # grown: deleting bridges never raises a degree
@@ -144,7 +175,7 @@ def test_certificates_valid_on_bundled_corpora():
     # the early accept must report only decided edges, after backtracking too
     for n in (6, 7, 8):
         for g in load_bundled_corpus(n):
-            cert = _search(_bridge_free(g))
+            cert = _searched(g)
             if cert.status is CertificateStatus.FOUND:
                 assert is_even_factor(g, cert.edges), g.edges()
 
@@ -173,7 +204,7 @@ def test_determinism():
 def test_early_accept_stops_once_every_vertex_is_settled():
     # K_9: the first 15 edges taken give degrees 8, 8 and 2 elsewhere; the
     # remaining 21 edges would only be excluded, so none is decided
-    cert = _search(_bridge_free(clique_join(9, ())))
+    cert = _searched(clique_join(9, ()))
     assert cert.status is CertificateStatus.FOUND
     assert cert.nodes_explored == len(cert.edges) == 15
     assert is_even_factor(clique_join(9, ()), cert.edges)
@@ -181,7 +212,7 @@ def test_early_accept_stops_once_every_vertex_is_settled():
 
 def test_search_cap(monkeypatch):
     monkeypatch.setattr("evenfactor.oracle.NODE_CAP", 3)
-    cert = _search(_bridge_free(clique_join(8, ())))
+    cert = _searched(clique_join(8, ()))
     assert cert.status is CertificateStatus.SEARCH_CAP_EXCEEDED
     assert cert.nodes_explored == 3
     # the parity repair settles K_8 before any search node is spent
@@ -248,8 +279,16 @@ def test_bridges_match_reference():
         edges += [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
     wide = Graph(n, edges)
     assert _bridges(wide) == [(29, 30), (30, 31), (40, 56)]
+    # wide, a K_20 and a 20-vertex path apart: three trees, two of them
+    # past bit 64 of the bitmasks
+    apart = Graph(n + 40, edges + [(n + 20 + i, n + 21 + i) for i in range(19)]
+                  + [(n + i, n + j) for i in range(20) for j in range(i + 1, 20)])
+    claims = _parity_repair(apart._bits)[1]
+    children = sum(kids for _, kids in claims)
+    assert len({v for v, _ in claims if not children >> v & 1}) == 3
+    assert _bridges(apart) == _bridges(wide) + [(n + 20 + i, n + 21 + i) for i in range(19)]
     small = [g for k in BUNDLED_ORDERS if k < 3 for g in load_bundled_corpus(k)]
-    for g in (*small, *_trace_graphs(), *random_graphs, wide):
+    for g in (*small, *_trace_graphs(), *random_graphs, wide, apart):
         assert _bridges(g) == _reference_bridges(g), g.edges()
 
 
@@ -364,7 +403,7 @@ def _trace_digest(oracle):
 
 
 def test_search_trace_matches_golden_digest():
-    assert _trace_digest(lambda g: _search(_bridge_free(g))) == SEARCH_TRACE_DIGEST
+    assert _trace_digest(_searched) == SEARCH_TRACE_DIGEST
 
 
 def test_find_trace_matches_golden_digest():
@@ -380,7 +419,7 @@ def test_repair_agrees_with_search_on_trace_graphs():
     repaired = fell_back = 0
     for g in _trace_graphs():
         cert = find_even_factor(g)
-        search = _search(_bridge_free(g))
+        search = _searched(g)
         assert cert.status is search.status, g.edges()
         if _parity_repair(g._bits)[0] is None:
             assert cert == search
@@ -400,9 +439,23 @@ def test_repair_falls_back_to_the_search():
     g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
     assert _parity_repair(g._bits)[0] is None
     cert = find_even_factor(g)
-    assert cert == _search(_bridge_free(g))
+    assert cert == _searched(g)
     assert cert.status is CertificateStatus.FOUND and cert.nodes_explored > 0
     assert is_even_factor(g, cert.edges)
+
+
+def test_a_leaf_with_no_leaf_left_pairs_with_a_forest_vertex():
+    # the forest from 1 claims 0, 2, 4, then 0 claims 5 and 2 claims 3; the
+    # leaf 3 pairs with the leaf 4, and the leaf 5, with no leaf left, looks
+    # its parent 0 up in the second claim and takes the edge 52 instead
+    g = from_graph6("EhUg")
+    assert g.edges() == [(0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)]
+    factor, claims = _parity_repair(g._bits)
+    assert claims == [(1, 0b10101), (0, 0b100000), (2, 0b1000)]
+    assert factor[:2] == [(3, 1 << 4), (5, 1 << 2)]
+    # the 6-cycle 0-1-4-3-2-5
+    assert find_even_factor(g) == EvenFactorCertificate(
+        CertificateStatus.FOUND, ((0, 1), (0, 5), (1, 4), (2, 3), (2, 5), (3, 4)), 0)
 
 
 def test_repair_on_disconnected_and_large_graphs():
@@ -415,8 +468,9 @@ def test_repair_on_disconnected_and_large_graphs():
     # was recorded from the repair that sorted every root up front
     g = Graph(11, cycle(4).edges() + [(4, 5), (5, 6), (4, 6)]
               + [(7 + i, 7 + j) for i in range(4) for j in range(i + 1, 4)])
-    _, order, parent = _parity_repair(g._bits)
-    assert [v for v in order if parent[v] < 0] == [7, 0, 4]
+    claims = _parity_repair(g._bits)[1]
+    children = sum(kids for _, kids in claims)
+    assert [v for v, _ in claims if not children >> v & 1] == [7, 0, 4]
     assert find_even_factor(g) == EvenFactorCertificate(
         CertificateStatus.FOUND, ((0, 1), (0, 3), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6),
                                   (7, 9), (7, 10), (8, 9), (8, 10)), 0)

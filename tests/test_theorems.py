@@ -635,7 +635,7 @@ def test_connectivity_is_tested_after_the_constant_time_tests(monkeypatch):
     assert len(floods) == 1
     # a disconnected graph that passes every O(1) test is still
     # not-applicable, with no threshold, no bound and no oracle run
-    monkeypatch.setattr(theorems, "find_even_factor", searches.append)
+    monkeypatch.setattr(theorems, "even_factor_status", searches.append)
     for k, kind in ((4, q), (5, d)):
         two_cycles = Graph(2 * k, [(i + j, i + (j + 1) % k) for i in (0, k) for j in range(k)])
         assert two_cycles.min_degree() == 2 and 2 * k >= theorems.min_order(kind, 2)
@@ -731,8 +731,8 @@ def test_sandwich_gives_the_eigen_path_verdicts(kind, monkeypatch):
     for name in ("_signless_laplacian_stack", "_distance_stack", "perron_brackets", "perron"):
         monkeypatch.setattr(theorems, name, refused)
     searched = []
-    search = theorems.find_even_factor
-    monkeypatch.setattr(theorems, "find_even_factor", lambda g: searched.append(g) or search(g))
+    search = theorems.even_factor_status
+    monkeypatch.setattr(theorems, "even_factor_status", lambda g: searched.append(g) or search(g))
     verdicts = list(check_even_factor_many(graphs, kind))
     monkeypatch.undo()
     met = [(g, v) for g, v in zip(graphs, verdicts)
