@@ -9,18 +9,22 @@ bitmasks, breadth-first, until every vertex is claimed, kept as its
 claims (v, the bitmask of v's children). The parity repair tries first:
 the forest plus one extra edge per leaf gives minimum degree 2, and
 deleting the forest's T-join of the odd-degree vertices, folded one
-claim at a time, makes every degree even; when no vertex is left bare
-that is an even factor, found with no search. Otherwise an exact search
-decides. An even subgraph meets every edge cut in an even number of
-edges, so it uses no bridge: the bridges, folded over the same claims,
-are deleted first, and a vertex they leave with degree < 2 rules the
-factor out with no search. The rest is a depth-first backtrack over edge
-include/exclude decisions with parity pruning: a vertex dies as soon as
-its decided degree plus its undecided incident edges cannot reach an
-even value of at least 2, and the search accepts as soon as every vertex
-has an even chosen degree of at least 2. Only the bridge rule and the
-search answer NONE_EXISTS, and only the search can give up, after the
-fixed NODE_CAP decisions; no caller sets a cap of its own.
+claim at a time, makes every degree even. Each vertex v still bare then
+toggles the three edges of a triangle vab of g, lowest labels first.
+Since v is bare, va and vb are absent, so v gets degree 2 and a and b
+change by 0 or 2: every degree stays even, and no covered vertex is
+bared. When every bare vertex lies in a triangle, that is an even
+factor, found with no search. Otherwise an exact search decides. An even
+subgraph meets every edge cut in an even number of edges, so it uses no
+bridge: the bridges, folded over the same claims, are deleted first, and
+a vertex they leave with degree < 2 rules the factor out with no search.
+The rest is a depth-first backtrack over edge include/exclude decisions
+with parity pruning: a vertex dies as soon as its decided degree plus
+its undecided incident edges cannot reach an even value of at least 2,
+and the search accepts as soon as every vertex has an even chosen degree
+of at least 2. Only the bridge rule and the search answer NONE_EXISTS,
+and only the search can give up, after the fixed NODE_CAP decisions; no
+caller sets a cap of its own.
 
 Also provides the odd-component counting condition o(G - S) < |S| for
 all |S| >= 2, which is sufficient on even orders. By the Tutte-Berge
@@ -100,27 +104,35 @@ def find_even_factor(g: Graph) -> EvenFactorCertificate:
     Only the search can give up, with SEARCH_CAP_EXCEEDED after NODE_CAP
     include/exclude decisions. Deterministic.
 
-    Measured on one core of a 2-vCPU Xeon (Python 3.11, best of 31), per
-    call, status then certificate: the 706 near-extremal graphs on 14 to
-    26 vertices with about 180 edges that a seed-1 benchmark pass checks
-    take 0.0068 and 0.014 ms, every one repaired; K_30 0.008 and 0.018 ms;
-    15-vertex graphs with about 63 edges 0.009 and 0.015 ms with a factor
-    (191 of 200 repaired) and 0.016 ms without one (all 200 settled by the
-    bridges, with no search node, 0.009 ms of it in the failed repair).
-    The repair settles every extremal graph with delta = 2..20 and even
-    n = 2*delta..160, every one with delta = 2..15 and odd
-    n = 2*delta + 1..8*delta + 9, and 1941 of the 2206 bundled graphs that
-    meet the odd-component condition.
+    Measured on one core of a shared 2-vCPU Xeon (Python 3.11, best of
+    31, in one process), per call, status then certificate: the 706
+    near-extremal graphs on 14 to 26 vertices with about 180 edges that a
+    seed-1 benchmark pass checks take 0.0086 and 0.017 ms, every one
+    repaired with no flip; K_30 0.010 and 0.021 ms; 15-vertex graphs with
+    about 63 edges 0.008 and 0.015 ms with a factor (all 200 repaired, 9
+    of them by triangle flips) and 0.020 ms without one (all 200 settled
+    by the bridges, with no search node, about 0.012 ms of it in the
+    failed repair); the 2206 bundled graphs that meet the odd-component
+    condition 0.0055 ms for the status. The repair settles every extremal
+    graph with delta = 2..20 and even n = 2*delta..160, every one with
+    delta = 2..15 and odd n = 2*delta + 1..8*delta + 9, and 2205 of those
+    2206 graphs (264 of them by triangle flips).
     """
     status, factor, nodes = _decide(g)
-    if factor is not None and not nodes:   # the repair's (v, mask) pairs
+    if factor is not None and not nodes:   # the repair's pairs and triangles
+        pairs, triangles = factor
         edges = []
-        for v, mask in factor:
+        for v, mask in pairs:
             while mask:
                 low = mask & -mask
                 mask ^= low
                 u = low.bit_length() - 1
                 edges.append((u, v) if u < v else (v, u))
+        if triangles:
+            edges = set(edges)
+            for v, a, b in triangles:
+                edges ^= {(min(v, a), max(v, a)), (min(v, b), max(v, b)), (a, b)}
+            edges = list(edges)
         edges.sort()
         factor = tuple(edges)
     return EvenFactorCertificate(status, factor, nodes)
@@ -131,10 +143,10 @@ def even_factor_status(g: Graph) -> CertificateStatus:
     return _decide(g)[0]
 
 
-def _decide(g: Graph) -> tuple[CertificateStatus, Optional[Sequence[tuple[int, int]]], int]:
+def _decide(g: Graph) -> tuple[CertificateStatus, Optional[tuple], int]:
     """(status, factor, nodes explored). A FOUND factor is the repair's
-    (v, mask) pairs when no node was explored, and else the search's edge
-    tuple: the search explores a node per edge it takes."""
+    (pairs, triangles) when no node was explored, and else the search's
+    edge tuple: the search explores a node per edge it takes."""
     if g.n and g.min_degree() < 2:
         return CertificateStatus.NONE_EXISTS, None, 0
     factor, claims = _parity_repair(g._bits)
@@ -146,8 +158,9 @@ def _decide(g: Graph) -> tuple[CertificateStatus, Optional[Sequence[tuple[int, i
     return _search(bits)
 
 
-def _parity_repair(bits: Sequence[int]) -> tuple[Optional[list[tuple[int, int]]],
-                                                 list[tuple[int, int]]]:
+def _parity_repair(bits: Sequence[int]) -> tuple[
+        Optional[tuple[list[tuple[int, int]], list[tuple[int, int, int]]]],
+        list[tuple[int, int]]]:
     """An even factor built without search, or None, and the forest grown.
 
     ``bits`` are the neighbour bitmasks of a graph g. Grow a spanning
@@ -166,10 +179,17 @@ def _parity_repair(bits: Sequence[int]) -> tuple[Optional[list[tuple[int, int]]]
     even. The pass folds one claim (v, kids) at a time, last first, so
     that each child's parity is final: the edges to v's odd children go
     into J, v's parity flips once per such edge, and the edges to its even
-    children stay. If no degree is 0, H - J is an even factor, as pairs
-    (v, mask): an edge from v to each vertex of mask.
-    It is None when g has a vertex of degree < 2 or H - J leaves a vertex
-    bare; that says nothing about g. The claims come back in both cases.
+    children stay. Then each vertex v that H - J leaves bare, lowest
+    first, flips a triangle vab: a is v's lowest neighbour with a
+    neighbour in common with v, and b the lowest such common neighbour.
+    Neither va nor vb is in the subgraph, since v is bare, so the flip
+    gives v degree 2 and changes the degrees of a and b by 0 or 2; a and
+    b are covered after it. The even factor is (pairs, triangles): the
+    pairs (v, mask), an edge from v to each vertex of mask, are H - J, and
+    each triangle (v, a, b), a < b, toggles its three edges in turn.
+    It is None when g has a vertex of degree < 2 or a vertex left bare
+    lies in no triangle; that says nothing about g. The claims come back
+    in both cases.
     """
     n = len(bits)
     full = (1 << n) - 1
@@ -230,9 +250,24 @@ def _parity_repair(bits: Sequence[int]) -> tuple[Optional[list[tuple[int, int]]]
         if kept:
             covered |= kept | 1 << v
             factor.append((v, kept))
-    if covered != full:
-        return None, claims
-    return factor, claims
+    triangles = []
+    bare = full ^ covered
+    while bare:            # flip a triangle vab at each vertex v still bare
+        low = bare & -bare
+        v = low.bit_length() - 1
+        rest = near = bits[v]
+        while rest:
+            a = rest & -rest
+            common = bits[a.bit_length() - 1] & near
+            if common:
+                break
+            rest ^= a
+        else:
+            return None, claims
+        b = common & -common
+        triangles.append((v, a.bit_length() - 1, b.bit_length() - 1))
+        bare &= ~(low | a | b)
+    return (factor, triangles), claims
 
 
 def _delete_bridges(bits: Sequence[int], claims: list[tuple[int, int]]) -> list[int]:
@@ -290,9 +325,11 @@ def _search(bits: list[int]) -> tuple[CertificateStatus, Optional[tuple], int]:
     graphs on 14 to 26 vertices with about 170 edges take 0.12 ms (median
     90 nodes), of which ordering the edges is about two thirds; K_30 takes
     0.25 ms. In front of it ``_decide`` settles most graphs by the parity
-    repair or the bridges, so the search is the fallback: it decides 9 of
-    the 400 seed-1 oracle-dense graphs, all with a factor, and none of a
-    seed-1 near-extremal pass's 706 guarantees. Search stays exponential
+    repair, its triangle flips or the bridges, so the search is a rare
+    fallback: it decides none of the 400 seed-1 oracle-dense graphs, none
+    of a seed-1 near-extremal pass's 706 guarantees, and 1 of the 2206
+    bundled graphs that meet the odd-component condition (EhdW, whose bare
+    vertex lies in no triangle). Search stays exponential
     where parity is forced across a cut of three or more edges: two
     7-vertex blocks joined through three degree-2 vertices (17 vertices,
     36 edges, no bridge) take 1.2M nodes and 0.6 s, about 0.5 us a node.

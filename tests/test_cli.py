@@ -450,24 +450,27 @@ def test_oracle_command(tmp_path):
 
 def test_oracle_table_stdout_is_pinned():
     # each column as wide as its widest cell or header, every cell padded,
-    # the last one too; a none-exists row (two K_4 through a degree-2
-    # vertex) and two malformed lines, which leave gaps in the line numbers
+    # the last one too; a row a triangle flip repairs (D]w), one that only
+    # the search settles (EhdW), a none-exists row (two K_4 through a
+    # degree-2 vertex) and two malformed lines, which leave gaps in the
+    # line numbers
     k20_bad = "S" + "~" * 60 + "w"
     proc = run_cli(["oracle", "--no-timing"],
-                   stdin=f"C~\nBw\nA~\nD]w\nH~_GGKF\nE?~w\n{k20_bad}\n")
+                   stdin=f"C~\nBw\nA~\nD]w\nH~_GGKF\nE?~w\nEhdW\n{k20_bad}\n")
     assert proc.returncode == 1
     assert proc.stdout == (
         "line  graph6   n  m   status       nodes_explored\n"
         "1     C~       4  6   found        0             \n"
         "2     Bw       3  3   found        0             \n"
-        "4     D]w      5  7   found        11            \n"
+        "4     D]w      5  7   found        0             \n"
         "5     H~_GGKF  9  14  none-exists  0             \n"
         "6     E?~w     6  9   found        0             \n"
+        "7     EhdW     6  8   found        12            \n"
         "\n"
         "2 violation(s):\n"
         '  {"error": "nonzero padding bits", "graph6": "A~", "line": 3}\n'
         '  {"error": "expected 32 data characters for n=20, got 61", '
-        f'"graph6": "{k20_bad}", "line": 7}}\n'
+        f'"graph6": "{k20_bad}", "line": 8}}\n'
     )
 
 

@@ -309,8 +309,9 @@ def test_bridges_through_a_degree_two_vertex_need_no_search():
 
 def test_stranded_vertex_answers_before_the_search(monkeypatch):
     # two K_4, on 0..3 and 5..8, joined through the degree-2 vertex 4:
-    # both of its edges are bridges, so their deletion strands it and the
-    # search never starts
+    # the repair leaves 4 bare, and it lies in no triangle, so no flip
+    # helps; both of its edges are bridges, so their deletion strands it
+    # and the search never starts
     g = from_graph6("H~_GGKF")
     assert g.degree(4) == 2 and g.edge_count == 14
     assert _parity_repair(g._bits)[0] is None
@@ -369,10 +370,10 @@ def test_matches_brute_force_with_planted_bridges():
 # from the search before it moved onto flat edge lists; a change to the edge
 # order, the branch order or the accept/backtrack rules changes it
 SEARCH_TRACE_DIGEST = "7d8bf503553c94c365dded7c929675ea69da068d6f9750e658d2884aed453565"
-# the same over find_even_factor, recorded when the parity repair went in
-# front of the search; a change to the forest, the leaf edges or the
-# T-join, or to which graphs fall back to the search, changes it
-FIND_TRACE_DIGEST = "6b7823f58679f20ef44f9d94cd288121344e452868f3693bcfb78621195320f4"
+# the same over find_even_factor, recorded when the triangle flips went
+# into the parity repair; a change to the forest, the leaf edges, the
+# T-join or the flips, or to which graphs fall back to the search, changes it
+FIND_TRACE_DIGEST = "d0a18e9775499744c2a41143b5e83e33e73ba02592e4b215fc21907714f75417"
 
 
 def _trace_graphs():
@@ -415,33 +416,90 @@ def test_find_trace_matches_golden_digest():
 
 def test_repair_agrees_with_search_on_trace_graphs():
     # the bundled corpora n = 3..8 lead _trace_graphs(); every repaired
-    # certificate is checked, and the search alone answers the rest
-    repaired = fell_back = 0
+    # certificate is checked, those with triangle flips among them, and
+    # the search alone answers the rest
+    repaired = flipped = fell_back = 0
     for g in _trace_graphs():
         cert = find_even_factor(g)
         search = _searched(g)
         assert cert.status is search.status, g.edges()
-        if _parity_repair(g._bits)[0] is None:
+        factor = _parity_repair(g._bits)[0]
+        if factor is None:
             assert cert == search
             fell_back += search.status is CertificateStatus.FOUND
         else:
             assert cert.status is CertificateStatus.FOUND and cert.nodes_explored == 0
             assert is_even_factor(g, cert.edges), g.edges()
             repaired += 1
-    assert repaired and fell_back
+            flipped += bool(factor[1])
+    assert repaired and flipped and fell_back
 
 
 def test_repair_falls_back_to_the_search():
-    # K_{2,3} on {0, 1} | {2, 3, 4} plus the edge 24. The forest from 0 is
-    # 02, 03, 04, 21; the leaves 1, 3 and 4 take 13 and 14; the T-join of
-    # the odd vertices 0 and 1 is the path 1-2-0, which leaves 2 bare. The
-    # search finds the 5-cycle 0-3-1-2-4.
-    g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
-    assert _parity_repair(g._bits)[0] is None
+    # the forest from 1 claims 0, 2, 5, then 0 claims 4 and 2 claims 3; the
+    # leaves take 34 and 53, and the T-join of the odd vertices 1 and 3 is
+    # the path 3-2-1, which leaves 2 bare. 2's neighbours 1 and 3 have
+    # no common neighbour with it, so no triangle flip covers it; there is
+    # no bridge, and the search finds the 6-cycle 0-1-2-3-5-4.
+    g = from_graph6("EhdW")
+    assert g.edges() == [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)]
+    assert _parity_repair(g._bits)[0] is None and _bridges(g) == []
     cert = find_even_factor(g)
     assert cert == _searched(g)
-    assert cert.status is CertificateStatus.FOUND and cert.nodes_explored > 0
-    assert is_even_factor(g, cert.edges)
+    assert cert == EvenFactorCertificate(
+        CertificateStatus.FOUND, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5)), 12)
+
+
+def test_a_triangle_flip_covers_the_bare_vertex():
+    # K_{2,3} on {0, 1} | {2, 3, 4} plus the edge 24. The forest from 0 is
+    # 02, 03, 04, 21; the leaves 1, 3 and 4 take 13 and 14; the T-join of
+    # the odd vertices 0 and 1 is the path 1-2-0, which leaves 2 bare. Its
+    # lowest neighbour with a common neighbour is 0, through 4: flipping
+    # the triangle 2-0-4 adds 20 and 24 and deletes 04, which leaves the
+    # 5-cycle 0-2-4-1-3 with no search node.
+    g = from_graph6("D]w")
+    assert g.edges() == [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)]
+    assert _parity_repair(g._bits)[0][1] == [(2, 0, 4)]
+    assert find_even_factor(g) == EvenFactorCertificate(
+        CertificateStatus.FOUND, ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)), 0)
+
+
+def test_one_triangle_flip_covers_two_bare_vertices():
+    # the repair leaves 4 and 6 bare; the flip at 4 takes its lowest
+    # neighbour 2 and their common neighbour 6, which covers 6 too
+    g = from_graph6("GKL\\^_")
+    factor, _ = _parity_repair(g._bits)
+    pairs, triangles = factor
+    covered = 0
+    for v, mask in pairs:
+        covered |= mask | 1 << v
+    assert (1 << g.n) - 1 ^ covered == 1 << 4 | 1 << 6
+    assert triangles == [(4, 2, 6)]
+    cert = find_even_factor(g)
+    assert cert.status is CertificateStatus.FOUND and cert.nodes_explored == 0
+    assert is_even_factor(g, cert.edges) and (2, 6) in cert.edges
+
+
+def test_flips_keep_every_status_of_the_search():
+    # the search alone decides each graph; the repair, its flips and the
+    # bridges in front of it must give the same status, and a valid factor
+    graphs = [g for n in BUNDLED_ORDERS if n <= 8 for g in load_bundled_corpus(n)]
+    graphs += _oracle_dense_graphs()
+    rng = random.Random(36)
+    for _ in range(300):
+        n = rng.randrange(3, 13)
+        p = rng.uniform(0.2, 0.8)
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    flipped = 0
+    for g in graphs:
+        status = even_factor_status(g)
+        assert status is _searched(g).status, g.edges()
+        if status is CertificateStatus.FOUND:
+            assert is_even_factor(g, find_even_factor(g).edges), g.edges()
+        factor = _parity_repair(g._bits)[0]
+        flipped += bool(factor and factor[1])
+    assert flipped
 
 
 def test_a_leaf_with_no_leaf_left_pairs_with_a_forest_vertex():
@@ -452,7 +510,7 @@ def test_a_leaf_with_no_leaf_left_pairs_with_a_forest_vertex():
     assert g.edges() == [(0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)]
     factor, claims = _parity_repair(g._bits)
     assert claims == [(1, 0b10101), (0, 0b100000), (2, 0b1000)]
-    assert factor[:2] == [(3, 1 << 4), (5, 1 << 2)]
+    assert factor[0][:2] == [(3, 1 << 4), (5, 1 << 2)] and factor[1] == []
     # the 6-cycle 0-1-4-3-2-5
     assert find_even_factor(g) == EvenFactorCertificate(
         CertificateStatus.FOUND, ((0, 1), (0, 5), (1, 4), (2, 3), (2, 5), (3, 4)), 0)
