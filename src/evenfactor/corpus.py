@@ -1,11 +1,28 @@
-"""Access to the bundled corpora of connected graphs (one per iso class)."""
+"""Access to the bundled corpora of connected graphs (one per iso class).
+
+A corpus file holds the graphs of one order, one canonical graph6 line
+each, so every line has one length and one size prefix. It is read a batch
+of about 4,096 characters at a time (the reader's batch size) straight
+through the graph6 reader's numpy stage, ``graphs._pack_rows``, with no
+grouping by length, as packed rows and degrees (``load_bundled_rows``
+gives them for a whole order). Graphs are built from those only where a
+caller needs them. A line the stage flags, or one of another length or
+order, raises ``Graph6Error``, as the reader would for it. The corpora
+are connected by construction, and their Graphs say so:
+``iter_bundled_corpus`` and ``load_bundled_corpus`` hand each one its
+connectivity, as the sampler does, so no verdict floods a bundled graph.
+"""
 
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, Optional
 
-from .graphs import Graph, Graph6Error, read_graph6
+import numpy as np
+
+from . import graphs
+from .graphs import Graph, Graph6Error
 
 BUNDLED_ORDERS = range(1, 9)
 
@@ -34,15 +51,66 @@ def bundled_corpus_lines(n: int) -> list[str]:
     return lines
 
 
+def _line_error(line: str, n: int) -> Optional[Graph6Error]:
+    """The error of one line of the order-n corpus, None for a good one:
+    from_graph6's, or one for a line of another order or with a header."""
+    try:
+        g = graphs.from_graph6(line)
+    except Graph6Error as exc:
+        return exc
+    if g.n != n or line.startswith(graphs.GRAPH6_HEADER):
+        return Graph6Error(f"not a graph6 line of order {n}: {line!r}")
+    return None
+
+
+def _row_batches(n: int, lines: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(packed rows, degrees) of the lines of the order-n corpus, a batch at
+    a time, as ``graphs._pack_rows`` gives them; the first bad line of a
+    batch raises its Graph6Error."""
+    # the size prefix and length of every line: those of the empty graph
+    empty = graphs.to_graph6(Graph(n))
+    length = len(empty)
+    _, start = graphs._shape(empty)
+    size = np.frombuffer(empty[:start].encode("ascii"), np.uint8)
+    per_batch = max(1, graphs._BATCH_CHARS // length)
+    for a in range(0, len(lines), per_batch):
+        batch = lines[a:a + per_batch]
+        # a newline after each line, k in all: in k rows of length + 1, a
+        # line of another length leaves some row without its newline in the
+        # last column, and so puts one, out of range, in another row's
+        # checked columns
+        codes = np.frombuffer(("\n".join(batch) + "\n").encode("ascii"), np.uint8)
+        if codes.size == len(batch) * (length + 1):
+            codes = codes.reshape(len(batch), length + 1)
+            packed, degrees, flagged = graphs._pack_rows(codes[:, :length], n, start)
+            flagged |= (codes[:, :start] != size).any(1)
+            if not flagged.any():
+                yield packed, degrees
+                continue
+        raise next(filter(None, (_line_error(line, n) for line in batch)))
+
+
+def load_bundled_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed rows and degrees of all corpus graphs, in corpus order: a
+    (k, n, (n + 7) // 8) uint8 stack of neighbour bitmasks, low byte first,
+    and their (k, n) degrees, read a batch at a time."""
+    packed, degrees = zip(*_row_batches(n, bundled_corpus_lines(n)))
+    return np.concatenate(packed), np.concatenate(degrees)
+
+
+def _graph_batches(n: int, lines: list[str]) -> Iterator[list[Graph]]:
+    """The Graphs of the lines of the order-n corpus, a batch at a time,
+    each vouched for as connected."""
+    for packed, degrees in _row_batches(n, lines):
+        yield graphs._rows_graphs(packed, degrees, connected=True)
+
+
 def iter_bundled_corpus(n: int) -> Iterator[tuple[str, Graph]]:
     """(graph6 line, graph) for each corpus graph, decoded a batch at a time."""
     lines = bundled_corpus_lines(n)
-    for line, g in zip(lines, read_graph6(lines)):
-        if isinstance(g, Graph6Error):
-            raise g
-        yield line, g
+    return zip(lines, chain.from_iterable(_graph_batches(n, lines)))
 
 
 def load_bundled_corpus(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one representative per class."""
-    return [g for _, g in iter_bundled_corpus(n)]
+    return list(chain.from_iterable(_graph_batches(n, bundled_corpus_lines(n))))

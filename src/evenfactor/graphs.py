@@ -9,14 +9,16 @@ constructors document their labeling.
 A graph keeps its minimum degree and its connectivity once computed, as
 both theorems' hypotheses read them. A batch builder that has them already
 hands them to ``Graph._from_bits``: the sampler both, from its numpy block
-pass, and the graph6 reader the minimum degree, from the popcounts of its
-packed rows, so neither is derived again from the bitmasks.
+pass, the graph6 reader the minimum degree, from the popcounts of its
+packed rows, and the bundled corpora both, the minimum degree the same way
+and connectivity because every corpus graph is connected by construction.
+So neither is derived again from the bitmasks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -195,11 +197,17 @@ def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     if len(orders) != 1:
         raise ValueError(f"need graphs of one order, got orders {sorted(orders)}")
     n = orders.pop()
+    k = len(graphs)
     width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(
-        b.to_bytes(width, "little") for g in graphs for b in g._bits), np.uint8)
+    masks = chain.from_iterable(g._bits for g in graphs)
+    if width <= 8:
+        # one little-endian word per row, of which the low width bytes
+        words = np.fromiter(masks, "<u8", k * n)
+        rows = words.view(np.uint8).reshape(k, n, 8)[:, :, :width]
+    else:
+        rows = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in masks), np.uint8)
     bits = np.unpackbits(rows, bitorder="little").view(bool)
-    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n]
+    return bits.reshape(k, n, 8 * width)[:, :, :n]
 
 
 def adjacency_masks(stack: np.ndarray) -> list[tuple[int, ...]]:
@@ -252,10 +260,13 @@ _POPCOUNT = np.array([b.bit_count() for b in range(256)], np.uint8)
 # lines of a group share n, so _shape checks size and length once, on the
 # first line, and padding and the character range are one numpy test each
 # on the whole group; only the lines these flag are examined one by one,
-# by _line_error. One numpy pass gathers the group's (k, n, n) bool
-# adjacency stack, rows padded to whole bytes, packs the rows and reads
-# the degrees off them by one byte-popcount table; building each Graph is
-# all that runs per line. A well-formed line of order n is about n^2 / 12
+# by _line_error. One numpy pass, _pack_rows, gathers the group's (k, n, n)
+# bool adjacency stack, rows padded to whole bytes, packs the rows and
+# reads the degrees off them by one byte-popcount table; building each
+# Graph from those (_rows_graphs) is all that runs per line. The bundled
+# corpora, one order and one length per file, go through _pack_rows
+# without the grouping, and build Graphs only where a caller needs them
+# (see corpus). A well-formed line of order n is about n^2 / 12
 # characters long, so a batch's stacks take at most 21 bytes per character
 # read (under 16 from n = 20 on): under 90 KB, plus about n^2 bytes for
 # the batch's last line.
@@ -347,10 +358,15 @@ def _line_error(line: str) -> Graph6Error:
     return _char_error(line[start:], "data") or Graph6Error("nonzero padding bits")
 
 
-def _decode_group(rows: np.ndarray, n: int, start: int) -> tuple[list[Graph], np.ndarray]:
-    """The graphs of k lines of order n and one length, in one numpy pass
-    over their (k, length) character codes, and the positions of the lines
-    whose data characters or padding are bad (their graphs are junk)."""
+def _pack_rows(rows: np.ndarray, n: int, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy stage of the reader, on k lines of order n and one length.
+
+    From their (k, length) character codes, in one pass: their (k, n,
+    width) uint8 stack of packed rows, each row padded to whole bytes (the
+    neighbour bitmasks, low byte first), their (k, n) degrees, and a bool
+    per line, set when its data characters or padding are bad (its rows
+    and degrees are junk).
+    """
     k, length = rows.shape
     # a character outside 63..126 wraps to a code above 63
     codes = rows - np.uint8(63)
@@ -364,11 +380,19 @@ def _decode_group(rows: np.ndarray, n: int, start: int) -> tuple[list[Graph], np
     width = -(-n // 8) * 8
     stack = np.unpackbits(codes, axis=1)[:, _bit_index(n, start, width)]
     packed = np.packbits(stack, bitorder="little").reshape(k, n, width // 8)
-    # (n, k): column j holds graph j's degrees
-    degrees = _POPCOUNT.take(packed.T).sum(0)
-    graphs = list(map(Graph._from_bits, _row_masks(packed), (degrees.sum(0) // 2).tolist(),
-                      degrees.min(0, initial=n).tolist()))
-    return graphs, np.flatnonzero(flagged)
+    # summed over the bytes of each row: (n, k), so .T is graph by graph
+    degrees = _POPCOUNT.take(packed.T).sum(0).T
+    return packed, degrees, flagged
+
+
+def _rows_graphs(packed: np.ndarray, degrees: np.ndarray,
+                 connected: Optional[bool] = None) -> list[Graph]:
+    """The graphs of a (k, n, width) stack of packed rows and their (k, n)
+    degrees, as _pack_rows gives them; connected, when given, is taken on
+    trust for every one of them."""
+    n = packed.shape[1]
+    return list(map(Graph._from_bits, _row_masks(packed), (degrees.sum(1) // 2).tolist(),
+                    degrees.min(1, initial=n).tolist(), repeat(connected)))
 
 
 def _decode_batch(texts: Sequence[str]) -> list[Graph | Graph6Error]:
@@ -405,8 +429,9 @@ def _decode_batch(texts: Sequence[str]) -> list[Graph | Graph6Error]:
             decoded += [None] * len(group)
             flagged += group.tolist()
             continue
-        graphs, bad = _decode_group(codes[starts[group, None] + np.arange(len(first))], n, start)
-        decoded += graphs
+        packed, degrees, bad = _pack_rows(codes[starts[group, None] + np.arange(len(first))],
+                                          n, start)
+        decoded += _rows_graphs(packed, degrees)
         flagged += group[bad].tolist()
     if len(bounds) > 2:
         decoded = list(map(decoded.__getitem__, np.argsort(order).tolist()))

@@ -31,7 +31,11 @@ and the input each one reads. COMPARISON_EPSILON is the one tolerance of
 the checks that compare floats, such as the equitable-quotient check's
 distance between a root and the full-matrix rho; no verdict reads it.
 ``lemmas`` runs the oracle (``even_factor_status``) on the bundled corpora
-for the odd-component checks.
+for the odd-component checks. Those two read each order's packed rows
+(``corpus.load_bundled_rows``), not Graphs: one subset table decides the
+whole order from its uint8 neighbour bitmasks, and a Graph is built only
+for the graphs on which the condition holds, the only ones the oracle
+sees: 2,206 of the 11,235 graphs of even order 4..8.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from itertools import groupby
 from random import Random
 from typing import Iterable, Iterator, Optional
 
-from .corpus import load_bundled_corpus
-from .graphs import Graph, clique_join
-from .oracle import CertificateStatus, even_factor_status, odd_component_conditions
+import numpy as np
+
+from .corpus import load_bundled_corpus, load_bundled_rows
+from .graphs import Graph, _rows_graphs, clique_join
+from .oracle import CertificateStatus, _table_conditions, even_factor_status
 from .quotient import (
     DELTA,
     N,
@@ -446,21 +452,43 @@ def check_d_threshold_floor() -> list[CheckOutcome]:
     return [CheckOutcome("d-threshold-floor", "all delta >= 2, n >= 8delta - 7", ok, float(ok))]
 
 
-def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+def _condition_graphs(corpora: Iterable[tuple[np.ndarray, np.ndarray]]
+                      ) -> Iterator[tuple[int, Graph]]:
+    """(index, graph) for each corpus graph on which the odd-component
+    condition holds, the index counted over the corpora in turn.
+
+    Each corpus is one order's packed rows and degrees, as
+    ``corpus.load_bundled_rows`` gives them, of order at most 8: its rows
+    are the (k, n) uint8 neighbour bitmasks that one subset table reads
+    (``oracle._table_conditions``), and a Graph is built only for the
+    graphs on which the condition holds, vouched for as connected.
+    """
+    offset = 0
+    for packed, degrees in corpora:
+        k, n = degrees.shape
+        holds = np.flatnonzero(_table_conditions(n, packed.reshape(k, n)))
+        yield from zip((holds + offset).tolist(),
+                       _rows_graphs(packed[holds], degrees[holds], connected=True))
+        offset += k
+
+
+def check_odd_component_implication(corpora: Iterable[tuple[np.ndarray, np.ndarray]]
+                                    ) -> list[CheckOutcome]:
     """On even orders >= 4: o(G-S) < |S| for all |S| >= 2 implies an even factor.
 
     By the Tutte-Berge formula the condition says, on even orders, that G
     is bicritical: every G - u - v has a perfect matching (see
-    ``odd_component_conditions``). So this tests "bicritical => even factor".
+    ``odd_component_conditions``). So this tests "bicritical => even factor"
+    on the corpora's graphs (``_condition_graphs``): one outcome per graph
+    on which the condition holds, named by its index over the corpora.
 
     n = 2 is a genuine degenerate boundary: K_2 satisfies the condition
     vacuously (the only subset of size >= 2 is all of V) but has no even
     factor, so it is excluded.
     """
-    graphs = list(graphs)
     out = []
-    for i, (g, holds) in enumerate(zip(graphs, odd_component_conditions(graphs))):
-        if g.n % 2 or g.n < 4 or not holds:
+    for i, g in _condition_graphs(corpora):
+        if g.n % 2 or g.n < 4:
             continue
         status = even_factor_status(g)
         out.append(CheckOutcome(
@@ -472,19 +500,19 @@ def check_odd_component_implication(graphs: Iterable[Graph]) -> list[CheckOutcom
     return out
 
 
-def observe_odd_order_condition(graphs: Iterable[Graph]) -> list[CheckOutcome]:
+def observe_odd_order_condition(corpora: Iterable[tuple[np.ndarray, np.ndarray]]
+                                ) -> list[CheckOutcome]:
     """Record (never assert) the condition-vs-factor relation on odd orders.
 
     The sufficient condition is only stated for even orders; this summarizes
-    what happens on odd-order inputs as a single always-passing observation.
-    On odd orders the condition says, by the Tutte-Berge formula, that every
-    G - u - v has a matching missing just one vertex (see
-    ``odd_component_conditions``).
+    what happens on the corpora's odd-order graphs (``_condition_graphs``)
+    as a single always-passing observation. On odd orders the condition
+    says, by the Tutte-Berge formula, that every G - u - v has a matching
+    missing just one vertex (see ``odd_component_conditions``).
     """
     satisfied = with_factor = without = 0
-    graphs = list(graphs)
-    for g, holds in zip(graphs, odd_component_conditions(graphs)):
-        if g.n % 2 == 0 or g.n < 3 or not holds:
+    for _, g in _condition_graphs(corpora):
+        if g.n % 2 == 0 or g.n < 3:
             continue
         satisfied += 1
         status = even_factor_status(g)
@@ -626,8 +654,8 @@ CHECKS = (
     (("q-threshold-above-2n-2delta",), check_q_threshold_above_bridged, "none"),
     (("d-threshold-below-bridged",), check_d_threshold_below_bridged, "none"),
     (("d-threshold-floor",), check_d_threshold_floor, "none"),
-    (("odd-component-implication",), check_odd_component_implication, "even-corpus"),
-    (("odd-order-observation",), observe_odd_order_condition, "odd-corpus"),
+    (("odd-component-implication",), check_odd_component_implication, "even-rows"),
+    (("odd-order-observation",), observe_odd_order_condition, "odd-rows"),
     (("extremal-wiener-closed-form",), check_extremal_wiener_closed_form, "d-grid"),
     (("d-blocks-rayleigh-gap",), check_blocks_rayleigh_gap, "d-grid"),
     (("perron-ratio-positivity",), check_perron_ratio, "d-grid"),
@@ -656,7 +684,7 @@ def run_property_suite(
     The bundled corpora of orders 1..corpus_max_n feed the Wiener lower
     bound, rho_Q <= 2 Delta and the delta = 2 sandwich lemma; those of
     orders 3..oracle_max_n feed the odd-component implication (even orders)
-    and the odd-order observation (odd orders).
+    and the odd-order observation (odd orders), as packed rows.
     A corpus is decoded only when a selected check reads it.
     """
     selected = set(SUITE_CHECK_NAMES if checks is None else checks)
@@ -668,6 +696,9 @@ def run_property_suite(
     def corpus(orders: range) -> list[Graph]:
         return [g for n in orders for g in load_bundled_corpus(n)]
 
+    def rows(orders: range) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [load_bundled_rows(n) for n in orders]
+
     inputs = {
         "rng": lambda: (rng, trials),
         "q-grid": lambda: (order_bound_grid(TheoremKind.SIGNLESS_LAPLACIAN, delta_range,
@@ -675,8 +706,8 @@ def run_property_suite(
         "d-grid": lambda: (order_bound_grid(TheoremKind.DISTANCE, delta_range, n_max=n_max),),
         "none": lambda: (),
         "bound-corpus": lambda: (corpus(range(1, corpus_max_n + 1)),),
-        "even-corpus": lambda: (corpus(range(4, oracle_max_n + 1, 2)),),
-        "odd-corpus": lambda: (corpus(range(3, oracle_max_n + 1, 2)),),
+        "even-rows": lambda: (rows(range(4, oracle_max_n + 1, 2)),),
+        "odd-rows": lambda: (rows(range(3, oracle_max_n + 1, 2)),),
     }
     outcomes = []
     for names, check, reads in CHECKS:

@@ -356,9 +356,10 @@ def check_even_factor_many(graphs: Iterable[Graph],
 
     The hypotheses are tested first, cheapest first: even order, minimum
     degree at least 2, the order bound, and only then connectivity, the one
-    test that may flood the graph. The sampler hands each graph its minimum
-    degree and connectivity, and the graph6 reader its minimum degree, so
-    neither is derived again here for their graphs. A graph that fails one
+    test that may flood the graph. The sampler and the bundled corpora hand
+    each graph its minimum degree and connectivity, and the graph6 reader
+    its minimum degree, so neither is derived again here for their graphs:
+    no sampled or bundled graph is flooded. A graph that fails one
     is ``not-applicable`` and carries ``spectral_value`` and ``threshold``
     as None. An applicable
     graph with delta = 2 is settled by the sandwich lemma (module

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
-from evenfactor import graphs
+from evenfactor import corpus, graphs
 from evenfactor.graphs import (
     Graph,
     Graph6Error,
@@ -203,6 +203,58 @@ def test_bundled_corpus_lines_are_canonical():
     for n in BUNDLED_ORDERS:
         for line in bundled_corpus_lines(n):
             assert to_graph6(from_graph6(line)) == line
+
+
+def test_bundled_corpora_are_connected_under_a_fresh_flood():
+    # the corpus vouches for connectivity, so that no verdict floods its
+    # graphs; here each is rebuilt from its edges, with nothing vouched,
+    # and flooded
+    for n in BUNDLED_ORDERS:
+        lines = bundled_corpus_lines(n)
+        vouched = corpus.load_bundled_corpus(n)
+        assert all(g._connected is True for g in vouched)
+        assert all(Graph(n, g.edges()).is_connected() for g in vouched)
+        # the same graphs, edge counts and minimum degrees as the reader's
+        decoded = list(read_graph6(lines))
+        assert [(g, g.edge_count, g.min_degree()) for g in vouched] == \
+            [(g, g.edge_count, g.min_degree()) for g in decoded]
+        assert list(corpus.iter_bundled_corpus(n)) == list(zip(lines, vouched))
+        # the rows the lemma checks read: each graph's bitmasks and degrees
+        packed, degrees = corpus.load_bundled_rows(n)
+        assert packed.shape == (len(lines), n, 1) and degrees.shape == (len(lines), n)
+        assert [tuple(row) for row in packed.reshape(-1, n).tolist()] == [g._bits for g in vouched]
+        assert degrees.tolist() == [[g.degree(v) for v in range(n)] for g in vouched]
+
+
+@pytest.mark.parametrize("n, bad, error", [
+    (8, "GCZJd}", "nonzero padding bits"),
+    (8, "GCZ!d{", "data character '!' out of range 63..126"),
+    (8, "GCZJd", "expected 5 data characters for n=8, got 4"),
+    (8, "GCZJd{?", "expected 5 data characters for n=8, got 6"),
+    (8, "F?AZo", "not a graph6 line of order 8: 'F?AZo'"),
+    (8, ">>graph6<<GCZJd{", "not a graph6 line of order 8: '>>graph6<<GCZJd{'"),
+    # K_2, well-formed, and as long as a 3-vertex line
+    (3, "A_", "not a graph6 line of order 3: 'A_'"),
+])
+def test_bundled_row_reader_raises_on_a_bad_line(monkeypatch, n, bad, error):
+    # one bad line mid-batch, each but K_2 a change to the 8-vertex line
+    # GCZJd{: every reader of the corpus raises its error, the first bad
+    # line's when the batch holds a second one, such as a long line right
+    # after a short one, which leaves the batch's length right
+    lines = bundled_corpus_lines(n)
+    assert from_graph6("GCZJd{").n == 8
+    for second in (None, "A~", "GCZJd{?"):
+        patched = lines[:len(lines) // 2] + [bad] + ([second] if second else []) + \
+            lines[len(lines) // 2:]
+        monkeypatch.setattr(corpus, "bundled_corpus_lines", lambda n: patched)
+        for read in (corpus.load_bundled_corpus, corpus.load_bundled_rows,
+                     lambda n: list(corpus.iter_bundled_corpus(n))):
+            with pytest.raises(Graph6Error) as info:
+                read(n)
+            assert str(info.value) == error
+    if "order" not in error:
+        with pytest.raises(Graph6Error, match=error):
+            from_graph6(bad)
 
 
 def _alone(line):

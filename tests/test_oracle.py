@@ -13,7 +13,6 @@ from evenfactor import oracle
 from evenfactor.corpus import BUNDLED_ORDERS, load_bundled_corpus
 from evenfactor.graphs import Graph, clique_join, from_graph6
 from evenfactor.oracle import (
-    TABLE_CHUNK,
     TABLE_MAX_ORDER,
     CertificateStatus,
     EvenFactorCertificate,
@@ -649,8 +648,8 @@ def test_odd_component_on_dense_even_orders_matches_unpruned_enumeration():
 
 
 def test_odd_component_batch_matches_unpruned_enumeration(monkeypatch):
-    # one shuffled batch of orders 2..8, both parities, with more order-6
-    # graphs than one table holds
+    # one shuffled batch of orders 2..8, both parities, with an order-6
+    # count that leaves the last byte of its packed table part full
     tables = []
 
     def recorded(n, masks):
@@ -660,7 +659,7 @@ def test_odd_component_batch_matches_unpruned_enumeration(monkeypatch):
     table_conditions = oracle._table_conditions
     monkeypatch.setattr(oracle, "_table_conditions", recorded)
     rng = random.Random(47)
-    orders = [6] * (TABLE_CHUNK + 100) + [n for n in range(2, 9) for _ in range(15)]
+    orders = [6] * 101 + [n for n in range(2, 9) for _ in range(15)]
     rng.shuffle(orders)
     graphs = []
     for n in orders:
@@ -674,8 +673,9 @@ def test_odd_component_batch_matches_unpruned_enumeration(monkeypatch):
         assert holds is brute_force_odd_component_condition(g), g
         verdicts[g.n % 2, holds] += 1
     assert len(verdicts) == 4, verdicts
-    # the order-6 graphs fill one whole table and part of another
-    assert sorted(k for n, k in tables if n == 6) == [orders.count(6) - TABLE_CHUNK, TABLE_CHUNK]
+    # one table per order, each holding every graph of its order
+    assert sorted(tables) == [(n, orders.count(n)) for n in range(2, 9)]
+    assert orders.count(6) % 8
 
 
 def test_odd_component_domain_is_the_bundled_orders(monkeypatch):

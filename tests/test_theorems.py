@@ -10,8 +10,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from evenfactor.corpus import load_bundled_corpus
-from evenfactor.graphs import Graph, _component, clique_join, from_graph6, to_graph6
+from evenfactor.corpus import bundled_corpus_lines, load_bundled_corpus
+from evenfactor.graphs import (Graph, _component, clique_join, from_graph6, read_graph6,
+                               to_graph6)
 from evenfactor.oracle import CertificateStatus, find_even_factor, is_even_factor
 from evenfactor.quotient import N, ROOT_TOL, S, eval_poly
 from evenfactor.sampling import sample_connected_graphs
@@ -612,10 +613,13 @@ def test_connectivity_is_tested_after_the_constant_time_tests(monkeypatch):
     # the 11,117 connected 8-vertex graphs, the Q bound (8 at delta = 2, 14
     # at delta = 3) admits the 4,853 with delta = 2 and the D bound (9 at
     # delta = 2) none; the D bound admits the 984 of the 3,000 seed-1
-    # n = 10 samples with delta = 2, but the sampler hands each graph its
-    # connectivity, so none is flooded
+    # n = 10 samples with delta = 2. The bundled corpus and the sampler
+    # hand each graph its connectivity, so none of theirs is flooded; the
+    # same corpus lines through read_graph6 carry none, and flood
     q, d = TheoremKind.SIGNLESS_LAPLACIAN, TheoremKind.DISTANCE
     corpus = load_bundled_corpus(8)
+    decoded = list(read_graph6(bundled_corpus_lines(8)))
+    assert decoded == corpus
     samples = list(sample_connected_graphs(Random(1), 10, 3000))
     floods, searches = [], []
 
@@ -624,7 +628,8 @@ def test_connectivity_is_tested_after_the_constant_time_tests(monkeypatch):
         return _component(bits, start, alive)
 
     monkeypatch.setattr("evenfactor.graphs._component", counting)
-    for graphs, kind, flooded in ((corpus, q, 4853), (corpus, d, 0), (samples, d, 0)):
+    for graphs, kind, flooded in ((corpus, q, 0), (decoded, q, 4853), (corpus, d, 0),
+                                  (samples, d, 0)):
         floods.clear()
         assert len(list(check_even_factor_many(graphs, kind))) == len(graphs)
         assert len(floods) == flooded
