@@ -30,15 +30,15 @@ import sys
 import time
 from contextlib import nullcontext
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .corpus import BUNDLED_COUNTS, iter_bundled_corpus
-from .graphs import Graph, Graph6Error, read_graph6, to_graph6
+from .corpus import BUNDLED_COUNTS, bundled_blocks, bundled_corpus_lines
+from .graphs import Graph, Graph6Error, RowBlock, read_graph6, to_graph6
 from .lemmas import COMPARISON_EPSILON, SUITE_CHECK_NAMES, run_property_suite
 from .oracle import NODE_CAP, CertificateStatus, find_even_factor
 from .quotient import ROOT_TOL
-from .sampling import MIN_DEGREE, P_RANGE, sample_connected_graphs
+from .sampling import MIN_DEGREE, P_RANGE, sample_blocks
 from .spectral import RESIDUAL_TOL, distance_matrix, perron, rho_q
 from .theorems import (
     EXTREMAL_TABLE_NOTE,
@@ -47,6 +47,7 @@ from .theorems import (
     TheoremVerdict,
     check_even_factor_many,
     extremal_table,
+    judge_blocks,
     min_order,
     order_bound_grid,
 )
@@ -211,13 +212,13 @@ def cmd_spectra(args) -> Report:
 # -- certify ------------------------------------------------------------------
 
 
-def _judge(items: Iterable[tuple[int, Optional[str], Graph]], kind: TheoremKind
-           ) -> Iterable[tuple[int, Optional[str], Graph, TheoremVerdict]]:
-    """(line_no, graph6, graph, verdict) per input, in input order."""
+def _judge(items: Iterable[tuple[int, str, Graph]], kind: TheoremKind
+           ) -> Iterator[tuple[int, str, TheoremVerdict]]:
+    """(line_no, graph6, verdict) per input, in input order."""
     items, graphs = itertools.tee(items)
     verdicts = check_even_factor_many((g for _, _, g in graphs), kind)
-    for (line_no, text, g), v in zip(items, verdicts):
-        yield line_no, text, g, v
+    for (line_no, text, _), v in zip(items, verdicts):
+        yield line_no, text, v
 
 
 def _spectral_bound(v: TheoremVerdict) -> Optional[float]:
@@ -260,7 +261,7 @@ def cmd_certify(args) -> Report:
     bad: list[dict] = []
     rows = []
     contradicted = []
-    for line_no, text, _, v in _judge(_parse_graphs(args.input, bad), kind):
+    for line_no, text, v in _judge(_parse_graphs(args.input, bad), kind):
         row = _verdict_row(line_no, text, v)
         rows.append(row)
         if v.oracle_agrees is False:
@@ -272,55 +273,74 @@ def cmd_certify(args) -> Report:
 # -- scan ---------------------------------------------------------------------
 
 
-def _scan_source(args, bad: list[dict]) -> tuple[str, Iterable[tuple[int, Optional[str], Graph]]]:
-    """The scan's label and (line_no, graph6, graph) items; a corpus's parse
+def _tally_graphs(items: Iterable[tuple[int, str, Graph]], kind: TheoremKind,
+                  contradicted: list[dict]) -> Iterator[tuple[TheoremVerdict, int]]:
+    """(verdict, graphs) pairs for per-graph items: each own verdict with 1,
+    then each shared verdict with the number of graphs given it; a refuted
+    guarantee's violation goes to contradicted.
+
+    A verdict with no bound and no oracle answer holds nothing of its own
+    graph: its cell alone determines it, and one object serves the whole
+    cell. Those are counted by identity; only the others can be refuted.
+    """
+    shared: dict[int, list] = {}
+    for line_no, text, v in _judge(items, kind):
+        if v.bound is None and v.oracle_status is None:
+            entry = shared.get(id(v))
+            if entry is None:
+                entry = shared[id(v)] = [v, 0]
+            entry[1] += 1
+            continue
+        if v.oracle_agrees is False:
+            contradicted.append(_contradiction(line_no, text, v))
+        yield v, 1
+    yield from shared.values()
+
+
+def _tally_blocks(blocks: Iterable[RowBlock], kind: TheoremKind, text: Callable[[int, Graph], str],
+                  contradicted: list[dict]) -> Iterator[tuple[TheoremVerdict, int]]:
+    """(verdict, graphs) pairs for row blocks, as ``judge_blocks`` gives
+    them; a refuted guarantee's violation goes to contradicted, on line
+    row + 1 with the graph6 text(row, graph)."""
+    for cells, own in judge_blocks(blocks, kind):
+        yield from cells
+        for row, g, v in own:
+            if v.oracle_agrees is False:
+                contradicted.append(_contradiction(row + 1, text(row, g), v))
+            yield v, 1
+
+
+def _scan_tally(args, kind: TheoremKind, bad: list[dict], contradicted: list[dict]
+                ) -> tuple[str, Iterator[tuple[TheoremVerdict, int]]]:
+    """The scan's label and its (verdict, graphs) pairs; a corpus's parse
     violations go to bad as _parse_graphs finds them.
 
-    Sampled graphs carry no graph6 text; a row that needs one encodes it.
+    A ``--corpus`` file is judged graph by graph. The sampler and the
+    bundled corpora are judged a row block at a time: a sampled graph
+    carries no graph6 text, so a refuted one is encoded, and a bundled
+    graph's is its corpus line.
     """
     if args.corpus:
-        return f"corpus:{args.corpus}", _parse_graphs(args.corpus, bad)
+        return (f"corpus:{args.corpus}",
+                _tally_graphs(_parse_graphs(args.corpus, bad), kind, contradicted))
     if args.sample_size is not None:
-        graphs = sample_connected_graphs(Random(args.seed), args.n, args.sample_size)
+        blocks = sample_blocks(Random(args.seed), args.n, args.sample_size)
         return (f"sampler:n={args.n},size={args.sample_size},seed={args.seed}",
-                ((i, None, g) for i, g in enumerate(graphs, 1)))
-    return (
-        f"bundled:n={args.n}",
-        ((i, line, g) for i, (line, g) in enumerate(iter_bundled_corpus(args.n), 1)),
-    )
+                _tally_blocks(blocks, kind, lambda row, g: to_graph6(g), contradicted))
+    lines = bundled_corpus_lines(args.n)
+    return (f"bundled:n={args.n}",
+            _tally_blocks(bundled_blocks(args.n, lines), kind, lambda row, g: lines[row],
+                          contradicted))
 
 
 def cmd_scan(args) -> Report:
     kind = _THEOREM_KINDS[args.theorem]
     bad: list[dict] = []
-    source, graphs = _scan_source(args, bad)
-    contradicted = []
-    # a verdict with no bound and no oracle answer holds nothing of its own
-    # graph: its cell alone determines it, and one object serves the whole
-    # cell. Those are counted by identity and their fields read once, at the
-    # end; every other verdict is one graph's own, counted as it comes and
-    # then dropped, and only those can be contradicted.
-    shared: dict[int, list] = {}
-
-    def tally() -> Iterator[tuple[TheoremVerdict, int]]:
-        """(verdict, graphs) pairs: each own verdict with 1, then each shared
-        verdict with the number of graphs given it."""
-        for line_no, text, g, v in _judge(graphs, kind):
-            if v.bound is None and v.oracle_status is None:
-                entry = shared.get(id(v))
-                if entry is None:
-                    entry = shared[id(v)] = [v, 0]
-                entry[1] += 1
-                continue
-            if v.oracle_agrees is False:
-                text = text if text is not None else to_graph6(g)
-                contradicted.append(_contradiction(line_no, text, v))
-            yield v, 1
-        yield from shared.values()
-
+    contradicted: list[dict] = []
+    source, tally = _scan_tally(args, kind, bad, contradicted)
     counts = {c.value: 0 for c in Conclusion}
     total = borderline = sandwich = bound_decided = oracle_runs = cap_exceeded = 0
-    for v, k in tally():
+    for v, k in tally:
         total += k
         counts[v.conclusion.value] += k
         if v.borderline:

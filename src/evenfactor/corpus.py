@@ -5,24 +5,27 @@ each, so every line has one length and one size prefix. It is read a batch
 of about 4,096 characters at a time (the reader's batch size) straight
 through the graph6 reader's numpy stage, ``graphs._pack_rows``, with no
 grouping by length, as packed rows and degrees (``load_bundled_rows``
-gives them for a whole order). Graphs are built from those only where a
-caller needs them. A line the stage flags, or one of another length or
-order, raises ``Graph6Error``, as the reader would for it. The corpora
-are connected by construction, and their Graphs say so:
-``iter_bundled_corpus`` and ``load_bundled_corpus`` hand each one its
-connectivity, as the sampler does, so no verdict floods a bundled graph.
+gives them for a whole order). A line the stage flags, or one of another
+length or order, raises ``Graph6Error``, as the reader would for it.
+
+The corpora are connected by construction, and say so: ``bundled_blocks``
+hands each batch on as one ``graphs.RowBlock``, whose minimum degrees and
+edge counts, read off the degrees, are all the verdicts read of most
+graphs (``scan -n``), and whose Graphs, built only for the rows a consumer
+chooses, are each handed their minimum degree and connectivity, as the
+sampler's are. ``load_bundled_corpus`` is the flatten of those blocks, so
+no verdict floods a bundled graph.
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import graphs
-from .graphs import Graph, Graph6Error
+from .graphs import Graph, Graph6Error, RowBlock
 
 BUNDLED_ORDERS = range(1, 9)
 
@@ -98,19 +101,15 @@ def load_bundled_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(packed), np.concatenate(degrees)
 
 
-def _graph_batches(n: int, lines: list[str]) -> Iterator[list[Graph]]:
-    """The Graphs of the lines of the order-n corpus, a batch at a time,
-    each vouched for as connected."""
+def bundled_blocks(n: int, lines: list[str]) -> Iterator[RowBlock]:
+    """The lines of the order-n corpus as row blocks, a batch at a time; the
+    first bad line of a batch raises its Graph6Error."""
     for packed, degrees in _row_batches(n, lines):
-        yield graphs._rows_graphs(packed, degrees, connected=True)
-
-
-def iter_bundled_corpus(n: int) -> Iterator[tuple[str, Graph]]:
-    """(graph6 line, graph) for each corpus graph, decoded a batch at a time."""
-    lines = bundled_corpus_lines(n)
-    return zip(lines, chain.from_iterable(_graph_batches(n, lines)))
+        yield RowBlock(n, degrees.min(1, initial=n).astype(np.intp),
+                       (degrees.sum(1) // 2).astype(np.intp),
+                       lambda rows, packed=packed: graphs._row_masks(packed[rows]))
 
 
 def load_bundled_corpus(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one representative per class."""
-    return list(chain.from_iterable(_graph_batches(n, bundled_corpus_lines(n))))
+    return [g for block in bundled_blocks(n, bundled_corpus_lines(n)) for g in block.graphs()]

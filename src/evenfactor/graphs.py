@@ -8,18 +8,24 @@ constructors document their labeling.
 
 A graph keeps its minimum degree and its connectivity once computed, as
 both theorems' hypotheses read them. A batch builder that has them already
-hands them to ``Graph._from_bits``: the sampler both, from its numpy block
-pass, the graph6 reader the minimum degree, from the popcounts of its
-packed rows, and the bundled corpora both, the minimum degree the same way
-and connectivity because every corpus graph is connected by construction.
-So neither is derived again from the bitmasks.
+hands them to ``Graph._from_bits``, so neither is derived again from the
+bitmasks: the graph6 reader the minimum degree, from the popcounts of its
+packed rows.
+
+The sampler and the bundled corpora hand out their graphs as row blocks
+(``RowBlock``): connected graphs of one order, a block at a time, with
+each row's minimum degree and edge count as arrays, which is all a
+verdict reads of most graphs (``theorems.judge_blocks``). A block builds
+the Graphs of the rows a consumer chooses, and hands each its minimum
+degree and its connectivity: the sampler's graphs are connected because
+it rejects the rest, the corpus graphs by construction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -238,6 +244,34 @@ def _row_masks(packed: np.ndarray) -> list[tuple[int, ...]]:
                  for i in range(0, len(rows), width)]
     # n at a time from one iterator: each graph's n masks as a tuple
     return list(zip(*[iter(masks)] * n)) if n else [()] * k
+
+
+class RowBlock:
+    """A block of connected graphs of one order n, as a batch source yields
+    them: each row's minimum degree and edge count, as (k,) int arrays, and
+    ``masks(rows)``, the neighbour bitmasks of the chosen rows (an index
+    array or a slice), one tuple per graph."""
+
+    # a plain class: a dataclass costs about 1 ms at import, which every
+    # CLI invocation pays
+    __slots__ = ("n", "min_degrees", "edge_counts", "masks")
+
+    def __init__(self, n: int, min_degrees: np.ndarray, edge_counts: np.ndarray,
+                 masks: Callable[[np.ndarray | slice], list[tuple[int, ...]]]):
+        self.n = n
+        self.min_degrees = min_degrees
+        self.edge_counts = edge_counts
+        self.masks = masks
+
+    def __len__(self) -> int:
+        return len(self.min_degrees)
+
+    def graphs(self, rows: np.ndarray | slice = slice(None)) -> list[Graph]:
+        """The Graphs of the chosen rows, all by default, in row order, each
+        handed its minimum degree and, as every graph of a block has it,
+        connectivity."""
+        return list(map(Graph._from_bits, self.masks(rows), self.edge_counts[rows].tolist(),
+                        self.min_degrees[rows].tolist(), repeat(True)))
 
 
 # popcounts of the bytes: degrees read off rows packed into bytes, and off

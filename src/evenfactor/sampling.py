@@ -5,8 +5,8 @@ includes each vertex pair independently with probability p. Attempts that
 are disconnected or have a vertex of degree below MIN_DEGREE are rejected
 and redrawn, so runs are deterministic for a fixed seed.
 
-``sample_connected_graphs`` makes its attempts a block at a time from the
-same random stream that one ``rng.random()`` call per draw would read. An
+``sample_blocks`` makes its attempts a block at a time from the same
+random stream that one ``rng.random()`` call per draw would read. An
 attempt takes a fixed 1 + C(n, 2) doubles: ``rng.uniform(*P_RANGE)``, then
 one ``rng.random()`` per pair (i, j), i < j, in row-major order, and the
 pair is an edge iff its double is below p. CPython's ``random()`` builds a
@@ -21,9 +21,11 @@ yields at most one graph, so no attempt is drawn that the one-at-a-time
 sampler would not draw.
 
 The block pass tests the minimum degree of every attempt and then floods,
-in numpy, only the attempts that pass it. Each graph yielded is handed both
-facts, its minimum degree and that it is connected (``Graph._from_bits``),
-so the verdicts read them without deriving them again from the bitmasks.
+in numpy, only the attempts that pass it. The attempts it keeps are handed
+on as one ``graphs.RowBlock``: their minimum degrees and edge counts as
+arrays, which is all the verdicts read of most of them, and a way to build
+the Graphs of chosen rows, each handed its minimum degree and that it is
+connected. ``sample_connected_graphs`` is the flatten of those blocks.
 
 A block holds at most _BLOCK_PAIRS vertex pairs, or one attempt where an
 attempt has more (n >= 92), so memory does not grow with the count: a
@@ -38,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, adjacency_masks
+from .graphs import Graph, RowBlock, adjacency_masks
 
 P_RANGE = (0.25, 0.75)
 # the theorems need minimum degree >= 2
@@ -69,20 +71,20 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _doubles(rng: Random, count: int) -> np.ndarray:
     """The next count ``rng.random()`` values, bit for bit, in one draw."""
     # each little-endian 64-bit word holds the two 32-bit words of a double,
-    # the first one low
+    # the first one low; (a >> 5) << 26 is (a with its low 5 bits cleared)
+    # << 21, one shift fewer
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
-    return ((words & 0xFFFFFFFF) >> 5 << 26 | words >> 38) * 2.0 ** -53
+    return ((words & 0xFFFFFFE0) << 21 | words >> 38) * 2.0 ** -53
 
 
-def sample_connected_graphs(rng: Random, n: int, count: int) -> Iterator[Graph]:
-    """Rejection-sample count connected graphs of minimum degree >= MIN_DEGREE.
+def sample_blocks(rng: Random, n: int, count: int) -> Iterator[RowBlock]:
+    """Rejection-sample count connected graphs of minimum degree >=
+    MIN_DEGREE, as the row blocks of their attempt blocks (module notes).
 
-    Each graph is the first attempt, ``p = rng.uniform(*P_RANGE)`` and then
-    ``sample_graph(rng, n, p)``, that is connected with minimum degree >=
-    MIN_DEGREE. Attempts are drawn a block at a time (see the module notes),
-    with the graphs and the final rng state of drawing them one by one.
-    Raises ValueError, when iteration starts, if n <= MIN_DEGREE, where no
-    such graph exists.
+    The graphs, flattened, are those of ``sample_connected_graphs``, and so
+    is the final rng state once the blocks are exhausted. Raises
+    ValueError, when iteration starts, if n <= MIN_DEGREE, where no such
+    graph exists.
     """
     if n <= MIN_DEGREE:
         raise ValueError(
@@ -112,8 +114,20 @@ def sample_connected_graphs(rng: Random, n: int, count: int) -> Iterator[Graph]:
                 break
             reached = grown
         keep = keep[reached.all(axis=(1, 2))]
-        masks = adjacency_masks(adj[keep])
-        for mask, m, delta in zip(masks, hits[keep].sum(axis=1).tolist(),
-                                  deltas[keep].tolist()):
-            yield Graph._from_bits(mask, m, min_degree=delta, connected=True)
-        count -= len(masks)
+        yield RowBlock(n, deltas[keep], hits[keep].sum(axis=1),
+                       lambda rows, kept=adj[keep]: adjacency_masks(kept[rows]))
+        count -= len(keep)
+
+
+def sample_connected_graphs(rng: Random, n: int, count: int) -> Iterator[Graph]:
+    """Rejection-sample count connected graphs of minimum degree >= MIN_DEGREE.
+
+    Each graph is the first attempt, ``p = rng.uniform(*P_RANGE)`` and then
+    ``sample_graph(rng, n, p)``, that is connected with minimum degree >=
+    MIN_DEGREE. Attempts are drawn a block at a time (see the module notes),
+    with the graphs and the final rng state of drawing them one by one.
+    Raises ValueError, when iteration starts, if n <= MIN_DEGREE, where no
+    such graph exists.
+    """
+    for block in sample_blocks(rng, n, count):
+        yield from block.graphs()

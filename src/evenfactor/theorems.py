@@ -38,7 +38,11 @@ and rho_D above theta_D. G is the whole extremal graph iff it has as many
 edges, C(n - 1, 2) + 2; ``recognize_extremal`` checks that count first.
 So a connected delta = 2 graph is ``inconclusive`` on the ``sandwich``
 rung with no matrix built, unless it is the extremal graph (the lemma
-``delta2-sandwich`` re-checks this on the bundled corpora).
+``delta2-sandwich`` re-checks this on the bundled corpora). With the
+hypotheses, which read only n, delta and connectivity, this makes
+(n, delta, m, connected) decide every verdict but the extremal graph's
+and those at delta >= 3; ``_classify`` is that one classification, run
+on batches of arrays, and the verdicts it settles are shared per cell.
 
 At delta >= 3, a verdict rests on an exact rational bound on rho, compared
 with theta exactly. ``largest_root`` certifies theta in (x - ROOT_TOL,
@@ -82,11 +86,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, clique_join
+from .graphs import Graph, RowBlock, clique_join
 from .oracle import CertificateStatus, even_factor_status
 from .quotient import ROOT_TOL, _d_clique_star_coeffs, _q_clique_star_coeffs, largest_root
 from .spectral import Ratio, _distance_stack, _signless_laplacian_stack, perron, perron_brackets
@@ -263,14 +267,43 @@ class TheoremVerdict:
         return self.oracle_status is CertificateStatus.FOUND
 
 
-def _applicable(g: Graph, delta: int, least_order: int) -> bool:
-    """Whether g, of minimum degree delta, meets the hypotheses of a theorem
-    whose order bound at delta is least_order (its ``min_order``): even
-    order, delta >= 2, the order bound (so n > 0), and, last, connectivity,
-    the one test that may flood g. A graph whose builder handed it its
-    connectivity answers from memory (graphs module docstring)."""
-    n = g.n
-    return n % 2 == 0 and delta >= 2 and n >= least_order and g.is_connected()
+# what settles a graph, as _classify gives it: its cell, as a verdict of
+# not-applicable or on the sandwich rung, or nothing short of a verdict of
+# its own
+_NOT_APPLICABLE, _SANDWICH, _OWN = 0, 1, 2
+
+
+@lru_cache(maxsize=64)
+def _least_orders(kind: TheoremKind, top: int) -> np.ndarray:
+    """The least order that meets the hypotheses at minimum degree delta,
+    for delta = 0..top, indexed by delta: ``min_order(kind, delta)`` from
+    delta = 2 on, and below that, where no theorem applies, an order no
+    graph reaches."""
+    never = np.iinfo(np.intp).max
+    return np.array([never, never] + [min_order(kind, delta) for delta in range(2, top + 1)])
+
+
+def _classify(kind: TheoremKind, n, deltas: np.ndarray, edges: np.ndarray,
+              graphs: Optional[Sequence[Graph]] = None) -> np.ndarray:
+    """What settles each graph of a batch, from its order n (one for the
+    batch, or an array), minimum degree and edge count, as an int array.
+
+    ``_NOT_APPLICABLE`` for a graph that fails a hypothesis of the theorem:
+    odd order, delta < 2, n below ``min_order(kind, delta)`` (so n > 0),
+    or, last, connectivity, the one test that may flood a graph: it is
+    asked of ``graphs[i].is_connected()`` only for the graphs i that pass
+    the others, and None for graphs vouches that every graph is connected.
+    ``_SANDWICH`` for an applicable graph with delta = 2 and not the
+    extremal graph's C(n - 1, 2) + 2 edges, which the sandwich lemma
+    settles (module docstring). ``_OWN`` for every other applicable graph:
+    delta >= 3, or the extremal graph at (n, 2).
+    """
+    met = (n % 2 == 0) & (n >= _least_orders(kind, int(deltas.max(initial=1)))[deltas])
+    if graphs is not None:
+        rows = np.flatnonzero(met).tolist()
+        met[rows] = list(map(Graph.is_connected, map(graphs.__getitem__, rows)))
+    own = met & ((deltas > 2) | (2 * edges == (n - 1) * (n - 2) + 4))
+    return met.astype(np.intp) + own
 
 
 @lru_cache(maxsize=None)
@@ -335,14 +368,63 @@ def _conclude(g: Graph, kind: TheoremKind, delta: int, spectral: Optional[float]
                           even_factor_status(g) if searched else None, bound, rung)
 
 
-def _cell_verdict(kind: TheoremKind, n: int, delta: int, applicable: bool) -> TheoremVerdict:
-    """The verdict that (n, delta) alone determines: the sandwich lemma's
-    ``inconclusive`` on an applicable graph, which has delta = 2 and is not
-    the extremal graph, and ``not-applicable`` otherwise."""
-    if applicable:
-        return TheoremVerdict(kind, n, delta, None, threshold(kind, n, delta),
-                              Conclusion.INCONCLUSIVE, rung="sandwich")
-    return TheoremVerdict(kind, n, delta, None, None, Conclusion.NOT_APPLICABLE)
+class _CellVerdicts(dict):
+    """The verdicts that (n, delta, applicable) alone determines, by that
+    key, each built on first use: the sandwich lemma's ``inconclusive`` on
+    an applicable graph, which has delta = 2 and is not the extremal graph,
+    and ``not-applicable`` otherwise."""
+
+    def __init__(self, kind: TheoremKind):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, key: tuple[int, int, bool]) -> TheoremVerdict:
+        n, delta, applicable = key
+        if applicable:
+            verdict = TheoremVerdict(self.kind, n, delta, None, threshold(self.kind, n, delta),
+                                     Conclusion.INCONCLUSIVE, rung="sandwich")
+        else:
+            verdict = TheoremVerdict(self.kind, n, delta, None, None, Conclusion.NOT_APPLICABLE)
+        self[key] = verdict
+        return verdict
+
+
+def _own_verdicts(graphs: list[Graph], kind: TheoremKind) -> list[TheoremVerdict]:
+    """The verdicts of graphs that ``_classify`` leaves to their own
+    verdict, in order. The extremal graph at (n, 2) has no bound; every
+    other is held to its bounds rung by rung: the x = 1 bound, then, on the
+    graphs of one order it leaves open, one integer matrix stack, which
+    gives their M^3 1 brackets, and one eigen-solve of the matrices those
+    leave open, from their slice of it."""
+    q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
+    verdicts: list[Optional[TheoremVerdict]] = [None] * len(graphs)
+    # the graphs left to the bounds: index -> cutoffs, and what the rungs
+    # found on each, as _bracket_rungs gives it
+    bounded: dict[int, tuple[Ratio, Ratio]] = {}
+    found: dict[int, tuple[Optional[tuple[Ratio, bool]], str, Optional[float]]] = {}
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        n, delta = g.n, g.min_degree()
+        if delta == 2:
+            verdicts[i] = _conclude(g, kind, delta, None, None)
+            continue
+        cutoffs = bounded[i] = _cutoffs(kind, n, delta)
+        if q_side:
+            settled = _settle(q_side, cutoffs, upper=(2 * g.max_degree(), 1))
+        else:
+            settled = _settle(q_side, cutoffs, lower=(2 * (n * (n - 1) - g.edge_count), n))
+        if settled is None:
+            by_order.setdefault(n, []).append(i)
+        else:
+            found[i] = settled, "row-sums", None
+    build = _signless_laplacian_stack if q_side else _distance_stack
+    for members in by_order.values():
+        stack = build([graphs[i] for i in members])
+        found.update(zip(members, _bracket_rungs(q_side, stack, [bounded[i] for i in members])))
+    for i in bounded:
+        settled, rung, rho = found[i]
+        verdicts[i] = _conclude(graphs[i], kind, graphs[i].min_degree(), rho, settled, rung)
+    return verdicts
 
 
 def check_even_factor(g: Graph, kind: TheoremKind) -> TheoremVerdict:
@@ -354,84 +436,83 @@ def check_even_factor_many(graphs: Iterable[Graph],
                            kind: TheoremKind) -> Iterator[TheoremVerdict]:
     """Evaluate one spectral sufficient condition on each graph, in input order.
 
-    The hypotheses are tested first, cheapest first: even order, minimum
-    degree at least 2, the order bound, and only then connectivity, the one
-    test that may flood the graph. The sampler and the bundled corpora hand
-    each graph its minimum degree and connectivity, and the graph6 reader
-    its minimum degree, so neither is derived again here for their graphs:
-    no sampled or bundled graph is flooded. A graph that fails one
-    is ``not-applicable`` and carries ``spectral_value`` and ``threshold``
-    as None. An applicable
-    graph with delta = 2 is settled by the sandwich lemma (module
+    Graphs are read VERDICT_CHUNK at a time, and each chunk is classified
+    as a batch by ``_classify``, the one classification ``judge_blocks``
+    runs on a source's row blocks, from each graph's order, ``min_degree()``
+    and ``edge_count``. The hypotheses come first, cheapest first: even
+    order, minimum degree at least 2, the order bound, and only then
+    connectivity, asked only of the graphs that pass the others, the one
+    test that may flood a graph. A graph handed its connectivity by its
+    builder answers from memory (graphs module docstring). A graph that
+    fails one is ``not-applicable`` and carries ``spectral_value`` and
+    ``threshold`` as None. An applicable graph with delta = 2 and fewer
+    edges than the extremal graph is settled by the sandwich lemma (module
     docstring), with no matrix, bound or eigen-solve: ``inconclusive`` on
-    the ``sandwich`` rung, or, for the extremal graph, ``extremal-exception``
-    and borderline. Any other applicable graph is held to its exact bounds
-    on rho, rung by rung: the x = 1 bound, the M^3 1 bracket, and the
-    bracket from its eigenvector. A bound on the theorem's side of the
-    threshold (rho_Q above it, rho_D below it) makes the verdict
-    ``even-factor-guaranteed``, one on the other side ``inconclusive``;
-    either way it is in ``bound`` and its rung in ``rung``. A graph no bound
-    settles is ``borderline``: ``extremal-exception`` if recognized by its
-    degrees, ``inconclusive`` otherwise. ``spectral_value`` is rho from the
-    eigen-solve, None on a graph settled before it. The exact search runs
-    on every guarantee and every borderline verdict, and ``oracle_status``
-    holds its answer; it is None on the other verdicts. The minimum degree
-    used in thresholds is always min_degree(g).
+    the ``sandwich`` rung. Every other applicable graph has a verdict of
+    its own. The extremal graph at (n, 2) is ``extremal-exception`` and
+    borderline. Any other is held to its exact bounds on rho, rung by rung:
+    the x = 1 bound, the M^3 1 bracket, and the bracket from its
+    eigenvector. A bound on the theorem's side of the threshold (rho_Q
+    above it, rho_D below it) makes the verdict ``even-factor-guaranteed``,
+    one on the other side ``inconclusive``; either way it is in ``bound``
+    and its rung in ``rung``. A graph no bound settles is ``borderline``:
+    ``extremal-exception`` if recognized by its degrees, ``inconclusive``
+    otherwise. ``spectral_value`` is rho from the eigen-solve, None on a
+    graph settled before it. The exact search runs on every guarantee and
+    every borderline verdict, and ``oracle_status`` holds its answer; it is
+    None on the other verdicts. The minimum degree used in thresholds is
+    always min_degree(g).
 
     The verdicts that (kind, n, delta) alone determines, the not-applicable
     and the sandwich ones, are built once per call and shared; verdicts are
-    frozen. Each delta's order bound is looked up once per call too. Graphs
-    are read VERDICT_CHUNK at a time. Within a chunk, the graphs of one
-    order that the x = 1 bound leaves open share one integer matrix stack,
-    which gives their brackets, and those the brackets leave open are
-    eigen-solved together, from their slice of it.
+    frozen. Within a chunk, the graphs of one order that the x = 1 bound
+    leaves open share one integer matrix stack, which gives their brackets,
+    and those the brackets leave open are eigen-solved together, from their
+    slice of it.
     """
-    q_side = kind is TheoremKind.SIGNLESS_LAPLACIAN
-    build = _signless_laplacian_stack if q_side else _distance_stack
-    shared: dict[tuple[int, int, bool], TheoremVerdict] = {}
-    least_orders: dict[int, int] = {}
+    shared = _CellVerdicts(kind)
     source = iter(graphs)
     while chunk := list(islice(source, VERDICT_CHUNK)):
-        verdicts: list[Optional[TheoremVerdict]] = [None] * len(chunk)
-        # the graphs left to the bounds: index -> (delta, cutoffs), and what
-        # the rungs found on each, as _bracket_rungs gives it
-        bounded: dict[int, tuple[int, tuple[Ratio, Ratio]]] = {}
-        found: dict[int, tuple[Optional[tuple[Ratio, bool]], str, Optional[float]]] = {}
-        by_order: dict[int, list[int]] = {}
-        for i, g in enumerate(chunk):
-            n, delta = g.n, g.min_degree()
-            least_order = least_orders.get(delta)
-            if least_order is None:
-                least_order = least_orders[delta] = min_order(kind, delta)
-            applicable = _applicable(g, delta, least_order)
-            if not applicable or delta == 2 and not recognize_extremal(g, 2):
-                verdict = shared.get((n, delta, applicable))
-                if verdict is None:
-                    verdict = shared[n, delta, applicable] = _cell_verdict(
-                        kind, n, delta, applicable)
-                verdicts[i] = verdict
-            elif delta == 2:
-                verdicts[i] = _conclude(g, kind, delta, None, None)
-            else:
-                cutoffs = _cutoffs(kind, n, delta)
-                bounded[i] = delta, cutoffs
-                if q_side:
-                    settled = _settle(q_side, cutoffs, upper=(2 * g.max_degree(), 1))
-                else:
-                    settled = _settle(q_side, cutoffs,
-                                      lower=(2 * (n * (n - 1) - g.edge_count), n))
-                if settled is None:
-                    by_order.setdefault(n, []).append(i)
-                else:
-                    found[i] = settled, "row-sums", None
-        for members in by_order.values():
-            stack = build([chunk[i] for i in members])
-            found.update(zip(members, _bracket_rungs(q_side, stack,
-                                                     [bounded[i][1] for i in members])))
-        for i, (delta, _) in bounded.items():
-            settled, rung, rho = found[i]
-            verdicts[i] = _conclude(chunk[i], kind, delta, rho, settled, rung)
+        k = len(chunk)
+        orders = np.fromiter((g.n for g in chunk), np.intp, k)
+        deltas = np.fromiter((g.min_degree() for g in chunk), np.intp, k)
+        edges = np.fromiter((g.edge_count for g in chunk), np.intp, k)
+        classes = _classify(kind, orders, deltas, edges, chunk)
+        verdicts = [None if c == _OWN else shared[n, delta, c == _SANDWICH]
+                    for n, delta, c in zip(orders.tolist(), deltas.tolist(), classes.tolist())]
+        own = np.flatnonzero(classes == _OWN).tolist()
+        for i, verdict in zip(own, _own_verdicts([chunk[i] for i in own], kind)):
+            verdicts[i] = verdict
         yield from verdicts
+
+
+def judge_blocks(blocks: Iterable[RowBlock], kind: TheoremKind
+                 ) -> Iterator[tuple[list[tuple[TheoremVerdict, int]],
+                                     list[tuple[int, Graph, TheoremVerdict]]]]:
+    """The verdicts on row blocks of connected graphs (``graphs.RowBlock``),
+    one pair of lists per block, as ``check_even_factor_many`` gives them
+    on the blocks' graphs in turn.
+
+    The first list holds each verdict that its cell determines (one object
+    per cell for the whole call) with the number of the block's graphs
+    given it, counted per (delta, class) by one bincount over the block's
+    arrays. The second holds (row, graph, verdict) for each graph with a
+    verdict of its own, its row counted from the first graph of the first
+    block, 0: a Graph is built only for those.
+    """
+    shared = _CellVerdicts(kind)
+    offset = 0
+    for block in blocks:
+        n, deltas = block.n, block.min_degrees
+        classes = _classify(kind, n, deltas, block.edge_counts)
+        counts = np.bincount(3 * deltas + classes)
+        keys = np.flatnonzero(counts).tolist()
+        cells = [(shared[n, key // 3, key % 3 == _SANDWICH], count)
+                 for key, count in zip(keys, counts[keys].tolist()) if key % 3 != _OWN]
+        own = np.flatnonzero(classes == _OWN)
+        graphs = block.graphs(own) if own.size else []
+        yield cells, list(zip((own + offset).tolist(), graphs, _own_verdicts(graphs, kind)))
+        offset += len(block)
 
 
 # -- extremal status table -------------------------------------------------------

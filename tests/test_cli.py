@@ -12,16 +12,19 @@ from random import Random
 
 import pytest
 
+import numpy as np
+
 from evenfactor import cli, spectral
 from evenfactor.cli import build_parser, main
-from evenfactor.corpus import bundled_corpus_lines
-from evenfactor.graphs import from_graph6, to_graph6
+from evenfactor.corpus import BUNDLED_ORDERS, bundled_corpus_lines
+from evenfactor.graphs import Graph, RowBlock, from_graph6, to_graph6
 from evenfactor.oracle import NODE_CAP, find_even_factor
 from evenfactor.sampling import sample_connected_graphs, sample_graph
 from evenfactor.spectral import rho_q
 from evenfactor.theorems import (
     TheoremKind,
     check_even_factor,
+    check_even_factor_many,
     extremal_graph,
 )
 
@@ -248,17 +251,9 @@ def test_scan_counts_the_verdicts_the_bound_decided(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_scan_tally_matches_certify_rows(tmp_path):
-    # scan counts the verdicts that a cell alone determines per shared
-    # object, and every other verdict per graph; its row must be what
-    # certify's per-graph rows add up to
-    lines = [*bundled_corpus_lines(6), "O~~~~~~~~~~~~~~~~~~??", "M~~~~~~~~~~zwQw??", "A~"]
-    corpus = tmp_path / "in.g6"
-    corpus.write_text("\n".join(lines) + "\n")
-    path = tmp_path / "r.json"
-    assert main(["certify", str(corpus), "--json", str(path), "--no-timing"]) == 1
-    report = json.loads(path.read_text())
-    rows = report["rows"]
+def _tally(rows, violations):
+    """The scan row, but its source, that per-graph verdict rows add up to,
+    with that many violations."""
     expected = {"inputs": len(rows)}
     for conclusion in ("even-factor-guaranteed", "extremal-exception", "inconclusive",
                        "not-applicable"):
@@ -269,8 +264,24 @@ def test_scan_tally_matches_certify_rows(tmp_path):
         bound_decided=sum(r["rung"] in ("row-sums", "power") for r in rows),
         oracle_runs=sum(r["oracle_status"] is not None for r in rows),
         oracle_cap_exceeded=sum(r["oracle_status"] == "cap-exceeded" for r in rows),
-        violations=len(report["violations"]),
+        violations=violations,
     )
+    return expected
+
+
+def test_scan_tally_matches_certify_rows(tmp_path):
+    # scan counts the verdicts that a cell alone determines per shared
+    # object, or per row block, and every other verdict per graph; its row
+    # must be what per-graph verdicts add up to: certify's rows, for a
+    # corpus file and for every bundled order, and the verdicts of
+    # check_even_factor_many on the sampler's graphs
+    lines = [*bundled_corpus_lines(6), "O~~~~~~~~~~~~~~~~~~??", "M~~~~~~~~~~zwQw??", "A~"]
+    corpus = tmp_path / "in.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "r.json"
+    assert main(["certify", str(corpus), "--json", str(path), "--no-timing"]) == 1
+    report = json.loads(path.read_text())
+    expected = _tally(report["rows"], len(report["violations"]))
     assert expected["inputs"] == len(lines) - 1 and expected["violations"] == 1
     # the oracle confirms the guarantee O~~~~~~~~~~~~~~~~~~??; the
     # eigenvector bracket settles M~~~~~~~~~~zwQw?? as inconclusive
@@ -278,6 +289,97 @@ def test_scan_tally_matches_certify_rows(tmp_path):
     assert main(["scan", "--corpus", str(corpus), "--json", str(path), "--no-timing"]) == 1
     [row] = json.loads(path.read_text())["rows"]
     assert row == {"source": f"corpus:{corpus}", **expected}
+    oracle_runs = {}
+    for n in BUNDLED_ORDERS:
+        corpus.write_text("\n".join(bundled_corpus_lines(n)) + "\n")
+        for theorem in "12":
+            assert main(["certify", str(corpus), "--theorem", theorem,
+                         "--json", str(path), "--no-timing"]) == 0
+            report = json.loads(path.read_text())
+            expected = _tally(report["rows"], len(report["violations"]))
+            assert main(["scan", "-n", str(n), "--theorem", theorem,
+                         "--json", str(path), "--no-timing"]) == 0
+            [row] = json.loads(path.read_text())["rows"]
+            assert row == {"source": f"bundled:n={n}", **expected}
+            if row["oracle_runs"]:
+                oracle_runs[n, theorem] = row["oracle_runs"], row["extremal-exception"]
+    # the one bundled graph with a verdict of its own is the extremal graph
+    # at (8, 2), under theorem 1
+    assert oracle_runs == {(8, "1"): (1, 1)}
+    for n in (9, 10, 12):
+        for seed in (1, 2):
+            for theorem, kind in (("1", TheoremKind.SIGNLESS_LAPLACIAN),
+                                  ("2", TheoremKind.DISTANCE)):
+                verdicts = check_even_factor_many(
+                    sample_connected_graphs(Random(seed), n, 300), kind)
+                rows = [cli._verdict_row(0, "", v) for v in verdicts]
+                expected = _tally(rows, sum(r["oracle_agrees"] is False for r in rows))
+                assert main(["scan", "-n", str(n), "--sample-size", "300", "--seed", str(seed),
+                             "--theorem", theorem, "--json", str(path), "--no-timing"]) == 0
+                [row] = json.loads(path.read_text())["rows"]
+                assert row == {"source": f"sampler:n={n},size=300,seed={seed}", **expected}
+
+
+def _block(graphs):
+    """A row block of connected graphs of one order, built by hand."""
+    return RowBlock(graphs[0].n, np.array([g.min_degree() for g in graphs]),
+                    np.array([g.edge_count for g in graphs]),
+                    lambda rows: [graphs[i]._bits for i in np.arange(len(graphs))[rows]])
+
+
+def test_scan_block_judges_the_extremal_graph_on_its_own(tmp_path, monkeypatch):
+    # a sampled block holding the (10, 2) extremal graph among samples: the
+    # one graph of the block with a verdict of its own, the only borderline
+    # one and the only oracle run
+    samples = list(sample_connected_graphs(Random(1), 10, 9))
+    graphs = samples[:4] + [extremal_graph(10, 2)] + samples[4:]
+    monkeypatch.setattr(cli, "sample_blocks", lambda rng, n, count: iter([_block(graphs)]))
+    path = tmp_path / "s.json"
+    for theorem in "12":
+        assert main(["scan", "-n", "10", "--sample-size", "10", "--theorem", theorem,
+                     "--json", str(path), "--no-timing"]) == 0
+        [row] = json.loads(path.read_text())["rows"]
+        assert (row["inputs"], row["extremal-exception"], row["borderline"],
+                row["oracle_runs"], row["violations"]) == (10, 1, 1, 1, 0)
+        assert row["inconclusive"] + row["not-applicable"] == 9
+
+
+def test_scan_blocks_report_a_refuted_guarantee_by_its_line(tmp_path, monkeypatch):
+    # K_3 v (K_10 u K_1) lies above the extremal graph at (14, 3), so its
+    # verdict is a guarantee; an oracle that finds no even factor refutes
+    # it. Inside a row block past the first, sampled or bundled, it is
+    # reported on the line and with the graph6 that certify gives it when
+    # the same graphs are its input lines
+    from evenfactor import corpus, theorems
+    from evenfactor.graphs import clique_join
+    from evenfactor.oracle import CertificateStatus
+
+    monkeypatch.setattr(theorems, "even_factor_status", lambda g: CertificateStatus.NONE_EXISTS)
+    guarantee = clique_join(3, (10, 1))
+    ring = Graph(14, [(i, (i + 1) % 14) for i in range(14)])
+    # the extremal graphs' verdicts run the oracle too, but are no guarantee
+    blocks = [[ring, extremal_graph(14, 3)], [extremal_graph(14, 2), guarantee, ring]]
+    monkeypatch.setattr(cli, "sample_blocks",
+                        lambda rng, n, count: iter(map(_block, blocks)))
+    # a bundled batch of order 14 holds 240 lines, so the guarantee's line,
+    # 251, lies in the second
+    lines = [to_graph6(ring)] * 250 + [to_graph6(guarantee), to_graph6(extremal_graph(14, 2))]
+    monkeypatch.setattr(cli, "bundled_corpus_lines", lambda n: lines)
+    monkeypatch.setattr(cli, "bundled_blocks", lambda n, lines: corpus.bundled_blocks(14, lines))
+    for argv, graph6s in ((["-n", "14", "--sample-size", "5"], [to_graph6(g) for b in blocks for g in b]),
+                          (["-n", "8"], lines)):
+        path = tmp_path / "s.json"
+        assert main(["scan", *argv, "--theorem", "1", "--json", str(path), "--no-timing"]) == 1
+        found = json.loads(path.read_text())["violations"]
+        inputs = tmp_path / "in.g6"
+        inputs.write_text("\n".join(graph6s) + "\n")
+        assert main(["certify", str(inputs), "--theorem", "1", "--json", str(path),
+                     "--no-timing"]) == 1
+        (row,) = json.loads(path.read_text())["violations"]
+        assert found == [row]
+        assert (row["line"], row["graph6"], row["oracle_status"]) == (
+            graph6s.index(to_graph6(guarantee)) + 1, to_graph6(guarantee), "none-exists")
+        assert row["line"] in (4, 251)
 
 
 def test_scan_sampler_zero_size(tmp_path):

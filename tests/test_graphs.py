@@ -218,7 +218,17 @@ def test_bundled_corpora_are_connected_under_a_fresh_flood():
         decoded = list(read_graph6(lines))
         assert [(g, g.edge_count, g.min_degree()) for g in vouched] == \
             [(g, g.edge_count, g.min_degree()) for g in decoded]
-        assert list(corpus.iter_bundled_corpus(n)) == list(zip(lines, vouched))
+        # the row blocks scan -n reads: each graph's minimum degree and edge
+        # count, and its Graph, vouched for, from any chosen rows
+        blocks = list(corpus.bundled_blocks(n, lines))
+        assert [(d, m) for b in blocks
+                for d, m in zip(b.min_degrees.tolist(), b.edge_counts.tolist())] == [
+            (g.min_degree(), g.edge_count) for g in vouched]
+        offset = 0
+        for b in blocks:
+            odd = np.arange(1, len(b), 2)
+            assert b.graphs(odd) == vouched[offset + 1:offset + len(b):2]
+            offset += len(b)
         # the rows the lemma checks read: each graph's bitmasks and degrees
         packed, degrees = corpus.load_bundled_rows(n)
         assert packed.shape == (len(lines), n, 1) and degrees.shape == (len(lines), n)
@@ -248,7 +258,7 @@ def test_bundled_row_reader_raises_on_a_bad_line(monkeypatch, n, bad, error):
             lines[len(lines) // 2:]
         monkeypatch.setattr(corpus, "bundled_corpus_lines", lambda n: patched)
         for read in (corpus.load_bundled_corpus, corpus.load_bundled_rows,
-                     lambda n: list(corpus.iter_bundled_corpus(n))):
+                     lambda n: list(corpus.bundled_blocks(n, corpus.bundled_corpus_lines(n)))):
             with pytest.raises(Graph6Error) as info:
                 read(n)
             assert str(info.value) == error

@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from evenfactor.sampling import MIN_DEGREE, P_RANGE, sample_connected_graphs, sample_graph
+from evenfactor.sampling import (MIN_DEGREE, P_RANGE, sample_blocks, sample_connected_graphs,
+                                 sample_graph)
 
 
 def one_at_a_time(rng, n, count):
@@ -39,3 +40,13 @@ def test_block_sampler_is_the_one_at_a_time_sampler(seed, n, count):
         (g.min_degree(), g.is_connected()) for g in expected]
     # the stream is left where the reference left it, so later draws agree
     assert blocked.getstate() == reference.getstate()
+    # the graphs are the flatten of the row blocks, whose arrays hold each
+    # one's minimum degree and edge count; so is the final stream state
+    rng = Random(seed)
+    blocks = list(sample_blocks(rng, n, count))
+    assert rng.getstate() == reference.getstate()
+    assert [g for b in blocks for g in b.graphs()] == got
+    assert [(d, m) for b in blocks
+            for d, m in zip(b.min_degrees.tolist(), b.edge_counts.tolist())] == [
+        (g.min_degree(), g.edge_count) for g in expected]
+    assert all(b.n == n and len(b) == len(b.graphs()) for b in blocks)

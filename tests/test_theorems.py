@@ -16,7 +16,7 @@ from evenfactor.graphs import (Graph, _component, clique_join, from_graph6, read
 from evenfactor.oracle import CertificateStatus, find_even_factor, is_even_factor
 from evenfactor.quotient import N, ROOT_TOL, S, eval_poly
 from evenfactor.sampling import sample_connected_graphs
-from evenfactor import cli, lemmas, theorems
+from evenfactor import cli, corpus, lemmas, sampling, theorems
 from evenfactor.spectral import (_distance_stack, distance_matrix, perron, rho_d, rho_d_many,
                                  rho_q, rho_q_many, signless_laplacian, wiener_index)
 from evenfactor.lemmas import (
@@ -777,6 +777,39 @@ def test_shared_verdicts_equal_fresh_ones():
         assert all(a is not b for a, b in zip(again, verdicts[-3:]))
 
 
+@pytest.mark.parametrize("kind", list(TheoremKind))
+def test_judge_blocks_gives_the_verdicts_of_check_even_factor_many(kind):
+    # row blocks of the bundled corpora of orders 6..8 and of the sampler at
+    # n = 10, 14 and 18 (where delta = 3 graphs meet the Q bound, and at 18
+    # the D bound, and are held to their bounds, each block's own
+    # verdicts batched): each block's cell counts and own verdicts are what
+    # check_even_factor_many gives its graphs, verdict for verdict, and the
+    # rows of the own verdicts count on across blocks
+    sources = [corpus.bundled_blocks(n, bundled_corpus_lines(n)) for n in (6, 7, 8)]
+    sources += [sampling.sample_blocks(Random(1), 10, 400),
+                sampling.sample_blocks(Random(2), 14, 150),
+                sampling.sample_blocks(Random(3), 18, 100)]
+    own_rows = 0
+    for blocks in sources:
+        blocks = list(blocks)
+        graphs = [g for b in blocks for g in b.graphs()]
+        expected = list(check_even_factor_many(graphs, kind))
+        cells, own = Counter(), []
+        for pairs, mine in theorems.judge_blocks(blocks, kind):
+            for v, count in pairs:
+                assert v.rung == "sandwich" or v.conclusion is Conclusion.NOT_APPLICABLE
+                cells[v] += count
+            own += mine
+        shared = [v for v in expected if v.bound is None and v.oracle_status is None]
+        assert cells == Counter(shared)
+        assert [(row, graphs[row], v) for row, _, v in own] == [
+            (i, g, v) for i, (g, v) in enumerate(zip(graphs, expected))
+            if v.bound is not None or v.oracle_status is not None]
+        assert [g for _, g, _ in own] == [graphs[row] for row, _, _ in own]
+        own_rows += len(own)
+    assert own_rows
+
+
 def _near_extremal(rng, n, delta):
     """The extremal graph at (n, delta) with a random nonempty set of edges
     added from the big clique to the singletons other than the last and
@@ -845,7 +878,8 @@ def test_a_bound_inside_the_certified_interval_never_settles():
         assert theorems._settle(q_side, cutoffs, upper=lo) == (lo, not q_side)
         for g, conclusion in ((cycle(n), Conclusion.INCONCLUSIVE),
                               (extremal_graph(n, 2), Conclusion.EXTREMAL_EXCEPTION)):
-            assert g.min_degree() == 2 and theorems._applicable(g, 2, theorems.min_order(kind, 2))
+            assert g.min_degree() == 2
+            assert check_even_factor(g, kind).conclusion is not Conclusion.NOT_APPLICABLE
             v = theorems._conclude(g, kind, 2, None, None)
             assert (v.conclusion, v.borderline, v.bound, v.oracle_status) == (
                 conclusion, True, None, CertificateStatus.FOUND)
